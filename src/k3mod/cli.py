@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per computation, reproducible output.
 
 Exit codes: 0 success, 1 computational failure (e.g. infeasible search
-bound), 2 usage error.  Identical invocations produce byte-identical
-output; progress for long searches goes to stderr only.
+bound) or stdout closed before all output was written, 2 usage error,
+3 failed internal check (a cross-check between two code paths disagreed).
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -380,10 +381,21 @@ def run(argv):
     except (lt.LatticeError, se.FeasibilityError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (AssertionError, RuntimeError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send the unflushed rest nowhere so that the
+        # flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

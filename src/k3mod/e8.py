@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .lattice import LatticeError, root_lattice_e, solve_rational
 
@@ -83,7 +84,8 @@ def alpha_from_2x(vec2x):
     out = []
     for row in inv:
         c = sum(r * Fraction(v, 2) for r, v in zip(row, vec2x))
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise LatticeError(f"{vec2x} has a non-integral simple-root coordinate {c}")
         out.append(int(c))
     return tuple(out)
 
@@ -120,13 +122,39 @@ def roots_2x():
     return tuple(out)
 
 
+# sign patterns with the parity of their minus signs: 3 signs for the
+# first half (its leading sign is fixed to +), 4 signs for the second half
+_LEFT_SIGNS = tuple((s, sum(x < 0 for x in s) & 1) for s in product((1, -1), repeat=3))
+_RIGHT_SIGNS = tuple((s, sum(x < 0 for x in s) & 1) for s in product((1, -1), repeat=4))
+
+
 def count_orth_roots_2x(vec2x):
-    """Number of roots orthogonal to a vector, both in doubled e-coordinates."""
+    """Number of roots orthogonal to a vector, both in doubled e-coordinates.
+
+    Closed form over the two root shapes.  The integral roots +-e_i +- e_j
+    orthogonal to v come from index pairs with |v_i| = |v_j|: two roots per
+    pair, four when both entries are 0.  The half-integral roots are the
+    sign patterns s with an even number of minus signs and s.v = 0.  They
+    are counted by meeting the two 4-coordinate halves on the key
+    (partial sum, parity of minus signs).  Since s and -s are both
+    solutions or both not, only the patterns with s_1 = + are counted, twice.
+    """
     n = 0
-    for r in roots_2x():
-        if sum(x * y for x, y in zip(r, vec2x)) == 0:
-            n += 1
-    return n
+    seen = {}
+    for x in vec2x:
+        x = abs(x)
+        seen[x] = seen.get(x, 0) + 1
+    for a, c in seen.items():
+        n += c * (c - 1) * (2 if a == 0 else 1)
+    a0, a1, a2, a3, b0, b1, b2, b3 = vec2x
+    left = {}  # 2 * partial sum + parity -> number of patterns
+    for (s1, s2, s3), p in _LEFT_SIGNS:
+        key = 2 * (a0 + s1 * a1 + s2 * a2 + s3 * a3) + p
+        left[key] = left.get(key, 0) + 1
+    half = 0
+    for (s0, s1, s2, s3), p in _RIGHT_SIGNS:
+        half += left.get(p - 2 * (s0 * b0 + s1 * b1 + s2 * b2 + s3 * b3), 0)
+    return n + 2 * half
 
 
 @lru_cache(maxsize=1)

@@ -59,7 +59,7 @@ class QSeries:
     def truncate(self, prec):
         if prec > self.prec:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: prec * self.den + 1], prec, self.den)
+        return QSeries(self.coeffs[: max(prec * self.den + 1, 0)], prec, self.den)
 
     def coeff(self, exponent):
         """Coefficient of q^exponent; exponent may be an integer or Fraction."""
@@ -265,18 +265,32 @@ def theta3(prec, shift=False):
     return QSeries(out, prec, den=2)
 
 
+# lattice name -> its theta series at the highest precision asked for so far
 _series_cache = {}
+
+
+def _cached_series(name, prec, build):
+    """The series `name` to precision prec, from one cached series per name.
+
+    A request at or below the cached precision truncates the cached series,
+    which changes no coefficient; a request above it rebuilds the series
+    once, at exactly prec, and replaces the cached one.
+    """
+    series = _series_cache.get(name)
+    if series is None or series.prec < prec:
+        series = _series_cache[name] = build(prec)
+    return series if series.prec == prec else series.truncate(prec)
+
+
+def _build_e7(prec):
+    t3 = theta3_2tau(prec)
+    t2 = theta2_2tau(prec)
+    return (t3**7 + 7 * t3**3 * t2**4).to_integer_grid()
 
 
 def theta_e7(prec=240):
     """Theta series of E7: theta_3(2t)^7 + 7 theta_3(2t)^3 theta_2(2t)^4."""
-    key = ("E7", prec)
-    if key not in _series_cache:
-        t3 = theta3_2tau(prec)
-        t2 = theta2_2tau(prec)
-        series = (t3**7 + 7 * t3**3 * t2**4).to_integer_grid()
-        _series_cache[key] = series
-    return _series_cache[key]
+    return _cached_series("E7", prec, _build_e7)
 
 
 def theta_dn(n, prec=240):
@@ -286,29 +300,24 @@ def theta_dn(n, prec=240):
     """
     if n < 2:
         raise ValueError("D_n needs n >= 2")
-    key = (f"D{n}", prec)
-    if key not in _series_cache:
-        s = (theta3(prec) ** n + theta3(prec, shift=True) ** n) * Fraction(1, 2)
-        _series_cache[key] = s.to_integer_grid()
-    return _series_cache[key]
+
+    def build(p):
+        s = (theta3(p) ** n + theta3(p, shift=True) ** n) * Fraction(1, 2)
+        return s.to_integer_grid()
+
+    return _cached_series(f"D{n}", prec, build)
 
 
 def theta_e6(prec=240):
     """Theta series of E6 via 81 E3_cusp0(chi3) + E3_cusp_inf(chi3)."""
-    key = ("E6", prec)
-    if key not in _series_cache:
-        _series_cache[key] = (81 * eisenstein_e3(CHI3, "cusp0", prec)
-                              + eisenstein_e3(CHI3, "cusp_inf", prec))
-    return _series_cache[key]
+    return _cached_series("E6", prec, lambda p: 81 * eisenstein_e3(CHI3, "cusp0", p)
+                          + eisenstein_e3(CHI3, "cusp_inf", p))
 
 
 def theta_d6_eis(prec=240):
     """Theta series of D6 via 64 E3_cusp0(chi4) + E3_cusp_inf(chi4)."""
-    key = ("D6eis", prec)
-    if key not in _series_cache:
-        _series_cache[key] = (64 * eisenstein_e3(CHI4, "cusp0", prec)
-                              + eisenstein_e3(CHI4, "cusp_inf", prec))
-    return _series_cache[key]
+    return _cached_series("D6eis", prec, lambda p: 64 * eisenstein_e3(CHI4, "cusp0", p)
+                          + eisenstein_e3(CHI4, "cusp_inf", p))
 
 
 def theta_brute(lat, prec):

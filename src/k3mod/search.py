@@ -3,10 +3,11 @@
 Four structured families (I-IV below) come from fixing a small root
 sublattice and moving l in its orthogonal complement, written in doubled
 e-coordinates; each family has a combinatorial count of the orthogonal
-roots that is re-verified against the 240-root oracle before any hit is
-emitted.  The exhaustive search enumerates one dominant representative per
-Weyl orbit (the orthogonal-root count is Weyl invariant), which turns the
-10^8-vector streams of the naive scan into a handful of cone vectors.
+roots that is re-verified against the closed-form E8 root count
+(`e8.count_orth_roots_2x`) before any hit is emitted.  The exhaustive
+search enumerates one dominant representative per Weyl orbit (the
+orthogonal-root count is Weyl invariant), which turns the 10^8-vector
+streams of the naive scan into a handful of cone vectors.
 
 Hit counts feed the per-degree verdict: a vector orthogonal to between 2
 and 12 roots yields a modular form of weight below 19 with the vanishing
@@ -211,12 +212,13 @@ def oracle_orth_count(vec2x):
 
 
 def count_case4(ms):
-    """Case IV count, always cross-validated against the 240-root oracle."""
+    """Case IV count, always cross-validated against the E8 root count."""
     n = case4_formula_count(ms)
     vec = embed_case4(*ms, sum(ms))
     actual = e8.count_orth_roots_2x(vec)
     if actual != n:
-        raise RuntimeError(f"case IV rules gave {n} but the root scan gives {actual} for {ms}")
+        raise RuntimeError(
+            f"case IV rules gave {n} but the E8 root count gives {actual} for {ms}")
     return n
 
 
@@ -274,10 +276,19 @@ def iter_case_tuples(case, d):
 
         def rec(prefix, lo, sq):
             k = len(prefix)
-            if k == 5:
-                m8 = sum(prefix)
-                if sq + m8 * m8 == two_d and _case4_canonical(prefix, m8):
-                    yield prefix
+            if k == 4:
+                # m7 solves sq + m7^2 + (s + m7)^2 = 2d, i.e.
+                # m7 = (-s +- sqrt(D)) / 2 with D = 4d - s^2 - 2 sq
+                s = sum(prefix)
+                disc = 2 * two_d - s * s - 2 * sq
+                if disc < 0:
+                    return
+                r = isqrt(disc)
+                if r * r != disc or (r + s) % 2:
+                    return
+                for m7 in ((-s - r) // 2, (-s + r) // 2) if r else (-s // 2,):
+                    if m7 >= lo and _case4_canonical(prefix + (m7,), s + m7):
+                        yield prefix + (m7,)
                 return
             for m in range(lo, bound + 1):
                 nsq = sq + m * m
@@ -314,7 +325,9 @@ class SearchHit:
         self.coords2x = tuple(coords2x)
         self.n_l = n_l
         self.source = source
-        assert e8.dot2x(self.coords2x, self.coords2x) == 2 * d
+        norm = e8.dot2x(self.coords2x, self.coords2x)
+        if norm != 2 * d:
+            raise LatticeError(f"hit {self.coords2x} has norm {norm}, expected {2 * d}")
 
     @property
     def weight(self):
@@ -353,7 +366,7 @@ def structured_search(d, case, targets=range(2, 13)):
         if actual != claimed:
             raise RuntimeError(
                 f"case {case} rules claim {claimed} orthogonal roots but the "
-                f"root scan gives {actual} for {ms}")
+                f"E8 root count gives {actual} for {ms}")
         if actual in targets:
             hits.append(SearchHit(d, vec, actual, f"case{case}"))
     hits.sort(key=SearchHit.sort_key)

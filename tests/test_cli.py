@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +191,75 @@ def test_threads_validation(capture):
     assert code == 0
     code, _, err = capture("cmin", "5", "--threads", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("cross-check disagrees"),
+                                 AssertionError("cross-check disagrees")])
+def test_internal_check_failure_exit_code(capture, monkeypatch, exc):
+    from k3mod import search as se
+
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(se, "kodaira_verdict", fail)
+    code, out, err = capture("verdict", "5")
+    assert code == 3 and out == ""
+    assert err == "error: internal check failed: cross-check disagrees\n"
+
+
+def test_feasibility_error_keeps_exit_code_one(capture, monkeypatch):
+    from k3mod import search as se
+
+    def fail(*_args, **_kwargs):
+        raise se.FeasibilityError("beyond the bound")
+
+    monkeypatch.setattr(se, "kodaira_verdict", fail)
+    code, _, err = capture("verdict", "5")
+    assert code == 1 and err == "error: beyond the bound\n"
+
+
+def test_closed_stdout_ends_without_traceback():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "k3mod.cli", "verdict", "150",
+                             "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before any output is written
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+    assert err == b"" and code == 1
+
+
+# stdout of the structured family-IV search and of verdicts above the
+# exhaustive bound, recorded before the closed-form root count and the solved
+# family-IV coordinate replaced the scan and the leaf loop
+_SEARCH_IV_STDOUT = {
+    40: (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    160: (144, "f3827e3c2cc0cc85054e4d0fc2e8af36086b04c7c7b1623a3d80dc3f40b3ed4d"),
+    257: (276, "720fa6364ce99e1ade93523145918c0d3a14df6c5efd8c2c54e6c6dda3207431"),
+}
+_VERDICT_STDOUT = {
+    160: "d=160: general_type\n"
+         "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -30, 2, 8, 10, 14, 4)\n",
+    257: "d=257: general_type\n"
+         "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -36, -4, 8, 10, 24, 2)\n",
+    333: "d=333: general_type\n"
+         "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -42, 4, 10, 12, 24, 8)\n",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_SEARCH_IV_STDOUT))
+def test_search_case4_stdout_is_pinned(capture, d):
+    code, out, _ = capture("search", str(d), "--case", "IV")
+    lines, digest = _SEARCH_IV_STDOUT[d]
+    assert code == 0 and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("d", sorted(_VERDICT_STDOUT))
+def test_verdict_stdout_is_pinned(capture, d):
+    code, out, _ = capture("verdict", str(d))
+    assert code == 0 and out == _VERDICT_STDOUT[d]

@@ -180,3 +180,26 @@ def test_coeff_off_grid_and_out_of_range():
     assert t.coeff(Fraction(1, 2)) == 0
     with pytest.raises(IndexError):
         t.coeff(6)
+
+
+def test_series_cache_is_order_independent(monkeypatch):
+    ms = range(241, 261)
+    results = []
+    for order in (ms, reversed(ms)):
+        monkeypatch.setattr(qs, "_series_cache", {})
+        results.append({(name, m): qs.rep_num(name, 2 * m)
+                        for m in order for name in ("E7", "D5")})
+    assert results[0] == results[1]
+    assert len(results[0]) == 40
+
+
+def test_series_cache_truncates_to_the_requested_precision(monkeypatch):
+    monkeypatch.setattr(qs, "_series_cache", {})
+    fresh = theta_e7(300)
+    monkeypatch.setattr(qs, "_series_cache", {})
+    big = theta_e7(480)
+    small = theta_e7(300)
+    assert big.prec == 480 and small.prec == 300
+    assert small == fresh and small.coeffs == fresh.coeffs
+    assert theta_e7(480) is big
+    assert theta_dn(5, 12).prec == 12 and theta_e6(5).prec == 5

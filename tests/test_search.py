@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -218,3 +219,97 @@ def test_search_hit_serialization():
     d = hit.to_dict()
     assert d["d"] == 46 and d["N_l"] == hit.n_l and d["weight"] == hit.weight
     assert d["source"] == "caseI"
+
+
+# -- the closed-form E8 root count against a 240-root scan ---------------------
+
+def _scan_roots_2x():
+    """The 240 roots in doubled e-coordinates, built here independently."""
+    out = []
+    for i, j in itertools.combinations(range(8), 2):
+        for si, sj in itertools.product((2, -2), repeat=2):
+            v = [0] * 8
+            v[i], v[j] = si, sj
+            out.append(tuple(v))
+    for signs in itertools.product((1, -1), repeat=8):
+        if signs.count(-1) % 2 == 0:
+            out.append(signs)
+    return out
+
+
+_SCAN_ROOTS = _scan_roots_2x()
+
+
+def _scan_count(vec2x):
+    return sum(1 for r in _SCAN_ROOTS if sum(x * y for x, y in zip(r, vec2x)) == 0)
+
+
+def test_closed_form_root_count_on_short_vectors():
+    from k3mod import roots
+
+    assert len(_SCAN_ROOTS) == 240
+    vectors = []
+    roots.enumerate_up_to(e8.lattice(), 4, lambda coords, _n: vectors.append(coords))
+    assert len(vectors) == 240 + 2160
+    for alpha in vectors + [(0,) * 8]:
+        vec = e8.to_2x(alpha)
+        assert e8.count_orth_roots_2x(vec) == _scan_count(vec), alpha
+
+
+def test_closed_form_root_count_on_seeded_vectors():
+    # doubled coordinates of one parity drawn from few absolute values, so
+    # zeros, repeated |v_i| and vanishing signed sums are common; the count
+    # is defined for every integer vector, about half of these lie in E8
+    rng = random.Random(17)
+    in_e8 = 0
+    for _ in range(3000):
+        parity = rng.choice((0, 1))
+        pool = [rng.choice((0, 0, 1, 2, 3, 5, 7)) for _ in range(rng.randint(1, 4))]
+        vec = tuple(rng.choice((1, -1)) * (2 * rng.choice(pool) + parity) for _ in range(8))
+        assert e8.count_orth_roots_2x(vec) == _scan_count(vec), vec
+        in_e8 += e8.in_e8_2x(vec)
+    assert in_e8 > 1000
+
+
+# -- the family-IV generator against the 5-level leaf loop it replaced ---------
+
+def _case4_tuples_by_leaf_loop(d):
+    """Family-IV tuples by looping over m7 too and testing the norm at the leaf."""
+    two_d = 2 * d
+    bound = isqrt(two_d)
+
+    def rec(prefix, lo, sq):
+        k = len(prefix)
+        if k == 5:
+            m8 = sum(prefix)
+            if sq + m8 * m8 == two_d and se._case4_canonical(prefix, m8):
+                yield prefix
+            return
+        for m in range(lo, bound + 1):
+            nsq = sq + m * m
+            if nsq + (4 - k) * m * m > two_d and m > 0:
+                break
+            if nsq <= two_d:
+                yield from rec(prefix + (m,), m, nsq)
+
+    return list(rec((), -bound, 0))
+
+
+@pytest.mark.parametrize("ds", [range(1, 81), (151, 200, 257, 333, 400)],
+                         ids=["d<=80", "d>150"])
+def test_case4_generator_matches_leaf_loop(ds):
+    total = 0
+    for d in ds:
+        got = list(se.iter_case_tuples("IV", d))
+        assert len(got) == len(set(got)), d
+        assert set(got) == set(_case4_tuples_by_leaf_loop(d)), d
+        assert all(se.case_norm("IV", ms + (sum(ms),)) == 2 * d for ms in got)
+        total += len(got)
+    assert total > 0
+
+
+def test_search_hit_rejects_wrong_norm():
+    vec = se.embed_case1(1, 2, 4, 5)  # norm 92, d = 46
+    assert se.SearchHit(46, vec, 12, "caseI").n_l == 12
+    with pytest.raises(LatticeError):
+        se.SearchHit(47, vec, 12, "caseI")
