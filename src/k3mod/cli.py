@@ -20,6 +20,7 @@ from . import e8
 from . import lattice as lt
 from . import qseries as qs
 from . import reflective as rf
+from . import roots
 from . import rst
 from . import search as se
 
@@ -167,7 +168,7 @@ def resolve_threads(flag):
 
 def _cmd_roots(args):
     lat = lt.parse_lattice_expr(args.expr)
-    data = rt_roots(lat)
+    data = roots.enumerate_roots(lat)
     if args.count:
         _emit(args, data.count, [str(data.count)], [[data.count]])
         return 0
@@ -179,13 +180,7 @@ def _cmd_roots(args):
     return 0
 
 
-def rt_roots(lat):
-    from . import roots
-    return roots.enumerate_roots(lat)
-
-
 def _cmd_enum(args):
-    from . import roots
     lat = lt.parse_lattice_expr(args.expr)
     found = []
     if args.count:
@@ -211,6 +206,8 @@ def _cmd_repnum(args):
 def _cmd_theta(args):
     names = {"E6": qs.theta_e6, "E7": qs.theta_e7, "D5": lambda p: qs.theta_dn(5, p),
              "D6": lambda p: qs.theta_dn(6, p), "D8": lambda p: qs.theta_dn(8, p)}
+    if args.prec < 0:
+        raise ValueError("precision must be nonnegative")
     if args.method == "formula" and args.name in names:
         series = names[args.name](args.prec).truncate(args.prec)
     else:

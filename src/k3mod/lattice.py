@@ -35,7 +35,8 @@ def identity_matrix(n):
 
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
+    if any(len(row) != inner for row in a):
+        raise LatticeError("matrix shapes do not match for a product")
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         ai = a[i]
@@ -47,14 +48,6 @@ def mat_mul(a, b):
                 for j in range(cols):
                     oi[j] += s * bk[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def det_bareiss(mat):
@@ -258,11 +251,13 @@ class IntLattice:
     """An integral lattice presented by a symmetric Gram matrix.
 
     Instances are immutable after construction.  Identity (for vector
-    ownership and caches) is the `token`, not structural Gram equality:
-    distinct isometric lattices must not silently interoperate.
+    ownership) is the `token`, not structural Gram equality: distinct
+    isometric lattices must not silently interoperate.  Data derived from
+    the Gram matrix is memoised on the instance (`memoised`), so it lives
+    exactly as long as the lattice.
     """
 
-    __slots__ = ("gram", "rank", "name", "token", "_det", "_sig")
+    __slots__ = ("gram", "rank", "name", "token", "_det", "_sig", "_memo")
 
     def __init__(self, gram, name=None):
         g = tuple(tuple(int(x) for x in row) for row in gram)
@@ -280,6 +275,14 @@ class IntLattice:
         self.token = next(_token_counter)
         self._det = det
         self._sig = None
+        self._memo = {}
+
+    def memoised(self, key, build):
+        """`build(self)`, computed once per key for this lattice."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build(self)
+        return memo[key]
 
     @property
     def det(self):
@@ -469,9 +472,8 @@ def make_named(name, *params):
     raise LatticeError(f"unknown lattice name {name!r}")
 
 
-def direct_sum(*lattices):
-    if not lattices:
-        raise LatticeError("direct sum of nothing")
+def _block_gram(lattices):
+    """Block-diagonal Gram matrix of the orthogonal sum of `lattices`."""
     n = sum(lat.rank for lat in lattices)
     g = [[0] * n for _ in range(n)]
     off = 0
@@ -480,8 +482,14 @@ def direct_sum(*lattices):
             for j in range(lat.rank):
                 g[off + i][off + j] = lat.gram[i][j]
         off += lat.rank
+    return g
+
+
+def direct_sum(*lattices):
+    if not lattices:
+        raise LatticeError("direct sum of nothing")
     name = " + ".join(lat.name or "?" for lat in lattices)
-    return IntLattice(g, name=name)
+    return IntLattice(_block_gram(lattices), name=name)
 
 
 def rescale(lat, t):
@@ -492,12 +500,10 @@ def rescale(lat, t):
 
 
 def make_l2d(d):
-    """The signature (2, 17) lattice 2U + 2E8(-1) + <-2d>; the <-2d> generator is last."""
+    """The signature (2, 19) lattice 2U + 2E8(-1) + <-2d>; the <-2d> generator is last."""
     if d < 1:
         raise LatticeError("polarisation degree d must be positive")
-    lat = parse_lattice_expr(f"2U+2E8(-1)+<{-2 * d}>")
-    lat.name = f"L_{2 * d}"
-    return lat
+    return IntLattice(_expr_gram(f"2U+2E8(-1)+<{-2 * d}>"), name=f"L_{2 * d}")
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +714,12 @@ _TOKEN_RE = re.compile(r"\s*(\d+|[UADE<>()+-])")
 
 
 def parse_lattice_expr(text):
-    parser = _ExprParser(text)
-    lat = parser.parse()
-    lat.name = re.sub(r"\s+", "", text)
-    return lat
+    return IntLattice(_expr_gram(text), name=re.sub(r"\s+", "", text))
+
+
+def _expr_gram(text):
+    """Gram matrix of a lattice expression: the orthogonal sum of its atoms."""
+    return _block_gram(_ExprParser(text).parse())
 
 
 class _ExprParser:
@@ -748,8 +756,7 @@ class _ExprParser:
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("trailing input", self.pos)
-        flat = [lat for mult, lat in parts for _ in range(mult)]
-        return flat[0] if len(flat) == 1 else direct_sum(*flat)
+        return [lat for mult, lat in parts for _ in range(mult)]
 
     def _term(self):
         mult = 1

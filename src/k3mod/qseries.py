@@ -324,14 +324,9 @@ def theta_brute(lat, prec):
     """Theta series by direct vector enumeration; the oracle for the closed forms."""
     if not lat.is_even():
         raise LatticeError("brute theta expects an even lattice")
-    counts = [0] * (prec + 1)
-
-    def visit(_coords, norm):
-        counts[norm // 2] += 1
-
-    roots.enumerate_up_to(lat, 2 * prec, visit)
-    counts[0] = 1
-    return QSeries(counts, prec)
+    if prec < 0:
+        raise LatticeError("precision must be nonnegative")
+    return QSeries(roots.norm_counts(lat, 2 * prec)[::2], prec)
 
 
 _REP_LATTICES = {

@@ -86,13 +86,9 @@ def reflection(lat, r):
     return IsometryMatrix(lat, m)
 
 
-_disc_cache = {}
-
-
 def cached_disc_group(lat):
-    if lat.token not in _disc_cache:
-        _disc_cache[lat.token] = disc_group(lat)
-    return _disc_cache[lat.token]
+    """`disc_group(lat)`, memoised on the lattice."""
+    return lat.memoised("disc_group", disc_group)
 
 
 def disc_action(lat, g, disc=None):
@@ -225,7 +221,8 @@ def orth_det_check(d, r):
     for p in pair:
         div = gcd(div, p)
     predicted, rem = divmod(abs(lat.det) * abs(norm), div * div)
-    assert rem == 0
+    if rem:
+        raise LatticeError("index formula gives a non-integral determinant")
     comp, _basis = orth_complement(lat, [coords])
     return abs(comp.det), predicted
 

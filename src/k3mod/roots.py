@@ -4,12 +4,28 @@ The enumerator is Fincke-Pohst style: the Gram matrix is completed to a sum
 of squares with rational pivots, and coordinate ranges are propagated from
 the last coordinate to the first with exact bounds (integer square roots
 plus an exact adjustment step, so no acceptance errors from rounding).
+
+Three things keep the recursion cheap:
+
+* x/-x symmetry.  While every higher coordinate is 0, the centre of the
+  current level is 0 and its range is symmetric, so only x_i >= 0 is walked
+  there (x_0 >= 1 at level 0).  The walk then meets exactly the vectors whose
+  last nonzero coordinate is positive, one of each pair +-x: counts are
+  doubled, and a visitor is called for x and then for -x.
+* Stepped centres.  A level computes the part of the next level's centre
+  that comes from the higher coordinates once, then steps it by one
+  coefficient per value of its own coordinate.
+* Counts-only leaf.  Along x_0 the norm is the integer quadratic
+  g_00 x_0^2 + 2 p x_0 + q (p the pairing of x_0's basis vector with the
+  rest of x, q the norm at x_0 = 0), so `norm_counts` fills a histogram in
+  the level-0 loop by finite differences: no tuples, no callbacks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 from .lattice import IntLattice, LatticeError, LatVec, pairing_vector
 
@@ -21,27 +37,26 @@ class IndefiniteError(LatticeError):
 class RootSystemData:
     """All norm-2 vectors of a definite lattice, closed under negation."""
 
-    __slots__ = ("lattice", "roots", "coords")
+    __slots__ = ("lattice", "coords")
 
     def __init__(self, lattice, coords):
         self.lattice = lattice
         self.coords = tuple(coords)
-        self.roots = tuple(LatVec(lattice, c) for c in self.coords)
 
     @property
     def count(self):
         return len(self.coords)
 
 
-_cholesky_cache = {}
-_root_cache = {}
-
+# The per-lattice memo (IntLattice.memoised) holds only plain numbers and
+# tuples from this module, never the lattice itself, so it goes away with it.
 
 def _cholesky(lat):
     """(sign, pivots q_i, coefficients u[i][j]) with sign*Q(x) = sum q_i (x_i + sum_j u_ij x_j)^2."""
-    cached = _cholesky_cache.get(lat.token)
-    if cached is not None:
-        return cached
+    return lat.memoised("cholesky", _build_cholesky)
+
+
+def _build_cholesky(lat):
     n = lat.rank
     for sign in (1, -1):
         a = [[Fraction(sign * x) for x in row] for row in lat.gram]
@@ -60,13 +75,8 @@ def _cholesky(lat):
                     a[k][l] -= q[i] * u[i][k] * u[i][l]
                     a[l][k] = a[k][l]
         if ok:
-            result = (sign, q, u)
-            _cholesky_cache[lat.token] = result
-            return result
+            return (sign, q, u)
     raise IndefiniteError("lattice is not definite")
-
-
-_scaled_cache = {}
 
 
 def _scaled_form(lat):
@@ -78,9 +88,10 @@ def _scaled_form(lat):
 
     All quantities are integers, so budget propagation needs no rationals.
     """
-    cached = _scaled_cache.get(lat.token)
-    if cached is not None:
-        return cached
+    return lat.memoised("scaled", _build_scaled_form)
+
+
+def _build_scaled_form(lat):
     _sign, q, u = _cholesky(lat)
     n = lat.rank
     uden = []
@@ -99,9 +110,99 @@ def _scaled_form(lat):
     for i in range(n):
         f = scale // (q[i].denominator * uden[i] * uden[i])
         a.append(q[i].numerator * f)
-    result = (scale, a, unum, uden)
-    _scaled_cache[lat.token] = result
-    return result
+    return (scale, a, unum, uden)
+
+
+def _walk(lat, target, x, leaf):
+    """Walk x_{n-1}, ..., x_1 over the vectors with Q(x) <= target and call
+    `leaf(budget, centre, sym)` for each admissible choice, with x[1:] set.
+
+    budget = L * target - sum_{i>0} a_i y_i^2 >= 0; centre = sum_{j>0}
+    unum_0[j] x_j, so y_0 = uden_0 x_0 + centre; sym is True while
+    x_1 = ... = x_{n-1} = 0, and then centre is 0.  A level in the symmetric
+    state walks x_i >= 0 only.
+    """
+    scale, a, unum, uden = _scaled_form(lat)
+    n = lat.rank
+    tails = [None] + [unum[i - 1][i + 1:] for i in range(1, n)]
+
+    def node(i, budget, centre, sym):
+        # |y_i| <= ymax keeps a_i y_i^2 <= budget for every x_i in lo..hi
+        ai = a[i]
+        di = uden[i]
+        ymax = isqrt(budget // ai)
+        lo = 0 if sym else -((ymax + centre) // di)
+        hi = (ymax - centre) // di
+        # centre of level i-1: the higher coordinates' part once, then stepped
+        step = unum[i - 1][i]
+        c = step * lo + sum(map(mul, tails[i], x[i + 1:]))
+        y = lo * di + centre
+        if i > 1:
+            for xi in range(lo, hi + 1):
+                x[i] = xi
+                node(i - 1, budget - ai * y * y, c, sym and not xi)
+                y += di
+                c += step
+        else:
+            for xi in range(lo, hi + 1):
+                x[1] = xi
+                leaf(budget - ai * y * y, c, sym and not xi)
+                y += di
+                c += step
+        x[i] = 0
+
+    if n == 1:
+        leaf(scale * target, 0, True)
+    else:
+        node(n - 1, scale * target, 0, True)
+
+
+def _bounded_leaf(lat, max_norm, half, emit):
+    """The level-0 leaf of a walk over 0 < Q(x) <= max_norm.
+
+    Along x_0 the norm is g x_0^2 + 2 p x_0 + q, with g = a_0 uden_0^2 / L the
+    (sign-normalised) Gram entry g_00, p = a_0 uden_0 centre / L and q the norm
+    at x_0 = 0; all three are integers, which is checked.  The leaf steps the
+    norm by finite differences and either counts it in half[norm] (emit is
+    None) or calls emit(x_0, norm).
+    """
+    scale, a, _unum, uden = _scaled_form(lat)
+    total = scale * max_norm
+    a0, d0 = a[0], uden[0]
+    a0d0 = a0 * d0
+    g, rem = divmod(a0d0 * d0, scale)
+    if rem:
+        raise LatticeError("first pivot of the scaled form is not an integer")
+    g2 = 2 * g
+
+    def leaf(budget, c, sym):
+        ymax = isqrt(budget // a0)
+        lo = 1 if sym else -((ymax + c) // d0)
+        hi = (ymax - c) // d0
+        if lo > hi:
+            return
+        q, r = divmod(total - budget + a0 * c * c, scale)
+        p, s = divmod(a0d0 * c, scale)
+        if r or s:
+            raise LatticeError("norm of a lattice vector is not an integer")
+        norm = (g * lo + 2 * p) * lo + q
+        dn = g * (2 * lo + 1) + 2 * p
+        if emit is None:
+            for _ in range(hi - lo + 1):
+                half[norm] += 1
+                norm += dn
+                dn += g2
+        else:
+            for x0 in range(lo, hi + 1):
+                emit(x0, norm)
+                norm += dn
+                dn += g2
+
+    return leaf
+
+
+class _Abort(Exception):
+    """A visitor returned False."""
 
 
 def _enumerate(lat, target, visitor, exact):
@@ -111,75 +212,57 @@ def _enumerate(lat, target, visitor, exact):
     up to the internal sign flip for negative definite lattices; reported
     norms are the positive ones.  Returns the number of vectors visited.
     """
-    scale, a, unum, uden = _scaled_form(lat)
-    n = lat.rank
-    x = [0] * n
+    _scale, a, _unum, uden = _scaled_form(lat)
+    a0, d0 = a[0], uden[0]
+    x = [0] * lat.rank
     count = 0
-    aborted = False
-    total = scale * target
 
-    def recurse(i, budget):
-        # budget = scale * (target - partial sum); y = uden_i x_i + centre
-        nonlocal count, aborted
-        ai = a[i]
-        di = uden[i]
-        row = unum[i]
-        centre = 0
-        for j in range(i + 1, n):
-            if x[j]:
-                centre += row[j] * x[j]
-        if i == 0:
-            if exact:
-                ysq, rem = divmod(budget, ai)
-                if rem:
-                    return
-                y = isqrt(ysq)
-                if y * y != ysq:
-                    return
-                for yy in {y, -y}:
-                    xi, r = divmod(yy - centre, di)
-                    if r == 0:
-                        x[0] = xi
-                        if any(x):
-                            count += 1
-                            if visitor is not None and visitor(tuple(x), target) is False:
-                                aborted = True
-                                return
-                x[0] = 0
-            else:
-                ymax = isqrt(budget // ai)
-                lo = -((ymax + centre) // di)
-                hi = (ymax - centre) // di
-                base = total - budget
-                y = lo * di + centre
-                for xi in range(lo, hi + 1):
-                    x[0] = xi
-                    norm, rem = divmod(base + ai * y * y, scale)
-                    assert rem == 0
-                    if norm:
-                        count += 1
-                        if visitor is not None and visitor(tuple(x), norm) is False:
-                            aborted = True
-                            return
-                    y += di
-                x[0] = 0
+    def emit(x0, norm):
+        nonlocal count
+        x[0] = x0
+        v = tuple(x)
+        count += 1
+        if visitor(v, norm) is False:
+            raise _Abort
+        count += 1
+        if visitor(tuple(-t for t in v), norm) is False:
+            raise _Abort
+
+    def exact_leaf(budget, c, sym):
+        # y_0 = +-sqrt(budget / a_0) must be an integer, and x_0 = (y_0 - c) / uden_0
+        nonlocal count
+        ysq, r = divmod(budget, a0)
+        if r:
             return
-        ymax = isqrt(budget // ai)
-        lo = -((ymax + centre) // di)
-        hi = (ymax - centre) // di
-        y = lo * di + centre
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            rem = budget - ai * y * y
-            if rem >= 0:
-                recurse(i - 1, rem)
-                if aborted:
-                    return
-            y += di
-        x[i] = 0
+        y = isqrt(ysq)
+        if y * y != ysq or (sym and not y):
+            return
+        for y0 in (y, -y) if y and not sym else (y,):
+            x0, r = divmod(y0 - c, d0)
+            if r == 0:
+                if visitor is None:
+                    count += 2
+                else:
+                    emit(x0, target)
 
-    recurse(n - 1, total)
+    leaf = exact_leaf if exact else _bounded_leaf(lat, target, None, emit)
+    try:
+        _walk(lat, target, x, leaf)
+    except _Abort:
+        pass
     return count
+
+
+def norm_counts(lat, max_norm):
+    """Number of vectors of each norm 0..max_norm, as a list indexed by the
+    (sign-normalised) norm; entry 0 counts the zero vector."""
+    if max_norm < 0:
+        raise LatticeError("bound must be nonnegative")
+    half = [0] * (max_norm + 1)
+    _walk(lat, max_norm, [0] * lat.rank, _bounded_leaf(lat, max_norm, half, None))
+    counts = [2 * h for h in half]
+    counts[0] = 1
+    return counts
 
 
 def enumerate_norm_vectors(lat, norm, visitor=None):
@@ -197,19 +280,22 @@ def enumerate_up_to(lat, max_norm, visitor=None):
     """Visit every x != 0 with 0 < (x, x) <= max_norm; returns the count."""
     if max_norm < 1:
         raise LatticeError("bound must be positive")
+    if visitor is None:
+        return sum(norm_counts(lat, max_norm)) - 1
     return _enumerate(lat, max_norm, visitor, exact=False)
 
 
+def _root_coords(lat):
+    found = []
+    enumerate_norm_vectors(lat, 2, lambda coords, _n: found.append(coords))
+    found.sort()
+    return tuple(found)
+
+
 def enumerate_roots(lat):
-    """All vectors of norm 2 (after definite sign normalisation), cached and sorted."""
-    data = _root_cache.get(lat.token)
-    if data is None:
-        found = []
-        enumerate_norm_vectors(lat, 2, lambda coords, _n: found.append(coords))
-        found.sort()
-        data = RootSystemData(lat, found)
-        _root_cache[lat.token] = data
-    return data
+    """All vectors of norm 2 (after definite sign normalisation), sorted; the
+    coordinates are memoised on the lattice."""
+    return RootSystemData(lat, lat.memoised("roots", _root_coords))
 
 
 def count_orth_roots(lat, x):

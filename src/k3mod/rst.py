@@ -140,13 +140,16 @@ _cyclo_cache = {1: [-1, 1]}
 
 def cyclotomic_poly(d):
     """Coefficients (low degree first) of the d-th cyclotomic polynomial."""
+    if d < 1:
+        raise ValueError("cyclotomic index must be positive")
     if d not in _cyclo_cache:
         num = [0] * d + [1]
         num[0] = -1  # x^d - 1
         for e in range(1, d):
             if d % e == 0:
                 num, rem = _poly_divmod(num, cyclotomic_poly(e))
-                assert num is not None and not any(rem)
+                if num is None or any(rem):
+                    raise ArithmeticError(f"Phi_{e} does not divide x^{d} - 1 exactly")
         _cyclo_cache[d] = num
     return _cyclo_cache[d]
 
@@ -172,7 +175,9 @@ def char_poly(g):
     for k in range(1, n + 1):
         m = mat_mul(g, m)
         tr = sum(m[i][i] for i in range(n))
-        assert tr % k == 0
+        if tr % k:
+            raise ArithmeticError("characteristic polynomial is not integral; "
+                                  "the matrix must have integer entries")
         c = -tr // k
         coeffs[n - k] = c
         for i in range(n):
@@ -189,7 +194,8 @@ class CycloDecomp:
         self.order = order
         self.rank = rank
         self.multiplicities = dict(multiplicities)
-        assert sum(v * euler_phi(d) for d, v in self.multiplicities.items()) == rank
+        if sum(v * euler_phi(d) for d, v in self.multiplicities.items()) != rank:
+            raise ValueError("cyclotomic multiplicities do not add up to the rank")
 
     def eigen_exponents(self):
         """All eigenvalue exponents on the scale of the element order."""

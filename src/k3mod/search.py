@@ -233,6 +233,13 @@ def count_case4(ms):
 # every hit class.
 
 def iter_case_tuples(case, d):
+    """The tuples of family `case` at degree d (see the domains above)."""
+    if d < 1:
+        raise LatticeError("d must be positive")
+    return _case_tuples(case, d)
+
+
+def _case_tuples(case, d):
     two_d = 2 * d
     if case == "I":
         for m3 in range(1, isqrt(d) + 1):

@@ -263,3 +263,30 @@ def test_search_case4_stdout_is_pinned(capture, d):
 def test_verdict_stdout_is_pinned(capture, d):
     code, out, _ = capture("verdict", str(d))
     assert code == 0 and out == _VERDICT_STDOUT[d]
+
+
+@pytest.mark.parametrize("d", ["0", "-3"])
+@pytest.mark.parametrize("case", ["all", "IV"])
+def test_search_rejects_nonpositive_degree(capture, d, case):
+    code, out, err = capture("search", d, "--case", case)
+    assert code == 1 and out == ""
+    assert err == "error: d must be positive\n"
+
+
+@pytest.mark.parametrize("method", ["formula", "brute"])
+def test_theta_rejects_negative_precision(capture, method):
+    code, out, err = capture("theta", "E7", "--prec", "-1", "--method", method)
+    assert code == 1 and out == ""
+    assert err == "error: precision must be nonnegative\n"
+
+
+@pytest.mark.parametrize("method", ["formula", "brute"])
+def test_theta_precision_zero(capture, method):
+    code, out, _ = capture("theta", "E7", "--prec", "0", "--method", method)
+    assert code == 0 and out == "q^0: 1\n"
+
+
+def test_rst_non_square_matrix_is_a_computational_error(capture):
+    code, out, err = capture("rst", "--matrix", "[[1, 2]]")
+    assert code == 1 and out == ""
+    assert err == "error: matrix shapes do not match for a product\n"

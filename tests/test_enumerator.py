@@ -1,0 +1,228 @@
+"""The Fincke-Pohst enumerator pinned to the straightforward recursion it
+replaced, and the per-lattice memo checked for leaks."""
+
+import gc
+import random
+from math import isqrt
+
+import pytest
+
+from k3mod import lattice, qseries, reflective, roots
+from k3mod.lattice import IntLattice, parse_lattice_expr
+
+
+def _reference_enumerate(lat, target, visitor, exact):
+    """The enumerator before the x/-x symmetry, stepped centres and the
+    counts-only leaf: every coordinate range in full, the centre summed anew
+    at every level, one visitor call per vector in walk order."""
+    scale, a, unum, uden = roots._scaled_form(lat)
+    n = lat.rank
+    x = [0] * n
+    count = 0
+    aborted = False
+    total = scale * target
+
+    def recurse(i, budget):
+        nonlocal count, aborted
+        ai = a[i]
+        di = uden[i]
+        row = unum[i]
+        centre = 0
+        for j in range(i + 1, n):
+            if x[j]:
+                centre += row[j] * x[j]
+        if i == 0:
+            if exact:
+                ysq, rem = divmod(budget, ai)
+                if rem:
+                    return
+                y = isqrt(ysq)
+                if y * y != ysq:
+                    return
+                for yy in {y, -y}:
+                    xi, r = divmod(yy - centre, di)
+                    if r == 0:
+                        x[0] = xi
+                        if any(x):
+                            count += 1
+                            if visitor is not None and visitor(tuple(x), target) is False:
+                                aborted = True
+                                return
+                x[0] = 0
+            else:
+                ymax = isqrt(budget // ai)
+                lo = -((ymax + centre) // di)
+                hi = (ymax - centre) // di
+                base = total - budget
+                y = lo * di + centre
+                for xi in range(lo, hi + 1):
+                    x[0] = xi
+                    norm, rem = divmod(base + ai * y * y, scale)
+                    assert rem == 0
+                    if norm:
+                        count += 1
+                        if visitor is not None and visitor(tuple(x), norm) is False:
+                            aborted = True
+                            return
+                    y += di
+                x[0] = 0
+            return
+        ymax = isqrt(budget // ai)
+        lo = -((ymax + centre) // di)
+        hi = (ymax - centre) // di
+        y = lo * di + centre
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            rem = budget - ai * y * y
+            if rem >= 0:
+                recurse(i - 1, rem)
+                if aborted:
+                    return
+            y += di
+        x[i] = 0
+
+    recurse(n - 1, total)
+    return count
+
+
+def _signed_permutation(expr, rng):
+    """The lattice `expr` on a seeded signed permutation of its basis."""
+    base = parse_lattice_expr(expr).gram
+    n = len(base)
+    perm = rng.sample(range(n), n)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+    return IntLattice([[sign[i] * sign[j] * base[perm[i]][perm[j]] for j in range(n)]
+                       for i in range(n)])
+
+
+def _collect(enumerate_fn, lat, bound):
+    found = []
+    count = enumerate_fn(lat, bound, lambda c, nrm: found.append((c, nrm)))
+    return count, found
+
+
+_PINNED = ["E6", "E7", "E8", "D(5)", "D(8)", "A(2)+A(4)", "E8(-1)"]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("expr", _PINNED)
+def test_vector_sets_match_the_reference(expr, seed):
+    lat = _signed_permutation(expr, random.Random(f"{expr}/{seed}"))
+    top = 8
+    for norm in range(2, top + 1, 2):
+        want = []
+        want_n = _reference_enumerate(lat, norm, lambda c, nrm: want.append((c, nrm)), True)
+        got_n, got = _collect(roots.enumerate_norm_vectors, lat, norm)
+        assert got_n == want_n == len(got) == len(set(got))
+        assert sorted(got) == sorted(want)
+        assert roots.enumerate_norm_vectors(lat, norm) == want_n
+    want = []
+    want_n = _reference_enumerate(lat, top, lambda c, nrm: want.append((c, nrm)), False)
+    got_n, got = _collect(roots.enumerate_up_to, lat, top)
+    assert got_n == want_n == len(got) == len(set(got))
+    assert sorted(got) == sorted(want)
+    assert roots.enumerate_up_to(lat, top) == want_n
+
+
+@pytest.mark.parametrize("expr", ["A(1)", "<4>", "A(2)", "A(1)+<6>", "E8(-1)"])
+def test_small_ranks_and_odd_norms_match_the_reference(expr):
+    lat = parse_lattice_expr(expr)
+    for norm in range(1, 9):
+        assert roots.enumerate_norm_vectors(lat, norm) == \
+            _reference_enumerate(lat, norm, None, True)
+    assert roots.enumerate_up_to(lat, 9) == _reference_enumerate(lat, 9, None, False)
+
+
+@pytest.mark.parametrize("expr", ["E7", "D(5)", "A(2)+A(4)", "E8(-1)", "A(1)+<6>"])
+def test_norm_counts_is_the_norm_histogram(expr):
+    lat = _signed_permutation(expr, random.Random(expr))
+    hist = [0] * 11
+    hist[0] = 1
+
+    def visit(_coords, norm):
+        hist[norm] += 1
+
+    roots.enumerate_up_to(lat, 10, visit)
+    assert roots.norm_counts(lat, 10) == hist
+    assert roots.norm_counts(lat, 0) == [1]
+    with pytest.raises(lattice.LatticeError):
+        roots.norm_counts(lat, -1)
+
+
+def test_theta_brute_of_e8_is_240_sigma3():
+    lat = _signed_permutation("E8", random.Random(3))
+    series = qseries.theta_brute(lat, 8)
+    sigma3 = [sum(t ** 3 for t in range(1, m + 1) if m % t == 0) for m in range(1, 9)]
+    assert series.coeffs == [1] + [240 * s for s in sigma3]
+    assert qseries.theta_brute(lat, 0).coeffs == [1]
+    with pytest.raises(lattice.LatticeError):
+        qseries.theta_brute(lat, -1)
+
+
+@pytest.mark.parametrize("stop", [1, 2, 5, 6])
+@pytest.mark.parametrize("exact", [True, False])
+def test_aborting_visitor_stops_after_exactly_n_calls(stop, exact):
+    # an odd stop aborts between x and -x
+    lat = _signed_permutation("D(5)", random.Random(stop))
+    seen = []
+
+    def visit(coords, _norm):
+        seen.append(coords)
+        if len(seen) == stop:
+            return False
+
+    enum = roots.enumerate_norm_vectors if exact else roots.enumerate_up_to
+    assert enum(lat, 4, visit) == stop
+    assert len(seen) == stop
+    assert len(set(seen)) == stop
+
+
+def _live_lattices():
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, IntLattice))
+
+
+_ATOMS = ["A(1)", "A(2)", "A(3)", "A(4)", "D(4)", "D(5)", "E6", "<2>", "<4>"]
+
+
+def _exercise(rng):
+    expr = "+".join(rng.choice(_ATOMS) for _ in range(rng.randint(1, 3)))
+    lat = parse_lattice_expr(expr)
+    data = roots.enumerate_roots(lat)
+    roots.count_orth_roots(lat, data.coords[0] if data.coords else (1,) + (0,) * (lat.rank - 1))
+    if lat.is_even():
+        qseries.theta_brute(lat, 2)
+    return lat
+
+
+def test_memo_does_not_outlive_its_lattice():
+    rng = random.Random(17)
+    gc.collect()
+    baseline = _live_lattices()
+    for _ in range(50):
+        lat = _exercise(rng)
+        reflective.cached_disc_group(lat)
+    del lat
+    gc.collect()
+    assert _live_lattices() == baseline
+
+
+def test_roots_memo_is_freed_by_reference_counting():
+    # the roots layer memoises no object that refers back to the lattice,
+    # so no reference cycle keeps a lattice alive until a collection
+    rng = random.Random(23)
+    gc.collect()
+    gc.disable()
+    try:
+        baseline = _live_lattices()
+        for _ in range(50):
+            _exercise(rng)
+        assert _live_lattices() == baseline
+    finally:
+        gc.enable()
+
+
+def test_token_keyed_caches_are_gone():
+    for name in ("_cholesky_cache", "_scaled_cache", "_root_cache"):
+        assert not hasattr(roots, name)
+    assert not hasattr(reflective, "_disc_cache")
+    assert not hasattr(roots.RootSystemData, "roots")

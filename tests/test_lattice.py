@@ -270,3 +270,17 @@ def test_dual_vec_membership():
     lat.dual_vector((Fraction(1, 4),))
     with pytest.raises(LatticeError):
         lat.dual_vector((Fraction(1, 3),))
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    with pytest.raises(LatticeError):
+        lt.mat_mul([[1, 2]], [[1, 2]])
+    with pytest.raises(LatticeError):
+        lt.mat_mul([[1, 2], [3]], [[1], [2]])
+    assert lt.mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+
+
+def test_names_are_set_at_construction():
+    assert make_l2d(3).name == "L_6"
+    assert parse_lattice_expr(" 2U + E8(-1) ").name == "2U+E8(-1)"
+    assert parse_lattice_expr("E8").gram == lt.root_lattice_e(8).gram

@@ -173,3 +173,20 @@ def test_eigen_exponents_from_decomp_order_scale():
     assert dec.eigen_exponents().exponents == (1, 5, 7, 11)
     dec = CycloDecomp(12, 4, {3: 1, 4: 1})
     assert dec.eigen_exponents().exponents == (3, 4, 8, 9)
+
+
+def test_cyclotomic_poly_rejects_nonpositive_index():
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            cyclotomic_poly(d)
+
+
+def test_char_poly_rejects_non_integral_matrix():
+    with pytest.raises(ArithmeticError):
+        char_poly([[Fraction(1, 2), 0], [0, 1]])
+
+
+def test_cyclo_decomp_rejects_multiplicities_off_the_rank():
+    with pytest.raises(ValueError):
+        CycloDecomp(2, 3, {1: 1, 2: 1})
+    assert CycloDecomp(2, 3, {1: 1, 2: 2}).rank == 3

@@ -313,3 +313,12 @@ def test_search_hit_rejects_wrong_norm():
     assert se.SearchHit(46, vec, 12, "caseI").n_l == 12
     with pytest.raises(LatticeError):
         se.SearchHit(47, vec, 12, "caseI")
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_nonpositive_degree_is_rejected(d):
+    for case in se.CASES:
+        with pytest.raises(LatticeError, match="d must be positive"):
+            se.iter_case_tuples(case, d)
+        with pytest.raises(LatticeError, match="d must be positive"):
+            se.structured_search(d, case)
