@@ -52,11 +52,9 @@ class RootSystemData:
 # tuples from this module, never the lattice itself, so it goes away with it.
 
 def _cholesky(lat):
-    """(sign, pivots q_i, coefficients u[i][j]) with sign*Q(x) = sum q_i (x_i + sum_j u_ij x_j)^2."""
-    return lat.memoised("cholesky", _build_cholesky)
+    """(sign, pivots q_i, coefficients u[i][j]) with sign*Q(x) = sum q_i (x_i + sum_j u_ij x_j)^2.
 
-
-def _build_cholesky(lat):
+    Not memoised: its one caller, `_scaled_form`, is."""
     n = lat.rank
     for sign in (1, -1):
         a = [[Fraction(sign * x) for x in row] for row in lat.gram]
