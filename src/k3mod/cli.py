@@ -28,9 +28,6 @@ from . import search as se
 def _common(sub):
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text",
                      help="output format (default text)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker count (defaults to K3MOD_THREADS or all cores)")
     return sub
 
 
@@ -89,6 +86,7 @@ def build_parser():
     s.add_argument("--sample-d", type=int, dest="sample_d",
                    help="sampled biconditional check on L_2d")
     s.add_argument("--samples", type=int, default=10000)
+    s.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     s = _common(subs.add_parser("disc", help="discriminant group of a lattice"))
     s.add_argument("expr")
@@ -150,16 +148,6 @@ def _parse_targets(text):
         else:
             out.add(int(part))
     return out
-
-
-def resolve_threads(flag):
-    if flag is not None:
-        n = flag
-    else:
-        n = int(os.environ.get("K3MOD_THREADS", "0")) or (os.cpu_count() or 1)
-    if n < 1:
-        raise ValueError("thread count must be positive")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +358,6 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        resolve_threads(args.threads)
         return _COMMANDS[args.command](args)
     except (UsageError, lt.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

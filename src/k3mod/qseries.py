@@ -100,8 +100,6 @@ class QSeries:
         return QSeries([-c for c in self.coeffs], self.prec, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -276,6 +274,8 @@ def _cached_series(name, prec, build):
     which changes no coefficient; a request above it rebuilds the series
     once, at exactly prec, and replaces the cached one.
     """
+    if prec < 0:
+        raise LatticeError("precision must be nonnegative")
     series = _series_cache.get(name)
     if series is None or series.prec < prec:
         series = _series_cache[name] = build(prec)

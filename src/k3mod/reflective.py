@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import lattice as lt
-from .lattice import IntLattice, LatticeError, LatVec, disc_group, divisor, \
-    is_primitive, make_l2d, orth_complement, pairing_vector
+from .lattice import LatticeError, LatVec, disc_group, is_primitive, make_l2d, \
+    orth_complement, pairing_vector
 
 
 class NotIntegralError(LatticeError):
@@ -60,10 +60,18 @@ class IsometryMatrix:
         return f"IsometryMatrix(rank={self.lattice.rank})"
 
 
+def _pairings(lat, coords):
+    """(pairings (r, b_j) with the basis, r^2, div(r)) of r given by coords."""
+    pair = pairing_vector(lat, coords)
+    div = 0
+    for p in pair:
+        div = gcd(div, p)
+    return pair, sum(p * c for p, c in zip(pair, coords)), div
+
+
 def reflection_coefficients(lat, coords):
     """The integers 2 (b_j, r) / (r, r) if they exist, else None."""
-    pair = pairing_vector(lat, coords)
-    norm = sum(p * c for p, c in zip(pair, coords))
+    pair, norm, _div = _pairings(lat, coords)
     if norm == 0:
         raise LatticeError("cannot reflect in an isotropic vector")
     cs = []
@@ -99,21 +107,27 @@ def disc_action(lat, g, disc=None):
             for w in disc.generator_lifts]
 
 
-def _acts_as(lat, g, sign, disc):
+def _disc_signs(lat, g, disc):
+    """(g acts as the identity, g acts as minus the identity) on A_L, from
+    one image per generator lift."""
+    n = lat.rank
+    plus = minus = True
     for w in disc.generator_lifts:
-        for i in range(lat.rank):
-            img = sum(Fraction(g.matrix[i][j]) * w.coords[j] for j in range(lat.rank))
-            if (img - sign * w.coords[i]).denominator != 1:
-                return False
-    return True
+        for i in range(n):
+            img = sum(Fraction(g.matrix[i][j]) * w.coords[j] for j in range(n))
+            plus = plus and (img - w.coords[i]).denominator == 1
+            minus = minus and (img + w.coords[i]).denominator == 1
+            if not (plus or minus):
+                return False, False
+    return plus, minus
 
 
 def is_id_on_disc(lat, g, disc=None):
-    return _acts_as(lat, g, 1, disc or cached_disc_group(lat))
+    return _disc_signs(lat, g, disc or cached_disc_group(lat))[0]
 
 
 def is_minus_id_on_disc(lat, g, disc=None):
-    return _acts_as(lat, g, -1, disc or cached_disc_group(lat))
+    return _disc_signs(lat, g, disc or cached_disc_group(lat))[1]
 
 
 def classify_reflection(lat, r, disc=None):
@@ -150,13 +164,8 @@ def classify_reflection(lat, r, disc=None):
     except NotIntegralError:
         return NOT_INTEGRAL
     disc = disc or cached_disc_group(lat)
-    plus = _acts_as(lat, sigma, 1, disc)
-    minus = _acts_as(lat, sigma, -1, disc)
-    pair = pairing_vector(lat, coords)
-    norm = sum(p * c for p, c in zip(pair, coords))
-    div = 0
-    for p in pair:
-        div = gcd(div, p)
+    plus, minus = _disc_signs(lat, sigma, disc)
+    _pair, norm, div = _pairings(lat, coords)
     dd = disc.exponent
     if plus != (abs(norm) == 2):
         raise AssertionError(f"identity action and r^2 = {norm} disagree")
@@ -213,13 +222,9 @@ def orth_det_check(d, r):
     coords = tuple(r) if isinstance(r, (tuple, list)) else r.coords
     if not is_primitive(lat, coords):
         raise LatticeError("determinant check needs a primitive vector")
-    pair = pairing_vector(lat, coords)
-    norm = sum(p * c for p, c in zip(pair, coords))
+    _pair, norm, div = _pairings(lat, coords)
     if norm == 0:
         raise LatticeError("isotropic vector")
-    div = 0
-    for p in pair:
-        div = gcd(div, p)
     predicted, rem = divmod(abs(lat.det) * abs(norm), div * div)
     if rem:
         raise LatticeError("index formula gives a non-integral determinant")
@@ -284,22 +289,17 @@ def reflk3_sample_check(d, samples=10**4, seed=0, box=20):
                 coords = tuple(c // g for c in coords)
         produced += 1
         report["samples"] += 1
-        pair = pairing_vector(lat, coords)
-        norm = sum(p * c for p, c in zip(pair, coords))
+        _pair, norm, div = _pairings(lat, coords)
         if norm == 0:
             report["skipped_isotropic"] += 1
             continue
-        cs = reflection_coefficients(lat, coords)
-        if cs is None:
+        try:
+            sigma = reflection(lat, coords)
+        except NotIntegralError:
             report["skipped_nonintegral"] += 1
             continue
         report["reflective"] += 1
-        sigma = reflection(lat, coords)
-        plus = _acts_as(lat, sigma, 1, disc)
-        minus = _acts_as(lat, sigma, -1, disc)
-        div = 0
-        for p in pair:
-            div = gcd(div, p)
+        plus, minus = _disc_signs(lat, sigma, disc)
         lhs = plus or minus
         rhs = abs(norm) == 2 or (abs(norm) == 2 * d and div in (d, 2 * d))
         if lhs != rhs:
@@ -316,11 +316,7 @@ def reflk3_sample_check(d, samples=10**4, seed=0, box=20):
 
 def reflection_report(lat, coords):
     """JSON-ready classification of one vector: {r, rSquared, div, discAction, class}."""
-    pair = pairing_vector(lat, coords)
-    norm = sum(p * c for p, c in zip(pair, coords))
-    div = 0
-    for p in pair:
-        div = gcd(div, p)
+    _pair, norm, div = _pairings(lat, coords)
     tag = classify_reflection(lat, lat.vector(coords))
     action = {IN_TILDE_O: "id", MINUS_IN_TILDE_O: "-id",
               NEITHER: "neither", NOT_INTEGRAL: "undefined"}[tag]

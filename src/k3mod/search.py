@@ -2,8 +2,9 @@
 
 Four structured families (I-IV below) come from fixing a small root
 sublattice and moving l in its orthogonal complement, written in doubled
-e-coordinates; each family has a combinatorial count of the orthogonal
-roots that is re-verified against the closed-form E8 root count
+e-coordinates.  `FAMILIES` holds, per family, a combinatorial rule for the
+number of orthogonal roots and the embedding into E8; every claimed count
+is re-verified against the closed-form E8 root count
 (`e8.count_orth_roots_2x`) before any hit is emitted.  The exhaustive
 search enumerates one dominant representative per Weyl orbit (the
 orthogonal-root count is Weyl invariant), which turns the 10^8-vector
@@ -24,7 +25,7 @@ from math import isqrt
 from . import e8
 from . import qseries as qs
 from . import roots as rt
-from .lattice import LatticeError
+from .lattice import IntLattice, LatticeError
 
 
 class FeasibilityError(RuntimeError):
@@ -64,8 +65,6 @@ def compute_pex(max_m=240):
 # II  : (2A1+A2)-orth.    l = m5(e3+e4+e5) + m6 e6 + m7 e7 + m8 e8, sum even
 # III : A3-orthogonal     l = m4 e4 + ... + m8 e8, coordinate sum even
 # IV  : (A1+A2)-orth.     l = m3 e3 + ... + m8 e8 with m8 = m3 + ... + m7
-
-CASES = ("I", "II", "III", "IV")
 
 
 def embed_case1(m3, m5, m7, m8):
@@ -195,31 +194,16 @@ def case4_formula_count(ms):
     return count
 
 
-_E8 = None
+# case -> (the claimed orthogonal-root count of a tuple, or None to skip it;
+#          the tuple's vector in doubled e-coordinates)
+FAMILIES = {
+    "I": (predicate_case1, lambda ms: embed_case1(*ms)),
+    "II": (predicate_case2, lambda ms: embed_case2(*ms)),
+    "III": (predicate_case3, lambda ms: embed_case3(*ms)),
+    "IV": (case4_formula_count, lambda ms: embed_case4(*ms, sum(ms))),
+}
 
-
-def _e8_lattice():
-    global _E8
-    if _E8 is None:
-        _E8 = e8.lattice()
-    return _E8
-
-
-def oracle_orth_count(vec2x):
-    """Root count via the generic lattice machinery in simple-root coordinates."""
-    alpha = e8.alpha_from_2x(vec2x)
-    return rt.count_orth_roots(_e8_lattice(), alpha)
-
-
-def count_case4(ms):
-    """Case IV count, always cross-validated against the E8 root count."""
-    n = case4_formula_count(ms)
-    vec = embed_case4(*ms, sum(ms))
-    actual = e8.count_orth_roots_2x(vec)
-    if actual != n:
-        raise RuntimeError(
-            f"case IV rules gave {n} but the E8 root count gives {actual} for {ms}")
-    return n
+CASES = tuple(FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +220,8 @@ def iter_case_tuples(case, d):
     """The tuples of family `case` at degree d (see the domains above)."""
     if d < 1:
         raise LatticeError("d must be positive")
+    if case not in FAMILIES:
+        raise ValueError(f"unknown case {case!r}")
     return _case_tuples(case, d)
 
 
@@ -278,7 +264,7 @@ def _case_tuples(case, d):
                 yield from rec(prefix + (m,), m, rem - m * m)
                 m += 1
         yield from rec((), 1, two_d)
-    elif case == "IV":
+    else:  # "IV"
         bound = isqrt(two_d)
 
         def rec(prefix, lo, sq):
@@ -304,8 +290,6 @@ def _case_tuples(case, d):
                 if nsq <= two_d:
                     yield from rec(prefix + (m,), m, nsq)
         yield from rec((), -bound, 0)
-    else:
-        raise ValueError(f"unknown case {case!r}")
 
 
 def _case4_canonical(ms, m8):
@@ -351,24 +335,18 @@ class SearchHit:
         return f"SearchHit(d={self.d}, N_l={self.n_l}, {self.source})"
 
 
-_EMBED = {"I": embed_case1, "II": embed_case2, "III": embed_case3}
-_PREDICATE = {"I": predicate_case1, "II": predicate_case2, "III": predicate_case3}
-
-
 def structured_search(d, case, targets=range(2, 13)):
     """All hits of one structured family at degree d whose verified orthogonal
     -root count lies in `targets`, sorted by (N_l, coordinates)."""
+    tuples = iter_case_tuples(case, d)
+    claim, embed = FAMILIES[case]
     targets = frozenset(targets)
     hits = []
-    for ms in iter_case_tuples(case, d):
-        if case == "IV":
-            claimed = case4_formula_count(ms)
-            vec = embed_case4(*ms, sum(ms))
-        else:
-            claimed = _PREDICATE[case](ms)
-            if claimed is None:
-                continue
-            vec = _EMBED[case](*ms)
+    for ms in tuples:
+        claimed = claim(ms)
+        if claimed is None:
+            continue
+        vec = embed(ms)
         actual = e8.count_orth_roots_2x(vec)
         if actual != claimed:
             raise RuntimeError(
@@ -397,20 +375,8 @@ def _enumerate_dominant(norm):
     pairings nonnegative, i.e. nonnegative coordinates on the fundamental
     weights; the weight Gram matrix is the inverse Cartan matrix.
     """
-    w = e8.weight_gram()
+    _sign, q, u = rt._cholesky(IntLattice(e8.weight_gram()))
     n = 8
-    a = [[Fraction(w[i][j]) for j in range(n)] for i in range(n)]
-    q = [None] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i] = a[i][i]
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / q[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= q[i] * u[i][k] * u[i][l]
-                a[l][k] = a[k][l]
-
     x = [0] * n
     out = []
 
@@ -436,7 +402,7 @@ def _enumerate_dominant(norm):
             return
         hi_b = isqrt((budget / q[i]).numerator * (budget / q[i]).denominator) \
             // (budget / q[i]).denominator
-        hi = int(hi_b - c) if (hi_b - c).denominator == 1 else int(hi_b - c)
+        hi = int(hi_b - c)
         while q[i] * (hi + 1 + c) ** 2 <= budget:
             hi += 1
         while hi >= 0 and q[i] * (hi + c) ** 2 > budget:
@@ -451,8 +417,7 @@ def _enumerate_dominant(norm):
     return out
 
 
-def exhaustive_search(d, max_roots=14, feasibility_bound=150, override=False,
-                      method="dominant"):
+def exhaustive_search(d, max_roots=14, feasibility_bound=150, method="dominant"):
     """Scan all l in E8 with l^2 = 2d; return a minimal hit with
     2 <= N_l <= max_roots, or None.
 
@@ -462,10 +427,10 @@ def exhaustive_search(d, max_roots=14, feasibility_bound=150, override=False,
     """
     if d < 1:
         raise LatticeError("d must be positive")
-    if d > feasibility_bound and not override:
+    if d > feasibility_bound:
         raise FeasibilityError(
             f"exhaustive search at d={d} exceeds the feasibility bound "
-            f"{feasibility_bound}; pass override=True to force it")
+            f"{feasibility_bound}")
     best = None
     if method == "dominant":
         for vec in _enumerate_dominant(2 * d):
@@ -475,7 +440,7 @@ def exhaustive_search(d, max_roots=14, feasibility_bound=150, override=False,
                 if best is None or key < best:
                     best = key
     elif method == "stream":
-        lat = _e8_lattice()
+        lat = e8.lattice()
 
         def visit(coords, _norm):
             nonlocal best
@@ -613,56 +578,39 @@ TABLE_IV = (
 )
 
 
+# table -> (rows, embedding, the N_l every row must have or None when each
+#           row carries its own as a third entry, position of the ';')
+_TABLES = {
+    "I": (TABLE_I, embed_case1, (8, 12), None),
+    "II-10": (TABLE_II_10, embed_case2, (10,), 1),
+    "II-14": (TABLE_II_14, embed_case2, (14,), 1),
+    "III": (TABLE_III, embed_case3, None, None),
+    "IV": (TABLE_IV, embed_case4, None, 5),
+}
+
+
 def table_rows(which):
     """Validated reproduction rows for one family table.
 
     Each row is re-embedded, norm-checked and its root count recomputed with
     the oracle; returns (d, formatted tuple, N_l) triples in table order.
     """
-    out = []
-    if which == "I":
-        for d, ms in TABLE_I:
-            vec = embed_case1(*ms)
-            _check_norm(vec, d, ms)
-            n_l = e8.count_orth_roots_2x(vec)
-            if n_l not in (8, 12):
-                raise RuntimeError(f"family I row {ms} has N_l={n_l}")
-            out.append((d, _fmt_tuple(ms, semi_at=None), n_l))
-    elif which in ("II-10", "II-14"):
-        rows = TABLE_II_10 if which == "II-10" else TABLE_II_14
-        want = 10 if which == "II-10" else 14
-        for d, ms in rows:
-            vec = embed_case2(*ms)
-            _check_norm(vec, d, ms)
-            n_l = e8.count_orth_roots_2x(vec)
-            if n_l != want:
-                raise RuntimeError(f"family II row {ms} has N_l={n_l}, wanted {want}")
-            out.append((d, _fmt_tuple(ms, semi_at=1), n_l))
-    elif which == "III":
-        for d, ms, want in TABLE_III:
-            vec = embed_case3(*ms)
-            _check_norm(vec, d, ms)
-            n_l = e8.count_orth_roots_2x(vec)
-            if n_l != want:
-                raise RuntimeError(f"family III row {ms} has N_l={n_l}, wanted {want}")
-            out.append((d, _fmt_tuple(ms, semi_at=None), n_l))
-    elif which == "IV":
-        for d, ms, want in TABLE_IV:
-            vec = embed_case4(*ms)
-            _check_norm(vec, d, ms)
-            n_l = e8.count_orth_roots_2x(vec)
-            if n_l != want:
-                raise RuntimeError(f"family IV row {ms} has N_l={n_l}, wanted {want}")
-            out.append((d, _fmt_tuple(ms, semi_at=5), n_l))
-    else:
+    if which not in _TABLES:
         raise ValueError(f"unknown table {which!r}")
+    rows, embed, wanted, semi_at = _TABLES[which]
+    out = []
+    for d, ms, *own in rows:
+        want = wanted or own
+        vec = embed(*ms)
+        norm = e8.dot2x(vec, vec)
+        if norm != 2 * d:
+            raise RuntimeError(f"row {ms} has norm {norm}, expected {2 * d}")
+        n_l = e8.count_orth_roots_2x(vec)
+        if n_l not in want:
+            raise RuntimeError(f"table {which} row {ms} has N_l={n_l}, "
+                               f"wanted {' or '.join(map(str, want))}")
+        out.append((d, _fmt_tuple(ms, semi_at), n_l))
     return out
-
-
-def _check_norm(vec, d, ms):
-    norm = e8.dot2x(vec, vec)
-    if norm != 2 * d:
-        raise RuntimeError(f"row {ms} has norm {norm}, expected {2 * d}")
 
 
 def _fmt_tuple(ms, semi_at):

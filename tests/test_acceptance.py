@@ -107,17 +107,12 @@ def test_criterion_08_predicate_oracle_equivalence():
     with criterion(8, "predicate vs oracle, d <= 150"):
         checked = 0
         for d in range(1, 151):
-            for case in se.CASES:
+            for case, (claim, embed) in se.FAMILIES.items():
                 for ms in se.iter_case_tuples(case, d):
-                    if case == "IV":
-                        claimed = se.case4_formula_count(ms)
-                        vec = se.embed_case4(*ms, sum(ms))
-                    else:
-                        claimed = se._PREDICATE[case](ms)
-                        if claimed is None:
-                            continue
-                        vec = se._EMBED[case](*ms)
-                    assert e8.count_orth_roots_2x(vec) == claimed, (case, ms)
+                    claimed = claim(ms)
+                    if claimed is None:
+                        continue
+                    assert e8.count_orth_roots_2x(embed(ms)) == claimed, (case, ms)
                     checked += 1
         assert checked > 20000
 

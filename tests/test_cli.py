@@ -186,11 +186,13 @@ def test_determinism(capture):
     assert a == b
 
 
-def test_threads_validation(capture):
-    code, out, _ = capture("cmin", "5", "--threads", "2")
-    assert code == 0
-    code, _, err = capture("cmin", "5", "--threads", "0")
-    assert code == 1
+@pytest.mark.parametrize("argv", [("cmin", "5", "--threads", "2"),
+                                  ("verdict", "5", "--seed", "1"),
+                                  ("search", "46", "--seed", "1")])
+def test_flags_that_do_nothing_are_usage_errors(capture, argv):
+    code, out, err = capture(*argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("cross-check disagrees"),
@@ -216,6 +218,20 @@ def test_feasibility_error_keeps_exit_code_one(capture, monkeypatch):
     monkeypatch.setattr(se, "kodaira_verdict", fail)
     code, _, err = capture("verdict", "5")
     assert code == 1 and err == "error: beyond the bound\n"
+
+
+# the benchmark's recorded CLI calls; this file is only read here
+_GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
+                     .read_text())
+_GOLDEN_CALLS = [(call["argv"], call["stdout"]) for calls in _GOLDEN.values()
+                 for call in calls]
+
+
+@pytest.mark.parametrize("argv, stdout", _GOLDEN_CALLS,
+                         ids=[" ".join(argv) for argv, _ in _GOLDEN_CALLS])
+def test_golden_stdout(capture, argv, stdout):
+    code, out, _ = capture(*argv)
+    assert code == 0 and out == stdout
 
 
 def test_closed_stdout_ends_without_traceback():

@@ -1,0 +1,87 @@
+"""Property tests: exact identities checked on generated inputs.
+
+Generation is derandomised, so every run draws the same examples and the
+suite stays deterministic.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from k3mod import e8, roots
+from k3mod import lattice as lt
+from k3mod import qseries as qs
+
+_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+@st.composite
+def _matrices(draw, max_size=4, bound=9):
+    rows, cols = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    return [[draw(st.integers(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
+
+
+@_SETTINGS
+@given(_matrices())
+def test_snf_transforms_give_the_normal_form(m):
+    d, u, v = lt.smith_normal_form(m)
+    assert lt.mat_mul(lt.mat_mul(u, m), v) == d
+    assert abs(lt.det_bareiss(u)) == 1 and abs(lt.det_bareiss(v)) == 1
+    rows, cols = len(m), len(m[0])
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b % a == 0) if a else b == 0
+
+
+@st.composite
+def _symmetric(draw, max_rank=4, bound=4):
+    n = draw(st.integers(1, max_rank))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-bound, bound))
+    return g
+
+
+@_SETTINGS
+@given(_symmetric())
+def test_disc_group_order_is_the_determinant(g):
+    assume(lt.det_bareiss(g) != 0)
+    lat = lt.IntLattice(g)
+    disc = lt.disc_group(lat)
+    assert disc.order == abs(lat.det)
+    assert len(disc.generator_lifts) == len(disc.invariant_factors)
+
+
+@_SETTINGS
+@given(st.lists(st.integers(-3, 3), min_size=8, max_size=8).filter(any),
+       st.lists(st.integers(0, 7), max_size=6))
+def test_orthogonal_root_count_is_weyl_and_sign_invariant(alpha, word):
+    n_l = e8.count_orth_roots_2x(e8.to_2x(alpha))
+    assert roots.count_orth_roots(e8.lattice(), alpha) == n_l
+    assert e8.count_orth_roots_2x(e8.to_2x([-c for c in alpha])) == n_l
+    x = list(alpha)
+    for k in word:  # the simple reflection s_k(x) = x - (x, a_k) a_k
+        x[k] -= sum(c * y for c, y in zip(e8.lattice().gram[k], x))
+        assert e8.count_orth_roots_2x(e8.to_2x(x)) == n_l
+
+
+_THETA = {"E6": qs.theta_e6, "E7": qs.theta_e7, "D5": lambda p: qs.theta_dn(5, p),
+          "D6": lambda p: qs.theta_dn(6, p), "D8": lambda p: qs.theta_dn(8, p)}
+
+
+@settings(_SETTINGS, max_examples=20)
+@given(st.sampled_from(sorted(_THETA)), st.integers(1, 4), st.data())
+def test_enumerator_count_is_the_theta_coefficient(name, m, data):
+    # a change of basis b_i -> b_i + k b_j keeps the lattice, not the Gram matrix
+    gram = qs.named_definite_lattice(name).gram
+    n = len(gram)
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                              unique=True))
+    k = data.draw(st.integers(-2, 2))
+    u = [[int(r == c) for c in range(n)] for r in range(n)]
+    u[i][j] = k
+    ut = [list(col) for col in zip(*u)]
+    lat = lt.IntLattice(lt.mat_mul(lt.mat_mul(u, gram), ut))
+    assert roots.enumerate_norm_vectors(lat, 2 * m) == _THETA[name](m).coeff(m)

@@ -10,7 +10,7 @@ from k3mod.qseries import (
     theta2_2tau, theta3, theta3_2tau, theta_brute, theta_d6_eis, theta_dn,
     theta_e6, theta_e7,
 )
-from k3mod.lattice import parse_lattice_expr
+from k3mod.lattice import LatticeError, parse_lattice_expr
 
 
 def test_characters():
@@ -203,3 +203,14 @@ def test_series_cache_truncates_to_the_requested_precision(monkeypatch):
     assert small == fresh and small.coeffs == fresh.coeffs
     assert theta_e7(480) is big
     assert theta_dn(5, 12).prec == 12 and theta_e6(5).prec == 5
+
+
+@pytest.mark.parametrize("build", [theta_e7, theta_e6, theta_d6_eis,
+                                   lambda p: theta_dn(5, p)],
+                         ids=["theta_e7", "theta_e6", "theta_d6_eis", "theta_dn"])
+def test_cached_theta_series_reject_a_negative_precision(monkeypatch, build):
+    monkeypatch.setattr(qs, "_series_cache", {})
+    with pytest.raises(LatticeError, match="precision must be nonnegative"):
+        build(-1)
+    assert qs._series_cache == {}
+    assert build(0).coeffs == [1]

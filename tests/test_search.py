@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from k3mod import e8
+from k3mod import e8, roots
 from k3mod import search as se
 from k3mod.lattice import LatticeError
 
@@ -57,10 +57,13 @@ def test_predicate_case3():
 
 
 def test_case4_counts():
-    assert se.count_case4((1, 3, 4, 5, -7)) == 12   # subset 3+4-7 = 0
-    assert se.count_case4((1, 1, 2, 3, 5)) == 10    # pair m3 = m4
-    assert se.count_case4((1, 1, 2, 3, -8)) == 14
-    assert se.count_case4((2, 3, 4, 5, -8)) == 12
+    claim, embed = se.FAMILIES["IV"]
+    for ms, want in (((1, 3, 4, 5, -7), 12),   # subset 3+4-7 = 0
+                     ((1, 1, 2, 3, 5), 10),    # pair m3 = m4
+                     ((1, 1, 2, 3, -8), 14),
+                     ((2, 3, 4, 5, -8), 12)):
+        assert claim(ms) == want, ms
+        assert e8.count_orth_roots_2x(embed(ms)) == want, ms
 
 
 def test_case4_degenerate_tuples_match_oracle():
@@ -74,17 +77,13 @@ def test_case4_degenerate_tuples_match_oracle():
 @pytest.mark.parametrize("case", se.CASES)
 def test_predicate_oracle_equivalence_small(case):
     # acceptance runs d <= 150; keep a fast slice here
+    claim, embed = se.FAMILIES[case]
     for d in range(1, 61):
         for ms in se.iter_case_tuples(case, d):
-            if case == "IV":
-                claimed = se.case4_formula_count(ms)
-                vec = se.embed_case4(*ms, sum(ms))
-            else:
-                claimed = se._PREDICATE[case](ms)
-                if claimed is None:
-                    continue
-                vec = se._EMBED[case](*ms)
-            assert e8.count_orth_roots_2x(vec) == claimed, (case, ms)
+            claimed = claim(ms)
+            if claimed is None:
+                continue
+            assert e8.count_orth_roots_2x(embed(ms)) == claimed, (case, ms)
 
 
 def test_counts_invariant_under_signs_and_permutations():
@@ -125,7 +124,8 @@ def test_structured_hits_are_verified_and_sorted():
     assert hits == sorted(hits, key=se.SearchHit.sort_key)
     for h in hits:
         assert e8.dot2x(h.coords2x, h.coords2x) == 2 * h.d
-        assert se.oracle_orth_count(h.coords2x) == h.n_l
+        alpha = e8.alpha_from_2x(h.coords2x)
+        assert roots.count_orth_roots(e8.lattice(), alpha) == h.n_l
         assert h.weight == 12 + h.n_l // 2
 
 
@@ -245,8 +245,6 @@ def _scan_count(vec2x):
 
 
 def test_closed_form_root_count_on_short_vectors():
-    from k3mod import roots
-
     assert len(_SCAN_ROOTS) == 240
     vectors = []
     roots.enumerate_up_to(e8.lattice(), 4, lambda coords, _n: vectors.append(coords))
@@ -322,3 +320,23 @@ def test_nonpositive_degree_is_rejected(d):
             se.iter_case_tuples(case, d)
         with pytest.raises(LatticeError, match="d must be positive"):
             se.structured_search(d, case)
+
+
+def test_unknown_case_or_table_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown case 'V'"):
+        se.structured_search(10, "V")
+    with pytest.raises(ValueError, match="unknown case 'V'"):
+        se.iter_case_tuples("V", 10)
+    with pytest.raises(ValueError, match="unknown table 'V'"):
+        se.table_rows("V")
+
+
+@pytest.mark.parametrize("row, message", [
+    ((58, (1, 2, 3, 10)), r"table II-14 row \(1, 2, 3, 10\) has N_l=10, wanted 14"),
+    ((41, (1, 2, 3, 8)), r"row \(1, 2, 3, 8\) has norm 80, expected 82"),
+])
+def test_wrong_table_row_is_an_internal_error(monkeypatch, row, message):
+    spec = se._TABLES["II-14"]
+    monkeypatch.setitem(se._TABLES, "II-14", ((row,),) + spec[1:])
+    with pytest.raises(RuntimeError, match=message):
+        se.table_rows("II-14")
