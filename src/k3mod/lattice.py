@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 
 
 class LatticeError(ValueError):
@@ -91,26 +92,6 @@ def solve_rational(a, rhs_cols):
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
     return [[m[i][n + j] for j in range(len(rhs_cols))] for i in range(n)]
-
-
-def invert_rational(a):
-    n = len(a)
-    cols = solve_rational(a, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
-    return cols
-
-
-def invert_unimodular(a):
-    """Exact integer inverse of a unimodular integer matrix."""
-    inv = invert_rational(a)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise LatticeError("matrix is not unimodular")
-            r.append(int(x))
-        out.append(r)
-    return out
 
 
 def smith_normal_form(mat):
@@ -525,7 +506,7 @@ def inner(lat, x, y):
 
 def pairing_vector(lat, coords):
     """All pairings (x, b_j) of x with the lattice basis, i.e. gram * coords."""
-    return [sum(row[j] * coords[j] for j in range(lat.rank)) for row in lat.gram]
+    return [sum(map(mul, row, coords)) for row in lat.gram]
 
 
 def divisor(lat, x):
@@ -550,20 +531,26 @@ def is_primitive(lat, x):
 def disc_group(lat):
     """Discriminant group via Smith normal form of the Gram matrix.
 
-    Generator lifts are elements of the dual realising each cyclic factor;
-    they are reproducible thanks to the deterministic SNF pivoting.
+    With u G v = D (u, v unimodular, D diagonal), G^-1 = v D^-1 u, so the
+    dual vector G^-1 u^-1 e_i that realises the i-th cyclic factor is
+    v D^-1 e_i = v[:, i] / d_i: the lifts need no inverse and no solve.
+    The transforms are checked in integers first (u G v = D and
+    |det u| = |det v| = 1, both O(n^3)); `LatticeError` if either fails.
+    The lifts are reproducible thanks to the deterministic SNF pivoting.
     """
-    d, u, _v = smith_normal_form(lat.gram)
+    g = lat.gram
+    d, u, v = smith_normal_form(g)
+    if mat_mul(mat_mul(u, g), v) != d or abs(det_bareiss(u)) != 1 \
+            or abs(det_bareiss(v)) != 1:
+        raise LatticeError("Smith normal form transforms do not check")
     n = lat.rank
-    u_inv = invert_unimodular(u)
     factors = []
     lifts = []
     for i in range(n):
-        if d[i][i] > 1:
-            factors.append(d[i][i])
-            col = [u_inv[r][i] for r in range(n)]
-            lift = solve_rational(lat.gram, [col])
-            lifts.append(DualVec(lat, [row[0] for row in lift]))
+        di = d[i][i]
+        if di > 1:
+            factors.append(di)
+            lifts.append(DualVec(lat, [Fraction(v[r][i], di) for r in range(n)]))
     q_values = None
     if lat.is_even():
         q_values = [lift.norm() % 2 for lift in lifts]
@@ -586,11 +573,9 @@ def orth_complement(lat, vectors):
     basis = kernel_basis(rows)
     if not basis:
         raise LatticeError("the vectors span the whole lattice")
-    g = lat.gram
-    n = lat.rank
-    k = len(basis)
-    sub = [[sum(basis[a][i] * g[i][j] * basis[b][j] for i in range(n) for j in range(n))
-            for b in range(k)] for a in range(k)]
+    # Gram B^t (G B) from the pairing vectors G b: O(k n^2)
+    gb = [pairing_vector(lat, b) for b in basis]
+    sub = [[sum(map(mul, a, p)) for p in gb] for a in basis]
     return IntLattice(sub), basis
 
 

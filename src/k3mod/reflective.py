@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import lattice as lt
 from .lattice import LatticeError, LatVec, disc_group, is_primitive, make_l2d, \
@@ -36,7 +37,13 @@ NOT_INTEGRAL = "not_integral"
 
 
 class IsometryMatrix:
-    """Integer matrix over the lattice basis with M^t G M = G (checked)."""
+    """Integer matrix over the lattice basis with M^t G M = G (checked).
+
+    The check forms GM = G M once (O(n^3)), then compares every entry
+    (M^t G M)_ij = sum_a M_ai GM_aj with G_ij for i <= j (n(n+1)/2 dot
+    products of length n, O(n^3)); both triangles are covered because
+    M^t G M and G are symmetric.  `LatticeError` on the first mismatch.
+    """
 
     __slots__ = ("lattice", "matrix")
 
@@ -44,10 +51,13 @@ class IsometryMatrix:
         m = tuple(tuple(int(x) for x in row) for row in matrix)
         g = lattice.gram
         n = lattice.rank
+        if len(m) != n or any(len(row) != n for row in m):
+            raise LatticeError("matrix size does not match the lattice rank")
+        cols = tuple(zip(*m))
+        gm_cols = tuple(zip(*lt.mat_mul(g, m)))
         for i in range(n):
             for j in range(i, n):
-                s = sum(m[a][i] * g[a][b] * m[b][j] for a in range(n) for b in range(n))
-                if s != g[i][j]:
+                if sum(map(mul, cols[i], gm_cols[j])) != g[i][j]:
                     raise LatticeError("matrix does not preserve the form")
         self.lattice = lattice
         self.matrix = m
@@ -74,6 +84,11 @@ def reflection_coefficients(lat, coords):
     pair, norm, _div = _pairings(lat, coords)
     if norm == 0:
         raise LatticeError("cannot reflect in an isotropic vector")
+    return _coefficients(pair, norm)
+
+
+def _coefficients(pair, norm):
+    """2 p / norm for each pairing p if all are integers, else None; norm != 0."""
     cs = []
     for p in pair:
         num = 2 * p
@@ -264,8 +279,11 @@ def reflk3_sample_check(d, samples=10**4, seed=0, box=20):
         div(r) in {d, 2d}
 
     plus the complement-determinant formula on every reflective sample.
-    Returns a report dict; `counterexamples` is expected empty.
+    Returns a report dict; `counterexamples` is expected empty.  A negative
+    `samples` raises ValueError.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     lat = make_l2d(d)
     disc = cached_disc_group(lat)
     rng = random.Random(seed)
@@ -289,15 +307,14 @@ def reflk3_sample_check(d, samples=10**4, seed=0, box=20):
                 coords = tuple(c // g for c in coords)
         produced += 1
         report["samples"] += 1
-        _pair, norm, div = _pairings(lat, coords)
+        pair, norm, div = _pairings(lat, coords)
         if norm == 0:
             report["skipped_isotropic"] += 1
             continue
-        try:
-            sigma = reflection(lat, coords)
-        except NotIntegralError:
+        if _coefficients(pair, norm) is None:
             report["skipped_nonintegral"] += 1
             continue
+        sigma = reflection(lat, coords)
         report["reflective"] += 1
         plus, minus = _disc_signs(lat, sigma, disc)
         lhs = plus or minus

@@ -259,7 +259,7 @@ def bigphi_verify(r_max):
         for k1 in units:
             k2 = r - k1
             rest = [k for k in units if k != k1 and k != k2]
-            s = sum(Fraction((k1 + ki) % r, r) for ki in rest)
+            s = Fraction(sum((k1 + ki) % r for ki in rest), r)
             checked += 1
             if min_sum is None or s < min_sum:
                 min_sum, min_at = s, (r, k1)

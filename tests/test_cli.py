@@ -124,6 +124,16 @@ def test_reflect_sample(capture):
     assert data["counterexamples"] == [] and data["samples"] == 200
 
 
+def test_reflect_sample_count_must_be_nonnegative(capture):
+    code, out, err = capture("reflect", "--sample-d", "5", "--samples", "-3")
+    assert code == 1 and out == ""
+    assert err == "error: samples must be nonnegative\n"
+    code, out, err = capture("reflect", "--sample-d", "5", "--samples", "0",
+                             "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["samples"] == 0
+
+
 def test_disc(capture):
     code, out, _ = capture("disc", "U(2)", "--format", "json")
     assert code == 0

@@ -1,0 +1,217 @@
+"""The exact O(n^3) kernels of the discriminant and reflection layers pinned
+to the dense references they replaced: the Fraction inverse of the SNF
+transform for `disc_group`, the quadruple-sum Gram for `orth_complement`,
+the O(n^4) form check for `IsometryMatrix` and the Fraction sum for
+`bigphi_verify`."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from k3mod import lattice as lt
+from k3mod import reflective as rf
+from k3mod import rst
+
+
+def _reference_invert_unimodular(a):
+    """Exact integer inverse of a unimodular matrix through rational solves."""
+    n = len(a)
+    inv = lt.solve_rational(a, [[int(i == j) for i in range(n)] for j in range(n)])
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise lt.LatticeError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
+
+
+def _reference_disc(lat):
+    """(invariant factors, lifts, q-values) with lift i = G^-1 u^-1 e_i."""
+    d, u, _v = lt.smith_normal_form(lat.gram)
+    n = lat.rank
+    u_inv = _reference_invert_unimodular(u)
+    factors, lifts = [], []
+    for i in range(n):
+        if d[i][i] > 1:
+            factors.append(d[i][i])
+            col = [u_inv[r][i] for r in range(n)]
+            lifts.append(tuple(row[0] for row in lt.solve_rational(lat.gram, [col])))
+    q_values = None
+    if lat.is_even():
+        q_values = tuple(lt.DualVec(lat, w).norm() % 2 for w in lifts)
+    return tuple(factors), tuple(lifts), q_values
+
+
+def _reference_complement_gram(lat, basis):
+    g = lat.gram
+    n = lat.rank
+    return tuple(tuple(sum(a[i] * g[i][j] * b[j] for i in range(n) for j in range(n))
+                       for b in basis) for a in basis)
+
+
+def _reference_is_isometry(lat, m):
+    """The O(n^4) check: (M^t G M)_ij = G_ij for i <= j, entry by entry."""
+    g = lat.gram
+    n = lat.rank
+    return all(sum(m[a][i] * g[a][b] * m[b][j] for a in range(n) for b in range(n)) == g[i][j]
+               for i in range(n) for j in range(i, n))
+
+
+def _preserves_form(lat, m):
+    """M^t G M == G as whole matrix products."""
+    mt = [list(col) for col in zip(*m)]
+    return lt.mat_mul(lt.mat_mul(mt, lat.gram), m) == [list(row) for row in lat.gram]
+
+
+def _reference_bigphi(r_max):
+    checked, min_sum, min_at, violations = 0, None, None, []
+    for r in range(7, r_max + 1):
+        units = [k for k in range(1, r) if gcd(k, r) == 1]
+        if len(units) < 6:
+            continue
+        for k1 in units:
+            rest = [k for k in units if k != k1 and k != r - k1]
+            s = sum(Fraction((k1 + ki) % r, r) for ki in rest)
+            checked += 1
+            if min_sum is None or s < min_sum:
+                min_sum, min_at = s, (r, k1)
+            if s < 1:
+                violations.append({"r": r, "k1": k1, "sum": str(s)})
+    return {"checked": checked, "min_sum": min_sum, "min_at": min_at,
+            "violations": violations}
+
+
+def _random_symmetric(rng, count, max_rank=4, bound=4):
+    """Nonsingular symmetric matrices of the shape the property tests draw."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_rank)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = rng.randint(-bound, bound)
+        if lt.det_bareiss(g):
+            out.append(lt.IntLattice(g))
+    return out
+
+
+def _lattices():
+    lats = [lt.make_l2d(d) for d in range(1, 61)]
+    lats += [lt.parse_lattice_expr(e) for e in
+             ("E8", "U(2)", "A(2)+A(2)", "<2>+<-2>", "D(4)+<6>", "U+A(2)", "2U(3)+A(1)")]
+    return lats + _random_symmetric(random.Random(17), 150)
+
+
+def test_disc_group_matches_the_inverse_path():
+    for lat in _lattices():
+        disc = lt.disc_group(lat)
+        factors, lifts, q_values = _reference_disc(lat)
+        assert disc.invariant_factors == factors, lat
+        assert tuple(w.coords for w in disc.generator_lifts) == lifts, lat
+        assert disc.q_values == q_values, lat
+
+
+def test_disc_group_rejects_transforms_that_do_not_check(monkeypatch):
+    lat = lt.parse_lattice_expr("<2>+<3>")
+    d, u, v = lt.smith_normal_form(lat.gram)
+    bad = {
+        "u G v != D": (d, u, [[-x for x in v[0]], v[1]]),
+        "det u = 2 with u G v = D": ([[2 * d[0][0], 0], [0, d[1][1]]],
+                                     [[2 * x for x in u[0]], u[1]], v),
+    }
+    for case in bad.values():
+        monkeypatch.setattr(lt, "smith_normal_form", lambda _g, case=case: case)
+        with pytest.raises(lt.LatticeError):
+            lt.disc_group(lat)
+
+
+def test_orth_complement_matches_the_quadruple_sum():
+    rng = random.Random(23)
+    for lat in _lattices()[::3]:
+        n = lat.rank
+        for k in (1, 2, 3):
+            if k >= n:
+                break
+            vectors = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+            try:
+                comp, basis = lt.orth_complement(lat, vectors)
+            except lt.LatticeError:
+                continue  # dependent draws
+            assert comp.gram == _reference_complement_gram(lat, basis)
+
+
+def test_isometry_accepts_every_sampled_reflection():
+    # small draws on the first six coordinates and the last one, where
+    # reflective vectors are common
+    rng = random.Random(29)
+    found = 0
+    for lat in [lt.make_l2d(d) for d in (1, 2, 5, 12)] + [lt.parse_lattice_expr(e) for e in
+                                                          ("U+A(2)", "A(2)+A(2)", "D(4)+<6>")]:
+        n = lat.rank
+        for _ in range(150):
+            coords = [rng.randint(-1, 1) if i < 6 or i == n - 1 else 0 for i in range(n)]
+            if not any(coords) or not rf._pairings(lat, coords)[1] \
+                    or rf.reflection_coefficients(lat, coords) is None:
+                continue
+            sigma = rf.reflection(lat, coords)
+            assert _preserves_form(lat, sigma.matrix)
+            if n < 8:
+                assert _reference_is_isometry(lat, sigma.matrix)
+            found += 1
+    assert found > 150
+
+
+def test_sampler_builds_reflections_for_reflective_samples_only(monkeypatch):
+    # one `_pairings` call per sample; `reflection` (and its isometry check)
+    # only for reflective samples, each adding one `_pairings` call there and
+    # one in orth_det_check
+    built = []
+    pairings = []
+    reflection, _pairings = rf.reflection, rf._pairings
+
+    def checked(lat, coords):
+        sigma = reflection(lat, coords)
+        assert _preserves_form(lat, sigma.matrix)
+        built.append(coords)
+        return sigma
+
+    def counted(lat, coords):
+        pairings.append(coords)
+        return _pairings(lat, coords)
+
+    monkeypatch.setattr(rf, "reflection", checked)
+    monkeypatch.setattr(rf, "_pairings", counted)
+    for d, seed in ((1, 0), (2, 3), (5, 0), (12, 3)):
+        built.clear()
+        pairings.clear()
+        rep = rf.reflk3_sample_check(d, samples=400, seed=seed)
+        assert rep["reflective"] >= 5
+        assert len(built) == rep["reflective"]
+        assert len(pairings) == rep["samples"] + 2 * rep["reflective"]
+
+
+@pytest.mark.parametrize("expr, r", [
+    ("2U+2E8(-1)+<-10>", (0,) * 20 + (1,)),
+    ("2U+2E8(-1)+<-10>", (5, 0) + (0,) * 18 + (1,)),
+    ("U+A(2)", (0, 0, 1, 0)),
+    ("U+A(2)", (1, -1, 0, 0)),
+])
+def test_isometry_rejects_every_single_entry_perturbation(expr, r):
+    lat = lt.parse_lattice_expr(expr)
+    m = [list(row) for row in rf.reflection(lat, r).matrix]
+    n = lat.rank
+    small = n < 8
+    for i in range(n):
+        for j in range(n):
+            for delta in ((1, -1, 2) if small else (1,)):
+                bad = [list(row) for row in m]
+                bad[i][j] += delta
+                assert not _preserves_form(lat, bad)
+                if small:
+                    assert not _reference_is_isometry(lat, bad)
+                with pytest.raises(lt.LatticeError):
+                    rf.IsometryMatrix(lat, bad)
+
+
+@pytest.mark.parametrize("r_max", [7, 10, 40, 60])
+def test_bigphi_matches_the_fraction_sum(r_max):
+    assert rst.bigphi_verify(r_max) == _reference_bigphi(r_max)

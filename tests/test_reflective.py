@@ -229,6 +229,13 @@ def test_sample_check_small():
     assert rep["samples"] == 1500
 
 
+def test_sample_check_sample_count():
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        rf.reflk3_sample_check(5, samples=-3)
+    rep = rf.reflk3_sample_check(5, samples=0)
+    assert rep["samples"] == rep["reflective"] == rep["det_checks"] == 0
+
+
 def test_sample_check_deterministic():
     a = rf.reflk3_sample_check(2, samples=300, seed=12)
     b = rf.reflk3_sample_check(2, samples=300, seed=12)

@@ -102,14 +102,20 @@ def _random_signed_permutation(rng, n):
 def _random_conjugation(rng, m):
     n = len(m)
     s = identity_matrix(n)
+    s_inv = identity_matrix(n)
+    shears = []
     for _ in range(3):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-2, 2)
         for r in range(n):
             s[r][i] += c * s[r][j]
-    # inverse of the accumulated shear product, built alongside
-    from k3mod.lattice import invert_unimodular
-    s_inv = invert_unimodular(s)
+        shears.append((i, j, c))
+    # inverse of the accumulated shear product, built alongside: the same
+    # column shears with -c, applied in reverse order
+    for i, j, c in reversed(shears):
+        for r in range(n):
+            s_inv[r][i] -= c * s_inv[r][j]
+    assert mat_mul(s, s_inv) == identity_matrix(n)
     return mat_mul(mat_mul(s, m), s_inv)
 
 
