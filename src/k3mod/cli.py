@@ -142,11 +142,14 @@ def _parse_targets(text):
     out = set()
     for part in text.split(","):
         part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.update(range(int(lo), int(hi) + 1))
-        else:
-            out.add(int(part))
+        try:
+            if "-" in part[1:]:
+                lo, hi = part.split("-", 1)
+                out.update(range(int(lo), int(hi) + 1))
+            else:
+                out.add(int(part))
+        except ValueError:
+            raise UsageError(f"--targets has a bad part {part!r}") from None
     return out
 
 

@@ -15,11 +15,10 @@ exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .lattice import LatticeError, root_lattice_e, solve_rational
+from .lattice import LatticeError, root_lattice_e
 
 # rows: doubled e-coordinates of the simple roots a1..a8
 SIMPLE_ROOTS_2X = (
@@ -66,28 +65,14 @@ def lattice():
     return root_lattice_e(8)
 
 
-@lru_cache(maxsize=1)
-def _alpha_matrix_inverse():
-    # columns of m are the simple roots; v = m^{-1} * (e-coords)
-    m = [[Fraction(SIMPLE_ROOTS_2X[j][i], 2) for j in range(8)] for i in range(8)]
-    n = 8
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    inv = solve_rational(m, cols)
-    return tuple(tuple(inv[i][j] for j in range(n)) for i in range(n))
-
-
 def alpha_from_2x(vec2x):
-    """Simple-root coordinates of a doubled e-coordinate vector (must lie in E8)."""
+    """Simple-root coordinates of a doubled e-coordinate vector (must lie in E8).
+
+    The fundamental weights are the dual basis of the simple roots, so the
+    coordinate on a_j is the pairing with w_j."""
     if not in_e8_2x(vec2x):
         raise LatticeError(f"{vec2x} is not in E8")
-    inv = _alpha_matrix_inverse()
-    out = []
-    for row in inv:
-        c = sum(r * Fraction(v, 2) for r, v in zip(row, vec2x))
-        if c.denominator != 1:
-            raise LatticeError(f"{vec2x} has a non-integral simple-root coordinate {c}")
-        out.append(int(c))
-    return tuple(out)
+    return tuple(dot2x(vec2x, w) for w in WEIGHTS_2X)
 
 
 def to_2x(alpha_coords):

@@ -1,8 +1,12 @@
 """Integral lattices given by Gram matrices, with exact arithmetic throughout.
 
-Everything here works over Z (or Q for dual objects) using arbitrary-precision
-integers and fractions.  No floating point: discriminant groups, divisors and
-elementary divisors are integrality statements and are computed as such.
+Everything here works over Z with arbitrary-precision integers; only
+`signature_of` eliminates over Q.  A dual vector is integer numerators over
+one positive denominator, so dual membership, pairings and the action of an
+isometry on A_L are integer sums and congruences; Fractions appear only in
+outputs (dual coordinates, pairings, discriminant-form values).  No floating
+point: discriminant groups, divisors and elementary divisors are
+integrality statements and are computed as such.
 """
 
 from __future__ import annotations
@@ -10,8 +14,8 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from math import gcd, lcm
+from operator import index, mul
 
 
 class LatticeError(ValueError):
@@ -27,7 +31,7 @@ class ParseError(LatticeError):
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Z / Q
+# small exact linear algebra over Z
 # ---------------------------------------------------------------------------
 
 def identity_matrix(n):
@@ -74,31 +78,11 @@ def det_bareiss(mat):
     return sign * a[n - 1][n - 1]
 
 
-def solve_rational(a, rhs_cols):
-    """Solve a*X = rhs for X over Q; `a` square nonsingular, rhs a list of columns."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(c[i]) for c in rhs_cols]
-         for i in range(n)]
-    w = n + len(rhs_cols)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise LatticeError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [[m[i][n + j] for j in range(len(rhs_cols))] for i in range(n)]
-
-
 def smith_normal_form(mat):
     """Smith normal form with transforms: returns (d, u, v) with u*mat*v = d.
 
     Deterministic pivoting: smallest absolute nonzero entry, ties broken
-    row-major, so generator lifts derived from `u` are reproducible.
+    row-major, so generator lifts derived from `v` are reproducible.
     """
     a = [list(row) for row in mat]
     rows = len(a)
@@ -234,11 +218,11 @@ class IntLattice:
     Instances are immutable after construction.  Identity (for vector
     ownership) is the `token`, not structural Gram equality: distinct
     isometric lattices must not silently interoperate.  Data derived from
-    the Gram matrix is memoised on the instance (`memoised`), so it lives
-    exactly as long as the lattice.
+    the Gram matrix (the signature, `disc_group`, the root data) is memoised
+    on the instance (`memoised`), so it lives exactly as long as the lattice.
     """
 
-    __slots__ = ("gram", "rank", "name", "token", "_det", "_sig", "_memo")
+    __slots__ = ("gram", "rank", "name", "token", "_det", "_memo")
 
     def __init__(self, gram, name=None):
         g = tuple(tuple(int(x) for x in row) for row in gram)
@@ -255,7 +239,6 @@ class IntLattice:
         self.name = name
         self.token = next(_token_counter)
         self._det = det
-        self._sig = None
         self._memo = {}
 
     def memoised(self, key, build):
@@ -271,9 +254,7 @@ class IntLattice:
 
     @property
     def signature(self):
-        if self._sig is None:
-            self._sig = signature_of(self.gram)
-        return self._sig
+        return self.memoised("signature", lambda lat: signature_of(lat.gram))
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -282,7 +263,10 @@ class IntLattice:
         return LatVec(self, coords)
 
     def dual_vector(self, coords):
-        return DualVec(self, coords)
+        """The dual vector with rational coordinates `coords` in the lattice basis."""
+        coords = [Fraction(c) for c in coords]
+        den = lcm(*(c.denominator for c in coords))
+        return DualVec(self, [c.numerator * (den // c.denominator) for c in coords], den)
 
     def __repr__(self):
         label = self.name or f"rank-{self.rank} lattice"
@@ -322,25 +306,43 @@ class LatVec:
 
 
 class DualVec:
-    """Rational vector (coordinates in the lattice basis) lying in the dual lattice."""
+    """A vector of the dual lattice: integer numerators `num` (coordinates in
+    the lattice basis) over one positive denominator `den`.
 
-    __slots__ = ("lattice", "coords")
+    Membership is checked in integers: every pairing with a basis vector,
+    the entries of `pairing_vector(lattice, num)`, is divisible by `den`.
+    `pair` is the bilinear form on dual vectors; `coords` gives the rational
+    coordinates, for output only.
+    """
 
-    def __init__(self, lattice, coords):
-        coords = tuple(Fraction(c) for c in coords)
-        if len(coords) != lattice.rank:
+    __slots__ = ("lattice", "num", "den")
+
+    def __init__(self, lattice, num, den):
+        num = tuple(map(index, num))
+        den = index(den)
+        if len(num) != lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")
-        # membership in the dual: pairing with every basis vector is integral
-        for row in lattice.gram:
-            if sum(r * c for r, c in zip(row, coords)).denominator != 1:
-                raise LatticeError("vector does not pair integrally with the lattice")
+        if den < 1:
+            raise LatticeError("denominator must be positive")
+        if any(p % den for p in pairing_vector(lattice, num)):
+            raise LatticeError("vector does not pair integrally with the lattice")
         self.lattice = lattice
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def pair(self, other):
+        """The rational pairing (self, other) with another dual vector of the lattice."""
+        if other.lattice.token != self.lattice.token:
+            raise LatticeError("vector belongs to a different lattice")
+        return Fraction(sum(map(mul, pairing_vector(self.lattice, self.num), other.num)),
+                        self.den * other.den)
 
     def norm(self):
-        g = self.lattice.gram
-        c = self.coords
-        return sum(c[i] * g[i][j] * c[j] for i in range(len(c)) for j in range(len(c)))
+        return self.pair(self)
 
     def __repr__(self):
         return f"DualVec{tuple(str(c) for c in self.coords)}"
@@ -349,7 +351,9 @@ class DualVec:
 class DiscGroup:
     """The finite group A_L = L^vee / L as cyclic invariant factors.
 
-    `q_values` are the discriminant-form values (g, g) of the generator lifts,
+    `generator_lifts[i]` is a `DualVec` whose class generates the i-th
+    cyclic factor Z/invariant_factors[i].  `q_values` are the
+    discriminant-form values (g, g) of the generator lifts as Fractions,
     reduced into [0, 2); only defined when the lattice is even.
     """
 
@@ -438,21 +442,6 @@ def root_lattice_e(n):
     return IntLattice(g, name=f"E{n}")
 
 
-def make_named(name, *params):
-    if name == "U":
-        return hyperbolic_plane(*params) if params else hyperbolic_plane()
-    if name == "A":
-        return root_lattice_a(params[0])
-    if name == "D":
-        return root_lattice_d(params[0])
-    if name == "E":
-        lat = root_lattice_e(params[0])
-        if len(params) > 1 and params[1] != 1:
-            return rescale(lat, params[1])
-        return lat
-    raise LatticeError(f"unknown lattice name {name!r}")
-
-
 def _block_gram(lattices):
     """Block-diagonal Gram matrix of the orthogonal sum of `lattices`."""
     n = sum(lat.rank for lat in lattices)
@@ -498,10 +487,7 @@ def _own(lat, vec):
 
 
 def inner(lat, x, y):
-    cx = _own(lat, x)
-    cy = _own(lat, y)
-    g = lat.gram
-    return sum(cx[i] * g[i][j] * cy[j] for i in range(lat.rank) for j in range(lat.rank))
+    return sum(map(mul, pairing_vector(lat, _own(lat, x)), _own(lat, y)))
 
 
 def pairing_vector(lat, coords):
@@ -529,15 +515,21 @@ def is_primitive(lat, x):
 
 
 def disc_group(lat):
-    """Discriminant group via Smith normal form of the Gram matrix.
+    """Discriminant group via Smith normal form of the Gram matrix, memoised
+    on the lattice (`IntLattice.memoised`): every caller shares one DiscGroup.
 
     With u G v = D (u, v unimodular, D diagonal), G^-1 = v D^-1 u, so the
     dual vector G^-1 u^-1 e_i that realises the i-th cyclic factor is
-    v D^-1 e_i = v[:, i] / d_i: the lifts need no inverse and no solve.
+    v D^-1 e_i = v[:, i] / d_i: the lifts need no inverse and no solve, and
+    each is stored as it comes, numerators v[:, i] over the denominator d_i.
     The transforms are checked in integers first (u G v = D and
     |det u| = |det v| = 1, both O(n^3)); `LatticeError` if either fails.
     The lifts are reproducible thanks to the deterministic SNF pivoting.
     """
+    return lat.memoised("disc_group", _disc_group)
+
+
+def _disc_group(lat):
     g = lat.gram
     d, u, v = smith_normal_form(g)
     if mat_mul(mat_mul(u, g), v) != d or abs(det_bareiss(u)) != 1 \
@@ -550,7 +542,7 @@ def disc_group(lat):
         di = d[i][i]
         if di > 1:
             factors.append(di)
-            lifts.append(DualVec(lat, [Fraction(v[r][i], di) for r in range(n)]))
+            lifts.append(DualVec(lat, [v[r][i] for r in range(n)], di))
     q_values = None
     if lat.is_even():
         q_values = [lift.norm() % 2 for lift in lifts]
@@ -593,17 +585,12 @@ def isotropic_elementary_divisors(lat, basis_pair):
     if len(basis_pair) != 2:
         raise LatticeError("need exactly two basis vectors")
     coords = [_own(lat, v) if isinstance(v, LatVec) else tuple(v) for v in basis_pair]
-    for a in range(2):
-        for b in range(2):
-            x, y = coords[a], coords[b]
-            s = sum(x[i] * lat.gram[i][j] * y[j]
-                    for i in range(lat.rank) for j in range(lat.rank))
-            if s != 0:
-                raise LatticeError("sublattice is not totally isotropic")
+    pair = [pairing_vector(lat, c) for c in coords]
+    if any(sum(map(mul, p, c)) for p in pair for c in coords):
+        raise LatticeError("sublattice is not totally isotropic")
     d, _u, _v = smith_normal_form([list(c) for c in coords])
     if d[0][0] != 1 or d[1][1] != 1:
         raise LatticeError("sublattice is not primitive")
-    pair = [pairing_vector(lat, c) for c in coords]
     d, _u, _v = smith_normal_form(pair)
     delta, second = d[0][0], d[1][1]
     if delta == 0 or second == 0 or second % delta:
@@ -625,7 +612,7 @@ def isotropic_subgroups_cyclic(lat, bound=10**6):
     factors = disc.invariant_factors
     lifts = disc.generator_lifts
     k = len(factors)
-    gram_q = [[_dual_pairing(lat, lifts[i], lifts[j]) for j in range(k)] for i in range(k)]
+    gram_q = [[lifts[i].pair(lifts[j]) for j in range(k)] for i in range(k)]
 
     def qval(elem):
         tot = Fraction(0)
@@ -665,12 +652,6 @@ def isotropic_subgroups_cyclic(lat, bound=10**6):
                 if all(qval(e) == 0 for e in span):
                     return False
     return True
-
-
-def _dual_pairing(lat, a, b):
-    g = lat.gram
-    n = lat.rank
-    return sum(a.coords[i] * g[i][j] * b.coords[j] for i in range(n) for j in range(n))
 
 
 def _prime_divisors(n):

@@ -17,7 +17,6 @@ cross-check only where its hypothesis holds.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -109,43 +108,36 @@ def reflection(lat, r):
     return IsometryMatrix(lat, m)
 
 
-def cached_disc_group(lat):
-    """`disc_group(lat)`, memoised on the lattice."""
-    return lat.memoised("disc_group", disc_group)
-
-
-def disc_action(lat, g, disc=None):
+def disc_action(lat, g):
     """Images of the discriminant generator lifts under g, as dual vectors."""
-    disc = disc or cached_disc_group(lat)
-    return [lt.DualVec(lat, [sum(Fraction(g.matrix[i][j]) * w.coords[j]
-                                 for j in range(lat.rank)) for i in range(lat.rank)])
-            for w in disc.generator_lifts]
+    return [lt.DualVec(lat, g.apply_coords(w.num), w.den)
+            for w in disc_group(lat).generator_lifts]
 
 
-def _disc_signs(lat, g, disc):
+def _disc_signs(lat, g):
     """(g acts as the identity, g acts as minus the identity) on A_L, from
-    one image per generator lift."""
-    n = lat.rank
+    one image per generator lift w = num/den: g w -+ w lies in L iff every
+    entry of M num -+ num is divisible by den."""
     plus = minus = True
-    for w in disc.generator_lifts:
-        for i in range(n):
-            img = sum(Fraction(g.matrix[i][j]) * w.coords[j] for j in range(n))
-            plus = plus and (img - w.coords[i]).denominator == 1
-            minus = minus and (img + w.coords[i]).denominator == 1
+    for w in disc_group(lat).generator_lifts:
+        den = w.den
+        for img, c in zip(g.apply_coords(w.num), w.num):
+            plus = plus and (img - c) % den == 0
+            minus = minus and (img + c) % den == 0
             if not (plus or minus):
                 return False, False
     return plus, minus
 
 
-def is_id_on_disc(lat, g, disc=None):
-    return _disc_signs(lat, g, disc or cached_disc_group(lat))[0]
+def is_id_on_disc(lat, g):
+    return _disc_signs(lat, g)[0]
 
 
-def is_minus_id_on_disc(lat, g, disc=None):
-    return _disc_signs(lat, g, disc or cached_disc_group(lat))[1]
+def is_minus_id_on_disc(lat, g):
+    return _disc_signs(lat, g)[1]
 
 
-def classify_reflection(lat, r, disc=None):
+def classify_reflection(lat, r):
     """Tag of sigma_r on the discriminant group, with theory cross-checks.
 
     The cross-checks raise AssertionError on violation.  With D the exponent
@@ -178,8 +170,8 @@ def classify_reflection(lat, r, disc=None):
         sigma = reflection(lat, coords)
     except NotIntegralError:
         return NOT_INTEGRAL
-    disc = disc or cached_disc_group(lat)
-    plus, minus = _disc_signs(lat, sigma, disc)
+    disc = disc_group(lat)
+    plus, minus = _disc_signs(lat, sigma)
     _pair, norm, div = _pairings(lat, coords)
     dd = disc.exponent
     if plus != (abs(norm) == 2):
@@ -213,17 +205,13 @@ def parity_delta(disc):
     """0 when the discriminant form only takes integral values, else 1."""
     if disc.q_values is None:
         raise LatticeError("parity is defined for even lattices")
-    lat = disc.lattice
     lifts = disc.generator_lifts
     for q in disc.q_values:
         if q.denominator != 1:
             return 1
     for i in range(len(lifts)):
         for j in range(i + 1, len(lifts)):
-            s = lifts[i].coords
-            t = lifts[j].coords
-            cross = 2 * sum(s[a] * lat.gram[a][b] * t[b]
-                            for a in range(lat.rank) for b in range(lat.rank))
+            cross = 2 * lifts[i].pair(lifts[j])
             if (disc.q_values[i] + disc.q_values[j] + cross).denominator != 1:
                 return 1
     return 0
@@ -272,8 +260,9 @@ def _interesting_vectors(d, lat):
     return vecs
 
 
-def reflk3_sample_check(d, samples=10**4, seed=0, box=20):
-    """Sample primitive vectors of L_2d and test the biconditional:
+def reflk3_sample_check(d, samples=10**4, seed=0):
+    """Sample primitive vectors of L_2d (after seeded vectors that hit each
+    class, coordinates drawn from [-20, 20]) and test the biconditional:
 
         sigma_r acts as +-id on A_L  <=>  r^2 = +-2, or r^2 = +-2d with
         div(r) in {d, 2d}
@@ -285,7 +274,6 @@ def reflk3_sample_check(d, samples=10**4, seed=0, box=20):
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     lat = make_l2d(d)
-    disc = cached_disc_group(lat)
     rng = random.Random(seed)
     n = lat.rank
     report = {"d": d, "samples": 0, "reflective": 0, "skipped_nonintegral": 0,
@@ -297,7 +285,7 @@ def reflk3_sample_check(d, samples=10**4, seed=0, box=20):
         if queue:
             coords = queue.pop(0)
         else:
-            coords = tuple(rng.randint(-box, box) for _ in range(n))
+            coords = tuple(rng.randint(-20, 20) for _ in range(n))
             if not any(coords):
                 continue
             g = 0
@@ -316,7 +304,7 @@ def reflk3_sample_check(d, samples=10**4, seed=0, box=20):
             continue
         sigma = reflection(lat, coords)
         report["reflective"] += 1
-        plus, minus = _disc_signs(lat, sigma, disc)
+        plus, minus = _disc_signs(lat, sigma)
         lhs = plus or minus
         rhs = abs(norm) == 2 or (abs(norm) == 2 * d and div in (d, 2 * d))
         if lhs != rhs:

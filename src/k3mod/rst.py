@@ -210,10 +210,10 @@ class CycloDecomp:
         return f"CycloDecomp(order={self.order}, {self.multiplicities})"
 
 
-def cyclo_decompose(g, order_cap=10**4):
+def cyclo_decompose(g):
     """Factor the characteristic polynomial of a finite-order integer matrix
     into cyclotomic polynomials by exact trial division."""
-    order = matrix_order(g, order_cap)
+    order = matrix_order(g)
     poly = char_poly(g)
     mult = {}
     for d in sorted(_divisors_of(order)):
@@ -269,7 +269,7 @@ def bigphi_verify(r_max):
             "violations": violations}
 
 
-def toric_order2_check(g, order_cap=10**4):
+def toric_order2_check(g):
     """Consistency report for a finite-order integer matrix acting on a torus.
 
     Verifies that an integral quasi-reflection is an honest reflection (the
@@ -277,7 +277,7 @@ def toric_order2_check(g, order_cap=10**4):
     element has order 2) and that otherwise Sigma(g) >= 1 unless g is the
     identity.
     """
-    decomp = cyclo_decompose(g, order_cap)
+    decomp = cyclo_decompose(g)
     exps = decomp.eigen_exponents()
     sigma = sigma_rst(exps)
     qref = is_quasi_reflection(exps)

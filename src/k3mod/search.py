@@ -36,14 +36,21 @@ class FeasibilityError(RuntimeError):
 # inequalities and the exceptional degree set
 # ---------------------------------------------------------------------------
 
+def _check_degree(d):
+    if d < 1:
+        raise LatticeError("d must be positive")
+
+
 def check_mineq(d):
-    """4 N_E7(2d) > 28 N_E6(2d) + 63 N_D6(2d), evaluated exactly."""
+    """4 N_E7(2d) > 28 N_E6(2d) + 63 N_D6(2d), evaluated exactly; d >= 1."""
+    _check_degree(d)
     return 4 * qs.rep_num("E7", 2 * d) > (28 * qs.rep_num("E6", 2 * d)
                                           + 63 * qs.rep_num("D6", 2 * d))
 
 
 def check_mineqd(d):
-    """5 N_E7 > 28 N_E6 + 63 N_D6 + 378 N_D5 at norm 2d, evaluated exactly."""
+    """5 N_E7 > 28 N_E6 + 63 N_D6 + 378 N_D5 at norm 2d, evaluated exactly; d >= 1."""
+    _check_degree(d)
     return 5 * qs.rep_num("E7", 2 * d) > (28 * qs.rep_num("E6", 2 * d)
                                           + 63 * qs.rep_num("D6", 2 * d)
                                           + 378 * qs.rep_num("D5", 2 * d))
@@ -218,8 +225,7 @@ CASES = tuple(FAMILIES)
 
 def iter_case_tuples(case, d):
     """The tuples of family `case` at degree d (see the domains above)."""
-    if d < 1:
-        raise LatticeError("d must be positive")
+    _check_degree(d)
     if case not in FAMILIES:
         raise ValueError(f"unknown case {case!r}")
     return _case_tuples(case, d)
@@ -417,16 +423,15 @@ def _enumerate_dominant(norm):
     return out
 
 
-def exhaustive_search(d, max_roots=14, feasibility_bound=150, method="dominant"):
+def exhaustive_search(d, feasibility_bound=150, method="dominant"):
     """Scan all l in E8 with l^2 = 2d; return a minimal hit with
-    2 <= N_l <= max_roots, or None.
+    2 <= N_l <= 14, or None.
 
     The default method visits one dominant representative per Weyl orbit
     (the count N_l is constant on orbits); "stream" really visits every
     vector and is only sensible for small d.
     """
-    if d < 1:
-        raise LatticeError("d must be positive")
+    _check_degree(d)
     if d > feasibility_bound:
         raise FeasibilityError(
             f"exhaustive search at d={d} exceeds the feasibility bound "
@@ -435,7 +440,7 @@ def exhaustive_search(d, max_roots=14, feasibility_bound=150, method="dominant")
     if method == "dominant":
         for vec in _enumerate_dominant(2 * d):
             n_l = e8.count_orth_roots_2x(vec)
-            if 2 <= n_l <= max_roots:
+            if 2 <= n_l <= 14:
                 key = (n_l, vec)
                 if best is None or key < best:
                     best = key
@@ -446,7 +451,7 @@ def exhaustive_search(d, max_roots=14, feasibility_bound=150, method="dominant")
             nonlocal best
             vec = e8.to_2x(coords)
             n_l = e8.count_orth_roots_2x(vec)
-            if 2 <= n_l <= max_roots:
+            if 2 <= n_l <= 14:
                 key = (n_l, vec)
                 if best is None or key < best:
                     best = key
@@ -513,7 +518,7 @@ def kodaira_verdict(d, feasibility_bound=150):
     witness = next((h for h in hits if h.n_l <= 12), None)
     best14 = next((h for h in hits if h.n_l == 14), None)
     if witness is None and d <= feasibility_bound:
-        ex = exhaustive_search(d, max_roots=14, feasibility_bound=feasibility_bound)
+        ex = exhaustive_search(d, feasibility_bound=feasibility_bound)
         if ex is not None:
             if ex.n_l <= 12:
                 witness = ex

@@ -130,7 +130,7 @@ def test_criterion_09_verdict_suite():
             assert v.kind in (se.GENERAL_TYPE, se.NONNEGATIVE_KODAIRA), (d, v.kind)
             assert v.witness is not None and v.witness.n_l <= 14
         for d in (1, 2, 3):
-            assert se.exhaustive_search(d, max_roots=14) is None, d
+            assert se.exhaustive_search(d) is None, d
 
 
 def test_criterion_10_c_min_table():

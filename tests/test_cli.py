@@ -316,3 +316,61 @@ def test_rst_non_square_matrix_is_a_computational_error(capture):
     code, out, err = capture("rst", "--matrix", "[[1, 2]]")
     assert code == 1 and out == ""
     assert err == "error: matrix shapes do not match for a product\n"
+
+
+@pytest.mark.parametrize("argv", [("ineq", "0"), ("ineq", "-3"), ("verdict", "0"),
+                                  ("verdict", "-2")])
+def test_inequalities_reject_nonpositive_degree(capture, argv):
+    code, out, err = capture(*argv)
+    assert code == 1 and out == ""
+    assert err == "error: d must be positive\n"
+
+
+@pytest.mark.parametrize("targets", ["2-", "x", ",", "3-y"])
+def test_search_rejects_bad_targets(capture, targets):
+    code, out, err = capture("search", "10", "--targets", targets)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --targets has a bad part ") and err.count("\n") == 1
+
+
+# `k3mod disc` stdout recorded while dual vectors were still Fraction tuples:
+# the text in full, the json as its sha256
+_DISC_STDOUT = {
+    "2U+2E8(-1)+<-12>": ("A_L = Z/12\nq on generators: ['23/12']\n"
+                         "2-elementary: False, delta: 1\n",
+                         "d6bbdb52b8f65e2f266be3fb14c74dd360d7b1760a87f274b4aa2e4dda68d6b2"),
+    "A(2)+A(2)": ("A_L = Z/3 x Z/3\nq on generators: ['2/3', '2/3']\n"
+                  "2-elementary: False, delta: 1\n",
+                  "4a72643cac44e015605f20eccf4882635e6c8381b1c78e6e53cff61600243fc6"),
+    "U(2)+U(2)": ("A_L = Z/2 x Z/2 x Z/2 x Z/2\nq on generators: ['0', '0', '0', '0']\n"
+                  "2-elementary: True, delta: 0\n",
+                  "5384b9fa84b856721be1f5f051ac4846b8a4c367a492a1dc2129cafd2061ee33"),
+    "D(4)+<6>": ("A_L = Z/2 x Z/2 x Z/6\nq on generators: ['1', '1', '1/6']\n"
+                 "2-elementary: False, delta: 1\n",
+                 "f15d8bd09eac2803f4be116187d86d489d39b370bc3ed54191cafe70908b1c74"),
+    "2U(3)+A(1)": ("A_L = Z/3 x Z/3 x Z/3 x Z/6\nq on generators: ['0', '0', '0', '1/2']\n"
+                   "2-elementary: False, delta: 1\n",
+                   "19f477d785515f747a97786c3680c8bd67dc0e104f5af0b37a5b605d5bfecd3d"),
+    "E8": ("A_L = trivial\nq on generators: []\n2-elementary: True, delta: 0\n",
+           "be6275e2323525fa3c8fa8e596abacde92c702183052a96d80304c9f34ac2105"),
+    "<2>+<-2>": ("A_L = Z/2 x Z/2\nq on generators: ['1/2', '3/2']\n"
+                 "2-elementary: True, delta: 1\n",
+                 "c061ad2b138b08d2416b891cfdead218bb130798ba47cc41c6b13d53fdb5771a"),
+    "U+A(2)": ("A_L = Z/3\nq on generators: ['2/3']\n2-elementary: False, delta: 1\n",
+               "d56683dd7c0449ddd28817d1acebf2b0000912f4c14e161ca519a24bb5e1527e"),
+    "E7+<10>": ("A_L = Z/2 x Z/10\nq on generators: ['3/2', '1/10']\n"
+                "2-elementary: False, delta: 1\n",
+                "5831e80652bc4a9e47de3878d659a0fbedc4c0bae7d438a4f5abe6335cd19e58"),
+    "D(5)+U(4)": ("A_L = Z/4 x Z/4 x Z/4\nq on generators: ['5/4', '0', '0']\n"
+                  "2-elementary: False, delta: 1\n",
+                  "28e358af99a6fed9e8da47dc3882e17f0ccaabfb1901078fed3179c3dd3d3ee6"),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(_DISC_STDOUT))
+def test_disc_stdout_is_pinned(capture, expr):
+    text, json_digest = _DISC_STDOUT[expr]
+    code, out, _ = capture("disc", expr)
+    assert code == 0 and out == text
+    code, out, _ = capture("disc", expr, "--format", "json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == json_digest

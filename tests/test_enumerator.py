@@ -200,10 +200,17 @@ def test_memo_does_not_outlive_its_lattice():
     baseline = _live_lattices()
     for _ in range(50):
         lat = _exercise(rng)
-        reflective.cached_disc_group(lat)
+        lattice.disc_group(lat)
     del lat
     gc.collect()
     assert _live_lattices() == baseline
+
+
+def test_disc_group_is_memoised_on_its_lattice():
+    lat = lattice.make_l2d(3)
+    disc = lattice.disc_group(lat)
+    assert lattice.disc_group(lat) is disc
+    assert lattice.disc_group(lattice.make_l2d(3)) is not disc
 
 
 def test_roots_memo_is_freed_by_reference_counting():
@@ -225,4 +232,5 @@ def test_token_keyed_caches_are_gone():
     for name in ("_cholesky_cache", "_scaled_cache", "_root_cache"):
         assert not hasattr(roots, name)
     assert not hasattr(reflective, "_disc_cache")
+    assert not hasattr(reflective, "cached_disc_group")
     assert not hasattr(roots.RootSystemData, "roots")

@@ -1,7 +1,9 @@
 """The exact O(n^3) kernels of the discriminant and reflection layers pinned
 to the dense references they replaced: the Fraction inverse of the SNF
-transform for `disc_group`, the quadruple-sum Gram for `orth_complement`,
-the O(n^4) form check for `IsometryMatrix` and the Fraction sum for
+transform for `disc_group`, the Fraction pairings and discriminant action
+for the integer `DualVec`, the quadruple-sum Gram for `orth_complement`,
+the O(n^4) form check for `IsometryMatrix`, the Fraction inverse of the
+simple-root matrix for `e8.alpha_from_2x` and the Fraction sum for
 `bigphi_verify`."""
 
 import random
@@ -10,15 +12,35 @@ from math import gcd
 
 import pytest
 
+from k3mod import e8
 from k3mod import lattice as lt
 from k3mod import reflective as rf
 from k3mod import rst
 
 
+def solve_rational(a, rhs_cols):
+    """Solve a*X = rhs for X over Q; `a` square nonsingular, rhs a list of columns."""
+    n = len(a)
+    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(c[i]) for c in rhs_cols]
+         for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise lt.LatticeError("singular matrix")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [[m[i][n + j] for j in range(len(rhs_cols))] for i in range(n)]
+
+
 def _reference_invert_unimodular(a):
     """Exact integer inverse of a unimodular matrix through rational solves."""
     n = len(a)
-    inv = lt.solve_rational(a, [[int(i == j) for i in range(n)] for j in range(n)])
+    inv = solve_rational(a, [[int(i == j) for i in range(n)] for j in range(n)])
     if any(x.denominator != 1 for row in inv for x in row):
         raise lt.LatticeError("matrix is not unimodular")
     return [[int(x) for x in row] for row in inv]
@@ -34,11 +56,31 @@ def _reference_disc(lat):
         if d[i][i] > 1:
             factors.append(d[i][i])
             col = [u_inv[r][i] for r in range(n)]
-            lifts.append(tuple(row[0] for row in lt.solve_rational(lat.gram, [col])))
+            lifts.append(tuple(row[0] for row in solve_rational(lat.gram, [col])))
     q_values = None
     if lat.is_even():
-        q_values = tuple(lt.DualVec(lat, w).norm() % 2 for w in lifts)
+        q_values = tuple(_reference_pairing(lat, w, w) % 2 for w in lifts)
     return tuple(factors), tuple(lifts), q_values
+
+
+def _reference_pairing(lat, a, b):
+    """The Fraction pairing sum_ij a_i G_ij b_j of rational coordinate vectors."""
+    g = lat.gram
+    n = lat.rank
+    return sum(Fraction(a[i]) * g[i][j] * b[j] for i in range(n) for j in range(n))
+
+
+def _reference_disc_signs(lat, m, lifts):
+    """(M acts as id, M acts as -id) on A_L: M w -+ w has integral rational
+    coordinates for every lift w, given by its Fraction coordinates."""
+    n = lat.rank
+    plus = minus = True
+    for w in lifts:
+        for i in range(n):
+            img = sum(Fraction(m[i][j]) * w[j] for j in range(n))
+            plus = plus and (img - w[i]).denominator == 1
+            minus = minus and (img + w[i]).denominator == 1
+    return plus, minus
 
 
 def _reference_complement_gram(lat, basis):
@@ -108,6 +150,54 @@ def test_disc_group_matches_the_inverse_path():
         assert disc.invariant_factors == factors, lat
         assert tuple(w.coords for w in disc.generator_lifts) == lifts, lat
         assert disc.q_values == q_values, lat
+
+
+def test_dual_pairing_matches_the_fraction_sum():
+    # the generator lifts and random dual vectors: integer combinations of the
+    # lifts plus lattice vectors, so their denominators differ
+    rng = random.Random(31)
+    for lat in _lattices():
+        lifts = lt.disc_group(lat).generator_lifts
+        vecs = list(lifts)
+        for _ in range(3):
+            cs = [rng.randint(-3, 3) for _ in lifts]
+            vecs.append(lat.dual_vector([sum(c * w.coords[r] for c, w in zip(cs, lifts))
+                                         + rng.randint(-2, 2) for r in range(lat.rank)]))
+        for a in vecs:
+            assert a.norm() == _reference_pairing(lat, a.coords, a.coords), lat
+            for b in vecs:
+                assert a.pair(b) == _reference_pairing(lat, a.coords, b.coords), lat
+
+
+def test_dual_vec_round_trips_its_coordinates():
+    for lat in _lattices()[::5]:
+        for w in lt.disc_group(lat).generator_lifts:
+            same = lat.dual_vector(w.coords)
+            assert (same.num, same.den) == (w.num, w.den), lat
+
+
+def test_disc_signs_match_the_fraction_images():
+    # reflections drawn as in the isometry test below, on four L_2d and on
+    # A(2)+A(2), whose A_L = (Z/3)^2 is not cyclic
+    rng = random.Random(37)
+    seen = set()
+    for lat in [lt.make_l2d(d) for d in (1, 2, 5, 12)] + [lt.parse_lattice_expr("A(2)+A(2)")]:
+        n = lat.rank
+        lifts = lt.disc_group(lat).generator_lifts
+        coords_of = [w.coords for w in lifts]
+        for _ in range(150):
+            coords = [rng.randint(-1, 1) if i < 6 or i == n - 1 else 0 for i in range(n)]
+            if not any(coords) or not rf._pairings(lat, coords)[1] \
+                    or rf.reflection_coefficients(lat, coords) is None:
+                continue
+            sigma = rf.reflection(lat, coords)
+            signs = rf._disc_signs(lat, sigma)
+            assert signs == _reference_disc_signs(lat, sigma.matrix, coords_of), (lat, coords)
+            images = [w.coords for w in rf.disc_action(lat, sigma)]
+            assert images == [tuple(sum(Fraction(sigma.matrix[i][j]) * w[j] for j in range(n))
+                                    for i in range(n)) for w in coords_of]
+            seen.add(signs)
+    assert {(True, False), (False, True), (False, False)} <= seen
 
 
 def test_disc_group_rejects_transforms_that_do_not_check(monkeypatch):
@@ -210,6 +300,17 @@ def test_isometry_rejects_every_single_entry_perturbation(expr, r):
                     assert not _reference_is_isometry(lat, bad)
                 with pytest.raises(lt.LatticeError):
                     rf.IsometryMatrix(lat, bad)
+
+
+def test_alpha_from_2x_matches_the_inverse_path():
+    # columns of m are the simple roots in e-coordinates; alpha = m^-1 e
+    m = [[Fraction(e8.SIMPLE_ROOTS_2X[j][i], 2) for j in range(8)] for i in range(8)]
+    inv = solve_rational(m, [[int(i == j) for i in range(8)] for j in range(8)])
+    rng = random.Random(41)
+    for _ in range(2000):
+        vec2x = e8.to_2x([rng.randint(-6, 6) for _ in range(8)])
+        want = tuple(sum(r * Fraction(v, 2) for r, v in zip(row, vec2x)) for row in inv)
+        assert e8.alpha_from_2x(vec2x) == want
 
 
 @pytest.mark.parametrize("r_max", [7, 10, 40, 60])

@@ -7,31 +7,31 @@ from k3mod import lattice as lt
 from k3mod.lattice import (
     LatticeError, ParseError, direct_sum, disc_group, divisor, inner,
     isotropic_elementary_divisors, isotropic_subgroups_cyclic, make_l2d,
-    make_named, orth_complement, parse_lattice_expr, rescale,
+    orth_complement, parse_lattice_expr, rescale,
     smith_normal_form,
 )
 
 
 def test_named_constructors():
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     assert u.gram == ((0, 1), (1, 0))
-    e8 = make_named("E", 8)
+    e8 = parse_lattice_expr("E8")
     assert e8.rank == 8 and e8.det == 1 and e8.signature == (8, 0)
     assert all(e8.gram[i][i] == 2 for i in range(8))
-    d6 = make_named("D", 6)
+    d6 = parse_lattice_expr("D(6)")
     assert d6.det == 4
-    assert make_named("A", 2).det == 3
+    assert parse_lattice_expr("A(2)").det == 3
     with pytest.raises(LatticeError):
-        make_named("E", 5)
+        parse_lattice_expr("E5")
     with pytest.raises(LatticeError):
-        make_named("Q")
+        parse_lattice_expr("Q")
 
 
 def test_inner_products():
-    e8 = make_named("E", 8)
+    e8 = parse_lattice_expr("E8")
     alpha2 = e8.vector((0, 1, 0, 0, 0, 0, 0, 0))
     assert inner(e8, alpha2, alpha2) == 2
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     iso = u.vector((1, 0))
     assert inner(u, iso, iso) == 0
     m10 = parse_lattice_expr("<-10>")
@@ -40,15 +40,15 @@ def test_inner_products():
 
 
 def test_vectors_do_not_cross_lattices():
-    u1 = make_named("U")
-    u2 = make_named("U")
+    u1 = parse_lattice_expr("U")
+    u2 = parse_lattice_expr("U")
     v = u1.vector((1, 0))
     with pytest.raises(LatticeError):
         inner(u2, v, v)
 
 
 def test_direct_sum_and_rescale():
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     uu = direct_sum(u, u)
     assert uu.rank == 4 and uu.det == 1
     u2 = rescale(u, 2)
@@ -68,7 +68,7 @@ def test_l2d_shape():
 
 
 def test_divisor():
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     assert divisor(u, u.vector((1, 0))) == 1
     m6 = parse_lattice_expr("<-6>")
     assert divisor(m6, m6.vector((1,))) == 6
@@ -108,7 +108,7 @@ def test_divisor_divides_norm_for_reflective_vectors():
 
 
 def test_disc_group_e8_trivial():
-    disc = disc_group(make_named("E", 8))
+    disc = disc_group(parse_lattice_expr("E8"))
     assert disc.is_trivial() and disc.order == 1 and disc.exponent == 1
 
 
@@ -167,7 +167,7 @@ def test_smith_normal_form_transforms():
 
 def test_orth_complement_in_e8():
     from k3mod import roots
-    e8 = make_named("E", 8)
+    e8 = parse_lattice_expr("E8")
     a2 = e8.vector((0, 1, 0, 0, 0, 0, 0, 0))
     e7, basis = orth_complement(e8, [a2])
     assert e7.rank == 7 and abs(e7.det) == 2
@@ -184,7 +184,7 @@ def test_orth_complement_in_e8():
 
 
 def test_orth_complement_is_primitive():
-    e8 = make_named("E", 8)
+    e8 = parse_lattice_expr("E8")
     _sub, basis = orth_complement(e8, [(0, 1, 0, 0, 0, 0, 0, 0)])
     cols = [list(b) for b in basis]
     d, _u, _v = smith_normal_form(cols)
@@ -193,7 +193,7 @@ def test_orth_complement_is_primitive():
 
 
 def test_orth_complement_errors():
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     with pytest.raises(LatticeError):
         orth_complement(u, [(1, 0), (0, 1)])
     with pytest.raises(LatticeError):
@@ -225,7 +225,7 @@ def test_isotropic_elementary_divisors_rejects():
 
 def test_isotropic_subgroups_cyclic():
     assert isotropic_subgroups_cyclic(make_l2d(5)) is True
-    assert isotropic_subgroups_cyclic(make_named("E", 8)) is True
+    assert isotropic_subgroups_cyclic(parse_lattice_expr("E8")) is True
     assert isotropic_subgroups_cyclic(parse_lattice_expr("U(2)+U(2)")) is False
     with pytest.raises(LatticeError):
         isotropic_subgroups_cyclic(make_l2d(5), bound=3)
@@ -264,12 +264,20 @@ def test_disc_of_direct_sum_matches_block_snf():
 
 
 def test_dual_vec_membership():
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     u.dual_vector((Fraction(1, 1), Fraction(0)))
     lat = parse_lattice_expr("<-4>")
-    lat.dual_vector((Fraction(1, 4),))
+    w = lat.dual_vector((Fraction(1, 4),))
+    assert (w.num, w.den) == ((1,), 4) and w.coords == (Fraction(1, 4),)
+    assert w.norm() == Fraction(-1, 4)
     with pytest.raises(LatticeError):
         lat.dual_vector((Fraction(1, 3),))
+    with pytest.raises(LatticeError):
+        lt.DualVec(lat, (1,), 3)
+    with pytest.raises(LatticeError):
+        lt.DualVec(lat, (1,), 0)
+    with pytest.raises(LatticeError):
+        w.pair(parse_lattice_expr("<-4>").dual_vector((Fraction(1, 4),)))
 
 
 def test_mat_mul_rejects_mismatched_shapes():

@@ -7,13 +7,13 @@ from k3mod import e8
 from k3mod import lattice as lt
 from k3mod import reflective as rf
 from k3mod.lattice import (
-    LatticeError, det_bareiss, disc_group, make_l2d, make_named,
+    LatticeError, det_bareiss, disc_group, make_l2d,
     orth_complement, parse_lattice_expr,
 )
 
 
 def test_root_reflection_in_e8():
-    lat = make_named("E", 8)
+    lat = parse_lattice_expr("E8")
     r = lat.vector((0, 1, 0, 0, 0, 0, 0, 0))
     sigma = rf.reflection(lat, r)
     m = [list(row) for row in sigma.matrix]
@@ -27,7 +27,7 @@ def test_reflection_examples():
     lat = parse_lattice_expr("<-10>+U")
     sigma = rf.reflection(lat, (1, 0, 0))
     assert sigma.matrix[0][0] == -1
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     sigma = rf.reflection(u, (1, 1))
     assert sigma.apply_coords((1, 1)) == (-1, -1)
     with pytest.raises(rf.NotIntegralError):
@@ -56,7 +56,7 @@ def test_reflections_are_involutions():
 
 
 def test_isometry_validation():
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     with pytest.raises(LatticeError):
         rf.IsometryMatrix(u, ((1, 1), (0, 1)))
     rf.IsometryMatrix(u, ((0, 1), (1, 0)))
@@ -168,13 +168,13 @@ def test_classification_on_non_cyclic_disc(expr):
             want = rf.MINUS_IN_TILDE_O
         else:
             want = rf.NEITHER
-        assert rf.classify_reflection(lat, lat.vector(coords), disc) == want
+        assert rf.classify_reflection(lat, lat.vector(coords)) == want
 
 
 def test_two_elementary_lemma():
     # involution fixing T and negating its complement forces 2-elementary
     # discriminant groups: reflections realise this for T = r-perp
-    e8lat = make_named("E", 8)
+    e8lat = parse_lattice_expr("E8")
     comp, _ = orth_complement(e8lat, [(0, 1, 0, 0, 0, 0, 0, 0)])
     assert rf.is_two_elementary(disc_group(comp))
     uu = parse_lattice_expr("2U")

@@ -4,7 +4,7 @@ import pytest
 
 from k3mod import e8
 from k3mod import roots
-from k3mod.lattice import make_named, parse_lattice_expr
+from k3mod.lattice import parse_lattice_expr
 from k3mod.roots import (
     IndefiniteError, bouquet_decomposition, count_orth_roots,
     enumerate_norm_vectors, enumerate_roots, enumerate_up_to,
@@ -54,7 +54,7 @@ def test_visitor_abort():
 
 
 def test_indefinite_rejected():
-    u = make_named("U")
+    u = parse_lattice_expr("U")
     with pytest.raises(IndefiniteError):
         enumerate_roots(u)
 
