@@ -145,11 +145,14 @@ def _parse_targets(text):
         try:
             if "-" in part[1:]:
                 lo, hi = part.split("-", 1)
-                out.update(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
             else:
-                out.add(int(part))
+                lo = hi = int(part)
         except ValueError:
             raise UsageError(f"--targets has a bad part {part!r}") from None
+        if lo > hi:
+            raise UsageError(f"--targets has an empty range {part!r}")
+        out.update(range(lo, hi + 1))
     return out
 
 
@@ -241,6 +244,8 @@ def _cmd_search(args):
 
 
 def _cmd_verdict(args):
+    if args.bound < 0:
+        raise UsageError("--bound must be nonnegative")
     v = se.kodaira_verdict(args.d, feasibility_bound=args.bound)
     payload = v.to_dict()
     lines = [f"d={v.d}: {v.kind}"]

