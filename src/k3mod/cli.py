@@ -156,6 +156,28 @@ def _parse_targets(text):
     return out
 
 
+def _parse_ints(option, parts):
+    out = []
+    for part in parts:
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise UsageError(f"{option} has a bad part {part!r}") from None
+    return out
+
+
+def _parse_matrix(text):
+    """A JSON list of lists of ints (bools rejected); the shape is the library's check."""
+    try:
+        mat = json.loads(text)
+    except ValueError:
+        mat = None
+    if not (isinstance(mat, list) and all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in mat)):
+        raise UsageError("--matrix must be a JSON list of rows of integers")
+    return mat
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
@@ -203,7 +225,7 @@ def _cmd_theta(args):
     if args.prec < 0:
         raise ValueError("precision must be nonnegative")
     if args.method == "formula" and args.name in names:
-        series = names[args.name](args.prec).truncate(args.prec)
+        series = names[args.name](args.prec)
     else:
         lat = (qs.named_definite_lattice(args.name) if args.name in names
                else lt.parse_lattice_expr(args.name))
@@ -279,7 +301,7 @@ def _cmd_reflect(args):
     if not args.expr or not args.vector:
         raise UsageError("reflect needs EXPR --vector or --sample-d")
     lat = lt.parse_lattice_expr(args.expr)
-    coords = tuple(int(x) for x in args.vector.split(","))
+    coords = tuple(_parse_ints("--vector", args.vector.split(",")))
     rep = rf.reflection_report(lat, coords)
     _emit(args, rep, [json.dumps(rep, default=_json_default)])
     return 0
@@ -306,16 +328,16 @@ def _cmd_disc(args):
 
 
 def _cmd_rst(args):
-    if args.matrix:
-        mat = json.loads(args.matrix)
-        rep = rst.toric_order2_check(mat)
+    if args.matrix is not None:
+        rep = rst.toric_order2_check(_parse_matrix(args.matrix))
         rep["sigma"] = str(rep["sigma"])
         _emit(args, rep, [json.dumps(rep)])
         return 0
     if not args.exponents:
         raise UsageError("rst needs --exponents m:a1,a2,... or --matrix")
     head, _, tail = args.exponents.partition(":")
-    e = rst.EigenExponents(int(head), [int(a) for a in tail.split(",") if a])
+    order, *exponents = _parse_ints("--exponents", [head] + [a for a in tail.split(",") if a])
+    e = rst.EigenExponents(order, exponents)
     payload = {"order": e.order, "exponents": list(e.exponents),
                "sigma": str(rst.sigma_rst(e)),
                "quasi_reflection": rst.is_quasi_reflection(e),

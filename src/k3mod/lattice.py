@@ -560,20 +560,16 @@ def orth_complement(lat, vectors):
     for vec in vectors:
         coords = _own(lat, vec) if isinstance(vec, LatVec) else tuple(vec)
         rows.append(pairing_vector(lat, coords))
-    if len(rows) != len({tuple(r) for r in rows}) or _rank_of(rows) != len(rows):
-        raise LatticeError("vectors are not linearly independent")
     basis = kernel_basis(rows)
+    # rank + nullity = n: the k rows are independent iff the kernel has n - k vectors
+    if len(basis) != lat.rank - len(rows):
+        raise LatticeError("vectors are not linearly independent")
     if not basis:
         raise LatticeError("the vectors span the whole lattice")
     # Gram B^t (G B) from the pairing vectors G b: O(k n^2)
     gb = [pairing_vector(lat, b) for b in basis]
     sub = [[sum(map(mul, a, p)) for p in gb] for a in basis]
     return IntLattice(sub), basis
-
-
-def _rank_of(int_rows):
-    d, _u, _v = smith_normal_form([list(r) for r in int_rows])
-    return sum(1 for i in range(min(len(int_rows), len(int_rows[0]))) if d[i][i] != 0)
 
 
 def isotropic_elementary_divisors(lat, basis_pair):

@@ -1,103 +1,79 @@
 """Exact truncated q-expansions for theta and Eisenstein series.
 
-A QSeries holds coefficients on the grid q^(k/den); the theta constants are
-built internally on the quarter-integer grid (where theta2 lives before its
-fourth power) and re-indexed to integer powers of q at the end, asserting
-that every off-grid coefficient cancels exactly.
+Every QSeries is a series in integer powers of q.  The theta constants that
+live on finer grids are brought to the integer grid by two identities
+(Conway-Sloane, SPLAG ch. 4):
+
+* x in Z^n lies in D_n exactly when its norm is even, so theta_{D_n} is the
+  even-norm part of theta_{Z^n}: the q^m coefficient of theta_{D_n} is the
+  q^(2m) coefficient of theta_3(2 tau)^n;
+* theta_2(2 tau) = 2 q^(1/4) psi(q) with psi(q) = sum_{n >= 0} q^(n(n+1)), so
+  theta_2(2 tau)^4 = 16 q psi(q)^4.
+
+The weight-3 Eisenstein lattices E6 and D6 take each coefficient from one
+closed form in the twisted divisor sums (see `_EISENSTEIN`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .lattice import LatticeError
 from . import lattice as lt
 from . import roots
 
 
-def _norm_scalar(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 class QSeries:
-    """Truncated power series with exact rational coefficients.
+    """Truncated power series in integer powers of q, exact rational coefficients.
 
-    coeffs[k] is the coefficient of q^(k/den); the series is truncated after
-    q^prec, so len(coeffs) == prec * den + 1.
+    coeffs[k] is the coefficient of q^k; the series is truncated after
+    q^prec, so len(coeffs) == prec + 1.
     """
 
-    __slots__ = ("coeffs", "prec", "den")
+    __slots__ = ("coeffs", "prec")
 
-    def __init__(self, coeffs, prec, den=1):
-        want = prec * den + 1
+    def __init__(self, coeffs, prec):
+        want = prec + 1
         coeffs = list(coeffs)
         if len(coeffs) < want:
             coeffs += [0] * (want - len(coeffs))
         elif len(coeffs) > want:
-            coeffs = coeffs[:want]
-        self.coeffs = [_norm_scalar(c) for c in coeffs]
+            del coeffs[want:]
+        self.coeffs = coeffs
         self.prec = prec
-        self.den = den
 
     # -- structural helpers -------------------------------------------------
-
-    def lift(self, den):
-        if den == self.den:
-            return self
-        if den % self.den:
-            raise ValueError("grid denominators are incompatible")
-        step = den // self.den
-        out = [0] * (self.prec * den + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[k * step] = c
-        return QSeries(out, self.prec, den)
 
     def truncate(self, prec):
         if prec > self.prec:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: max(prec * self.den + 1, 0)], prec, self.den)
+        return QSeries(self.coeffs[: max(prec + 1, 0)], prec)
 
     def coeff(self, exponent):
-        """Coefficient of q^exponent; exponent may be an integer or Fraction."""
-        e = Fraction(exponent) * self.den
-        if e.denominator != 1:
-            return 0
-        k = int(e)
-        if k < 0 or k >= len(self.coeffs):
+        """Coefficient of q^exponent, for an integer 0 <= exponent <= prec."""
+        if not 0 <= exponent <= self.prec:
             raise IndexError(f"exponent {exponent} beyond precision {self.prec}")
-        return self.coeffs[k]
-
-    def to_integer_grid(self):
-        """Re-index to den=1, asserting all off-grid coefficients vanish."""
-        for k, c in enumerate(self.coeffs):
-            if c and k % self.den:
-                raise ArithmeticError(
-                    f"off-grid coefficient {c} at q^({k}/{self.den}) did not cancel")
-        return QSeries(self.coeffs[:: self.den], self.prec, 1)
+        return self.coeffs[exponent]
 
     # -- arithmetic ----------------------------------------------------------
 
     def _align(self, other):
-        den = lcm(self.den, other.den)
         prec = min(self.prec, other.prec)
-        return self.lift(den).truncate(prec), other.lift(den).truncate(prec)
+        return self.truncate(prec), other.truncate(prec)
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             out = list(self.coeffs)
             out[0] += other
-            return QSeries(out, self.prec, self.den)
+            return QSeries(out, self.prec)
         a, b = self._align(other)
-        return QSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.prec, a.den)
+        return QSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.prec, self.den)
+        return QSeries([-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -107,26 +83,25 @@ class QSeries:
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
-            return QSeries([c * other for c in self.coeffs], self.prec, self.den)
+            return QSeries([c * other for c in self.coeffs], self.prec)
         a, b = self._align(other)
-        size = a.prec * a.den + 1
+        size = a.prec + 1
         out = [0] * size
         bc = b.coeffs
         for i, ai in enumerate(a.coeffs):
             if ai:
-                top = size - i
-                for j in range(min(top, len(bc))):
+                for j in range(size - i):
                     bj = bc[j]
                     if bj:
                         out[i + j] += ai * bj
-        return QSeries(out, a.prec, a.den)
+        return QSeries(out, a.prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not supported")
-        result = QSeries([1], self.prec, self.den)
+        result = QSeries([1], self.prec)
         base = self
         while n:
             if n & 1:
@@ -143,21 +118,25 @@ class QSeries:
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
-        return f"QSeries([{head}, ...], prec={self.prec}, den={self.den})"
+        return f"QSeries([{head}, ...], prec={self.prec})"
 
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self):
         return {
             "precision": self.prec,
-            "denominator": self.den,
+            "denominator": 1,
             "coefficients": [str(c) for c in self.coeffs],
         }
 
     @classmethod
     def from_json_dict(cls, data):
+        if data.get("denominator", 1) != 1:
+            raise ValueError("only series in integer powers of q (denominator 1) "
+                             "are supported")
         coeffs = [Fraction(c) for c in data["coefficients"]]
-        return cls(coeffs, data["precision"], data.get("denominator", 1))
+        return cls([int(c) if c.denominator == 1 else c for c in coeffs],
+                   data["precision"])
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +189,19 @@ def sigma_tilde_chi(m, k, chi):
     return sum(chi(m // d) * d**k for d in _divisors(m))
 
 
-def eisenstein_e3(chi, variant, prec):
-    """Weight-3 Eisenstein series for chi in {CHI3, CHI4}.
+# name -> (chi, a, b): N_L(2m) = a sigma~_2(m, chi) - b sigma_2(m, chi) for
+# m >= 1, the q^m coefficient of a E3_cusp0(chi) + E3_cusp_inf(chi), where
+# E3_cusp0 = sum sigma~_2(m, chi) q^m and E3_cusp_inf = 1 - b sum sigma_2(m, chi) q^m
+_EISENSTEIN = {"E6": (CHI3, 81, 9), "D6": (CHI4, 64, 4)}
 
-    variant "cusp_inf": 1 - c * sum sigma_2(m, chi) q^m with c = 9 (mod 3)
-    or 4 (mod 4); variant "cusp0": sum sigma~_2(m, chi) q^m.
-    """
-    c = {3: 9, 4: 4}[chi.modulus]
-    if variant == "cusp_inf":
-        coeffs = [1] + [-c * sigma_chi(m, 2, chi) for m in range(1, prec + 1)]
-    elif variant == "cusp0":
-        coeffs = [0] + [sigma_tilde_chi(m, 2, chi) for m in range(1, prec + 1)]
-    else:
-        raise ValueError("variant must be 'cusp_inf' or 'cusp0'")
-    return QSeries(coeffs, prec)
+
+def _eisenstein_count(name, m):
+    chi, a, b = _EISENSTEIN[name]
+    return a * sigma_tilde_chi(m, 2, chi) - b * sigma_chi(m, 2, chi)
+
+
+def _eisenstein_series(name, prec):
+    return QSeries([1] + [_eisenstein_count(name, m) for m in range(1, prec + 1)], prec)
 
 
 # ---------------------------------------------------------------------------
@@ -231,36 +209,13 @@ def eisenstein_e3(chi, variant, prec):
 # ---------------------------------------------------------------------------
 
 def theta3_2tau(prec):
-    """theta_3(2 tau) = sum q^(n^2); integral grid."""
+    """theta_3(2 tau) = sum over n in Z of q^(n^2), the theta series of Z."""
     out = [0] * (prec + 1)
     n = 0
     while n * n <= prec:
         out[n * n] += 1 if n == 0 else 2
         n += 1
     return QSeries(out, prec)
-
-
-def theta2_2tau(prec):
-    """theta_2(2 tau) = sum q^((n + 1/2)^2); lives on the quarter grid."""
-    out = [0] * (4 * prec + 1)
-    n = 0
-    while (2 * n + 1) ** 2 <= 4 * prec:
-        out[(2 * n + 1) ** 2] += 2
-        n += 1
-    return QSeries(out, prec, den=4)
-
-
-def theta3(prec, shift=False):
-    """theta_3(tau) (or theta_3(tau + 1) if shift) on the half-integer grid."""
-    out = [0] * (2 * prec + 1)
-    n = 0
-    while n * n <= 2 * prec:
-        c = 2 if n else 1
-        if shift and n % 2:
-            c = -c
-        out[n * n] += c
-        n += 1
-    return QSeries(out, prec, den=2)
 
 
 # lattice name -> its theta series at the highest precision asked for so far
@@ -284,40 +239,45 @@ def _cached_series(name, prec, build):
 
 def _build_e7(prec):
     t3 = theta3_2tau(prec)
-    t2 = theta2_2tau(prec)
-    return (t3**7 + 7 * t3**3 * t2**4).to_integer_grid()
+    psi = [0] * (prec + 1)
+    n = 0
+    while n * (n + 1) <= prec:
+        psi[n * (n + 1)] = 1
+        n += 1
+    # 7 theta_2(2 tau)^4 = 112 q psi^4: the factor q shifts by one place
+    tail = t3**3 * QSeries(psi, prec) ** 4
+    return t3**7 + 112 * QSeries([0] + tail.coeffs, prec)
 
 
 def theta_e7(prec=240):
-    """Theta series of E7: theta_3(2t)^7 + 7 theta_3(2t)^3 theta_2(2t)^4."""
+    """Theta series of E7: theta_3(2t)^7 + 7 theta_3(2t)^3 theta_2(2t)^4.
+
+    With theta_2(2t)^4 = 16 q psi(q)^4, psi(q) = sum_{n >= 0} q^(n(n+1)), this
+    is theta_3(2t)^7 + 112 q theta_3(2t)^3 psi(q)^4, all in integer powers of q.
+    """
     return _cached_series("E7", prec, _build_e7)
 
 
 def theta_dn(n, prec=240):
-    """Theta series of D_n: (theta_3(t)^n + theta_3(t+1)^n) / 2.
+    """Theta series of D_n, the even-norm part of theta_{Z^n} = theta_3(2t)^n.
 
-    The half-integer-grid terms cancel exactly; the result is integral in q.
+    x in Z^n lies in D_n exactly when x.x is even, so the q^m coefficient is
+    the q^(2m) coefficient of theta_3(2t)^n.
     """
     if n < 2:
         raise ValueError("D_n needs n >= 2")
-
-    def build(p):
-        s = (theta3(p) ** n + theta3(p, shift=True) ** n) * Fraction(1, 2)
-        return s.to_integer_grid()
-
-    return _cached_series(f"D{n}", prec, build)
+    return _cached_series(f"D{n}", prec,
+                          lambda p: QSeries((theta3_2tau(2 * p) ** n).coeffs[::2], p))
 
 
 def theta_e6(prec=240):
-    """Theta series of E6 via 81 E3_cusp0(chi3) + E3_cusp_inf(chi3)."""
-    return _cached_series("E6", prec, lambda p: 81 * eisenstein_e3(CHI3, "cusp0", p)
-                          + eisenstein_e3(CHI3, "cusp_inf", p))
+    """Theta series of E6, 81 E3_cusp0(chi3) + E3_cusp_inf(chi3) (see _EISENSTEIN)."""
+    return _cached_series("E6", prec, lambda p: _eisenstein_series("E6", p))
 
 
 def theta_d6_eis(prec=240):
-    """Theta series of D6 via 64 E3_cusp0(chi4) + E3_cusp_inf(chi4)."""
-    return _cached_series("D6eis", prec, lambda p: 64 * eisenstein_e3(CHI4, "cusp0", p)
-                          + eisenstein_e3(CHI4, "cusp_inf", p))
+    """Theta series of D6, 64 E3_cusp0(chi4) + E3_cusp_inf(chi4) (see _EISENSTEIN)."""
+    return _cached_series("D6eis", prec, lambda p: _eisenstein_series("D6", p))
 
 
 def theta_brute(lat, prec):
@@ -360,10 +320,8 @@ def rep_num(name, two_d, method="formula"):
         return roots.enumerate_norm_vectors(named_definite_lattice(name), two_d)
     if method != "formula":
         raise ValueError("method must be 'formula' or 'brute'")
-    if name == "E6":
-        return 81 * sigma_tilde_chi(m, 2, CHI3) - 9 * sigma_chi(m, 2, CHI3)
-    if name == "D6":
-        return 64 * sigma_tilde_chi(m, 2, CHI4) - 4 * sigma_chi(m, 2, CHI4)
+    if name in _EISENSTEIN:
+        return _eisenstein_count(name, m)
     prec = max(240, m)
     if name == "E7":
         return theta_e7(prec).coeff(m)

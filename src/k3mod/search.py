@@ -69,6 +69,8 @@ def check_mineqd(d):
 def compute_pex(max_m=240):
     """Degrees m <= max_m where 5 theta_E7 - 28 theta_E6 - 63 theta_D6 - 378 theta_D5
     has a negative q^m coefficient (the degrees where the second inequality fails)."""
+    if max_m < 0:
+        raise ValueError("max_m must be nonnegative")
     prec = max(240, max_m)
     combo = (5 * qs.theta_e7(prec) - 28 * qs.theta_e6(prec)
              - 63 * qs.theta_dn(6, prec) - 378 * qs.theta_dn(5, prec))
@@ -267,18 +269,20 @@ def _case_tuples(case, d):
                             yield (m5, m6, m7, m8)
             m5 += 1
     elif case == "III":
-        def rec(prefix, lo, rem):
-            k = len(prefix)
-            if k == 4:
-                m8 = isqrt(rem)
-                if m8 * m8 == rem and m8 >= lo and (sum(prefix) + m8) % 2 == 0:
-                    yield prefix + (m8,)
-                return
-            m = lo
-            while m * m * (5 - k) <= rem:
-                yield from rec(prefix + (m,), m, rem - m * m)
-                m += 1
-        yield from rec((), 1, two_d)
+        # nondecreasing coordinates: m_i^2 times the number of coordinates
+        # from m_i on is at most the norm left
+        for m4 in range(1, isqrt(two_d // 5) + 1):
+            r4 = two_d - m4 * m4
+            for m5 in range(m4, isqrt(r4 // 4) + 1):
+                r5 = r4 - m5 * m5
+                for m6 in range(m5, isqrt(r5 // 3) + 1):
+                    r6 = r5 - m6 * m6
+                    for m7 in range(m6, isqrt(r6 // 2) + 1):
+                        r7 = r6 - m7 * m7
+                        m8 = isqrt(r7)
+                        if (m8 * m8 == r7 and m8 >= m7
+                                and (m4 + m5 + m6 + m7 + m8) % 2 == 0):
+                            yield (m4, m5, m6, m7, m8)
     else:  # "IV"
         # the last pair from u = m6 + m7, v = m7 - m6 >= 0: with s and sq the
         # sum and square sum of (m3, m4, m5), the norm equation reads

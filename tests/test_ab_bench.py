@@ -1,0 +1,31 @@
+"""The acceptance rule of tools/ab_bench.py, with the bounds of BENCHMARK.json."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
+BOUNDS = {m["name"]: (m["better"], m["bound"])
+          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+@pytest.mark.parametrize("name, old, new, tags", [
+    ("op_p50_ms", [10, 10, 10], [12.4, 12.5, 12.6], []),
+    ("op_p50_ms", [10, 10, 10], [12.6, 12.6, 12.6], ["worse"]),
+    ("op_p50_ms", [10, 10, 10], [5, 5, 5], []),
+    ("ops_per_s", [10, 10, 10], [7.6, 7.6, 7.6], []),
+    ("ops_per_s", [10, 10, 10], [7.4, 7.4, 7.4], ["worse"]),
+    ("ops_per_s", [6, 8, 10, 12, 14], [10, 10, 10, 10, 10], ["unresolved"]),
+    ("ops_per_s", [6, 8, 10, 12, 14], [5, 5, 5, 5, 5], ["worse", "unresolved"]),
+    ("peak_rss_mb", [24, 24, 24], [26.3, 26.3, 26.3], []),
+    ("peak_rss_mb", [24, 24, 24], [26.5, 26.5, 26.5], ["worse"]),
+    ("ok_frac", [1, 1, 1], [0.94, 0.96, 1], []),
+    ("ok_frac", [1, 1, 1], [0.9, 0.94, 1], ["worse"]),
+])
+def test_acceptance_rule(name, old, new, tags):
+    direction, bound = BOUNDS[name]
+    assert ab_bench.verdict(old, new, direction, bound) == tags

@@ -414,3 +414,41 @@ def test_disc_stdout_is_pinned(capture, expr):
     assert code == 0 and out == text
     code, out, _ = capture("disc", expr, "--format", "json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("matrix", ["5", "[1,2]", '[["a"]]', "[[1.5]]", "{}", "[[true]]",
+                                    "[[1, null]]", "[[1,", ""])
+def test_rst_matrix_must_be_a_json_integer_matrix(capture, matrix):
+    code, out, err = capture("rst", "--matrix", matrix)
+    assert code == 2 and out == ""
+    assert err == "error: --matrix must be a JSON list of rows of integers\n"
+
+
+def test_rst_empty_matrix_keeps_its_report(capture):
+    code, out, err = capture("rst", "--matrix", "[]")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"order": 1, "decomposition": {}, "sigma": "0",
+                               "is_quasi_reflection": False, "is_reflection": False,
+                               "consistent": True}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("reflect", "U", "--vector", "a"), "--vector has a bad part 'a'"),
+    (("reflect", "U", "--vector", "1,"), "--vector has a bad part ''"),
+    (("rst", "--exponents", "abc"), "--exponents has a bad part 'abc'"),
+    (("rst", "--exponents", ":1"), "--exponents has a bad part ''"),
+    (("rst", "--exponents", "4:2,x"), "--exponents has a bad part 'x'"),
+])
+def test_integer_lists_are_usage_errors(capture, argv, message):
+    code, out, err = capture(*argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("max_m", ["-1", "-500"])
+def test_pex_rejects_a_negative_max(capture, max_m):
+    code, out, err = capture("pex", "--max", max_m)
+    assert code == 1 and out == ""
+    assert err == "error: max_m must be nonnegative\n"
+    code, out, err = capture("pex", "--max", "0")
+    assert code == 0 and out == "\n" and err == ""

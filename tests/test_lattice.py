@@ -200,6 +200,18 @@ def test_orth_complement_errors():
         orth_complement(u, [(1, 0), (2, 0)])
 
 
+@pytest.mark.parametrize("vectors, message", [
+    ([(1, 0), (0, 1)], "the vectors span the whole lattice"),
+    ([(1, 0), (2, 0)], "vectors are not linearly independent"),
+    ([(1, 0), (1, 0)], "vectors are not linearly independent"),
+    ([(0, 0)], "vectors are not linearly independent"),
+    ([(1, 0), (0, 1), (1, 1)], "vectors are not linearly independent"),
+])
+def test_orth_complement_error_messages(vectors, message):
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        orth_complement(parse_lattice_expr("U"), vectors)
+
+
 def test_isotropic_elementary_divisors():
     l2u = parse_lattice_expr("2U")
     assert isotropic_elementary_divisors(l2u, [(1, 0, 0, 0), (0, 0, 1, 0)]) == (1, 1)

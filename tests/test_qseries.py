@@ -6,11 +6,103 @@ import pytest
 
 from k3mod import qseries as qs
 from k3mod.qseries import (
-    CHI3, CHI4, QSeries, eisenstein_e3, rep_num, sigma_chi, sigma_tilde_chi,
-    theta2_2tau, theta3, theta3_2tau, theta_brute, theta_d6_eis, theta_dn,
-    theta_e6, theta_e7,
+    CHI3, CHI4, QSeries, rep_num, sigma_chi, sigma_tilde_chi, theta3_2tau,
+    theta_brute, theta_d6_eis, theta_dn, theta_e6, theta_e7,
 )
 from k3mod.lattice import LatticeError, parse_lattice_expr
+
+
+# ---------------------------------------------------------------------------
+# references: the builders on the fractional grids that the integer-grid
+# identities replaced, on plain coefficient lists (index k is q^(k/den))
+# ---------------------------------------------------------------------------
+
+def _times(sparse, n, out):
+    """out * sparse^n, truncated to len(out); the outer loop runs over sparse."""
+    for _ in range(n):
+        prod = [0] * len(out)
+        for i, a in enumerate(sparse):
+            if a:
+                for j in range(len(out) - i):
+                    prod[i + j] += a * out[j]
+        out = prod
+    return out
+
+
+def _one(size):
+    return [1] + [0] * (size - 1)
+
+
+def _integer_part(coeffs, den):
+    """Re-index to integer powers of q; every off-grid coefficient must cancel."""
+    assert all(c == 0 for k, c in enumerate(coeffs) if k % den)
+    return coeffs[::den]
+
+
+def _half_grid_theta_dn(n, prec):
+    """(theta_3(t)^n + theta_3(t + 1)^n) / 2 on the half grid."""
+    plain, shifted = [0] * (2 * prec + 1), [0] * (2 * prec + 1)
+    k = 0
+    while k * k <= 2 * prec:
+        c = 2 if k else 1
+        plain[k * k] += c
+        shifted[k * k] += -c if k % 2 else c
+        k += 1
+    both = zip(_times(plain, n, _one(len(plain))), _times(shifted, n, _one(len(plain))))
+    return _integer_part([Fraction(a + b, 2) for a, b in both], 2)
+
+
+def _quarter_grid_theta_e7(prec):
+    """theta_3(2t)^7 + 7 theta_3(2t)^3 theta_2(2t)^4 on the quarter grid."""
+    size = 4 * prec + 1
+    t3, t2 = [0] * size, [0] * size
+    n = 0
+    while 4 * n * n < size:
+        t3[4 * n * n] += 2 if n else 1
+        n += 1
+    n = 0
+    while (2 * n + 1) ** 2 < size:
+        t2[(2 * n + 1) ** 2] += 2
+        n += 1
+    mixed = _times(t3, 3, _times(t2, 4, _one(size)))
+    total = [a + 7 * b for a, b in zip(_times(t3, 7, _one(size)), mixed)]
+    return _integer_part(total, 4)
+
+
+def _eisenstein_e3(chi, variant, prec):
+    """The weight-3 Eisenstein series at the cusp 0 or at infinity."""
+    c = {3: 9, 4: 4}[chi.modulus]
+    if variant == "cusp_inf":
+        return [1] + [-c * sigma_chi(m, 2, chi) for m in range(1, prec + 1)]
+    return [0] + [sigma_tilde_chi(m, 2, chi) for m in range(1, prec + 1)]
+
+
+_PRECS = (0, 1, 2, 10, 240, 400)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_theta_dn_matches_the_half_grid_builder(monkeypatch, n):
+    want = _half_grid_theta_dn(n, max(_PRECS))
+    for prec in _PRECS:
+        monkeypatch.setattr(qs, "_series_cache", {})
+        assert theta_dn(n, prec).coeffs == want[:prec + 1], (n, prec)
+        assert _half_grid_theta_dn(n, prec) == want[:prec + 1]
+
+
+def test_theta_e7_matches_the_quarter_grid_builder(monkeypatch):
+    want = _quarter_grid_theta_e7(max(_PRECS))
+    for prec in _PRECS:
+        monkeypatch.setattr(qs, "_series_cache", {})
+        assert theta_e7(prec).coeffs == want[:prec + 1], prec
+        assert _quarter_grid_theta_e7(prec) == want[:prec + 1]
+
+
+@pytest.mark.parametrize("build, chi, a", [(theta_e6, CHI3, 81), (theta_d6_eis, CHI4, 64)],
+                         ids=["theta_e6", "theta_d6_eis"])
+def test_eisenstein_theta_matches_the_two_series_sum(monkeypatch, build, chi, a):
+    monkeypatch.setattr(qs, "_series_cache", {})
+    cusp0, cusp_inf = (_eisenstein_e3(chi, v, 240) for v in ("cusp0", "cusp_inf"))
+    assert build(240).coeffs == [a * x + y for x, y in zip(cusp0, cusp_inf)]
 
 
 def test_characters():
@@ -28,32 +120,26 @@ def test_divisor_sums():
 
 
 def test_eisenstein_series():
-    e_inf = eisenstein_e3(CHI3, "cusp_inf", 5)
-    assert e_inf.coeff(0) == 1 and e_inf.coeff(1) == -9
-    assert e_inf.coeff(2) == -9 * sigma_chi(2, 2, CHI3) == 27
-    e0 = eisenstein_e3(CHI4, "cusp0", 5)
-    assert e0.coeff(0) == 0 and e0.coeff(1) == 1
-    assert e0.coeff(2) == sigma_tilde_chi(2, 2, CHI4)
-    assert eisenstein_e3(CHI3, "cusp_inf", 0).coeffs == [1]
-    assert eisenstein_e3(CHI3, "cusp0", 0).coeffs == [0]
-    with pytest.raises(ValueError):
-        eisenstein_e3(CHI3, "nope", 4)
+    # E6: 81 sigma~_2 - 9 sigma_2, D6: 64 sigma~_2 - 4 sigma_2, at each m >= 1
+    assert theta_e6(3).coeffs == [1, 72, 270, 720]
+    assert 81 * sigma_tilde_chi(2, 2, CHI3) - 9 * sigma_chi(2, 2, CHI3) == 270
+    assert theta_d6_eis(2).coeffs == [1, 60, 252]
+    assert 64 * sigma_tilde_chi(2, 2, CHI4) - 4 * sigma_chi(2, 2, CHI4) == 252
+    assert theta_e6(0).coeffs == [1] and theta_d6_eis(0).coeffs == [1]
 
 
 def test_theta_constants():
     t3 = theta3_2tau(10)
     assert [t3.coeff(m) for m in range(10)] == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
-    half = theta3(4)
-    shifted = theta3(4, shift=True)
-    # odd half-grid coefficients change sign, even ones are fixed
-    for k in range(len(half.coeffs)):
-        want = -half.coeffs[k] if k % 2 else half.coeffs[k]
-        assert shifted.coeffs[k] == want
-    t2 = theta2_2tau(3)
-    assert t2.coeff(Fraction(1, 4)) == 2
-    assert t2.coeff(Fraction(9, 4)) == 2
-    with pytest.raises(ArithmeticError):
-        t2.to_integer_grid()
+    # theta_2(2t)^4 on the quarter grid is 16 q psi(q)^4, psi = sum_{n >= 0} q^(n(n+1))
+    prec = 40
+    t2 = [0] * (4 * prec + 1)
+    for n in range(6):  # (2n + 1)^2 <= 4 prec
+        t2[(2 * n + 1) ** 2] += 2
+    psi = QSeries([1 if m in {n * (n + 1) for n in range(6)} else 0
+                   for m in range(prec + 1)], prec)
+    want = _integer_part(_times(t2, 4, _one(len(t2))), 4)
+    assert want == [0] + (16 * psi**4).coeffs[:prec]
 
 
 def test_theta_e7_values():
@@ -137,11 +223,9 @@ def test_series_ring_properties():
     rng = random.Random(0)
 
     def rand_series():
-        den = rng.choice([1, 2, 4])
-        prec = 6
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                  for _ in range(prec * den + 1)]
-        return QSeries(coeffs, prec, den)
+        prec = rng.choice([4, 6, 8])
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(prec + 1)]
+        return QSeries(coeffs, prec)
 
     for _ in range(25):
         a, b, c = rand_series(), rand_series(), rand_series()
@@ -161,8 +245,9 @@ def test_truncation_consistency():
 
 
 def test_pow_matches_repeated_mul():
-    t = theta3(8)
+    t = theta3_2tau(8) + QSeries([0, 0, 0, 5], 8)
     assert t**4 == t * t * t * t
+    assert t**5 == t * t * t * t * t
     assert (t**0).coeff(0) == 1
 
 
@@ -175,11 +260,23 @@ def test_serialization_roundtrip():
     assert all(isinstance(c, str) for c in json.loads(blob)["coefficients"])
 
 
-def test_coeff_off_grid_and_out_of_range():
+def test_coeff_out_of_range():
     t = theta3_2tau(5)
-    assert t.coeff(Fraction(1, 2)) == 0
-    with pytest.raises(IndexError):
-        t.coeff(6)
+    assert t.coeff(4) == 2 and t.coeff(5) == 0
+    for k in (6, -1):
+        with pytest.raises(IndexError):
+            t.coeff(k)
+
+
+def test_from_json_dict_takes_integer_powers_of_q_only():
+    data = theta_e7(4).to_json_dict()
+    assert data["denominator"] == 1
+    assert QSeries.from_json_dict(data).coeffs == [1, 126, 756, 2072, 4158]
+    assert QSeries.from_json_dict({"precision": 1, "coefficients": ["1", "1/2"]}).coeffs \
+        == [1, Fraction(1, 2)]
+    for den in (2, 4):
+        with pytest.raises(ValueError, match="denominator 1"):
+            QSeries.from_json_dict(dict(data, denominator=den))
 
 
 def test_series_cache_is_order_independent(monkeypatch):

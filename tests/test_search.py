@@ -432,3 +432,46 @@ def test_case4_generator_leaves_no_garbage_cycle():
     finally:
         gc.enable()
     assert tuples
+
+
+def _case3_tuples_recursive(d):
+    """Family III's generator before the plain loops: the recursion on
+    nondecreasing prefixes with m^2 (coordinates left) <= the norm left."""
+    def rec(prefix, lo, rem):
+        k = len(prefix)
+        if k == 4:
+            m8 = isqrt(rem)
+            if m8 * m8 == rem and m8 >= lo and (sum(prefix) + m8) % 2 == 0:
+                yield prefix + (m8,)
+            return
+        m = lo
+        while m * m * (5 - k) <= rem:
+            yield from rec(prefix + (m,), m, rem - m * m)
+            m += 1
+    return list(rec((), 1, 2 * d))
+
+
+@pytest.mark.parametrize("ds", [range(1, 151), (151, 200, 257, 333, 400)],
+                         ids=["d<=150", "d>150"])
+def test_case3_generator_matches_recursion_in_order(ds):
+    for d in ds:
+        assert list(se.iter_case_tuples("III", d)) == _case3_tuples_recursive(d), d
+
+
+@pytest.mark.parametrize("case", ["I", "II", "III"])  # IV: see above
+def test_case_generators_leave_no_garbage_cycle(case):
+    gc.collect()
+    gc.disable()
+    try:
+        tuples = list(se.iter_case_tuples(case, 300))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert tuples
+
+
+@pytest.mark.parametrize("max_m", [-1, -240])
+def test_pex_rejects_a_negative_bound(max_m):
+    with pytest.raises(ValueError, match="max_m must be nonnegative"):
+        se.compute_pex(max_m)
+    assert se.compute_pex(0) == []

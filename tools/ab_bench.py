@@ -15,7 +15,15 @@ The script only starts `perfbench/run.py` as a subprocess and reads the
 last line of its stdout; run.py writes its own result files.  It prints,
 per end-to-end metric, each side's median and quartiles and the number of
 seeds on which the working tree was better, in the direction
-BENCHMARK.json gives for that metric.
+BENCHMARK.json gives for that metric, and applies the acceptance rule with
+that metric's `bound` from BENCHMARK.json:
+
+* `worse`: the working tree's median is worse than the parent's by more
+  than bound x the parent's median;
+* `unresolved`: the parent's interquartile range exceeds bound x its
+  median, so the runs spread too widely to tell.
+
+The exit status is 1 when any metric is `worse` or any run is incorrect.
 """
 
 from __future__ import annotations
@@ -58,6 +66,18 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(old, new, direction, bound):
+    """The acceptance-rule tags of one metric: `worse`, `unresolved`, both or none."""
+    (p1, p2, p3), (_c1, c2, _c3) = quartiles(old), quartiles(new)
+    sign = 1 if direction == "higher" else -1
+    tags = []
+    if sign * (p2 - c2) > bound * abs(p2):
+        tags.append("worse")
+    if p3 - p1 > bound * abs(p2):
+        tags.append("unresolved")
+    return tags
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path,
@@ -66,10 +86,11 @@ def main():
     ap.add_argument("--seeds", required=True, help="e.g. 9941-9950 or 1,5,9")
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args()
-    better = {m["name"]: m["better"]
-              for m in json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: (m["better"], m["bound"]) for m in metrics}
     sides = {"parent": args.parent.resolve(), "change": HERE}
     runs = {"parent": [], "change": []}
+    all_correct = True
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -78,18 +99,27 @@ def main():
             print(f"seed {seed} {side}: correct={correct} "
                   + " ".join(f"{k}={v:.4g}" for k, v in metrics.items()), flush=True)
             if not correct:
+                all_correct = False
                 print(f"seed {seed} {side}: run.py reports an incorrect run", flush=True)
     pairs = len(runs["change"])
-    print(f"\n{args.workload}, {pairs} pairs: median [q1, q3] parent -> change, wins")
-    for name, direction in better.items():
+    print(f"\n{args.workload}, {pairs} pairs: median [q1, q3] parent -> change, wins, "
+          "acceptance")
+    any_worse = False
+    for name, (direction, bound) in better.items():
         old = [r[name] for r in runs["parent"]]
         new = [r[name] for r in runs["change"]]
         sign = 1 if direction == "higher" else -1
         wins = sum(1 for a, b in zip(old, new) if sign * (b - a) > 0)
         (p1, p2, p3), (c1, c2, c3) = quartiles(old), quartiles(new)
+        tags = verdict(old, new, direction, bound)
+        any_worse = any_worse or "worse" in tags
+        change = f"{c2 / p2 - 1:+7.1%}" if p2 else "    n/a"
         print(f"{name:12s} {p2:10.4g} [{p1:.4g}, {p3:.4g}] -> {c2:10.4g} "
-              f"[{c1:.4g}, {c3:.4g}]  {c2 / p2 - 1:+7.1%}  wins {wins}/{pairs}")
-    return 0
+              f"[{c1:.4g}, {c3:.4g}]  {change}  wins {wins}/{pairs}  "
+              f"{' '.join(tags) or 'ok'} (bound {bound:g})")
+    if not all_correct:
+        print("some run was incorrect")
+    return 1 if any_worse or not all_correct else 0
 
 
 if __name__ == "__main__":
