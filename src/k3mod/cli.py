@@ -1,8 +1,9 @@
 """Command-line surface: one subcommand per computation, reproducible output.
 
-Exit codes: 0 success, 1 computational failure (e.g. infeasible search
-bound) or stdout closed before all output was written, 2 usage error,
-3 failed internal check (a cross-check between two code paths disagreed).
+Exit codes: 0 success, 1 computational failure (e.g. an indefinite lattice
+where a definite one is needed) or stdout closed before all output was
+written, 2 usage error, 3 failed internal check (a cross-check between two
+code paths disagreed).
 Identical invocations produce byte-identical output.
 """
 
@@ -73,8 +74,6 @@ def build_parser():
 
     s = _common(subs.add_parser("verdict", help="Kodaira-type verdict for degree 2d"))
     s.add_argument("d", type=int)
-    s.add_argument("--bound", type=int, default=150,
-                   help="feasibility bound for the exhaustive fallback")
 
     s = _common(subs.add_parser("tables", help="reproduce the structured-family tables"))
     s.add_argument("--table", choices=("I", "II-10", "II-14", "III", "IV", "all"),
@@ -266,9 +265,7 @@ def _cmd_search(args):
 
 
 def _cmd_verdict(args):
-    if args.bound < 0:
-        raise UsageError("--bound must be nonnegative")
-    v = se.kodaira_verdict(args.d, feasibility_bound=args.bound)
+    v = se.kodaira_verdict(args.d)
     payload = v.to_dict()
     lines = [f"d={v.d}: {v.kind}"]
     if v.witness:

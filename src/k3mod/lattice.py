@@ -560,6 +560,8 @@ def orth_complement(lat, vectors):
     for vec in vectors:
         coords = _own(lat, vec) if isinstance(vec, LatVec) else tuple(vec)
         rows.append(pairing_vector(lat, coords))
+    if not rows:
+        raise LatticeError("need at least one vector")
     basis = kernel_basis(rows)
     # rank + nullity = n: the k rows are independent iff the kernel has n - k vectors
     if len(basis) != lat.rank - len(rows):
@@ -570,98 +572,6 @@ def orth_complement(lat, vectors):
     gb = [pairing_vector(lat, b) for b in basis]
     sub = [[sum(map(mul, a, p)) for p in gb] for a in basis]
     return IntLattice(sub), basis
-
-
-def isotropic_elementary_divisors(lat, basis_pair):
-    """Elementary divisors (delta, delta*e) of a primitive rank-2 isotropic sublattice.
-
-    Computed as the SNF of the full 2 x n pairing matrix of the sublattice
-    against the ambient basis; returns (delta, e).
-    """
-    if len(basis_pair) != 2:
-        raise LatticeError("need exactly two basis vectors")
-    coords = [_own(lat, v) if isinstance(v, LatVec) else tuple(v) for v in basis_pair]
-    pair = [pairing_vector(lat, c) for c in coords]
-    if any(sum(map(mul, p, c)) for p in pair for c in coords):
-        raise LatticeError("sublattice is not totally isotropic")
-    d, _u, _v = smith_normal_form([list(c) for c in coords])
-    if d[0][0] != 1 or d[1][1] != 1:
-        raise LatticeError("sublattice is not primitive")
-    d, _u, _v = smith_normal_form(pair)
-    delta, second = d[0][0], d[1][1]
-    if delta == 0 or second == 0 or second % delta:
-        raise LatticeError("degenerate pairing")  # impossible for nondegenerate L
-    return delta, second // delta
-
-
-def isotropic_subgroups_cyclic(lat, bound=10**6):
-    """True iff every isotropic subgroup of (A_L, q_L) is cyclic.
-
-    It suffices to rule out an isotropic (Z/p)^2 for each prime p dividing
-    the exponent, since a non-cyclic group contains one.
-    """
-    disc = disc_group(lat)
-    if disc.order > bound:
-        raise LatticeError(f"discriminant group of order {disc.order} exceeds bound {bound}")
-    if disc.is_cyclic():
-        return True
-    factors = disc.invariant_factors
-    lifts = disc.generator_lifts
-    k = len(factors)
-    gram_q = [[lifts[i].pair(lifts[j]) for j in range(k)] for i in range(k)]
-
-    def qval(elem):
-        tot = Fraction(0)
-        for i in range(k):
-            if elem[i]:
-                tot += elem[i] * elem[i] * gram_q[i][i]
-                for j in range(i + 1, k):
-                    tot += 2 * elem[i] * elem[j] * gram_q[i][j]
-        return tot % 2
-
-    exponent = disc.exponent
-    for p in _prime_divisors(exponent):
-        gens = [i for i in range(k) if factors[i] % p == 0]
-        if len(gens) < 2:
-            continue
-        # p-torsion elements, coordinates in the chosen generators
-        pts = []
-        for combo in itertools.product(range(p), repeat=len(gens)):
-            if not any(combo):
-                continue
-            elem = [0] * k
-            for g, c in zip(gens, combo):
-                elem[g] = c * (factors[g] // p)
-            pts.append(tuple(elem))
-        if len(pts) > 10**5:
-            raise LatticeError("p-torsion too large to enumerate")
-        iso = [e for e in pts if qval(e) == 0]
-        for a in range(len(iso)):
-            for b in range(a + 1, len(iso)):
-                x, y = iso[a], iso[b]
-                span = set()
-                for i in range(p):
-                    for j in range(p):
-                        span.add(tuple((i * xi + j * yi) % f for xi, yi, f in zip(x, y, factors)))
-                if len(span) != p * p:
-                    continue  # y in <x>: cyclic span
-                if all(qval(e) == 0 for e in span):
-                    return False
-    return True
-
-
-def _prime_divisors(n):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

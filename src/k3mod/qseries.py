@@ -226,14 +226,17 @@ def _cached_series(name, prec, build):
     """The series `name` to precision prec, from one cached series per name.
 
     A request at or below the cached precision truncates the cached series,
-    which changes no coefficient; a request above it rebuilds the series
-    once, at exactly prec, and replaces the cached one.
+    which changes no coefficient.  The first build is at exactly prec; a
+    request above the cached precision rebuilds at max(prec, 2 * cached), so
+    a sweep over ascending precisions rebuilds O(log) times, not at every step.
     """
     if prec < 0:
         raise LatticeError("precision must be nonnegative")
     series = _series_cache.get(name)
-    if series is None or series.prec < prec:
+    if series is None:
         series = _series_cache[name] = build(prec)
+    elif series.prec < prec:
+        series = _series_cache[name] = build(max(prec, 2 * series.prec))
     return series if series.prec == prec else series.truncate(prec)
 
 

@@ -199,14 +199,10 @@ def _bounded_leaf(lat, max_norm, half, emit):
     return leaf
 
 
-class _Abort(Exception):
-    """A visitor returned False."""
-
-
 def _enumerate(lat, target, visitor, exact):
     """Visit x != 0 with Q(x) == target (exact) or 0 < Q(x) <= target.
 
-    `visitor(coords, norm)` may return False to abort.  Q is the Gram form
+    `visitor(coords, norm)` is called once per vector.  Q is the Gram form
     up to the internal sign flip for negative definite lattices; reported
     norms are the positive ones.  Returns the number of vectors visited.
     """
@@ -219,12 +215,9 @@ def _enumerate(lat, target, visitor, exact):
         nonlocal count
         x[0] = x0
         v = tuple(x)
-        count += 1
-        if visitor(v, norm) is False:
-            raise _Abort
-        count += 1
-        if visitor(tuple(-t for t in v), norm) is False:
-            raise _Abort
+        visitor(v, norm)
+        visitor(tuple(-t for t in v), norm)
+        count += 2
 
     def exact_leaf(budget, c, sym):
         # y_0 = +-sqrt(budget / a_0) must be an integer, and x_0 = (y_0 - c) / uden_0
@@ -244,10 +237,7 @@ def _enumerate(lat, target, visitor, exact):
                     emit(x0, target)
 
     leaf = exact_leaf if exact else _bounded_leaf(lat, target, None, emit)
-    try:
-        _walk(lat, target, x, leaf)
-    except _Abort:
-        pass
+    _walk(lat, target, x, leaf)
     return count
 
 

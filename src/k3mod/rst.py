@@ -10,7 +10,6 @@ numerical eigensolver.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd
 

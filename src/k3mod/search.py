@@ -13,7 +13,9 @@ w^2 + 3v^2 = K (w = 3(m6 + m7) + 2(m3 + m4 + m5), v = m7 - m6) by lookup
 in a table of all such pairs up to K = 12d.  The exhaustive
 search enumerates one dominant representative per Weyl orbit (the
 orthogonal-root count is Weyl invariant), which turns the 10^8-vector
-streams of the naive scan into a handful of cone vectors.
+streams of the naive scan into a handful of cone vectors.  It runs for
+d <= EXHAUSTIVE_MAX_D = 150 only; above that the verdict rests on the
+structured families alone.
 
 Hit counts feed the per-degree verdict: a vector orthogonal to between 2
 and 12 roots yields a modular form of weight below 19 with the vanishing
@@ -37,6 +39,10 @@ class FeasibilityError(RuntimeError):
     pass
 
 
+# the largest degree the exhaustive orbit scan runs at
+EXHAUSTIVE_MAX_D = 150
+
+
 # ---------------------------------------------------------------------------
 # inequalities and the exceptional degree set
 # ---------------------------------------------------------------------------
@@ -44,11 +50,6 @@ class FeasibilityError(RuntimeError):
 def _check_degree(d):
     if d < 1:
         raise LatticeError("d must be positive")
-
-
-def _check_bound(feasibility_bound):
-    if feasibility_bound < 0:
-        raise ValueError("feasibility bound must be nonnegative")
 
 
 def check_mineq(d):
@@ -107,16 +108,6 @@ def embed_case4(m3, m4, m5, m6, m7, m8):
     if m8 != m3 + m4 + m5 + m6 + m7:
         raise LatticeError("m8 must equal m3 + ... + m7")
     return (0, 0, 2 * m3, 2 * m4, 2 * m5, 2 * m6, 2 * m7, 2 * m8)
-
-
-def case_norm(case, ms):
-    if case == "I":
-        return 2 * sum(m * m for m in ms)
-    if case == "II":
-        return 3 * ms[0] ** 2 + sum(m * m for m in ms[1:])
-    if case in ("III", "IV"):
-        return sum(m * m for m in ms)
-    raise ValueError(f"unknown case {case!r}")
 
 
 def _signed_triple_relations(values):
@@ -460,43 +451,25 @@ def _enumerate_dominant(norm):
     return out
 
 
-def exhaustive_search(d, feasibility_bound=150, method="dominant"):
+def exhaustive_search(d):
     """Scan all l in E8 with l^2 = 2d; return a minimal hit with
     2 <= N_l <= 14, or None.
 
-    The default method visits one dominant representative per Weyl orbit
-    (the count N_l is constant on orbits); "stream" really visits every
-    vector and is only sensible for small d.
+    Visits one dominant representative per Weyl orbit (the count N_l is
+    constant on orbits); d above EXHAUSTIVE_MAX_D raises FeasibilityError.
     """
     _check_degree(d)
-    _check_bound(feasibility_bound)
-    if d > feasibility_bound:
+    if d > EXHAUSTIVE_MAX_D:
         raise FeasibilityError(
             f"exhaustive search at d={d} exceeds the feasibility bound "
-            f"{feasibility_bound}")
+            f"{EXHAUSTIVE_MAX_D}")
     best = None
-    if method == "dominant":
-        for vec in _enumerate_dominant(2 * d):
-            n_l = e8.count_orth_roots_2x(vec)
-            if 2 <= n_l <= 14:
-                key = (n_l, vec)
-                if best is None or key < best:
-                    best = key
-    elif method == "stream":
-        lat = e8.lattice()
-
-        def visit(coords, _norm):
-            nonlocal best
-            vec = e8.to_2x(coords)
-            n_l = e8.count_orth_roots_2x(vec)
-            if 2 <= n_l <= 14:
-                key = (n_l, vec)
-                if best is None or key < best:
-                    best = key
-
-        rt.enumerate_norm_vectors(lat, 2 * d, visit)
-    else:
-        raise ValueError("method must be 'dominant' or 'stream'")
+    for vec in _enumerate_dominant(2 * d):
+        n_l = e8.count_orth_roots_2x(vec)
+        if 2 <= n_l <= 14:
+            key = (n_l, vec)
+            if best is None or key < best:
+                best = key
     if best is None:
         return None
     return SearchHit(d, best[1], best[0], "exhaustive")
@@ -541,23 +514,23 @@ class Verdict:
         return f"Verdict(d={self.d}, {self.kind})"
 
 
-def kodaira_verdict(d, feasibility_bound=150):
+def kodaira_verdict(d):
     """Derive the verdict for degree 2d; nothing about particular degrees is
     hardcoded, every claim is backed by a verified witness vector.
 
     Strategy: structured families first (cheap, covers the table degrees and
-    far beyond), exhaustive orbit scan as the fallback.  When one of the two
-    representation-number inequalities holds a witness must exist, so a
-    fruitless search below the feasibility bound is an internal error.
+    far beyond), exhaustive orbit scan as the fallback for d <= 150
+    (EXHAUSTIVE_MAX_D); above it a degree no family reaches stays unknown.
+    When one of the two representation-number inequalities holds a witness
+    must exist, so a fruitless exhaustive scan is an internal error.
     """
-    _check_bound(feasibility_bound)
     mineq = check_mineq(d)
     mineqd = check_mineqd(d)
     hits = structured_search_all(d, targets=range(2, 15))
     witness = next((h for h in hits if h.n_l <= 12), None)
     best14 = next((h for h in hits if h.n_l == 14), None)
-    if witness is None and d <= feasibility_bound:
-        ex = exhaustive_search(d, feasibility_bound=feasibility_bound)
+    if witness is None and d <= EXHAUSTIVE_MAX_D:
+        ex = exhaustive_search(d)
         if ex is not None:
             if ex.n_l <= 12:
                 witness = ex

@@ -25,6 +25,7 @@ BOUNDS = {m["name"]: (m["better"], m["bound"])
     ("peak_rss_mb", [24, 24, 24], [26.5, 26.5, 26.5], ["worse"]),
     ("ok_frac", [1, 1, 1], [0.94, 0.96, 1], []),
     ("ok_frac", [1, 1, 1], [0.9, 0.94, 1], ["worse"]),
+    ("ops_per_s", [6, 8, 10, 12, 14], [15] * 5, []),
 ])
 def test_acceptance_rule(name, old, new, tags):
     direction, bound = BOUNDS[name]

@@ -178,8 +178,7 @@ def test_usage_errors(capture):
 
 
 def test_computational_failure_exit_code(capture):
-    code, _, err = capture("verdict", "200", "--bound", "150")
-    # structured search succeeds out to 200, so force the failure directly
+    # no verdict runs the exhaustive scan above its bound, so force the failure directly
     from k3mod.search import exhaustive_search, FeasibilityError
     with pytest.raises(FeasibilityError):
         exhaustive_search(500)
@@ -198,7 +197,8 @@ def test_determinism(capture):
 
 @pytest.mark.parametrize("argv", [("cmin", "5", "--threads", "2"),
                                   ("verdict", "5", "--seed", "1"),
-                                  ("search", "46", "--seed", "1")])
+                                  ("search", "46", "--seed", "1"),
+                                  ("verdict", "5", "--bound", "150")])
 def test_flags_that_do_nothing_are_usage_errors(capture, argv):
     code, out, err = capture(*argv)
     assert code == 2 and out == ""
@@ -363,14 +363,6 @@ def test_search_rejects_empty_target_range(capture, targets):
     code, out, err = capture("search", "10", "--targets", targets)
     assert code == 2 and out == ""
     assert err == f"error: --targets has an empty range {targets.split(',')[-1]!r}\n"
-
-
-def test_verdict_rejects_negative_bound(capture):
-    code, out, err = capture("verdict", "3", "--bound", "-1")
-    assert code == 2 and out == ""
-    assert err == "error: --bound must be nonnegative\n"
-    code, out, err = capture("verdict", "3", "--bound", "0")
-    assert code == 0 and out == "d=3: unknown\n" and err == ""
 
 
 # `k3mod disc` stdout recorded while dual vectors were still Fraction tuples:

@@ -19,11 +19,10 @@ def _reference_enumerate(lat, target, visitor, exact):
     n = lat.rank
     x = [0] * n
     count = 0
-    aborted = False
     total = scale * target
 
     def recurse(i, budget):
-        nonlocal count, aborted
+        nonlocal count
         ai = a[i]
         di = uden[i]
         row = unum[i]
@@ -45,9 +44,8 @@ def _reference_enumerate(lat, target, visitor, exact):
                         x[0] = xi
                         if any(x):
                             count += 1
-                            if visitor is not None and visitor(tuple(x), target) is False:
-                                aborted = True
-                                return
+                            if visitor is not None:
+                                visitor(tuple(x), target)
                 x[0] = 0
             else:
                 ymax = isqrt(budget // ai)
@@ -61,9 +59,8 @@ def _reference_enumerate(lat, target, visitor, exact):
                     assert rem == 0
                     if norm:
                         count += 1
-                        if visitor is not None and visitor(tuple(x), norm) is False:
-                            aborted = True
-                            return
+                        if visitor is not None:
+                            visitor(tuple(x), norm)
                     y += di
                 x[0] = 0
             return
@@ -76,8 +73,6 @@ def _reference_enumerate(lat, target, visitor, exact):
             rem = budget - ai * y * y
             if rem >= 0:
                 recurse(i - 1, rem)
-                if aborted:
-                    return
             y += di
         x[i] = 0
 
@@ -162,17 +157,22 @@ def test_theta_brute_of_e8_is_240_sigma3():
 @pytest.mark.parametrize("stop", [1, 2, 5, 6])
 @pytest.mark.parametrize("exact", [True, False])
 def test_aborting_visitor_stops_after_exactly_n_calls(stop, exact):
-    # an odd stop aborts between x and -x
+    # a visitor aborts by raising, and the walk passes the exception on at
+    # once; an odd stop raises between x and -x
     lat = _signed_permutation("D(5)", random.Random(stop))
     seen = []
+
+    class Stop(Exception):
+        pass
 
     def visit(coords, _norm):
         seen.append(coords)
         if len(seen) == stop:
-            return False
+            raise Stop
 
     enum = roots.enumerate_norm_vectors if exact else roots.enumerate_up_to
-    assert enum(lat, 4, visit) == stop
+    with pytest.raises(Stop):
+        enum(lat, 4, visit)
     assert len(seen) == stop
     assert len(set(seen)) == stop
 

@@ -6,9 +6,7 @@ from fractions import Fraction
 from k3mod import lattice as lt
 from k3mod.lattice import (
     LatticeError, ParseError, direct_sum, disc_group, divisor, inner,
-    isotropic_elementary_divisors, isotropic_subgroups_cyclic, make_l2d,
-    orth_complement, parse_lattice_expr, rescale,
-    smith_normal_form,
+    make_l2d, orth_complement, parse_lattice_expr, rescale, smith_normal_form,
 )
 
 
@@ -206,41 +204,11 @@ def test_orth_complement_errors():
     ([(1, 0), (1, 0)], "vectors are not linearly independent"),
     ([(0, 0)], "vectors are not linearly independent"),
     ([(1, 0), (0, 1), (1, 1)], "vectors are not linearly independent"),
+    ([], "need at least one vector"),
 ])
 def test_orth_complement_error_messages(vectors, message):
     with pytest.raises(LatticeError, match=f"^{message}$"):
         orth_complement(parse_lattice_expr("U"), vectors)
-
-
-def test_isotropic_elementary_divisors():
-    l2u = parse_lattice_expr("2U")
-    assert isotropic_elementary_divisors(l2u, [(1, 0, 0, 0), (0, 0, 1, 0)]) == (1, 1)
-    # d = 4 = e^2 with e = 2: w = 2 u2 + 2 v2 + h is isotropic of divisor 2
-    lat = parse_lattice_expr("2U+<-8>")
-    w = (0, 0, 2, 2, 1)
-    assert lat.vector(w).norm() == 0
-    assert divisor(lat, lat.vector(w)) == 2
-    assert isotropic_elementary_divisors(lat, [(1, 0, 0, 0, 0), w]) == (1, 2)
-    # non-cyclic H_E forces delta > 1
-    uu2 = parse_lattice_expr("U(2)+U(2)")
-    delta, e = isotropic_elementary_divisors(uu2, [(1, 0, 0, 0), (0, 0, 1, 0)])
-    assert delta > 1 and (delta, delta * e) == (2, 2)
-
-
-def test_isotropic_elementary_divisors_rejects():
-    l2u = parse_lattice_expr("2U")
-    with pytest.raises(LatticeError):
-        isotropic_elementary_divisors(l2u, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    with pytest.raises(LatticeError):
-        isotropic_elementary_divisors(l2u, [(2, 0, 0, 0), (0, 0, 2, 0)])
-
-
-def test_isotropic_subgroups_cyclic():
-    assert isotropic_subgroups_cyclic(make_l2d(5)) is True
-    assert isotropic_subgroups_cyclic(parse_lattice_expr("E8")) is True
-    assert isotropic_subgroups_cyclic(parse_lattice_expr("U(2)+U(2)")) is False
-    with pytest.raises(LatticeError):
-        isotropic_subgroups_cyclic(make_l2d(5), bound=3)
 
 
 def test_parser():

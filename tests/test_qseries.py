@@ -302,6 +302,26 @@ def test_series_cache_truncates_to_the_requested_precision(monkeypatch):
     assert theta_dn(5, 12).prec == 12 and theta_e6(5).prec == 5
 
 
+def test_series_cache_grows_geometrically(monkeypatch):
+    # an ascending sweep rebuilds each series a logarithmic number of times
+    monkeypatch.setattr(qs, "_series_cache", {})
+    builds = {}
+    cached = qs._cached_series
+
+    def counting(name, prec, build):
+        def counted(p):
+            builds.setdefault(name, []).append(p)
+            return build(p)
+        return cached(name, prec, counted)
+
+    monkeypatch.setattr(qs, "_cached_series", counting)
+    for m in range(241, 601):
+        qs.rep_num("E7", 2 * m)
+        qs.rep_num("D5", 2 * m)
+    assert builds == {"E7": [241, 482, 964], "D5": [241, 482, 964]}
+    assert theta_e7(600).prec == 600 and theta_dn(5, 300).prec == 300
+
+
 @pytest.mark.parametrize("build", [theta_e7, theta_e6, theta_d6_eis,
                                    lambda p: theta_dn(5, p)],
                          ids=["theta_e7", "theta_e6", "theta_d6_eis", "theta_dn"])

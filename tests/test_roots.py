@@ -40,19 +40,6 @@ def test_enumerate_norm_vectors():
     assert len(visited) == 240 and all(n == 2 for _c, n in visited)
 
 
-def test_visitor_abort():
-    lat = e8.lattice()
-    seen = []
-
-    def visit(coords, _norm):
-        seen.append(coords)
-        if len(seen) == 5:
-            return False
-
-    enumerate_norm_vectors(lat, 2, visit)
-    assert len(seen) == 5
-
-
 def test_indefinite_rejected():
     u = parse_lattice_expr("U")
     with pytest.raises(IndefiniteError):

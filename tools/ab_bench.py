@@ -21,7 +21,8 @@ that metric's `bound` from BENCHMARK.json:
 * `worse`: the working tree's median is worse than the parent's by more
   than bound x the parent's median;
 * `unresolved`: the parent's interquartile range exceeds bound x its
-  median, so the runs spread too widely to tell.
+  median, so the runs spread too widely to tell; except when every run of
+  the working tree reads better than every run of the parent.
 
 The exit status is 1 when any metric is `worse` or any run is incorrect.
 """
@@ -73,7 +74,8 @@ def verdict(old, new, direction, bound):
     tags = []
     if sign * (p2 - c2) > bound * abs(p2):
         tags.append("worse")
-    if p3 - p1 > bound * abs(p2):
+    separated = min(sign * x for x in new) > max(sign * x for x in old)
+    if p3 - p1 > bound * abs(p2) and not separated:
         tags.append("unresolved")
     return tags
 
