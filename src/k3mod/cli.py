@@ -389,7 +389,7 @@ def run(argv):
     except (UsageError, lt.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (lt.LatticeError, se.FeasibilityError, ValueError, ArithmeticError) as exc:
+    except (lt.LatticeError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AssertionError, RuntimeError) as exc:

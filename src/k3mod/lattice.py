@@ -582,9 +582,6 @@ def orth_complement(lat, vectors):
 #   atom := "U" ["(" int ")"] | "A(" n ")" | "D(" n ")" | "E" n ["(" int ")"] | "<" int ">"
 # Whitespace is ignored; the scaling suffix "(t)" multiplies the Gram by t.
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[UADE<>()+-])")
-
-
 def parse_lattice_expr(text):
     return IntLattice(_expr_gram(text), name=re.sub(r"\s+", "", text))
 

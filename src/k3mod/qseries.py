@@ -223,12 +223,11 @@ _series_cache = {}
 
 
 def _cached_series(name, prec, build):
-    """The series `name` to precision prec, from one cached series per name.
+    """The one cached series `name`, at precision prec or above.
 
-    A request at or below the cached precision truncates the cached series,
-    which changes no coefficient.  The first build is at exactly prec; a
-    request above the cached precision rebuilds at max(prec, 2 * cached), so
-    a sweep over ascending precisions rebuilds O(log) times, not at every step.
+    The first build is at exactly prec; a request above the cached precision
+    rebuilds at max(prec, 2 * cached), so a sweep over ascending precisions
+    rebuilds O(log) times, not at every step.
     """
     if prec < 0:
         raise LatticeError("precision must be nonnegative")
@@ -237,6 +236,12 @@ def _cached_series(name, prec, build):
         series = _series_cache[name] = build(prec)
     elif series.prec < prec:
         series = _series_cache[name] = build(max(prec, 2 * series.prec))
+    return series
+
+
+def _theta(name, prec, build):
+    """The cached series `name`, truncated to exactly precision prec."""
+    series = _cached_series(name, prec, build)
     return series if series.prec == prec else series.truncate(prec)
 
 
@@ -258,7 +263,7 @@ def theta_e7(prec=240):
     With theta_2(2t)^4 = 16 q psi(q)^4, psi(q) = sum_{n >= 0} q^(n(n+1)), this
     is theta_3(2t)^7 + 112 q theta_3(2t)^3 psi(q)^4, all in integer powers of q.
     """
-    return _cached_series("E7", prec, _build_e7)
+    return _theta("E7", prec, _build_e7)
 
 
 def theta_dn(n, prec=240):
@@ -269,18 +274,21 @@ def theta_dn(n, prec=240):
     """
     if n < 2:
         raise ValueError("D_n needs n >= 2")
-    return _cached_series(f"D{n}", prec,
-                          lambda p: QSeries((theta3_2tau(2 * p) ** n).coeffs[::2], p))
+    return _theta(f"D{n}", prec, _dn_builder(n))
+
+
+def _dn_builder(n):
+    return lambda p: QSeries((theta3_2tau(2 * p) ** n).coeffs[::2], p)
 
 
 def theta_e6(prec=240):
     """Theta series of E6, 81 E3_cusp0(chi3) + E3_cusp_inf(chi3) (see _EISENSTEIN)."""
-    return _cached_series("E6", prec, lambda p: _eisenstein_series("E6", p))
+    return _theta("E6", prec, lambda p: _eisenstein_series("E6", p))
 
 
 def theta_d6_eis(prec=240):
     """Theta series of D6, 64 E3_cusp0(chi4) + E3_cusp_inf(chi4) (see _EISENSTEIN)."""
-    return _cached_series("D6eis", prec, lambda p: _eisenstein_series("D6", p))
+    return _theta("D6eis", prec, lambda p: _eisenstein_series("D6", p))
 
 
 def theta_brute(lat, prec):
@@ -325,9 +333,10 @@ def rep_num(name, two_d, method="formula"):
         raise ValueError("method must be 'formula' or 'brute'")
     if name in _EISENSTEIN:
         return _eisenstein_count(name, m)
+    # one coefficient, read off the cached series without truncating a copy
     prec = max(240, m)
     if name == "E7":
-        return theta_e7(prec).coeff(m)
+        return _cached_series("E7", prec, _build_e7).coeff(m)
     if name in ("D5", "D8"):
-        return theta_dn(int(name[1]), prec).coeff(m)
+        return _cached_series(name, prec, _dn_builder(int(name[1]))).coeff(m)
     raise ValueError(f"unknown lattice name {name!r}")

@@ -51,7 +51,8 @@ def sigma_prime(e, l):
     k = m // 2
     if not 1 <= l < k:
         raise ValueError("l must satisfy 1 <= l < k")
-    if e.exponents[-1] % 2 == 0 or any(a % 2 for a in e.exponents[:-1]):
+    if (not e.exponents or e.exponents[-1] % 2 == 0
+            or any(a % 2 for a in e.exponents[:-1])):
         raise ValueError("expected even exponents with a single odd final slot")
     total = Fraction(l * e.exponents[-1], k) % 1
     for a in e.exponents[:-1]:

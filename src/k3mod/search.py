@@ -13,9 +13,10 @@ w^2 + 3v^2 = K (w = 3(m6 + m7) + 2(m3 + m4 + m5), v = m7 - m6) by lookup
 in a table of all such pairs up to K = 12d.  The exhaustive
 search enumerates one dominant representative per Weyl orbit (the
 orthogonal-root count is Weyl invariant), which turns the 10^8-vector
-streams of the naive scan into a handful of cone vectors.  It runs for
-d <= EXHAUSTIVE_MAX_D = 150 only; above that the verdict rests on the
-structured families alone.
+streams of the naive scan into a handful of cone vectors; it walks the
+integer square completion of the weight form, so no rational arithmetic.
+The verdict has one rule at every degree: the families run first, and the
+orbit scan runs wherever no family gives N_l <= 12.
 
 Hit counts feed the per-degree verdict: a vector orthogonal to between 2
 and 12 roots yields a modular form of weight below 19 with the vanishing
@@ -26,21 +27,13 @@ nonnegative Kodaira dimension.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from . import e8
 from . import qseries as qs
 from . import roots as rt
 from .lattice import IntLattice, LatticeError
-
-
-class FeasibilityError(RuntimeError):
-    pass
-
-
-# the largest degree the exhaustive orbit scan runs at
-EXHAUSTIVE_MAX_D = 150
 
 
 # ---------------------------------------------------------------------------
@@ -402,51 +395,50 @@ def structured_search_all(d, targets=range(2, 15)):
 
 # -- exhaustive search -------------------------------------------------------
 
+# E8 on the fundamental weights (it carries the memoised scaled form); the
+# e-coordinate t of sum_i x_i w_i is the pairing of x with column t
+_WEIGHT_LATTICE = IntLattice(e8.weight_gram())
+_WEIGHT_COLUMNS = tuple(zip(*e8.WEIGHTS_2X))
+
+
 def _enumerate_dominant(norm):
-    """Dominant-chamber vectors of the given norm, as doubled e-coordinates.
+    """Dominant-chamber vectors of the given norm, as sorted doubled
+    e-coordinates.
 
     Every Weyl orbit contains exactly one vector with all simple-root
-    pairings nonnegative, i.e. nonnegative coordinates on the fundamental
-    weights; the weight Gram matrix is the inverse Cartan matrix.
+    pairings nonnegative, i.e. nonnegative coordinates x_i on the fundamental
+    weights; the weight Gram matrix is the inverse Cartan matrix.  The walk
+    runs on the integer square completion of that form (`roots._scaled_form`)
+    from x_7 down to x_0 with x_i >= 0 at every level, and level 0 takes the
+    exact leaf: budget = a_0 y_0^2 with y_0 = uden_0 x_0 + centre.
     """
-    _sign, q, u = rt._cholesky(IntLattice(e8.weight_gram()))
-    n = 8
-    x = [0] * n
+    scale, a, unum, uden = rt._scaled_form(_WEIGHT_LATTICE)
+    x = [0] * 8
     out = []
 
-    def rec(i, budget):
-        c = sum(u[i][j] * x[j] for j in range(i + 1, n))
+    def level(i, budget):
+        centre = sum(unum[i][j] * x[j] for j in range(i + 1, 8))
         if i == 0:
-            s = budget / q[0]
-            rn, rd = isqrt(s.numerator), isqrt(s.denominator)
-            if rn * rn != s.numerator or rd * rd != s.denominator:
+            ysq, r = divmod(budget, a[0])
+            y = isqrt(ysq)
+            if r or y * y != ysq:
                 return
-            for y in {Fraction(rn, rd), Fraction(-rn, rd)}:
-                v = y - c
-                if v.denominator == 1 and v >= 0:
-                    x[0] = int(v)
-                    if any(x):
-                        vec = [0] * 8
-                        for ci, wrow in zip(x, e8.WEIGHTS_2X):
-                            if ci:
-                                for t in range(8):
-                                    vec[t] += ci * wrow[t]
-                        out.append(tuple(vec))
+            for y0 in {y, -y}:
+                x0, r = divmod(y0 - centre, uden[0])
+                if r == 0 and x0 >= 0:
+                    x[0] = x0
+                    out.append(tuple(sum(map(mul, col, x)) for col in _WEIGHT_COLUMNS))
             x[0] = 0
             return
-        hi_b = isqrt((budget / q[i]).numerator * (budget / q[i]).denominator) \
-            // (budget / q[i]).denominator
-        hi = int(hi_b - c)
-        while q[i] * (hi + 1 + c) ** 2 <= budget:
-            hi += 1
-        while hi >= 0 and q[i] * (hi + c) ** 2 > budget:
-            hi -= 1
-        for xi in range(0, hi + 1):
+        ymax = isqrt(budget // a[i])
+        for xi in range(max(0, -((ymax + centre) // uden[i])),
+                        (ymax - centre) // uden[i] + 1):
             x[i] = xi
-            rec(i - 1, budget - q[i] * (xi + c) ** 2)
+            y = uden[i] * xi + centre
+            level(i - 1, budget - a[i] * y * y)
         x[i] = 0
 
-    rec(n - 1, Fraction(norm))
+    level(7, scale * norm)
     out.sort()
     return out
 
@@ -456,13 +448,10 @@ def exhaustive_search(d):
     2 <= N_l <= 14, or None.
 
     Visits one dominant representative per Weyl orbit (the count N_l is
-    constant on orbits); d above EXHAUSTIVE_MAX_D raises FeasibilityError.
+    constant on orbits), found by an integer walk of the weight
+    coordinates; runs at any d >= 1.
     """
     _check_degree(d)
-    if d > EXHAUSTIVE_MAX_D:
-        raise FeasibilityError(
-            f"exhaustive search at d={d} exceeds the feasibility bound "
-            f"{EXHAUSTIVE_MAX_D}")
     best = None
     for vec in _enumerate_dominant(2 * d):
         n_l = e8.count_orth_roots_2x(vec)
@@ -518,18 +507,20 @@ def kodaira_verdict(d):
     """Derive the verdict for degree 2d; nothing about particular degrees is
     hardcoded, every claim is backed by a verified witness vector.
 
-    Strategy: structured families first (cheap, covers the table degrees and
-    far beyond), exhaustive orbit scan as the fallback for d <= 150
-    (EXHAUSTIVE_MAX_D); above it a degree no family reaches stays unknown.
-    When one of the two representation-number inequalities holds a witness
-    must exist, so a fruitless exhaustive scan is an internal error.
+    One rule at every d: the structured families run first (cheap, they cover
+    the table degrees and far beyond), and the exhaustive orbit scan runs
+    whenever no family gives N_l <= 12.  So general_type means a witness with
+    N_l <= 12, nonnegative_kodaira means a best witness with N_l = 14 and no
+    vector with 2 <= N_l <= 12, and unknown means no vector with
+    2 <= N_l <= 14.  When one of the two representation-number inequalities
+    holds a witness must exist, so a fruitless scan is an internal error.
     """
     mineq = check_mineq(d)
     mineqd = check_mineqd(d)
     hits = structured_search_all(d, targets=range(2, 15))
     witness = next((h for h in hits if h.n_l <= 12), None)
     best14 = next((h for h in hits if h.n_l == 14), None)
-    if witness is None and d <= EXHAUSTIVE_MAX_D:
+    if witness is None:
         ex = exhaustive_search(d)
         if ex is not None:
             if ex.n_l <= 12:

@@ -30,3 +30,16 @@ BOUNDS = {m["name"]: (m["better"], m["bound"])
 def test_acceptance_rule(name, old, new, tags):
     direction, bound = BOUNDS[name]
     assert ab_bench.verdict(old, new, direction, bound) == tags
+
+
+def test_run_once_reads_the_attempted_op_count(monkeypatch, tmp_path):
+    last = {"correct": True, "attempted": 488, "failed": 0,
+            "metrics": {"ops_per_s": {"value": 51.3}, "peak_rss_mb": {"value": 24.45}}}
+
+    class Done:
+        returncode = 0
+        stdout = "progress\n" + json.dumps(last) + "\n"
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", lambda *_a, **_k: Done())
+    assert ab_bench.run_once(tmp_path, "verdict-low", 1, 10) \
+        == ({"ops_per_s": 51.3, "peak_rss_mb": 24.45}, True, 488)

@@ -178,10 +178,6 @@ def test_usage_errors(capture):
 
 
 def test_computational_failure_exit_code(capture):
-    # no verdict runs the exhaustive scan above its bound, so force the failure directly
-    from k3mod.search import exhaustive_search, FeasibilityError
-    with pytest.raises(FeasibilityError):
-        exhaustive_search(500)
     code, _, err = capture("theta", "U", "--method", "brute")
     assert code == 1 and "error" in err
 
@@ -217,17 +213,6 @@ def test_internal_check_failure_exit_code(capture, monkeypatch, exc):
     code, out, err = capture("verdict", "5")
     assert code == 3 and out == ""
     assert err == "error: internal check failed: cross-check disagrees\n"
-
-
-def test_feasibility_error_keeps_exit_code_one(capture, monkeypatch):
-    from k3mod import search as se
-
-    def fail(*_args, **_kwargs):
-        raise se.FeasibilityError("beyond the bound")
-
-    monkeypatch.setattr(se, "kodaira_verdict", fail)
-    code, _, err = capture("verdict", "5")
-    assert code == 1 and err == "error: beyond the bound\n"
 
 
 # the benchmark's recorded CLI calls; this file is only read here
@@ -435,6 +420,12 @@ def test_integer_lists_are_usage_errors(capture, argv, message):
     code, out, err = capture(*argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_rst_sigma_prime_without_exponents_is_a_computational_error(capture):
+    code, out, err = capture("rst", "--exponents", "4:", "--sigma-prime", "1")
+    assert code == 1 and out == ""
+    assert err == "error: expected even exponents with a single odd final slot\n"
 
 
 @pytest.mark.parametrize("max_m", ["-1", "-500"])

@@ -322,6 +322,22 @@ def test_series_cache_grows_geometrically(monkeypatch):
     assert theta_e7(600).prec == 600 and theta_dn(5, 300).prec == 300
 
 
+def test_rep_num_reads_the_cached_series_without_a_copy(monkeypatch):
+    # with the cache longer than the request, rep_num builds no QSeries
+    monkeypatch.setattr(qs, "_series_cache", {})
+    want = {"E7": theta_e7(600).coeff(300), "D5": theta_dn(5, 600).coeff(300)}
+    made = []
+    init = QSeries.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QSeries, "__init__", counting)
+    assert {name: qs.rep_num(name, 600) for name in ("E7", "D5")} == want
+    assert made == []
+
+
 @pytest.mark.parametrize("build", [theta_e7, theta_e6, theta_d6_eis,
                                    lambda p: theta_dn(5, p)],
                          ids=["theta_e7", "theta_e6", "theta_d6_eis", "theta_dn"])

@@ -40,6 +40,8 @@ def test_sigma_prime():
         sigma_prime(EigenExponents(4, (2, 2, 1)), 2)  # l = k excluded
     with pytest.raises(ValueError):
         sigma_prime(EigenExponents(4, (1, 2, 1)), 1)  # parity violated
+    with pytest.raises(ValueError, match="single odd final slot"):
+        sigma_prime(EigenExponents(4, ()), 1)  # no final slot
 
 
 def test_c_min_values():

@@ -1,13 +1,14 @@
 import gc
 import itertools
 import random
+from fractions import Fraction
 from math import factorial, isqrt
 
 import pytest
 
 from k3mod import e8, roots
 from k3mod import search as se
-from k3mod.lattice import LatticeError
+from k3mod.lattice import IntLattice, LatticeError
 
 
 def test_embeddings_and_norms():
@@ -218,12 +219,53 @@ def _stabiliser(weight_coords):
     return order, n_roots
 
 
+def _dominant_by_fractions(norm):
+    """The orbit scan's reference walk: the same dominant chamber, walked on
+    the rational square completion of the weight form with Fraction bounds."""
+    _sign, q, u = roots._cholesky(IntLattice(e8.weight_gram()))
+    x = [0] * 8
+    out = []
+
+    def rec(i, budget):
+        c = sum(u[i][j] * x[j] for j in range(i + 1, 8))
+        if i == 0:
+            s = budget / q[0]
+            rn, rd = isqrt(s.numerator), isqrt(s.denominator)
+            if rn * rn != s.numerator or rd * rd != s.denominator:
+                return
+            for y in {Fraction(rn, rd), Fraction(-rn, rd)}:
+                v = y - c
+                if v.denominator == 1 and v >= 0:
+                    x[0] = int(v)
+                    out.append(tuple(sum(ci * w[t] for ci, w in zip(x, e8.WEIGHTS_2X))
+                                     for t in range(8)))
+            x[0] = 0
+            return
+        hi = int(Fraction(isqrt(int(budget / q[i])) + 1) - c)
+        while hi >= 0 and q[i] * (hi + c) ** 2 > budget:
+            hi -= 1
+        for xi in range(0, hi + 1):
+            x[i] = xi
+            rec(i - 1, budget - q[i] * (xi + c) ** 2)
+        x[i] = 0
+
+    rec(7, Fraction(norm))
+    out.sort()
+    return out
+
+
+def test_integer_orbit_scan_matches_the_fraction_walk():
+    for d in range(1, 26):
+        assert se._enumerate_dominant(2 * d) == _dominant_by_fractions(2 * d), d
+
+
 def test_orbit_scan_misses_no_orbit():
     # sum over dominant x of |W(E8)| / |W_S(x)| = N_E8(2d) = 240 sigma_3(d)
     # (Conway-Sloane, SPLAG ch. 4); the stabiliser of a dominant x is the
-    # parabolic subgroup on its zero weight coordinates
+    # parabolic subgroup on its zero weight coordinates; d = 1..61 covers
+    # every degree whose verdict rests on the scan
     w_e8 = 696729600
-    for d in range(1, 21):
+    for d in range(1, 62):
         vectors = se._enumerate_dominant(2 * d)
         assert len(vectors) == len(set(vectors)), d
         orbit_sum = 0
@@ -241,8 +283,16 @@ def test_exhaustive_search_hits():
     assert hit is not None and 2 <= hit.n_l <= 12
     hit40 = se.exhaustive_search(40)
     assert hit40 is not None and hit40.n_l == 14
-    with pytest.raises(se.FeasibilityError):
-        se.exhaustive_search(151)
+    # the scan runs at every degree, 151 included
+    hit151 = se.exhaustive_search(151)
+    assert hit151.n_l == 6 and hit151.coords2x == (-1, 1, 3, 3, 5, 5, 7, 33)
+
+
+def test_verdict_scans_where_no_family_reaches(monkeypatch):
+    monkeypatch.setattr(se, "structured_search_all", lambda d, targets: [])
+    v = se.kodaira_verdict(151)
+    assert v.kind == se.GENERAL_TYPE
+    assert v.witness.source == "exhaustive" and v.witness.n_l == 6
 
 
 def test_verdicts():

@@ -12,11 +12,14 @@ bytecode, so neither side pays for compiling a stale module inside the
 measured set-up, CLI and memory numbers.
 
 The script only starts `perfbench/run.py` as a subprocess and reads the
-last line of its stdout; run.py writes its own result files.  It prints,
-per end-to-end metric, each side's median and quartiles and the number of
-seeds on which the working tree was better, in the direction
-BENCHMARK.json gives for that metric, and applies the acceptance rule with
-that metric's `bound` from BENCHMARK.json:
+last line of its stdout; run.py writes its own result files.  It prints
+each run's `attempted` op count next to its metrics, and each side's median
+count in the summary: the harness keeps a record per op, so a memory figure
+is read against the op count.  It prints, per end-to-end metric, each
+side's median and quartiles and the number of seeds on which the working
+tree was better, in the direction BENCHMARK.json gives for that metric,
+and applies the acceptance rule with that metric's `bound` from
+BENCHMARK.json:
 
 * `worse`: the working tree's median is worse than the parent's by more
   than bound x the parent's median;
@@ -48,7 +51,8 @@ def parse_seeds(text):
 
 
 def run_once(tree, workload, seed, seconds):
-    """The metrics of one --trace 0 run in `tree`, and whether it was correct."""
+    """The metrics of one --trace 0 run in `tree`, whether it was correct and
+    how many ops it attempted."""
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                    cwd=tree, check=True, stdout=subprocess.DEVNULL)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -57,7 +61,8 @@ def run_once(tree, workload, seed, seconds):
     if proc.returncode != 0:
         raise RuntimeError(f"run.py failed in {tree} (seed {seed}):\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {k: m["value"] for k, m in result["metrics"].items()}, result["correct"]
+    return ({k: m["value"] for k, m in result["metrics"].items()}, result["correct"],
+            result["attempted"])
 
 
 def quartiles(values):
@@ -92,13 +97,15 @@ def main():
     better = {m["name"]: (m["better"], m["bound"]) for m in metrics}
     sides = {"parent": args.parent.resolve(), "change": HERE}
     runs = {"parent": [], "change": []}
+    attempted = {"parent": [], "change": []}
     all_correct = True
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            metrics, correct = run_once(sides[side], args.workload, seed, args.seconds)
+            metrics, correct, ops = run_once(sides[side], args.workload, seed, args.seconds)
             runs[side].append(metrics)
-            print(f"seed {seed} {side}: correct={correct} "
+            attempted[side].append(ops)
+            print(f"seed {seed} {side}: correct={correct} attempted={ops} "
                   + " ".join(f"{k}={v:.4g}" for k, v in metrics.items()), flush=True)
             if not correct:
                 all_correct = False
@@ -106,6 +113,8 @@ def main():
     pairs = len(runs["change"])
     print(f"\n{args.workload}, {pairs} pairs: median [q1, q3] parent -> change, wins, "
           "acceptance")
+    print(f"{'attempted':12s} {statistics.median(attempted['parent']):10g} -> "
+          f"{statistics.median(attempted['change']):10g} ops per run (median)")
     any_worse = False
     for name, (direction, bound) in better.items():
         old = [r[name] for r in runs["parent"]]
