@@ -112,15 +112,6 @@ def euler_phi(n):
     return out
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_divmod(a, b):
     a = list(a)
     out = [0] * (len(a) - len(b) + 1)

@@ -3,18 +3,22 @@
 Four structured families (I-IV below) come from fixing a small root
 sublattice and moving l in its orthogonal complement, written in doubled
 e-coordinates.  `FAMILIES` holds, per family, a combinatorial rule for the
-number of orthogonal roots and the embedding into E8; every claimed count
-is re-verified against the closed-form E8 root count
-(`e8.count_orth_roots_2x`) before any hit is emitted.  Family IV is the
-largest: its tuples (m3, ..., m7, -m8) sum to zero, so they are the vectors
-of norm 2d in A5, taken modulo S5 (permuting m3..m7) and the global sign.
-Three loops choose m3 <= m4 <= m5; the last pair then solves
-w^2 + 3v^2 = K (w = 3(m6 + m7) + 2(m3 + m4 + m5), v = m7 - m6) by lookup
-in a table of all such pairs up to K = 12d.  The exhaustive
-search enumerates one dominant representative per Weyl orbit (the
-orthogonal-root count is Weyl invariant), which turns the 10^8-vector
-streams of the naive scan into a handful of cone vectors; it walks the
-integer square completion of the weight form, so no rational arithmetic.
+number of orthogonal roots and the embedding into E8.  Each family at a
+degree is one verified stream of (N_l, coords2x): on every tuple with a
+claim the norm is checked and the claim is re-verified against the
+closed-form E8 root count (`e8.count_orth_roots_2x`), memoised per call on
+the W(D8) class of the vector, since N_l is Weyl invariant.  The searches
+build their hits from these streams; the verdict keeps only running minima
+and builds a hit for its winners.  Family IV is the largest: its tuples
+(m3, ..., m7, -m8) sum to zero, so they are the vectors of norm 2d in A5,
+taken modulo S5 (permuting m3..m7) and the global sign.  Three loops choose
+m3 <= m4 <= m5; the last pair then solves w^2 + 3v^2 = K
+(w = 3(m6 + m7) + 2(m3 + m4 + m5), v = m7 - m6) by lookup in a table of
+all such pairs up to K = 12d.  The exhaustive search enumerates one
+dominant representative per Weyl orbit (the orthogonal-root count is Weyl
+invariant), which turns the 10^8-vector streams of the naive scan into a
+handful of cone vectors; it walks the integer square completion of the
+weight form, so no rational arithmetic.
 The verdict has one rule at every degree: the families run first, and the
 orbit scan runs wherever no family gives N_l <= 12.
 
@@ -176,15 +180,22 @@ def case4_formula_count(ms):
     """Orthogonal-root count for an (A1+A2)-orthogonal tuple by the case rules.
 
     8 base roots, plus 4 per nonempty zero-sum subset of (m3..m7), plus 8 per
-    vanishing coordinate (m3..m8), plus 2 per signed pair coincidence.
+    vanishing coordinate (m3..m8), plus 2 per signed pair coincidence.  A
+    subset of (m3..m7) splits into a subset of (m3, m4, m5) with sum L and
+    one of (m6, m7) with sum R, and sums to zero when L = -R; so the zero-sum
+    subsets, the empty one included, are counted by meeting the 8 sums L
+    with the 4 sums R.
     """
     if len(ms) != 5:
         raise ValueError("case IV takes the free 5-tuple (m3..m7)")
-    m8 = sum(ms)
-    full = list(ms) + [m8]
-    # a sign pattern with sum -m8 picks out the zero-sum subset of its + signs
-    count = 8 + 4 * (_sign_sum_hits(-m8, ms) - 1)
-    count += 8 * sum(1 for m in full if m == 0)
+    m3, m4, m5, m6, m7 = ms
+    s34 = m3 + m4
+    left = (0, m3, m4, s34, m5, m3 + m5, m4 + m5, s34 + m5)
+    zero_sums = (left.count(0) + left.count(-m6) + left.count(-m7)
+                 + left.count(-m6 - m7))
+    count = 8 + 4 * (zero_sums - 1)
+    full = tuple(ms) + (s34 + m5 + m6 + m7,)
+    count += 8 * full.count(0)
     for x, y in itertools.combinations(full, 2):
         if x == y:
             count += 2
@@ -362,25 +373,55 @@ class SearchHit:
         return f"SearchHit(d={self.d}, N_l={self.n_l}, {self.source})"
 
 
-def structured_search(d, case, targets=range(2, 13)):
-    """All hits of one structured family at degree d whose verified orthogonal
-    -root count lies in `targets`, sorted by (N_l, coordinates)."""
+def _family_stream(case, d):
+    """The verified (N_l, coords2x) of every tuple of family `case` at degree
+    d whose rule claims a count, in tuple order.
+
+    Every such tuple is checked twice before it is yielded: its vector must
+    have norm 2d (doubled coordinates: square sum 8d), and the claim must
+    equal the closed-form E8 root count, else RuntimeError.  The count is
+    memoised for this one call on the class key sorted(|v_i|), used only
+    when some coordinate is 0: then every signed permutation of v is a
+    product of transpositions and an even number of sign changes (flip the
+    zero coordinate too), so it lies in W(D8), which is a subgroup of
+    W(E8), and N_l is Weyl invariant.  Every family vector has e1 = e2 = 0.
+    """
     tuples = iter_case_tuples(case, d)
     claim, embed = FAMILIES[case]
-    targets = frozenset(targets)
-    hits = []
+    counts = {}
     for ms in tuples:
         claimed = claim(ms)
         if claimed is None:
             continue
         vec = embed(ms)
-        actual = e8.count_orth_roots_2x(vec)
+        norm = sum(map(mul, vec, vec))
+        if norm != 8 * d:
+            raise RuntimeError(f"case {case} tuple {ms} has square sum {norm} "
+                               f"in doubled coordinates, expected 8d = {8 * d}")
+        if 0 in vec:
+            key = tuple(sorted(map(abs, vec)))
+            actual = counts.get(key)
+            if actual is None:
+                actual = counts[key] = e8.count_orth_roots_2x(vec)
+        else:
+            actual = e8.count_orth_roots_2x(vec)
         if actual != claimed:
             raise RuntimeError(
                 f"case {case} rules claim {claimed} orthogonal roots but the "
                 f"E8 root count gives {actual} for {ms}")
-        if actual in targets:
-            hits.append(SearchHit(d, vec, actual, f"case{case}"))
+        yield actual, vec
+
+
+def structured_search(d, case, targets=range(2, 13)):
+    """All hits of one structured family at degree d whose verified orthogonal
+    -root count lies in `targets`, sorted by (N_l, coordinates).
+
+    The hits are the members of the family's verified stream (every claim
+    and norm checked on every tuple, see `_family_stream`) with N_l in
+    `targets`."""
+    targets = frozenset(targets)
+    hits = [SearchHit(d, vec, n_l, f"case{case}")
+            for n_l, vec in _family_stream(case, d) if n_l in targets]
     hits.sort(key=SearchHit.sort_key)
     return hits
 
@@ -514,12 +555,34 @@ def kodaira_verdict(d):
     vector with 2 <= N_l <= 12, and unknown means no vector with
     2 <= N_l <= 14.  When one of the two representation-number inequalities
     holds a witness must exist, so a fruitless scan is an internal error.
+
+    The families are read as their verified streams (`_family_stream`: every
+    tuple's claim and norm checked), walked in CASES order.  The verdict
+    keeps two running minima of (N_l, coords2x), over 2 <= N_l <= 12 and
+    over N_l = 14, replaced only on a strict <, so among equal keys the
+    first family wins, as in the sorted `structured_search_all`; a
+    `SearchHit` is built only for the winners.
     """
     mineq = check_mineq(d)
     mineqd = check_mineqd(d)
-    hits = structured_search_all(d, targets=range(2, 15))
-    witness = next((h for h in hits if h.n_l <= 12), None)
-    best14 = next((h for h in hits if h.n_l == 14), None)
+    # the least (N_l, coords2x) with 2 <= N_l <= 12 and with N_l = 14, each
+    # with its family
+    low = top = None
+    for case in CASES:
+        for key in _family_stream(case, d):
+            if 2 <= key[0] <= 12:
+                if low is None or key < low[0]:
+                    low = key, case
+            elif key[0] == 14 and (top is None or key < top[0]):
+                top = key, case
+
+    def hit(best):
+        if best is None:
+            return None
+        (n_l, vec), case = best
+        return SearchHit(d, vec, n_l, f"case{case}")
+
+    witness, best14 = hit(low), hit(top)
     if witness is None:
         ex = exhaustive_search(d)
         if ex is not None:

@@ -121,6 +121,15 @@ def _random_conjugation(rng, m):
     return mat_mul(mat_mul(s, m), s_inv)
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def test_decomposition_reconstructs_charpoly():
     rng = random.Random(8)
     for _ in range(25):
@@ -130,7 +139,6 @@ def test_decomposition_reconstructs_charpoly():
         assert sum(v * euler_phi(d) for d, v in dec.multiplicities.items()) == n
         poly = [1]
         for d, v in dec.multiplicities.items():
-            from k3mod.rst import _poly_mul
             for _ in range(v):
                 poly = _poly_mul(poly, cyclotomic_poly(d))
         assert poly == char_poly(g)

@@ -1,0 +1,36 @@
+"""tools/same_outputs.py on a tiny degree range."""
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+from k3mod import search as se
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def test_one_digest_per_group(capsys):
+    same_outputs.main(["--degrees", "40-41"])
+    lines = capsys.readouterr().out.splitlines()
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    names = [line.split()[0] for line in lines]
+    assert names == (["verdict"] + [f"search-{c}" for c in se.CASES] + ["cli-tables"]
+                     + [f"cli-{w}" for w in golden])
+    digests = dict(line.split() for line in lines)
+    want = hashlib.sha256()
+    for d in (40, 41):
+        want.update(json.dumps(se.kodaira_verdict(d).to_dict(), sort_keys=True).encode()
+                    + b"\n")
+    assert digests["verdict"] == want.hexdigest()
+    # the in-process calls give the recorded stdout with exit code 0
+    for workload, calls in golden.items():
+        assert digests[f"cli-{workload}"] == same_outputs.digest(
+            (0, c["stdout"]) for c in calls), workload
+
+
+def test_degree_range_syntax():
+    assert same_outputs.parse_degrees("1-400") == range(1, 401)
+    assert same_outputs.parse_degrees("7") == range(7, 8)

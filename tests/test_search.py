@@ -289,10 +289,92 @@ def test_exhaustive_search_hits():
 
 
 def test_verdict_scans_where_no_family_reaches(monkeypatch):
-    monkeypatch.setattr(se, "structured_search_all", lambda d, targets: [])
+    monkeypatch.setattr(se, "_family_stream", lambda case, d: iter(()))
     v = se.kodaira_verdict(151)
     assert v.kind == se.GENERAL_TYPE
     assert v.witness.source == "exhaustive" and v.witness.n_l == 6
+
+
+def _last_claimed_tuple(case, d):
+    claim, _embed = se.FAMILIES[case]
+    return [ms for ms in se.iter_case_tuples(case, d) if claim(ms) is not None][-1]
+
+
+def test_wrong_family_claim_stops_the_verdict(monkeypatch):
+    # the last claimed tuple of family IV at d = 151, claimed 2 roots too
+    # many: the verdict reads every tuple, so it cannot miss the claim
+    d = 151
+    claim, embed = se.FAMILIES["IV"]
+    bad = _last_claimed_tuple("IV", d)
+    monkeypatch.setitem(se.FAMILIES, "IV",
+                        (lambda ms: claim(ms) + 2 if ms == bad else claim(ms), embed))
+    with pytest.raises(RuntimeError, match=r"case IV rules claim \d+ orthogonal roots"):
+        se.kodaira_verdict(d)
+    with pytest.raises(RuntimeError, match=r"case IV rules claim"):
+        se.structured_search(d, "IV")
+
+
+def test_wrong_family_norm_stops_the_verdict(monkeypatch):
+    d = 151
+    claim, embed = se.FAMILIES["IV"]
+    bad = _last_claimed_tuple("IV", d)
+
+    def moved(ms):
+        vec = embed(ms)
+        return vec[:-1] + (vec[-1] + 4,) if ms == bad else vec
+
+    monkeypatch.setitem(se.FAMILIES, "IV", (claim, moved))
+    with pytest.raises(RuntimeError, match=r"square sum \d+ in doubled coordinates, "
+                                           r"expected 8d = 1208"):
+        se.kodaira_verdict(d)
+    with pytest.raises(RuntimeError, match=r"has square sum"):
+        se.structured_search(d, "IV", {8})
+
+
+def _verdict_by_sorted_hits(d):
+    """The verdict before the running minima: every family hit built and
+    sorted, and the first hit with N_l <= 12 or N_l = 14 taken."""
+    mineq, mineqd = se.check_mineq(d), se.check_mineqd(d)
+    hits = se.structured_search_all(d, targets=range(2, 15))
+    witness = next((h for h in hits if h.n_l <= 12), None)
+    best14 = next((h for h in hits if h.n_l == 14), None)
+    if witness is None:
+        ex = se.exhaustive_search(d)
+        if ex is not None:
+            if ex.n_l <= 12:
+                witness = ex
+            elif best14 is None:
+                best14 = ex
+    if witness is not None:
+        return se.Verdict(d, se.GENERAL_TYPE, witness, mineq, mineqd)
+    if best14 is not None:
+        return se.Verdict(d, se.NONNEGATIVE_KODAIRA, best14, mineq, mineqd)
+    return se.Verdict(d, se.UNKNOWN, None, mineq, mineqd)
+
+
+def test_running_minima_match_the_sorted_hits():
+    for d in range(1, 201):
+        assert se.kodaira_verdict(d).to_dict() == _verdict_by_sorted_hits(d).to_dict(), d
+
+
+def test_equal_keys_keep_the_first_family(monkeypatch):
+    # families yield equal (N_l, coords2x) at some degrees; the sorted hits
+    # kept the first family in CASES order, and so must the running minimum
+    vec = se.embed_case1(1, 2, 4, 5)
+    monkeypatch.setattr(se, "_family_stream", lambda case, d: iter([(12, vec)]))
+    assert se.kodaira_verdict(46).witness.source == "caseI"
+
+
+def test_class_memoised_count_matches_the_closed_form():
+    # the stream's count is memoised on sorted(|v_i|); it must equal the
+    # closed form on every vector it yields
+    seen = 0
+    for d in range(1, 151):
+        for case in se.CASES:
+            for n_l, vec in se._family_stream(case, d):
+                assert 0 in vec and n_l == e8.count_orth_roots_2x(vec), (case, vec)
+                seen += 1
+    assert seen > 10000
 
 
 def test_verdicts():

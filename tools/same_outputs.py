@@ -1,0 +1,81 @@
+"""Digests of the program's outputs, one sha256 per group.
+
+    python tools/same_outputs.py [--degrees 1-400]
+
+Run it in two checkouts and diff the two outputs: equal lines mean
+byte-identical outputs in that group.  The groups are
+
+* `verdict`: `kodaira_verdict(d).to_dict()` for every d in --degrees;
+* `search-<case>`: `structured_search(d, case, range(2, 15))`, every hit's
+  `to_dict()`, for every d in --degrees and each family;
+* `cli-tables`: the stdout of `k3mod tables` in each output format;
+* `cli-<workload>`: the stdout of every `k3mod` call that
+  perfbench/golden.json records for that workload.
+
+The `k3mod` calls run in this process and hash (exit code, stdout).
+
+Each group hashes one JSON line per item, in order.  The program is
+imported from the `src` directory of the checkout this script lives in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from k3mod import cli, search  # noqa: E402
+
+
+def parse_degrees(text):
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def digest(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(json.dumps(item, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def cli_stdout(argv):
+    """(exit code, stdout) of one `k3mod` call run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(list(argv))
+    return code, out.getvalue()
+
+
+def groups(degrees):
+    """(group name, digest) pairs in a fixed order."""
+    yield "verdict", digest(search.kodaira_verdict(d).to_dict() for d in degrees)
+    for case in search.CASES:
+        yield f"search-{case}", digest(
+            [h.to_dict() for h in search.structured_search(d, case, range(2, 15))]
+            for d in degrees)
+    yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
+                               for fmt in ("text", "json", "csv"))
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    for workload, calls in golden.items():
+        yield f"cli-{workload}", digest(cli_stdout(c["argv"]) for c in calls)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--degrees", type=parse_degrees, default=range(1, 401),
+                    help="degree range LO-HI for the verdict and search groups")
+    args = ap.parse_args(argv)
+    for name, value in groups(args.degrees):
+        print(name, value)
+
+
+if __name__ == "__main__":
+    main()
