@@ -645,7 +645,7 @@ class _ExprParser:
             self.pos += 1
             scale = self._opt_scale()
             return hyperbolic_plane(scale)
-        if ch in "AD":
+        if ch in ("A", "D"):
             self.pos += 1
             self._expect("(")
             n = self._int()

@@ -217,12 +217,12 @@ def parity_delta(disc):
     return 0
 
 
-def orth_det_check(d, r):
-    """Determinant of the orthogonal complement of r in L_2d versus the
-    index formula |det L| * |r^2| / div(r)^2 (which is 4d^2/div^2 for the
-    r^2 = -2d reflective vectors).  Returns (|det|, predicted)."""
-    lat = make_l2d(d) if isinstance(r, (tuple, list)) else r.lattice
-    coords = tuple(r) if isinstance(r, (tuple, list)) else r.coords
+def orth_det_check(r):
+    """Determinant of the orthogonal complement of the vector r in its
+    lattice L versus the index formula |det L| * |r^2| / div(r)^2 (which is
+    4d^2/div^2 for the r^2 = -2d reflective vectors of L_2d).  Returns
+    (|det|, predicted)."""
+    lat, coords = r.lattice, r.coords
     if not is_primitive(lat, coords):
         raise LatticeError("determinant check needs a primitive vector")
     _pair, norm, div = _pairings(lat, coords)
@@ -317,7 +317,7 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
             report["counterexamples"].append(
                 {"r": list(coords), "rSquared": norm, "div": div,
                  "plus": plus, "minus": minus})
-        got, predicted = orth_det_check(d, lat.vector(coords))
+        got, predicted = orth_det_check(lat.vector(coords))
         report["det_checks"] += 1
         if got != predicted:
             report["det_mismatches"].append(

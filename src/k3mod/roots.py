@@ -3,7 +3,12 @@
 The enumerator is Fincke-Pohst style: the Gram matrix is completed to a sum
 of squares with rational pivots, and coordinate ranges are propagated from
 the last coordinate to the first with exact bounds (integer square roots
-plus an exact adjustment step, so no acceptance errors from rounding).
+plus an exact adjustment step, so no acceptance errors from rounding).  The
+integer square completion (`_scaled_form`) and the one recursion over it
+(`_walk`) are private to this module.  The walk serves the vectors of one
+norm (`enumerate_norm_vectors`, the roots), the norm histogram
+(`norm_counts`) and the nonnegative cone of one norm (`enumerate_cone`,
+where every level walks x_i >= 0: the dominant-orbit scan of `search`).
 
 Three things keep the recursion cheap:
 
@@ -111,14 +116,14 @@ def _build_scaled_form(lat):
     return (scale, a, unum, uden)
 
 
-def _walk(lat, target, x, leaf):
+def _walk(lat, target, x, leaf, cone=False):
     """Walk x_{n-1}, ..., x_1 over the vectors with Q(x) <= target and call
     `leaf(budget, centre, sym)` for each admissible choice, with x[1:] set.
 
     budget = L * target - sum_{i>0} a_i y_i^2 >= 0; centre = sum_{j>0}
     unum_0[j] x_j, so y_0 = uden_0 x_0 + centre; sym is True while
     x_1 = ... = x_{n-1} = 0, and then centre is 0.  A level in the symmetric
-    state walks x_i >= 0 only.
+    state walks x_i >= 0 only; with `cone` every level does.
     """
     scale, a, unum, uden = _scaled_form(lat)
     n = lat.rank
@@ -130,6 +135,8 @@ def _walk(lat, target, x, leaf):
         di = uden[i]
         ymax = isqrt(budget // ai)
         lo = 0 if sym else -((ymax + centre) // di)
+        if cone and lo < 0:
+            lo = 0
         hi = (ymax - centre) // di
         # centre of level i-1: the higher coordinates' part once, then stepped
         step = unum[i - 1][i]
@@ -155,14 +162,14 @@ def _walk(lat, target, x, leaf):
         node(n - 1, scale * target, 0, True)
 
 
-def _bounded_leaf(lat, max_norm, half, emit):
-    """The level-0 leaf of a walk over 0 < Q(x) <= max_norm.
+def _bounded_leaf(lat, max_norm, half):
+    """The level-0 leaf of a walk over 0 < Q(x) <= max_norm that counts each
+    norm in half[norm].
 
     Along x_0 the norm is g x_0^2 + 2 p x_0 + q, with g = a_0 uden_0^2 / L the
     (sign-normalised) Gram entry g_00, p = a_0 uden_0 centre / L and q the norm
     at x_0 = 0; all three are integers, which is checked.  The leaf steps the
-    norm by finite differences and either counts it in half[norm] (emit is
-    None) or calls emit(x_0, norm).
+    norm by finite differences.
     """
     scale, a, _unum, uden = _scaled_form(lat)
     total = scale * max_norm
@@ -185,41 +192,29 @@ def _bounded_leaf(lat, max_norm, half, emit):
             raise LatticeError("norm of a lattice vector is not an integer")
         norm = (g * lo + 2 * p) * lo + q
         dn = g * (2 * lo + 1) + 2 * p
-        if emit is None:
-            for _ in range(hi - lo + 1):
-                half[norm] += 1
-                norm += dn
-                dn += g2
-        else:
-            for x0 in range(lo, hi + 1):
-                emit(x0, norm)
-                norm += dn
-                dn += g2
+        for _ in range(hi - lo + 1):
+            half[norm] += 1
+            norm += dn
+            dn += g2
 
     return leaf
 
 
-def _enumerate(lat, target, visitor, exact):
-    """Visit x != 0 with Q(x) == target (exact) or 0 < Q(x) <= target.
+def _walk_norm(lat, norm, hit, cone=False):
+    """Walk the vectors x with Q(x) == norm: with `cone` those with every
+    x_i >= 0, else one of each pair +-x, the one whose last nonzero
+    coordinate is positive.  Returns their number; when `hit` is not None,
+    calls hit(x) for each with the list x filled in.
 
-    `visitor(coords, norm)` is called once per vector.  Q is the Gram form
-    up to the internal sign flip for negative definite lattices; reported
-    norms are the positive ones.  Returns the number of vectors visited.
+    Q is the Gram form up to the internal sign flip for negative definite
+    lattices.
     """
     _scale, a, _unum, uden = _scaled_form(lat)
     a0, d0 = a[0], uden[0]
     x = [0] * lat.rank
     count = 0
 
-    def emit(x0, norm):
-        nonlocal count
-        x[0] = x0
-        v = tuple(x)
-        visitor(v, norm)
-        visitor(tuple(-t for t in v), norm)
-        count += 2
-
-    def exact_leaf(budget, c, sym):
+    def leaf(budget, c, sym):
         # y_0 = +-sqrt(budget / a_0) must be an integer, and x_0 = (y_0 - c) / uden_0
         nonlocal count
         ysq, r = divmod(budget, a0)
@@ -230,14 +225,13 @@ def _enumerate(lat, target, visitor, exact):
             return
         for y0 in (y, -y) if y and not sym else (y,):
             x0, r = divmod(y0 - c, d0)
-            if r == 0:
-                if visitor is None:
-                    count += 2
-                else:
-                    emit(x0, target)
+            if r == 0 and (not cone or x0 >= 0):
+                count += 1
+                if hit is not None:
+                    x[0] = x0
+                    hit(x)
 
-    leaf = exact_leaf if exact else _bounded_leaf(lat, target, None, emit)
-    _walk(lat, target, x, leaf)
+    _walk(lat, norm, x, leaf, cone)
     return count
 
 
@@ -247,7 +241,7 @@ def norm_counts(lat, max_norm):
     if max_norm < 0:
         raise LatticeError("bound must be nonnegative")
     half = [0] * (max_norm + 1)
-    _walk(lat, max_norm, [0] * lat.rank, _bounded_leaf(lat, max_norm, half, None))
+    _walk(lat, max_norm, [0] * lat.rank, _bounded_leaf(lat, max_norm, half))
     counts = [2 * h for h in half]
     counts[0] = 1
     return counts
@@ -256,21 +250,30 @@ def norm_counts(lat, max_norm):
 def enumerate_norm_vectors(lat, norm, visitor=None):
     """Visit every x in L with (x, x) = norm exactly once; returns the count.
 
-    The count equals the theta-series coefficient of the (sign-normalised)
-    lattice.  An odd `norm` on an even lattice simply yields 0.
+    `visitor(coords, norm)` is called for x and then for -x.  The count
+    equals the theta-series coefficient of the (sign-normalised) lattice.
+    An odd `norm` on an even lattice simply yields 0.
     """
     if norm < 1:
         raise LatticeError("norm must be positive")
-    return _enumerate(lat, norm, visitor, exact=True)
+
+    def hit(x):
+        v = tuple(x)
+        visitor(v, norm)
+        visitor(tuple(-t for t in v), norm)
+
+    return 2 * _walk_norm(lat, norm, None if visitor is None else hit)
 
 
-def enumerate_up_to(lat, max_norm, visitor=None):
-    """Visit every x != 0 with 0 < (x, x) <= max_norm; returns the count."""
-    if max_norm < 1:
-        raise LatticeError("bound must be positive")
-    if visitor is None:
-        return sum(norm_counts(lat, max_norm)) - 1
-    return _enumerate(lat, max_norm, visitor, exact=False)
+def enumerate_cone(lat, norm):
+    """The vectors x with every x_i >= 0 and (x, x) = norm, as a sorted list
+    of coordinate tuples."""
+    if norm < 1:
+        raise LatticeError("norm must be positive")
+    out = []
+    _walk_norm(lat, norm, lambda x: out.append(tuple(x)), cone=True)
+    out.sort()
+    return out
 
 
 def _root_coords(lat):

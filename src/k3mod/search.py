@@ -17,8 +17,8 @@ m3 <= m4 <= m5; the last pair then solves w^2 + 3v^2 = K
 all such pairs up to K = 12d.  The exhaustive search enumerates one
 dominant representative per Weyl orbit (the orthogonal-root count is Weyl
 invariant), which turns the 10^8-vector streams of the naive scan into a
-handful of cone vectors; it walks the integer square completion of the
-weight form, so no rational arithmetic.
+handful of cone vectors; `roots.enumerate_cone` walks them on the weight
+form in integers, so no rational arithmetic.
 The verdict has one rule at every degree: the families run first, and the
 orbit scan runs wherever no family gives N_l <= 12.
 
@@ -412,7 +412,7 @@ def _family_stream(case, d):
         yield actual, vec
 
 
-def structured_search(d, case, targets=range(2, 13)):
+def structured_search(d, case, targets):
     """All hits of one structured family at degree d whose verified orthogonal
     -root count lies in `targets`, sorted by (N_l, coordinates).
 
@@ -426,7 +426,7 @@ def structured_search(d, case, targets=range(2, 13)):
     return hits
 
 
-def structured_search_all(d, targets=range(2, 15)):
+def structured_search_all(d, targets):
     hits = []
     for case in CASES:
         hits.extend(structured_search(d, case, targets))
@@ -448,38 +448,12 @@ def _enumerate_dominant(norm):
 
     Every Weyl orbit contains exactly one vector with all simple-root
     pairings nonnegative, i.e. nonnegative coordinates x_i on the fundamental
-    weights; the weight Gram matrix is the inverse Cartan matrix.  The walk
-    runs on the integer square completion of that form (`roots._scaled_form`)
-    from x_7 down to x_0 with x_i >= 0 at every level, and level 0 takes the
-    exact leaf: budget = a_0 y_0^2 with y_0 = uden_0 x_0 + centre.
+    weights; the weight Gram matrix is the inverse Cartan matrix.  So the
+    vectors are the nonnegative cone of that form at this norm
+    (`roots.enumerate_cone`), mapped to e-coordinates.
     """
-    scale, a, unum, uden = rt._scaled_form(_WEIGHT_LATTICE)
-    x = [0] * 8
-    out = []
-
-    def level(i, budget):
-        centre = sum(unum[i][j] * x[j] for j in range(i + 1, 8))
-        if i == 0:
-            ysq, r = divmod(budget, a[0])
-            y = isqrt(ysq)
-            if r or y * y != ysq:
-                return
-            for y0 in {y, -y}:
-                x0, r = divmod(y0 - centre, uden[0])
-                if r == 0 and x0 >= 0:
-                    x[0] = x0
-                    out.append(tuple(sum(map(mul, col, x)) for col in _WEIGHT_COLUMNS))
-            x[0] = 0
-            return
-        ymax = isqrt(budget // a[i])
-        for xi in range(max(0, -((ymax + centre) // uden[i])),
-                        (ymax - centre) // uden[i] + 1):
-            x[i] = xi
-            y = uden[i] * xi + centre
-            level(i - 1, budget - a[i] * y * y)
-        x[i] = 0
-
-    level(7, scale * norm)
+    out = [tuple(sum(map(mul, col, x)) for col in _WEIGHT_COLUMNS)
+           for x in rt.enumerate_cone(_WEIGHT_LATTICE, norm)]
     out.sort()
     return out
 

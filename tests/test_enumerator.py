@@ -90,10 +90,16 @@ def _signed_permutation(expr, rng):
                        for i in range(n)])
 
 
-def _collect(enumerate_fn, lat, bound):
-    found = []
-    count = enumerate_fn(lat, bound, lambda c, nrm: found.append((c, nrm)))
-    return count, found
+def _reference_histogram(lat, top):
+    """Number of vectors of each norm 0..top by the reference walk."""
+    hist = [0] * (top + 1)
+    hist[0] = 1
+
+    def visit(_coords, norm):
+        hist[norm] += 1
+
+    _reference_enumerate(lat, top, visit, False)
+    return hist
 
 
 _PINNED = ["E6", "E7", "E8", "D(5)", "D(8)", "A(2)+A(4)", "E8(-1)"]
@@ -107,38 +113,32 @@ def test_vector_sets_match_the_reference(expr, seed):
     for norm in range(2, top + 1, 2):
         want = []
         want_n = _reference_enumerate(lat, norm, lambda c, nrm: want.append((c, nrm)), True)
-        got_n, got = _collect(roots.enumerate_norm_vectors, lat, norm)
+        got = []
+        got_n = roots.enumerate_norm_vectors(lat, norm, lambda c, nrm: got.append((c, nrm)))
         assert got_n == want_n == len(got) == len(set(got))
         assert sorted(got) == sorted(want)
         assert roots.enumerate_norm_vectors(lat, norm) == want_n
-    want = []
-    want_n = _reference_enumerate(lat, top, lambda c, nrm: want.append((c, nrm)), False)
-    got_n, got = _collect(roots.enumerate_up_to, lat, top)
-    assert got_n == want_n == len(got) == len(set(got))
-    assert sorted(got) == sorted(want)
-    assert roots.enumerate_up_to(lat, top) == want_n
+        # the nonnegative cone: the same vectors with every coordinate >= 0
+        assert roots.enumerate_cone(lat, norm) == sorted(
+            c for c, _nrm in want if min(c) >= 0)
+    assert roots.norm_counts(lat, top) == _reference_histogram(lat, top)
 
 
 @pytest.mark.parametrize("expr", ["A(1)", "<4>", "A(2)", "A(1)+<6>", "E8(-1)"])
 def test_small_ranks_and_odd_norms_match_the_reference(expr):
     lat = parse_lattice_expr(expr)
     for norm in range(1, 9):
+        want = []
         assert roots.enumerate_norm_vectors(lat, norm) == \
-            _reference_enumerate(lat, norm, None, True)
-    assert roots.enumerate_up_to(lat, 9) == _reference_enumerate(lat, 9, None, False)
+            _reference_enumerate(lat, norm, lambda c, _n: want.append(c), True)
+        assert roots.enumerate_cone(lat, norm) == sorted(c for c in want if min(c) >= 0)
+    assert roots.norm_counts(lat, 9) == _reference_histogram(lat, 9)
 
 
 @pytest.mark.parametrize("expr", ["E7", "D(5)", "A(2)+A(4)", "E8(-1)", "A(1)+<6>"])
 def test_norm_counts_is_the_norm_histogram(expr):
     lat = _signed_permutation(expr, random.Random(expr))
-    hist = [0] * 11
-    hist[0] = 1
-
-    def visit(_coords, norm):
-        hist[norm] += 1
-
-    roots.enumerate_up_to(lat, 10, visit)
-    assert roots.norm_counts(lat, 10) == hist
+    assert roots.norm_counts(lat, 10) == _reference_histogram(lat, 10)
     assert roots.norm_counts(lat, 0) == [1]
     with pytest.raises(lattice.LatticeError):
         roots.norm_counts(lat, -1)
@@ -155,8 +155,7 @@ def test_theta_brute_of_e8_is_240_sigma3():
 
 
 @pytest.mark.parametrize("stop", [1, 2, 5, 6])
-@pytest.mark.parametrize("exact", [True, False])
-def test_aborting_visitor_stops_after_exactly_n_calls(stop, exact):
+def test_aborting_visitor_stops_after_exactly_n_calls(stop):
     # a visitor aborts by raising, and the walk passes the exception on at
     # once; an odd stop raises between x and -x
     lat = _signed_permutation("D(5)", random.Random(stop))
@@ -170,9 +169,8 @@ def test_aborting_visitor_stops_after_exactly_n_calls(stop, exact):
         if len(seen) == stop:
             raise Stop
 
-    enum = roots.enumerate_norm_vectors if exact else roots.enumerate_up_to
     with pytest.raises(Stop):
-        enum(lat, 4, visit)
+        roots.enumerate_norm_vectors(lat, 4, visit)
     assert len(seen) == stop
     assert len(set(seen)) == stop
 

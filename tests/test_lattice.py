@@ -226,7 +226,11 @@ def test_parser():
 def test_parser_errors(bad):
     with pytest.raises(ParseError) as info:
         parse_lattice_expr(bad)
-    assert info.value.pos >= 0
+    assert 0 <= info.value.pos <= len(bad)
+    if bad in ("", "U+", "2"):
+        # input that ends where an atom should start
+        assert info.value.pos == len(bad)
+        assert str(info.value).startswith("expected a lattice atom")
 
 
 def test_disc_of_direct_sum_matches_block_snf():

@@ -194,15 +194,15 @@ def test_orth_det_check():
     n = lat.rank
     h = [0] * n
     h[-1] = 1
-    got, predicted = rf.orth_det_check(7, lat.vector(h))
+    got, predicted = rf.orth_det_check(lat.vector(h))
     assert got == predicted == 1
     uh = [0] * n
     uh[0], uh[-1] = 7, 1
-    got, predicted = rf.orth_det_check(7, lat.vector(uh))
+    got, predicted = rf.orth_det_check(lat.vector(uh))
     assert got == predicted == 4
     em2 = [0] * n
     em2[0], em2[1] = 1, -1
-    got, predicted = rf.orth_det_check(7, lat.vector(em2))
+    got, predicted = rf.orth_det_check(lat.vector(em2))
     assert got == predicted == 28  # |det L| * |r^2| / div^2 = 14 * 2 / 1
 
 

@@ -7,7 +7,7 @@ from k3mod import roots
 from k3mod.lattice import parse_lattice_expr
 from k3mod.roots import (
     IndefiniteError, bouquet_decomposition, count_orth_roots,
-    enumerate_norm_vectors, enumerate_roots, enumerate_up_to,
+    enumerate_norm_vectors, enumerate_roots, norm_counts,
 )
 
 
@@ -51,12 +51,11 @@ def test_negative_definite_normalised():
     assert enumerate_roots(e8m).count == 240
 
 
-def test_enumerate_up_to_matches_exact():
+def test_norm_counts_matches_exact():
     lat = parse_lattice_expr("D(5)")
-    hist = {}
-    enumerate_up_to(lat, 8, lambda _c, n: hist.__setitem__(n, hist.get(n, 0) + 1))
-    for n in (2, 4, 6, 8):
-        assert hist.get(n, 0) == enumerate_norm_vectors(lat, n)
+    hist = norm_counts(lat, 8)
+    for n in range(1, 9):
+        assert hist[n] == enumerate_norm_vectors(lat, n)
 
 
 def test_e8_counts_follow_sigma3():

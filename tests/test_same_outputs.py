@@ -17,14 +17,16 @@ def test_one_digest_per_group(capsys):
     lines = capsys.readouterr().out.splitlines()
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
-    assert names == (["verdict"] + [f"search-{c}" for c in se.CASES] + ["cli-tables"]
-                     + [f"cli-{w}" for w in golden])
+    assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
+                     + ["orbit-scan", "cli-tables"] + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
     for d in (40, 41):
         want.update(json.dumps(se.kodaira_verdict(d).to_dict(), sort_keys=True).encode()
                     + b"\n")
     assert digests["verdict"] == want.hexdigest()
+    assert digests["orbit-scan"] == same_outputs.digest(
+        se._enumerate_dominant(2 * d) for d in (40, 41))
     # the in-process calls give the recorded stdout with exit code 0
     for workload, calls in golden.items():
         assert digests[f"cli-{workload}"] == same_outputs.digest(

@@ -311,7 +311,7 @@ def test_wrong_family_claim_stops_the_verdict(monkeypatch):
     with pytest.raises(RuntimeError, match=r"case IV rules claim \d+ orthogonal roots"):
         se.kodaira_verdict(d)
     with pytest.raises(RuntimeError, match=r"case IV rules claim"):
-        se.structured_search(d, "IV")
+        se.structured_search(d, "IV", range(2, 13))
 
 
 def test_wrong_family_norm_stops_the_verdict(monkeypatch):
@@ -453,7 +453,8 @@ def _scan_count(vec2x):
 def test_closed_form_root_count_on_short_vectors():
     assert len(_SCAN_ROOTS) == 240
     vectors = []
-    roots.enumerate_up_to(e8.lattice(), 4, lambda coords, _n: vectors.append(coords))
+    for norm in (2, 4):
+        roots.enumerate_norm_vectors(e8.lattice(), norm, lambda c, _n: vectors.append(c))
     assert len(vectors) == 240 + 2160
     for alpha in vectors + [(0,) * 8]:
         vec = e8.to_2x(alpha)
@@ -525,12 +526,12 @@ def test_nonpositive_degree_is_rejected(d):
         with pytest.raises(LatticeError, match="d must be positive"):
             se.iter_case_tuples(case, d)
         with pytest.raises(LatticeError, match="d must be positive"):
-            se.structured_search(d, case)
+            se.structured_search(d, case, range(2, 13))
 
 
 def test_unknown_case_or_table_is_a_value_error():
     with pytest.raises(ValueError, match="unknown case 'V'"):
-        se.structured_search(10, "V")
+        se.structured_search(10, "V", range(2, 13))
     with pytest.raises(ValueError, match="unknown case 'V'"):
         se.iter_case_tuples("V", 10)
     with pytest.raises(ValueError, match="unknown table 'V'"):

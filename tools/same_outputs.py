@@ -8,6 +8,8 @@ byte-identical outputs in that group.  The groups are
 * `verdict`: `kodaira_verdict(d).to_dict()` for every d in --degrees;
 * `search-<case>`: `structured_search(d, case, range(2, 15))`, every hit's
   `to_dict()`, for every d in --degrees and each family;
+* `orbit-scan`: the dominant vectors `_enumerate_dominant(2d)` of the
+  exhaustive search, for every d in --degrees up to ORBIT_SCAN_MAX_D;
 * `cli-tables`: the stdout of `k3mod tables` in each output format;
 * `cli-<workload>`: the stdout of every `k3mod` call that
   perfbench/golden.json records for that workload.
@@ -32,6 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from k3mod import cli, search  # noqa: E402
+
+# the orbit scan's cost rises steeply with d: d = 1..150 takes about 20 s,
+# 1..400 would take about 10 min (CPython 3.11 on a 2-core VM)
+ORBIT_SCAN_MAX_D = 150
 
 
 def parse_degrees(text):
@@ -61,6 +67,8 @@ def groups(degrees):
         yield f"search-{case}", digest(
             [h.to_dict() for h in search.structured_search(d, case, range(2, 15))]
             for d in degrees)
+    yield "orbit-scan", digest(search._enumerate_dominant(2 * d)
+                               for d in degrees if d <= ORBIT_SCAN_MAX_D)
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
@@ -71,7 +79,7 @@ def groups(degrees):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--degrees", type=parse_degrees, default=range(1, 401),
-                    help="degree range LO-HI for the verdict and search groups")
+                    help="degree range LO-HI for the verdict, search and orbit-scan groups")
     args = ap.parse_args(argv)
     for name, value in groups(args.degrees):
         print(name, value)
