@@ -17,7 +17,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import e8
 from . import lattice as lt
 from . import qseries as qs
 from . import reflective as rf
@@ -49,7 +48,7 @@ def build_parser():
     s.add_argument("--count", action="store_true")
 
     s = _common(subs.add_parser("repnum", help="representation number N_L(2d)"))
-    s.add_argument("name", choices=("E6", "E7", "D5", "D6", "D8"))
+    s.add_argument("name", choices=qs.NAMED_LATTICES)
     s.add_argument("two_d", type=int)
     s.add_argument("--method", choices=("formula", "brute"), default="formula")
 
@@ -76,8 +75,7 @@ def build_parser():
     s.add_argument("d", type=int)
 
     s = _common(subs.add_parser("tables", help="reproduce the structured-family tables"))
-    s.add_argument("--table", choices=("I", "II-10", "II-14", "III", "IV", "all"),
-                   default="all")
+    s.add_argument("--table", choices=se.TABLES + ("all",), default="all")
 
     s = _common(subs.add_parser("reflect", help="classify reflections on a lattice"))
     s.add_argument("expr", nargs="?", help="lattice expression (with --vector)")
@@ -276,7 +274,7 @@ def _cmd_verdict(args):
 
 
 def _cmd_tables(args):
-    which = ("I", "II-10", "II-14", "III", "IV") if args.table == "all" else (args.table,)
+    which = se.TABLES if args.table == "all" else (args.table,)
     rows = []
     for w in which:
         for d, tup, n_l in se.table_rows(w):

@@ -7,6 +7,11 @@ isometry on A_L are integer sums and congruences; Fractions appear only in
 outputs (dual coordinates, pairings, discriminant-form values).  No floating
 point: discriminant groups, divisors and elementary divisors are
 integrality statements and are computed as such.
+
+One rule governs every vector argument (`coords_of`): a `LatVec` must belong
+to the lattice it is used with, and a plain sequence of integers must have
+one entry per basis vector; anything else raises `LatticeError` (or
+`TypeError` for a non-integer entry).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index, mul
 
 
@@ -217,9 +222,12 @@ class IntLattice:
 
     Instances are immutable after construction.  Identity (for vector
     ownership) is the `token`, not structural Gram equality: distinct
-    isometric lattices must not silently interoperate.  Data derived from
-    the Gram matrix (the signature, `disc_group`, the root data) is memoised
-    on the instance (`memoised`), so it lives exactly as long as the lattice.
+    isometric lattices must not silently interoperate.  Every function that
+    takes a vector of the lattice reads it through `coords_of`, so a `LatVec`
+    of another lattice and a coordinate tuple of the wrong length both raise
+    `LatticeError`.  Data derived from the Gram matrix (the signature,
+    `disc_group`, the root data) is memoised on the instance (`memoised`),
+    so it lives exactly as long as the lattice.
     """
 
     __slots__ = ("gram", "rank", "name", "token", "_det", "_memo")
@@ -279,23 +287,17 @@ class LatVec:
     __slots__ = ("lattice", "coords")
 
     def __init__(self, lattice, coords):
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != lattice.rank:
-            raise LatticeError("coordinate length does not match lattice rank")
         self.lattice = lattice
-        self.coords = coords
+        self.coords = coords_of(lattice, coords)
 
     def norm(self):
         return inner(self.lattice, self, self)
-
-    def is_zero(self):
-        return not any(self.coords)
 
     def __neg__(self):
         return LatVec(self.lattice, tuple(-c for c in self.coords))
 
     def __eq__(self, other):
-        return (isinstance(other, LatVec) and other.lattice.token == self.lattice.token
+        return (type(other) is type(self) and other.lattice.token == self.lattice.token
                 and other.coords == self.coords)
 
     def __hash__(self):
@@ -367,17 +369,11 @@ class DiscGroup:
 
     @property
     def order(self):
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return prod(self.invariant_factors)
 
     @property
     def exponent(self):
         return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    def is_trivial(self):
-        return not self.invariant_factors
 
     def is_cyclic(self):
         return len(self.invariant_factors) <= 1
@@ -455,13 +451,6 @@ def _block_gram(lattices):
     return g
 
 
-def direct_sum(*lattices):
-    if not lattices:
-        raise LatticeError("direct sum of nothing")
-    name = " + ".join(lat.name or "?" for lat in lattices)
-    return IntLattice(_block_gram(lattices), name=name)
-
-
 def rescale(lat, t):
     if t == 0:
         raise LatticeError("rescaling by zero")
@@ -480,38 +469,45 @@ def make_l2d(d):
 # operations
 # ---------------------------------------------------------------------------
 
-def _own(lat, vec):
-    if vec.lattice.token != lat.token:
-        raise LatticeError("vector belongs to a different lattice")
-    return vec.coords
+def coords_of(lat, x):
+    """The coordinates of the vector x of `lat`, as a tuple of ints.
+
+    x is a `LatVec` of `lat` (the same token) or a sequence of `lat.rank`
+    integers: `LatticeError` for a `LatVec` of another lattice or a wrong
+    length, `TypeError` for an entry that is not an integer (no truncation).
+    """
+    if isinstance(x, LatVec):
+        if x.lattice.token != lat.token:
+            raise LatticeError("vector belongs to a different lattice")
+        return x.coords
+    coords = tuple(map(index, x))
+    if len(coords) != lat.rank:
+        raise LatticeError("coordinate length does not match lattice rank")
+    return coords
 
 
 def inner(lat, x, y):
-    return sum(map(mul, pairing_vector(lat, _own(lat, x)), _own(lat, y)))
+    return sum(map(mul, pairing_vector(lat, coords_of(lat, x)), coords_of(lat, y)))
 
 
 def pairing_vector(lat, coords):
-    """All pairings (x, b_j) of x with the lattice basis, i.e. gram * coords."""
+    """All pairings (x, b_j) of x with the lattice basis, i.e. gram * coords.
+
+    The kernel under the vector entry points: `coords` is taken as given, so
+    callers pass what `coords_of` returns."""
     return [sum(map(mul, row, coords)) for row in lat.gram]
 
 
 def divisor(lat, x):
     """Positive generator of the pairing ideal (x, L); x/div(x) is primitive in the dual."""
-    coords = _own(lat, x) if isinstance(x, LatVec) else tuple(x)
+    coords = coords_of(lat, x)
     if not any(coords):
         raise LatticeError("divisor of the zero vector")
-    d = 0
-    for p in pairing_vector(lat, coords):
-        d = gcd(d, p)
-    return d
+    return gcd(*pairing_vector(lat, coords))
 
 
 def is_primitive(lat, x):
-    coords = _own(lat, x) if isinstance(x, LatVec) else tuple(x)
-    g = 0
-    for c in coords:
-        g = gcd(g, c)
-    return g == 1
+    return gcd(*coords_of(lat, x)) == 1
 
 
 def disc_group(lat):
@@ -556,10 +552,7 @@ def orth_complement(lat, vectors):
     `lat` of the i-th basis vector of the complement.  The result is
     saturated: its saturation in `lat` equals itself.
     """
-    rows = []
-    for vec in vectors:
-        coords = _own(lat, vec) if isinstance(vec, LatVec) else tuple(vec)
-        rows.append(pairing_vector(lat, coords))
+    rows = [pairing_vector(lat, coords_of(lat, vec)) for vec in vectors]
     if not rows:
         raise LatticeError("need at least one vector")
     basis = kernel_basis(rows)

@@ -16,7 +16,6 @@ closed form in the twisted divisor sums (see `_EISENSTEIN`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .lattice import LatticeError
@@ -128,15 +127,6 @@ class QSeries:
             "denominator": 1,
             "coefficients": [str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        if data.get("denominator", 1) != 1:
-            raise ValueError("only series in integer powers of q (denominator 1) "
-                             "are supported")
-        coeffs = [Fraction(c) for c in data["coefficients"]]
-        return cls([int(c) if c.denominator == 1 else c for c in coeffs],
-                   data["precision"])
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +297,7 @@ _REP_LATTICES = {
     "D6": lt.root_lattice_d,
     "D8": lt.root_lattice_d,
 }
+NAMED_LATTICES = tuple(_REP_LATTICES)
 _named_lattice_cache = {}
 
 

@@ -21,7 +21,7 @@ from math import gcd
 from operator import mul
 
 from . import lattice as lt
-from .lattice import LatticeError, LatVec, disc_group, is_primitive, make_l2d, \
+from .lattice import LatticeError, coords_of, disc_group, is_primitive, make_l2d, \
     orth_complement, pairing_vector
 
 
@@ -72,15 +72,12 @@ class IsometryMatrix:
 def _pairings(lat, coords):
     """(pairings (r, b_j) with the basis, r^2, div(r)) of r given by coords."""
     pair = pairing_vector(lat, coords)
-    div = 0
-    for p in pair:
-        div = gcd(div, p)
-    return pair, sum(p * c for p, c in zip(pair, coords)), div
+    return pair, sum(p * c for p, c in zip(pair, coords)), gcd(*pair)
 
 
-def reflection_coefficients(lat, coords):
+def reflection_coefficients(lat, r):
     """The integers 2 (b_j, r) / (r, r) if they exist, else None."""
-    pair, norm, _div = _pairings(lat, coords)
+    pair, norm, _div = _pairings(lat, coords_of(lat, r))
     if norm == 0:
         raise LatticeError("cannot reflect in an isotropic vector")
     return _coefficients(pair, norm)
@@ -99,19 +96,13 @@ def _coefficients(pair, norm):
 
 def reflection(lat, r):
     """The reflection sigma_r as an IsometryMatrix, if it preserves the lattice."""
-    coords = r.coords if isinstance(r, LatVec) else tuple(r)
+    coords = coords_of(lat, r)
     cs = reflection_coefficients(lat, coords)
     if cs is None:
         raise NotIntegralError("sigma_r does not preserve the lattice")
     n = lat.rank
     m = [[(1 if i == j else 0) - cs[j] * coords[i] for j in range(n)] for i in range(n)]
     return IsometryMatrix(lat, m)
-
-
-def disc_action(lat, g):
-    """Images of the discriminant generator lifts under g, as dual vectors."""
-    return [lt.DualVec(lat, g.apply_coords(w.num), w.den)
-            for w in disc_group(lat).generator_lifts]
 
 
 def _disc_signs(lat, g):
@@ -127,14 +118,6 @@ def _disc_signs(lat, g):
             if not (plus or minus):
                 return False, False
     return plus, minus
-
-
-def is_id_on_disc(lat, g):
-    return _disc_signs(lat, g)[0]
-
-
-def is_minus_id_on_disc(lat, g):
-    return _disc_signs(lat, g)[1]
 
 
 def classify_reflection(lat, r):
@@ -161,7 +144,7 @@ def classify_reflection(lat, r):
     vector r = (0, 0, 1, -1) has r^2 = 6 and div(r) = 3 but acts as -id on
     one Z/3 and as id on the other, so its class is `neither`.
     """
-    coords = r.coords if isinstance(r, LatVec) else tuple(r)
+    coords = coords_of(lat, r)
     if not is_primitive(lat, coords):
         raise LatticeError("reflection classification needs a primitive vector")
     if not lat.is_even():
@@ -294,9 +277,7 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
             coords = tuple(rng.randint(-20, 20) for _ in range(n))
             if not any(coords):
                 continue
-            g = 0
-            for c in coords:
-                g = gcd(g, c)
+            g = gcd(*coords)
             if g > 1:
                 coords = tuple(c // g for c in coords)
         produced += 1

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
 
-from .lattice import IntLattice, LatticeError, LatVec, pairing_vector
+from .lattice import LatticeError, coords_of, pairing_vector
 
 
 class IndefiniteError(LatticeError):
@@ -291,11 +291,8 @@ def enumerate_roots(lat):
 
 def count_orth_roots(lat, x):
     """Number of roots r with (r, x) = 0; always even."""
-    coords = x.coords if isinstance(x, LatVec) else tuple(x)
-    if isinstance(x, LatVec) and x.lattice.token != lat.token:
-        raise LatticeError("vector belongs to a different lattice")
+    pair = pairing_vector(lat, coords_of(lat, x))
     data = enumerate_roots(lat)
-    pair = pairing_vector(lat, coords)
     n = lat.rank
     cnt = 0
     for r in data.coords:
@@ -311,23 +308,23 @@ def bouquet_decomposition(lat, a):
     each triple is the root set {+-a, +-c, +-(a+c)} of one A2; the triples
     pairwise intersect exactly in {+-a}.
     """
-    data = enumerate_roots(lat)
-    acoords = a.coords if isinstance(a, LatVec) else tuple(a)
+    acoords = coords_of(lat, a)
     pair = pairing_vector(lat, acoords)
+    data = enumerate_roots(lat)
     n = lat.rank
     x = [r for r in data.coords if sum(r[i] * pair[i] for i in range(n)) != 0]
     neg_a = tuple(-c for c in acoords)
     triples = []
     seen = set()
     for r in x:
-        if r == tuple(acoords) or r == neg_a:
+        if r == acoords or r == neg_a:
             continue
         prod = sum(r[i] * pair[i] for i in range(n))
         c = r if prod == -1 else tuple(-v for v in r)
         if c in seen:
             continue
         s = tuple(ai + ci for ai, ci in zip(acoords, c))
-        group = {tuple(acoords), neg_a, c, tuple(-v for v in c), s, tuple(-v for v in s)}
+        group = {acoords, neg_a, c, tuple(-v for v in c), s, tuple(-v for v in s)}
         if len(group) != 6:
             raise LatticeError("degenerate A2 grouping")
         seen.update({c, tuple(-v for v in c), s, tuple(-v for v in s)})

@@ -207,7 +207,9 @@ def cyclo_decompose(g):
     order = matrix_order(g)
     poly = char_poly(g)
     mult = {}
-    for d in sorted(_divisors_of(order)):
+    for d in range(1, order + 1):
+        if order % d:
+            continue
         cp = cyclotomic_poly(d)
         while len(poly) >= len(cp):
             quo, rem = _poly_divmod(poly, cp)
@@ -219,11 +221,6 @@ def cyclo_decompose(g):
         raise ArithmeticError("characteristic polynomial is not a product of "
                               "cyclotomics; the matrix cannot have finite order")
     return CycloDecomp(order, len(g), mult)
-
-
-def _divisors_of(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,7 @@ _TABLES = {
     "III": (TABLE_III, embed_case3, None, None),
     "IV": (TABLE_IV, embed_case4, None, 5),
 }
+TABLES = tuple(_TABLES)
 
 
 def table_rows(which):

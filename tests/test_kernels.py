@@ -193,7 +193,7 @@ def test_disc_signs_match_the_fraction_images():
             sigma = rf.reflection(lat, coords)
             signs = rf._disc_signs(lat, sigma)
             assert signs == _reference_disc_signs(lat, sigma.matrix, coords_of), (lat, coords)
-            images = [w.coords for w in rf.disc_action(lat, sigma)]
+            images = [lt.DualVec(lat, sigma.apply_coords(w.num), w.den).coords for w in lifts]
             assert images == [tuple(sum(Fraction(sigma.matrix[i][j]) * w[j] for j in range(n))
                                     for i in range(n)) for w in coords_of]
             seen.add(signs)

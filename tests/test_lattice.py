@@ -4,8 +4,10 @@ import pytest
 from fractions import Fraction
 
 from k3mod import lattice as lt
+from k3mod import reflective as rf
+from k3mod import roots
 from k3mod.lattice import (
-    LatticeError, ParseError, direct_sum, disc_group, divisor, inner,
+    LatticeError, ParseError, disc_group, divisor, inner,
     make_l2d, orth_complement, parse_lattice_expr, rescale, smith_normal_form,
 )
 
@@ -37,17 +39,41 @@ def test_inner_products():
     assert inner(m10, g, g) == -10
 
 
-def test_vectors_do_not_cross_lattices():
-    u1 = parse_lattice_expr("U")
-    u2 = parse_lattice_expr("U")
-    v = u1.vector((1, 0))
-    with pytest.raises(LatticeError):
-        inner(u2, v, v)
+# every entry point that takes a vector of a lattice, called on the root
+# (1, 0) of A(2): the calls succeed on a vector of that lattice
+VECTOR_ENTRY_POINTS = {
+    "LatVec": lambda lat, v: lat.vector(v),
+    "inner": lambda lat, v: inner(lat, v, v),
+    "divisor": divisor,
+    "is_primitive": lt.is_primitive,
+    "orth_complement": lambda lat, v: orth_complement(lat, [v]),
+    "count_orth_roots": roots.count_orth_roots,
+    "bouquet_decomposition": roots.bouquet_decomposition,
+    "reflection": rf.reflection,
+    "reflection_coefficients": rf.reflection_coefficients,
+    "classify_reflection": rf.classify_reflection,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+def test_vectors_do_not_cross_lattices(entry):
+    call = VECTOR_ENTRY_POINTS[entry]
+    lat = parse_lattice_expr("A(2)")
+    call(lat, lat.vector((1, 0)))
+    call(lat, (1, 0))
+    # an isometric copy is another lattice
+    foreign = parse_lattice_expr("A(2)").vector((1, 0))
+    for bad in (foreign, (1,), (1, 0, 0)):
+        with pytest.raises(LatticeError):
+            call(lat, bad)
+    # coordinates are integers, never truncated
+    with pytest.raises(TypeError):
+        call(lat, (1.5, 0))
 
 
 def test_direct_sum_and_rescale():
     u = parse_lattice_expr("U")
-    uu = direct_sum(u, u)
+    uu = parse_lattice_expr("2U")
     assert uu.rank == 4 and uu.det == 1
     u2 = rescale(u, 2)
     assert u2.gram == ((0, 2), (2, 0)) and u2.det == -4
@@ -107,7 +133,7 @@ def test_divisor_divides_norm_for_reflective_vectors():
 
 def test_disc_group_e8_trivial():
     disc = disc_group(parse_lattice_expr("E8"))
-    assert disc.is_trivial() and disc.order == 1 and disc.exponent == 1
+    assert disc.invariant_factors == () and disc.order == 1 and disc.exponent == 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 12, 20])
@@ -234,9 +260,7 @@ def test_parser_errors(bad):
 
 
 def test_disc_of_direct_sum_matches_block_snf():
-    a = parse_lattice_expr("A(2)")
-    b = parse_lattice_expr("<-4>")
-    s = direct_sum(a, b)
+    s = parse_lattice_expr("A(2)+<-4>")
     disc = disc_group(s)
     prod = 1
     for f in disc.invariant_factors:

@@ -3,7 +3,6 @@ from math import gcd
 
 import pytest
 
-from k3mod import e8
 from k3mod import lattice as lt
 from k3mod import reflective as rf
 from k3mod.lattice import (
@@ -92,10 +91,8 @@ def test_is_id_predicates():
     em2 = [0] * n
     em2[0], em2[1] = 1, -1
     sigma = rf.reflection(lat, em2)
-    assert rf.is_id_on_disc(lat, sigma)
-    assert not rf.is_minus_id_on_disc(lat, sigma)
-    images = rf.disc_action(lat, sigma)
-    assert len(images) == 1
+    assert rf._disc_signs(lat, sigma) == (True, False)
+    assert len(disc_group(lat).generator_lifts) == 1
 
 
 def _sampled_reflective(lat, rng, draws, box):
@@ -132,8 +129,8 @@ def test_odd_determinant_biconditionals():
             norm = vec.norm()
             sigma = rf.reflection(lat, coords)
             div = lt.divisor(lat, vec)
-            minus = rf.is_minus_id_on_disc(lat, sigma)
-            assert rf.is_id_on_disc(lat, sigma) == (abs(norm) == 2)
+            plus, minus = rf._disc_signs(lat, sigma)
+            assert plus == (abs(norm) == 2)
             assert minus == (abs(norm) == 2 * dd and div == dd)
             minus_seen += minus
     assert minus_seen > 0
@@ -147,7 +144,7 @@ def test_odd_determinant_biconditionals():
     for coords in ((0, 0, 1, -1), (1, -1, 0, 0)):
         vec = lat.vector(coords)
         assert vec.norm() == 2 * dd and lt.divisor(lat, vec) == dd
-        assert not rf.is_minus_id_on_disc(lat, rf.reflection(lat, coords))
+        assert not rf._disc_signs(lat, rf.reflection(lat, coords))[1]
         assert rf.classify_reflection(lat, vec) == rf.NEITHER
 
 
@@ -161,10 +158,10 @@ def test_classification_on_non_cyclic_disc(expr):
     vectors = _sampled_reflective(lat, random.Random(4), draws=600, box=4)
     assert vectors
     for coords in vectors:
-        sigma = rf.reflection(lat, coords)
-        if rf.is_id_on_disc(lat, sigma):
+        plus, minus = rf._disc_signs(lat, rf.reflection(lat, coords))
+        if plus:
             want = rf.IN_TILDE_O
-        elif rf.is_minus_id_on_disc(lat, sigma):
+        elif minus:
             want = rf.MINUS_IN_TILDE_O
         else:
             want = rf.NEITHER

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from k3mod import e8
-from k3mod import roots
 from k3mod.lattice import parse_lattice_expr
 from k3mod.roots import (
     IndefiniteError, bouquet_decomposition, count_orth_roots,

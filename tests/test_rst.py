@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from k3mod import rst
 from k3mod.lattice import mat_mul, identity_matrix
 from k3mod.rst import (
     CycloDecomp, EigenExponents, bigphi_verify, c_min, c_min_with_argmin,

@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from k3mod import lattice as lt
 from k3mod import search as se
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,7 +19,8 @@ def test_one_digest_per_group(capsys):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
-                     + ["orbit-scan", "cli-tables"] + [f"cli-{w}" for w in golden])
+                     + ["orbit-scan", "lattice-reflect", "cli-tables"]
+                     + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
     for d in (40, 41):
@@ -27,6 +29,8 @@ def test_one_digest_per_group(capsys):
     assert digests["verdict"] == want.hexdigest()
     assert digests["orbit-scan"] == same_outputs.digest(
         se._enumerate_dominant(2 * d) for d in (40, 41))
+    assert digests["lattice-reflect"] == same_outputs.digest(
+        same_outputs.lattice_reflect(d) for d in (40, 41))
     # the in-process calls give the recorded stdout with exit code 0
     for workload, calls in golden.items():
         assert digests[f"cli-{workload}"] == same_outputs.digest(
@@ -36,3 +40,12 @@ def test_one_digest_per_group(capsys):
 def test_degree_range_syntax():
     assert same_outputs.parse_degrees("1-400") == range(1, 401)
     assert same_outputs.parse_degrees("7") == range(7, 8)
+
+
+def test_lattice_reflect_reads_the_l2d_outputs():
+    out = same_outputs.lattice_reflect(5)
+    assert out["disc"][0] == (10,)
+    assert out["sample"]["samples"] == 300 and out["sample"]["counterexamples"] == []
+    # h + 5 u1 + u2 has r^2 = -10 and div 1: |det r^perp| = 10 * 10
+    assert abs(lt.IntLattice(out["complement"][0]).det) == 100
+    assert [r["class"] for r in out["reports"]][:2] == ["minus_in_tilde_O"] * 2

@@ -10,6 +10,12 @@ byte-identical outputs in that group.  The groups are
   `to_dict()`, for every d in --degrees and each family;
 * `orbit-scan`: the dominant vectors `_enumerate_dominant(2d)` of the
   exhaustive search, for every d in --degrees up to ORBIT_SCAN_MAX_D;
+* `lattice-reflect`: for every d in --degrees up to LATTICE_REFLECT_MAX_D,
+  on L_2d: `reflk3_sample_check(d, 300, seed=d)`, `disc_group` (invariant
+  factors, q-values, generator lift coordinates), the orthogonal complement
+  of h + d u1 + u2 (Gram and basis; h the <-2d> generator, u1 and u2 the
+  first basis vectors of the two hyperbolic planes) and `reflection_report`
+  on each of `_interesting_vectors(d)`;
 * `cli-tables`: the stdout of `k3mod tables` in each output format;
 * `cli-<workload>`: the stdout of every `k3mod` call that
   perfbench/golden.json records for that workload.
@@ -34,10 +40,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from k3mod import cli, search  # noqa: E402
+from k3mod import lattice, reflective  # noqa: E402
 
 # the orbit scan's cost rises steeply with d: d = 1..150 takes about 20 s,
 # 1..400 would take about 10 min (CPython 3.11 on a 2-core VM)
 ORBIT_SCAN_MAX_D = 150
+# d = 1..60 takes a few seconds
+LATTICE_REFLECT_MAX_D = 60
 
 
 def parse_degrees(text):
@@ -60,6 +69,23 @@ def cli_stdout(argv):
     return code, out.getvalue()
 
 
+def lattice_reflect(d):
+    """The reflection, discriminant and complement outputs on L_2d, as JSON."""
+    lat = lattice.make_l2d(d)
+    disc = lattice.disc_group(lat)
+    r = [0] * lat.rank
+    r[0], r[2], r[-1] = d, 1, 1
+    comp, basis = lattice.orth_complement(lat, [r])
+    return {
+        "sample": reflective.reflk3_sample_check(d, 300, seed=d),
+        "disc": [disc.invariant_factors, [str(q) for q in disc.q_values],
+                 [[str(c) for c in w.coords] for w in disc.generator_lifts]],
+        "complement": [comp.gram, basis],
+        "reports": [reflective.reflection_report(lat, v)
+                    for v in reflective._interesting_vectors(d, lat)],
+    }
+
+
 def groups(degrees):
     """(group name, digest) pairs in a fixed order."""
     yield "verdict", digest(search.kodaira_verdict(d).to_dict() for d in degrees)
@@ -69,6 +95,8 @@ def groups(degrees):
             for d in degrees)
     yield "orbit-scan", digest(search._enumerate_dominant(2 * d)
                                for d in degrees if d <= ORBIT_SCAN_MAX_D)
+    yield "lattice-reflect", digest(lattice_reflect(d)
+                                    for d in degrees if d <= LATTICE_REFLECT_MAX_D)
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
@@ -79,7 +107,8 @@ def groups(degrees):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--degrees", type=parse_degrees, default=range(1, 401),
-                    help="degree range LO-HI for the verdict, search and orbit-scan groups")
+                    help="degree range LO-HI for the verdict, search, orbit-scan "
+                         "and lattice-reflect groups")
     args = ap.parse_args(argv)
     for name, value in groups(args.degrees):
         print(name, value)
