@@ -62,7 +62,12 @@ class IsometryMatrix:
         self.matrix = m
 
     def apply_coords(self, coords):
+        """The image M x of the vector with coordinates `coords`; its entries
+        may be any numbers (the numerators of dual vectors, say), but there
+        must be one per basis vector."""
         n = self.lattice.rank
+        if len(coords) != n:
+            raise LatticeError("coordinate length does not match lattice rank")
         return tuple(sum(self.matrix[i][j] * coords[j] for j in range(n)) for i in range(n))
 
     def __repr__(self):
@@ -204,7 +209,12 @@ def orth_det_check(r):
     """Determinant of the orthogonal complement of the vector r in its
     lattice L versus the index formula |det L| * |r^2| / div(r)^2 (which is
     4d^2/div^2 for the r^2 = -2d reflective vectors of L_2d).  Returns
-    (|det|, predicted)."""
+    (|det|, predicted).
+
+    r is a `LatVec`: a coordinate tuple names no lattice, so it raises
+    `LatticeError`."""
+    if not isinstance(r, lt.LatVec):
+        raise LatticeError("orth_det_check needs a LatVec: coordinates alone name no lattice")
     lat, coords = r.lattice, r.coords
     if not is_primitive(lat, coords):
         raise LatticeError("determinant check needs a primitive vector")

@@ -6,29 +6,76 @@ the last coordinate to the first with exact bounds (integer square roots
 plus an exact adjustment step, so no acceptance errors from rounding).  The
 integer square completion (`_scaled_form`) and the one recursion over it
 (`_walk`) are private to this module.  The walk serves the vectors of one
-norm (`enumerate_norm_vectors`, the roots), the norm histogram
-(`norm_counts`) and the nonnegative cone of one norm (`enumerate_cone`,
-where every level walks x_i >= 0: the dominant-orbit scan of `search`).
+norm and their number (`enumerate_norm_vectors`, the roots), the norm
+histogram (`norm_counts`) and the nonnegative cone of one norm
+(`enumerate_cone`, where every level walks x_i >= 0: the dominant-orbit
+scan of `search`).
 
 Three things keep the recursion cheap:
 
 * x/-x symmetry.  While every higher coordinate is 0, the centre of the
   current level is 0 and its range is symmetric, so only x_i >= 0 is walked
-  there (x_0 >= 1 at level 0).  The walk then meets exactly the vectors whose
-  last nonzero coordinate is positive, one of each pair +-x: counts are
-  doubled, and a visitor is called for x and then for -x.
+  there (x_0 >= 1 at level 0; the histogram leaf below takes half of the
+  nonzero vectors of the plane of z = 0).  The walk then meets exactly the
+  vectors whose last nonzero coordinate is positive, one of each pair +-x:
+  counts are doubled, and a visitor is called for x and then for -x.
 * Stepped centres.  A level computes the part of the next level's centre
   that comes from the higher coordinates once, then steps it by one
   coefficient per value of its own coordinate.
-* Counts-only leaf.  Along x_0 the norm is the integer quadratic
-  g_00 x_0^2 + 2 p x_0 + q (p the pairing of x_0's basis vector with the
-  rest of x, q the norm at x_0 = 0), so `norm_counts` fills a histogram in
-  the level-0 loop by finite differences: no tuples, no callbacks.
+* Histograms two levels at a time.  The walk of `norm_counts` counts the
+  norms up to a bound `top` and stops at level 2.  Fix
+  z = (x_2, ..., x_{n-1}).  With G2 the Gram block of b_0 and b_1,
+  Q2(w) = w^T G2 w and l = (b_0 . z, b_1 . z), the vectors z + w, with
+  w = (x_0, x_1) in Z^2, have norm
+
+      Q(z + w) = Q(z) + Q2(w) + 2 l . w.
+
+  Write l = c + G2 t, with t in Z^2 and c the representative of the class
+  of l in Z^2 / G2 Z^2.  Putting w = w' - t gives
+
+      Q2(w) + 2 l . w = Q2(w') + 2 c . w' - (Q2(t) + 2 c . t),
+
+  so the norm histogram of the plane z + Z^2 is the class histogram
+  F_c(k) = #{w : Q2(w) + 2 c . w = k}, moved by s = Q(z) - Q2(t) - 2 c . t.
+  A lattice needs at most |det G2| class histograms, each built when its
+  class is first met.
+
+  The shift is never negative.  Minimising Q(z + w) over real w gives
+  Q_proj(z) = Q(z) - l^T G2^-1 l, the norm of the part of z orthogonal to
+  b_0 and b_1.  In the square completion of `_scaled_form` it is
+  sum_{i>=2} a_i y_i^2 / L.  Minimising the other side gives
+  s - c^T G2^-1 c, so
+
+      s = Q_proj(z) + c^T G2^-1 c.
+
+  Every k is an integer >= -c^T G2^-1 c, so k >= -K_c with
+  K_c = floor(c^T G2^-1 c).  The histogram of class c is therefore stored
+  from digit j = k + K_c >= 0, and moved by
+  s - K_c = Q_proj(z) + frac(c^T G2^-1 c) >= 0: no digit below norm 0 is
+  needed.  The walk keeps Q_proj(z) <= top, so the move is <= top too.  The
+  leaf computes the move as (det G2 L Q_proj(z) + L (e mod det G2)) /
+  (L det G2), with e = c^T adj(G2) c, and checks that the division is exact.
+
+  Each class histogram is one big integer with one digit of `width` bits per
+  norm 0..top.  The level-2 loop steps Q_proj(z) by finite differences and
+  the class by a table, and adds one shifted histogram per z.  This replaces
+  the level-1 loop and its level-0 leaf calls.  The width is the bit length
+  of the Fincke-Pohst box bound
+
+      prod_i (floor(2 floor(sqrt(L top / a_i)) / uden_i) + 1).
+
+  Level i passes at most the i-th factor of values of x_i, so the product
+  bounds the number of vectors with Q(x) <= top, and with it every digit for
+  a norm <= top.  Digits above top may overflow, but a carry moves only
+  upwards, past the digits read.  The leaf also counts the pairs (z, w) that
+  land at norms <= top.  A digit that overflowed would make the sum of the
+  digits read smaller than that count, and the leaf raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
 from operator import mul
 
@@ -116,18 +163,20 @@ def _build_scaled_form(lat):
     return (scale, a, unum, uden)
 
 
-def _walk(lat, target, x, leaf, cone=False):
-    """Walk x_{n-1}, ..., x_1 over the vectors with Q(x) <= target and call
-    `leaf(budget, centre, sym)` for each admissible choice, with x[1:] set.
+def _walk(lat, target, x, leaf, cone=False, stop=0):
+    """Walk x_{n-1}, ..., x_{stop+1} over the vectors with Q(x) <= target and
+    call `leaf(budget, centre, sym)` for each admissible choice, with
+    x[stop+1:] set; the rank must exceed `stop`.
 
-    budget = L * target - sum_{i>0} a_i y_i^2 >= 0; centre = sum_{j>0}
-    unum_0[j] x_j, so y_0 = uden_0 x_0 + centre; sym is True while
-    x_1 = ... = x_{n-1} = 0, and then centre is 0.  A level in the symmetric
-    state walks x_i >= 0 only; with `cone` every level does.
+    budget = L * target - sum_{i>stop} a_i y_i^2 >= 0; centre = sum_{j>stop}
+    unum_stop[j] x_j, so y_stop = uden_stop x_stop + centre; sym is True while
+    x_{stop+1} = ... = x_{n-1} = 0, and then centre is 0.  A level in the
+    symmetric state walks x_i >= 0 only; with `cone` every level does.
     """
     scale, a, unum, uden = _scaled_form(lat)
     n = lat.rank
     tails = [None] + [unum[i - 1][i + 1:] for i in range(1, n)]
+    last = stop + 1
 
     def node(i, budget, centre, sym):
         # |y_i| <= ymax keeps a_i y_i^2 <= budget for every x_i in lo..hi
@@ -142,7 +191,7 @@ def _walk(lat, target, x, leaf, cone=False):
         step = unum[i - 1][i]
         c = step * lo + sum(map(mul, tails[i], x[i + 1:]))
         y = lo * di + centre
-        if i > 1:
+        if i > last:
             for xi in range(lo, hi + 1):
                 x[i] = xi
                 node(i - 1, budget - ai * y * y, c, sym and not xi)
@@ -150,54 +199,16 @@ def _walk(lat, target, x, leaf, cone=False):
                 c += step
         else:
             for xi in range(lo, hi + 1):
-                x[1] = xi
+                x[i] = xi
                 leaf(budget - ai * y * y, c, sym and not xi)
                 y += di
                 c += step
         x[i] = 0
 
-    if n == 1:
+    if n == last:
         leaf(scale * target, 0, True)
     else:
         node(n - 1, scale * target, 0, True)
-
-
-def _bounded_leaf(lat, max_norm, half):
-    """The level-0 leaf of a walk over 0 < Q(x) <= max_norm that counts each
-    norm in half[norm].
-
-    Along x_0 the norm is g x_0^2 + 2 p x_0 + q, with g = a_0 uden_0^2 / L the
-    (sign-normalised) Gram entry g_00, p = a_0 uden_0 centre / L and q the norm
-    at x_0 = 0; all three are integers, which is checked.  The leaf steps the
-    norm by finite differences.
-    """
-    scale, a, _unum, uden = _scaled_form(lat)
-    total = scale * max_norm
-    a0, d0 = a[0], uden[0]
-    a0d0 = a0 * d0
-    g, rem = divmod(a0d0 * d0, scale)
-    if rem:
-        raise LatticeError("first pivot of the scaled form is not an integer")
-    g2 = 2 * g
-
-    def leaf(budget, c, sym):
-        ymax = isqrt(budget // a0)
-        lo = 1 if sym else -((ymax + c) // d0)
-        hi = (ymax - c) // d0
-        if lo > hi:
-            return
-        q, r = divmod(total - budget + a0 * c * c, scale)
-        p, s = divmod(a0d0 * c, scale)
-        if r or s:
-            raise LatticeError("norm of a lattice vector is not an integer")
-        norm = (g * lo + 2 * p) * lo + q
-        dn = g * (2 * lo + 1) + 2 * p
-        for _ in range(hi - lo + 1):
-            half[norm] += 1
-            norm += dn
-            dn += g2
-
-    return leaf
 
 
 def _walk_norm(lat, norm, hit, cone=False):
@@ -235,14 +246,190 @@ def _walk_norm(lat, norm, hit, cone=False):
     return count
 
 
+def _xgcd(p, q):
+    """(g, s, t) with g = gcd(p, q) >= 0 and s p + t q = g."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while q:
+        k, r = divmod(p, q)
+        p, q = q, r
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    return (p, s0, t0) if p >= 0 else (-p, -s0, -t0)
+
+
+class _Lazy(dict):
+    """A dict that fills a missing key k with build(k)."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _half_counts(lat, top):
+    """Half the number of nonzero vectors of each (sign-normalised) norm
+    0..top, as a list (entry 0 is 0).
+
+    The walk stops at level 2, and the leaf does levels 1 and 0 together: it
+    walks x_2 and, for each z = (x_2, ..., x_{n-1}), adds the norm histogram
+    of the plane z + Z b_0 + Z b_1 as one shifted big integer, from one
+    precomputed histogram per class of (b_0 . z, b_1 . z) modulo G2 Z^2 (the
+    identity, the shift and the digit width are in the module docstring).
+    """
+    scale, a, _unum, uden = _scaled_form(lat)
+    gram = lat.gram
+    # the sign normalisation of `_cholesky`: a definite form has the sign of g_00
+    sign = 1 if gram[0][0] > 0 else -1
+    n = lat.rank
+    if n == 1:
+        g = sign * gram[0][0]
+        half = [0] * (top + 1)
+        for x0 in range(1, isqrt(top // g) + 1):
+            half[g * x0 * x0] += 1
+        return half
+    g00, g01, g11 = sign * gram[0][0], sign * gram[0][1], sign * gram[1][1]
+    det = g00 * g11 - g01 * g01
+    # Hermite basis (ha, 0), (hb, hd) of G2 Z^2; the class of l is the index
+    # r1 * ha + r0 of its representative (r0, r1), 0 <= r0 < ha, 0 <= r1 < hd
+    hd, s, t = _xgcd(g01, g11)
+    ha = det // hd
+    hb = (s * g00 + t * g01) % ha
+
+    def reduce(l0, l1):
+        u, r1 = divmod(l1, hd)
+        return r1 * ha + (l0 - u * hb) % ha
+
+    def histogram(cls):
+        """(hist, e mod det): hist[j] counts the w in Z^2 with
+        Q2(w) + 2 c.w + floor(e / det) = j <= top, e = c^T adj(G2) c."""
+        c1, c0 = divmod(cls, ha)
+        e = g11 * c0 * c0 - 2 * g01 * c0 * c1 + g00 * c1 * c1
+        k, rem = divmod(e, det)
+        hist = [0] * (top + 1)
+        # (det w1 + b1)^2 <= disc1 iff some real w0 gives j <= top
+        b1 = g00 * c1 - g01 * c0
+        disc1 = b1 * b1 - det * (g00 * (k - top) - c0 * c0)
+        if disc1 < 0:
+            return hist, rem
+        r = isqrt(disc1)
+        for w1 in range(-((r + b1) // det), (r - b1) // det + 1):
+            # j = g00 w0^2 + 2 b w0 + rest + top <= top iff (g00 w0 + b)^2 <= disc
+            b = g01 * w1 + c0
+            rest = (g11 * w1 + 2 * c1) * w1 + k - top
+            disc = b * b - g00 * rest
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            lo = -((r + b) // g00)
+            j = (g00 * lo + 2 * b) * lo + rest + top
+            dj = g00 * (2 * lo + 1) + 2 * b
+            for _ in range(lo, (r - b) // g00 + 1):
+                hist[j] += 1
+                j += dj
+                dj += 2 * g00
+        return hist, rem
+
+    hist0 = histogram(0)[0]
+    if n == 2:
+        return [0] + [h // 2 for h in hist0[1:]]
+    width = _box_bound(lat, top).bit_length()
+
+    def pack(hist):
+        packed = 0
+        for h in reversed(hist):
+            packed = (packed << width) | h
+        return packed
+
+    gam0, gam1 = sign * gram[0][2], sign * gram[1][2]
+
+    def record(cls):
+        """(packed histogram, numerator offset of its shift, the number of
+        its vectors that land at norm <= top for each shift, next class
+        along x_2)."""
+        hist, rem = histogram(cls)
+        below = list(accumulate(hist))
+        below.reverse()
+        c1, c0 = divmod(cls, ha)
+        return pack(hist), scale * rem, below, reduce(c0 + gam0, c1 + gam1)
+
+    classes = _Lazy(record)
+    # z = 0 in the symmetric state: one of each pair +-w, w != 0
+    half0 = pack([h // 2 for h in hist0])
+    seen0 = (sum(hist0) - 1) // 2
+    after0 = classes[0][3]
+    row0 = [sign * v for v in gram[0][3:]]
+    row1 = [sign * v for v in gram[1][3:]]
+    a2, d2 = a[2], uden[2]
+    da2 = det * a2
+    ddp = 2 * da2 * d2 * d2
+    total_budget = scale * top
+    unit = scale * det
+    x = [0] * n
+    acc = 0
+    found = 0
+
+    def leaf(budget, centre, sym):
+        # p = det * L * Q_proj(z), stepped along x_2 by finite differences;
+        # the shift of class c is (p + L * (e mod det)) / (L * det)
+        nonlocal acc, found
+        ymax = isqrt(budget // a2)
+        lo = 0 if sym else -((ymax + centre) // d2)
+        hi = (ymax - centre) // d2
+        y = lo * d2 + centre
+        p = det * (total_budget - budget) + da2 * y * y
+        dp = da2 * d2 * (2 * y + d2)
+        if sym:
+            got, seen, cls = half0, seen0, after0
+            p += dp
+            dp += ddp
+            lo = 1
+        else:
+            got = seen = 0
+            z = x[3:]
+            cls = reduce(sum(map(mul, row0, z)) + lo * gam0,
+                         sum(map(mul, row1, z)) + lo * gam1)
+        for _ in range(lo, hi + 1):
+            packed, off, below, cls = classes[cls]
+            sh, r = divmod(p + off, unit)
+            if r:
+                raise LatticeError("norm of a lattice vector is not an integer")
+            got += packed << width * sh
+            seen += below[sh]
+            p += dp
+            dp += ddp
+        acc += got
+        found += seen
+
+    _walk(lat, top, x, leaf, stop=2)
+    mask = (1 << width) - 1
+    half = [(acc >> width * m) & mask for m in range(top + 1)]
+    # a digit that overflowed carried 2^width into the next one
+    if sum(half) != found:
+        raise LatticeError("a norm count overflowed its digit")
+    return half
+
+
+def _box_bound(lat, top):
+    """The Fincke-Pohst box bound on the number of vectors with Q(x) <= top:
+    the product over the levels of the number of x_i with |y_i| <= sqrt(L top / a_i)."""
+    scale, a, _unum, uden = _scaled_form(lat)
+    bound = 1
+    for ai, di in zip(a, uden):
+        bound *= 2 * isqrt(scale * top // ai) // di + 1
+    return bound
+
+
 def norm_counts(lat, max_norm):
     """Number of vectors of each norm 0..max_norm, as a list indexed by the
     (sign-normalised) norm; entry 0 counts the zero vector."""
     if max_norm < 0:
         raise LatticeError("bound must be nonnegative")
-    half = [0] * (max_norm + 1)
-    _walk(lat, max_norm, [0] * lat.rank, _bounded_leaf(lat, max_norm, half))
-    counts = [2 * h for h in half]
+    counts = [2 * h for h in _half_counts(lat, max_norm)]
     counts[0] = 1
     return counts
 

@@ -1,5 +1,18 @@
 """The Fincke-Pohst enumerator pinned to the straightforward recursion it
-replaced, and the per-lattice memo checked for leaks."""
+replaced, and the per-lattice memo checked for leaks.
+
+The reference walks every coordinate range in full, sums each centre anew
+and calls a visitor once per vector.  The walks under test use the x/-x
+symmetry and stepped centres.  The walk of `norm_counts` also stops at
+level 2 and adds, for each z = (x_2, ..., x_{n-1}), the precomputed norm
+histogram of the class of (b_0 . z, b_1 . z) modulo G2 Z^2, shifted by an
+integer >= 0 and packed one digit per norm (the identity and the bounds are
+in the `roots` docstring).  So its histograms, and their top entries at odd
+and even norms, are pinned to the reference: on leading Gram blocks G2 with
+1, 3, 4 and 24 classes, on ranks 1-3 (which have no level 2), on negative
+definite lattices, and on one case whose counts overflow a digit that is
+too narrow.  The exact counts of `enumerate_norm_vectors` are pinned
+beside them."""
 
 import gc
 import random
@@ -13,8 +26,8 @@ from k3mod.lattice import IntLattice, parse_lattice_expr
 
 def _reference_enumerate(lat, target, visitor, exact):
     """The enumerator before the x/-x symmetry, stepped centres and the
-    counts-only leaf: every coordinate range in full, the centre summed anew
-    at every level, one visitor call per vector in walk order."""
+    two-level counting leaf: every coordinate range in full, the centre
+    summed anew at every level, one visitor call per vector in walk order."""
     scale, a, unum, uden = roots._scaled_form(lat)
     n = lat.rank
     x = [0] * n
@@ -142,6 +155,50 @@ def test_norm_counts_is_the_norm_histogram(expr):
     assert roots.norm_counts(lat, 0) == [1]
     with pytest.raises(lattice.LatticeError):
         roots.norm_counts(lat, -1)
+
+
+# the leading Gram block G2 of b_0 and b_1, with |det G2| classes in Z^2 / G2 Z^2
+_BLOCKS = [("<1>+<1>+<2>", 1), ("A(2)+D(4)", 3), ("A(1)+A(1)+E6", 4),
+           ("<4>+<6>+A(2)", 24), ("E8(-1)", 4)]
+
+
+@pytest.mark.parametrize("expr, classes", _BLOCKS)
+def test_counting_leaf_matches_the_reference_for_each_class_count(expr, classes):
+    lat = parse_lattice_expr(expr)
+    g = lat.gram
+    assert g[0][0] * g[1][1] - g[0][1] ** 2 == classes
+    top = 13
+    hist = _reference_histogram(lat, top)
+    assert roots.norm_counts(lat, top) == hist
+    # the top digit, at an even and an odd norm
+    for norm in (top - 1, top):
+        assert roots.norm_counts(lat, norm)[norm] == roots.enumerate_norm_vectors(lat, norm) \
+            == _reference_enumerate(lat, norm, None, True) == hist[norm]
+
+
+@pytest.mark.parametrize("expr", ["<3>", "<-5>", "A(2)", "<-2>+<-3>", "<2>+<3>",
+                                  "A(3)", "<-1>+<-2>+<-5>", "<1>+A(2)"])
+def test_counting_leaf_on_ranks_one_to_three(expr):
+    lat = parse_lattice_expr(expr)
+    top = 30
+    hist = _reference_histogram(lat, top)
+    assert roots.norm_counts(lat, top) == hist
+    assert [roots.norm_counts(lat, m)[m] for m in range(1, top + 1)] == hist[1:]
+    assert [roots.enumerate_norm_vectors(lat, m) for m in range(1, top + 1)] == hist[1:]
+
+
+def test_counts_need_digits_wider_than_a_byte(monkeypatch):
+    # D(4) has up to 3,744 vectors of one norm <= 200; the box bound is larger
+    lat = parse_lattice_expr("D(4)")
+    hist = _reference_histogram(lat, 200)
+    assert max(hist) > 1 << 11
+    assert sum(hist) <= roots._box_bound(lat, 200)
+    assert roots.norm_counts(lat, 200) == hist
+    assert roots.enumerate_norm_vectors(lat, 200) == hist[200]
+    # with 8-bit digits the counts carry into the next norm, and the leaf raises
+    monkeypatch.setattr(roots, "_box_bound", lambda _lat, _top: 255)
+    with pytest.raises(lattice.LatticeError, match="overflowed its digit"):
+        roots.norm_counts(lat, 200)
 
 
 def test_theta_brute_of_e8_is_240_sigma3():

@@ -35,6 +35,14 @@ def test_reflection_examples():
         rf.reflection(u, (1, 0))  # isotropic
 
 
+@pytest.mark.parametrize("coords", [(1, 0, 5), (1,)])
+def test_apply_coords_needs_one_entry_per_basis_vector(coords):
+    sigma = rf.reflection(parse_lattice_expr("A(2)"), (1, 0))
+    assert sigma.apply_coords((1, 0)) == (-1, 0)
+    with pytest.raises(LatticeError, match="coordinate length"):
+        sigma.apply_coords(coords)
+
+
 def test_reflections_are_involutions():
     rng = random.Random(2)
     lat = parse_lattice_expr("U+<-4>+<-2>")
@@ -201,6 +209,9 @@ def test_orth_det_check():
     em2[0], em2[1] = 1, -1
     got, predicted = rf.orth_det_check(lat.vector(em2))
     assert got == predicted == 28  # |det L| * |r^2| / div^2 = 14 * 2 / 1
+    # a coordinate tuple names no lattice
+    with pytest.raises(LatticeError, match="LatVec"):
+        rf.orth_det_check(tuple(em2))
 
 
 def test_complement_genus_invariants_for_div_d():

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 from k3mod import lattice as lt
+from k3mod import qseries as qs
 from k3mod import search as se
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,7 +20,7 @@ def test_one_digest_per_group(capsys):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
-                     + ["orbit-scan", "lattice-reflect", "cli-tables"]
+                     + ["orbit-scan", "lattice-reflect", "counts", "cli-tables"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -31,10 +32,22 @@ def test_one_digest_per_group(capsys):
         se._enumerate_dominant(2 * d) for d in (40, 41))
     assert digests["lattice-reflect"] == same_outputs.digest(
         same_outputs.lattice_reflect(d) for d in (40, 41))
+    assert digests["counts"] == same_outputs.digest(same_outputs.counts())
     # the in-process calls give the recorded stdout with exit code 0
     for workload, calls in golden.items():
         assert digests[f"cli-{workload}"] == same_outputs.digest(
             (0, c["stdout"]) for c in calls), workload
+
+
+def test_counts_reads_histograms_and_brute_representation_numbers():
+    items = list(same_outputs.counts())
+    n_hist = len(same_outputs.COUNTS_LATTICES) * len(same_outputs.COUNTS_SEEDS)
+    e8 = [hist for expr, _seed, hist in items[:n_hist] if expr == "E8"]
+    assert e8 and all(hist[:5] == [1, 0, 240, 0, 2160] and len(hist) == 17 for hist in e8)
+    reps = items[n_hist:]
+    assert len(reps) == sum(hi - lo + 1 for lo, hi in same_outputs.REP_RANGES.values())
+    for name, norm, n in reps:
+        assert n == qs.rep_num(name, norm)
 
 
 def test_degree_range_syntax():

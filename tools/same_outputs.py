@@ -16,6 +16,10 @@ byte-identical outputs in that group.  The groups are
   of h + d u1 + u2 (Gram and basis; h the <-2d> generator, u1 and u2 the
   first basis vectors of the two hyperbolic planes) and `reflection_report`
   on each of `_interesting_vectors(d)`;
+* `counts`: `norm_counts(lat, COUNTS_MAX_NORM)` on seeded signed
+  permutations of the bases of COUNTS_LATTICES, then `rep_num(name, 2d,
+  "brute")` for every name and d in REP_RANGES (the norm ranges of the
+  lattice-enum benchmark workload); this group does not depend on --degrees;
 * `cli-tables`: the stdout of `k3mod tables` in each output format;
 * `cli-<workload>`: the stdout of every `k3mod` call that
   perfbench/golden.json records for that workload.
@@ -33,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -40,13 +45,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from k3mod import cli, search  # noqa: E402
-from k3mod import lattice, reflective  # noqa: E402
+from k3mod import lattice, qseries, reflective, roots  # noqa: E402
 
 # the orbit scan's cost rises steeply with d: d = 1..150 takes about 20 s,
 # 1..400 would take about 10 min (CPython 3.11 on a 2-core VM)
 ORBIT_SCAN_MAX_D = 150
 # d = 1..60 takes a few seconds
 LATTICE_REFLECT_MAX_D = 60
+COUNTS_LATTICES = ("E6", "E7", "E8", "D(5)", "D(8)", "A(2)+A(4)", "E8(-1)")
+COUNTS_SEEDS = (0, 1)
+COUNTS_MAX_NORM = 16
+# d ranges of rep_num(name, 2d, "brute")
+REP_RANGES = {"E6": (14, 18), "E7": (7, 9), "D5": (40, 50), "D6": (14, 18), "D8": (6, 8)}
 
 
 def parse_degrees(text):
@@ -86,6 +96,28 @@ def lattice_reflect(d):
     }
 
 
+def signed_permutation(expr, seed):
+    """The lattice `expr` on a seeded signed permutation of its basis."""
+    rng = random.Random(f"{expr}/{seed}")
+    base = lattice.parse_lattice_expr(expr).gram
+    n = len(base)
+    perm = rng.sample(range(n), n)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+    return lattice.IntLattice([[sign[i] * sign[j] * base[perm[i]][perm[j]] for j in range(n)]
+                               for i in range(n)])
+
+
+def counts():
+    """The norm histograms and brute representation numbers, as JSON."""
+    for expr in COUNTS_LATTICES:
+        for seed in COUNTS_SEEDS:
+            yield [expr, seed, roots.norm_counts(signed_permutation(expr, seed),
+                                                 COUNTS_MAX_NORM)]
+    for name, (lo, hi) in REP_RANGES.items():
+        for d in range(lo, hi + 1):
+            yield [name, 2 * d, qseries.rep_num(name, 2 * d, "brute")]
+
+
 def groups(degrees):
     """(group name, digest) pairs in a fixed order."""
     yield "verdict", digest(search.kodaira_verdict(d).to_dict() for d in degrees)
@@ -97,6 +129,7 @@ def groups(degrees):
                                for d in degrees if d <= ORBIT_SCAN_MAX_D)
     yield "lattice-reflect", digest(lattice_reflect(d)
                                     for d in degrees if d <= LATTICE_REFLECT_MAX_D)
+    yield "counts", digest(counts())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
