@@ -1,12 +1,15 @@
 """Integral lattices given by Gram matrices, with exact arithmetic throughout.
 
-Everything here works over Z with arbitrary-precision integers; only
-`signature_of` eliminates over Q.  A dual vector is integer numerators over
-one positive denominator, so dual membership, pairings and the action of an
-isometry on A_L are integer sums and congruences; Fractions appear only in
-outputs (dual coordinates, pairings, discriminant-form values).  No floating
-point: discriminant groups, divisors and elementary divisors are
-integrality statements and are computed as such.
+Everything here works over Z with arbitrary-precision integers.  One
+fraction-free elimination, `symmetric_bareiss`, reduces every Gram matrix:
+the determinant and the signature of a lattice and the walker's square
+completion in `roots` all come from its pivot rows.  A dual vector is
+integer numerators over one positive denominator, so dual membership,
+pairings and the action of an isometry on A_L are integer sums and
+congruences; Fractions appear only in outputs (dual coordinates, pairings,
+discriminant-form values).  No floating point: discriminant groups,
+divisors and elementary divisors are integrality statements and are
+computed as such.
 
 One rule governs every vector argument (`coords_of`): a `LatVec` must belong
 to the lattice it is used with, and a plain sequence of integers must have
@@ -60,27 +63,54 @@ def mat_mul(a, b):
     return out
 
 
-def det_bareiss(mat):
-    """Determinant of an integer matrix by fraction-free elimination."""
-    a = [list(row) for row in mat]
+def symmetric_bareiss(gram):
+    """The pivot rows of a fraction-free elimination of a nonsingular symmetric
+    integer matrix G (Bareiss, *Math. Comp.* 22, 1968): the one place a Gram
+    matrix is reduced.
+
+    Row k has r_k[k] = D_{k+1}, the leading principal minor of order k + 1,
+    and r_k[j] (j > k) the minor on rows 0..k and columns 0..k-1, j; the
+    entries left of the diagonal mean nothing.  So D_n = det G, and G has one
+    negative eigenvalue per sign change along 1, D_1, ..., D_n (Jacobi).
+    Step k sets a_ij = (a_ij D_{k+1} - a_ik a_kj) / D_k below row k, and
+    Sylvester's identity makes the division exact.
+
+    A zero pivot is replaced by a congruence on rows and columns k..n-1: a
+    swap with a later nonzero diagonal entry, else the addition of a later
+    row and column j that meets row k (the new pivot is 2 a_kj).  It is
+    unimodular, so it keeps det G, the signature and D_1, ..., D_k, and the
+    divisions stay exact; the rows are then those of the transformed matrix.
+    A definite G has no zero minor, so it never pivots.  A zero row k of the
+    remaining block means G is singular: `LatticeError`, as for an empty G.
+    """
+    a = [list(row) for row in gram]
     n = len(a)
-    sign = 1
+    if not n:
+        raise LatticeError("Gram matrix is empty")
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
+            j = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for r in a:
+                    r[k], r[j] = r[j], r[k]
             else:
-                return 0
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    raise LatticeError("Gram matrix is singular")
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for r in a:
+                    r[k] += r[j]
+        rk = a[k]
+        p = rk[k]
         for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                ai[j] = (ai[j] * p - f * rk[j]) // prev
+        prev = p
+    return a
 
 
 def smith_normal_form(mat):
@@ -177,39 +207,6 @@ def kernel_basis(mat):
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
 
 
-def signature_of(gram):
-    """Exact signature (n_plus, n_minus) of a nondegenerate symmetric matrix."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if j is not None:
-                a[k], a[j] = a[j], a[k]
-                for r in a:
-                    r[k], r[j] = r[j], r[k]
-            else:
-                j = next(j for j in range(k + 1, n) if a[k][j] != 0)
-                for col in range(n):
-                    a[k][col] += a[j][col]
-                for r in a:
-                    r[k] += r[j]
-        p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / p
-                for col in range(n):
-                    a[i][col] -= f * a[k][col]
-                for r in a:
-                    r[i] -= f * r[k]
-    return pos, neg
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -225,12 +222,13 @@ class IntLattice:
     isometric lattices must not silently interoperate.  Every function that
     takes a vector of the lattice reads it through `coords_of`, so a `LatVec`
     of another lattice and a coordinate tuple of the wrong length both raise
-    `LatticeError`.  Data derived from the Gram matrix (the signature,
-    `disc_group`, the root data) is memoised on the instance (`memoised`),
+    `LatticeError`.  The det and the signature come from one
+    `symmetric_bareiss` pass.  Data derived from the Gram matrix
+    (`disc_group`, the root data) is memoised on the instance (`memoised`),
     so it lives exactly as long as the lattice.
     """
 
-    __slots__ = ("gram", "rank", "name", "token", "_det", "_memo")
+    __slots__ = ("gram", "rank", "name", "token", "_det", "_signature", "_memo")
 
     def __init__(self, gram, name=None):
         g = tuple(tuple(int(x) for x in row) for row in gram)
@@ -239,14 +237,14 @@ class IntLattice:
             raise LatticeError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
             raise LatticeError("Gram matrix must be symmetric")
-        det = det_bareiss(g)
-        if det == 0:
-            raise LatticeError("Gram matrix is singular")
+        minors = [1] + [row[k] for k, row in enumerate(symmetric_bareiss(g))]
+        neg = sum((p < 0) != (q < 0) for p, q in zip(minors, minors[1:]))
         self.gram = g
         self.rank = n
         self.name = name
         self.token = next(_token_counter)
-        self._det = det
+        self._det = minors[-1]
+        self._signature = (n - neg, neg)
         self._memo = {}
 
     def memoised(self, key, build):
@@ -262,7 +260,8 @@ class IntLattice:
 
     @property
     def signature(self):
-        return self.memoised("signature", lambda lat: signature_of(lat.gram))
+        """(n_plus, n_minus)."""
+        return self._signature
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -518,8 +517,11 @@ def disc_group(lat):
     dual vector G^-1 u^-1 e_i that realises the i-th cyclic factor is
     v D^-1 e_i = v[:, i] / d_i: the lifts need no inverse and no solve, and
     each is stored as it comes, numerators v[:, i] over the denominator d_i.
-    The transforms are checked in integers first (u G v = D and
-    |det u| = |det v| = 1, both O(n^3)); `LatticeError` if either fails.
+    The transforms are checked in integers first: u G v = D, and
+    |d_1 ... d_n| = |det G|.  Given the first, det u * det G * det v = det D
+    with det u and det v integers and det G != 0, so the second holds exactly
+    when |det u| = |det v| = 1: it proves u and v unimodular without
+    eliminating them.  `LatticeError` if either check fails.
     The lifts are reproducible thanks to the deterministic SNF pivoting.
     """
     return lat.memoised("disc_group", _disc_group)
@@ -528,10 +530,9 @@ def disc_group(lat):
 def _disc_group(lat):
     g = lat.gram
     d, u, v = smith_normal_form(g)
-    if mat_mul(mat_mul(u, g), v) != d or abs(det_bareiss(u)) != 1 \
-            or abs(det_bareiss(v)) != 1:
-        raise LatticeError("Smith normal form transforms do not check")
     n = lat.rank
+    if mat_mul(mat_mul(u, g), v) != d or abs(prod(d[i][i] for i in range(n))) != abs(lat.det):
+        raise LatticeError("Smith normal form transforms do not check")
     factors = []
     lifts = []
     for i in range(n):

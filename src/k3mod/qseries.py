@@ -311,6 +311,10 @@ def named_definite_lattice(name):
 
 def rep_num(name, two_d, method="formula"):
     """Representation number N_L(2d) for L in {E6, E7, D5, D6, D8}."""
+    if name not in NAMED_LATTICES:
+        raise ValueError(f"unknown lattice name {name!r}")
+    if method not in ("formula", "brute"):
+        raise ValueError("method must be 'formula' or 'brute'")
     if two_d < 0:
         raise ValueError("norm must be nonnegative")
     if two_d == 0:
@@ -320,14 +324,10 @@ def rep_num(name, two_d, method="formula"):
     m = two_d // 2
     if method == "brute":
         return roots.enumerate_norm_vectors(named_definite_lattice(name), two_d)
-    if method != "formula":
-        raise ValueError("method must be 'formula' or 'brute'")
     if name in _EISENSTEIN:
         return _eisenstein_count(name, m)
     # one coefficient, read off the cached series without truncating a copy
     prec = max(240, m)
     if name == "E7":
         return _cached_series("E7", prec, _build_e7).coeff(m)
-    if name in ("D5", "D8"):
-        return _cached_series(name, prec, _dn_builder(int(name[1]))).coeff(m)
-    raise ValueError(f"unknown lattice name {name!r}")
+    return _cached_series(name, prec, _dn_builder(int(name[1]))).coeff(m)

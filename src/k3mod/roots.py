@@ -1,15 +1,16 @@
 """Root and fixed-norm vector enumeration for definite lattices.
 
 The enumerator is Fincke-Pohst style: the Gram matrix is completed to a sum
-of squares with rational pivots, and coordinate ranges are propagated from
-the last coordinate to the first with exact bounds (integer square roots
-plus an exact adjustment step, so no acceptance errors from rounding).  The
-integer square completion (`_scaled_form`) and the one recursion over it
-(`_walk`) are private to this module.  The walk serves the vectors of one
-norm and their number (`enumerate_norm_vectors`, the roots), the norm
-histogram (`norm_counts`) and the nonnegative cone of one norm
-(`enumerate_cone`, where every level walks x_i >= 0: the dominant-orbit
-scan of `search`).
+of squares with integer coefficients, read off the pivot rows of the
+fraction-free elimination `lattice.symmetric_bareiss`, and coordinate
+ranges are propagated from the last coordinate to the first with exact
+bounds (integer square roots plus an exact adjustment step, so no
+acceptance errors from rounding).  The integer square completion
+(`_scaled_form`) and the one recursion over it (`_walk`) are private to
+this module.  The walk serves the vectors of one norm and their number
+(`enumerate_norm_vectors`, the roots), the norm histogram (`norm_counts`)
+and the nonnegative cone of one norm (`enumerate_cone`, where every level
+walks x_i >= 0: the dominant-orbit scan of `search`).
 
 Three things keep the recursion cheap:
 
@@ -74,12 +75,11 @@ Three things keep the recursion cheap:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from .lattice import LatticeError, coords_of, pairing_vector
+from .lattice import LatticeError, coords_of, pairing_vector, symmetric_bareiss
 
 
 class IndefiniteError(LatticeError):
@@ -103,32 +103,6 @@ class RootSystemData:
 # The per-lattice memo (IntLattice.memoised) holds only plain numbers and
 # tuples from this module, never the lattice itself, so it goes away with it.
 
-def _cholesky(lat):
-    """(sign, pivots q_i, coefficients u[i][j]) with sign*Q(x) = sum q_i (x_i + sum_j u_ij x_j)^2.
-
-    Not memoised: its one caller, `_scaled_form`, is."""
-    n = lat.rank
-    for sign in (1, -1):
-        a = [[Fraction(sign * x) for x in row] for row in lat.gram]
-        q = [None] * n
-        u = [[Fraction(0)] * n for _ in range(n)]
-        ok = True
-        for i in range(n):
-            if a[i][i] <= 0:
-                ok = False
-                break
-            q[i] = a[i][i]
-            for j in range(i + 1, n):
-                u[i][j] = a[i][j] / q[i]
-            for k in range(i + 1, n):
-                for l in range(k, n):
-                    a[k][l] -= q[i] * u[i][k] * u[i][l]
-                    a[l][k] = a[k][l]
-        if ok:
-            return (sign, q, u)
-    raise IndefiniteError("lattice is not definite")
-
-
 def _scaled_form(lat):
     """Integer-scaled square completion of the definite form.
 
@@ -137,29 +111,32 @@ def _scaled_form(lat):
         L * Q(x) = sum_i a_i * y_i^2,   y_i = uden_i * x_i + sum_{j>i} unum_i[j] x_j.
 
     All quantities are integers, so budget propagation needs no rationals.
+    Q is the Gram form times the sign of g_00, the sign of a definite form.
     """
     return lat.memoised("scaled", _build_scaled_form)
 
 
 def _build_scaled_form(lat):
-    _sign, q, u = _cholesky(lat)
-    n = lat.rank
-    uden = []
-    unum = []
-    for i in range(n):
-        den = 1
-        for j in range(i + 1, n):
-            den = den * u[i][j].denominator // gcd(den, u[i][j].denominator)
-        uden.append(den)
-        unum.append([int(u[i][j] * den) for j in range(n)])
-    scale = 1
-    for i in range(n):
-        block = q[i].denominator * uden[i] * uden[i]
-        scale = scale * block // gcd(scale, block)
-    a = []
-    for i in range(n):
-        f = scale // (q[i].denominator * uden[i] * uden[i])
-        a.append(q[i].numerator * f)
+    # with pivot rows r_k of sign * G (r_k[k] = D_{k+1}), Q(x) is the sum of
+    # q_k (x_k + sum_{j>k} r_k[j] / D_{k+1} x_j)^2 with q_k = D_{k+1} / D_k;
+    # h_k = gcd(r_k[k:]) clears the denominators of row k
+    sign = 1 if lat.gram[0][0] > 0 else -1
+    rows = symmetric_bareiss([[sign * x for x in row] for row in lat.gram])
+    minors = [1] + [row[k] for k, row in enumerate(rows)]
+    # every minor is positive iff the form is definite, and then no pivot moved a basis vector
+    if min(minors) <= 0:
+        raise IndefiniteError("lattice is not definite")
+    uden, unum, qnum, blocks = [], [], [], []
+    for k, row in enumerate(rows):
+        h = gcd(*row[k:])
+        uden.append(row[k] // h)
+        unum.append([0] * (k + 1) + [x // h for x in row[k + 1:]])
+        # q_k = D_{k+1} / D_k in lowest terms; L is the lcm of den(q_k) uden_k^2
+        g = gcd(minors[k + 1], minors[k])
+        qnum.append(minors[k + 1] // g)
+        blocks.append(minors[k] // g * uden[k] ** 2)
+    scale = lcm(*blocks)
+    a = [qn * (scale // b) for qn, b in zip(qnum, blocks)]
     return (scale, a, unum, uden)
 
 
@@ -283,7 +260,7 @@ def _half_counts(lat, top):
     """
     scale, a, _unum, uden = _scaled_form(lat)
     gram = lat.gram
-    # the sign normalisation of `_cholesky`: a definite form has the sign of g_00
+    # the sign normalisation of `_scaled_form`: a definite form has the sign of g_00
     sign = 1 if gram[0][0] > 0 else -1
     n = lat.rank
     if n == 1:

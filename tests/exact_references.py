@@ -1,0 +1,114 @@
+"""Reference eliminations the library replaced with `lattice.symmetric_bareiss`.
+
+Each works on its own, by a different route, so tests compare the library's
+one fraction-free pass against them: `det_bareiss` (row-pivoted Bareiss on
+any square integer matrix), `signature_of` (symmetric elimination over Q) and
+`cholesky` with `scaled_form` (the Fraction LDL^T of a definite form and its
+integerisation by an LCM pass).
+"""
+
+from fractions import Fraction
+from math import gcd
+
+
+def det_bareiss(mat):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def signature_of(gram):
+    """Exact signature (n_plus, n_minus) of a nondegenerate symmetric matrix."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for r in a:
+                    r[k], r[j] = r[j], r[k]
+            else:
+                j = next(j for j in range(k + 1, n) if a[k][j] != 0)
+                for col in range(n):
+                    a[k][col] += a[j][col]
+                for r in a:
+                    r[k] += r[j]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] / p
+                for col in range(n):
+                    a[i][col] -= f * a[k][col]
+                for r in a:
+                    r[i] -= f * r[k]
+    return pos, neg
+
+
+def cholesky(gram):
+    """(sign, pivots q_i, coefficients u[i][j]) with
+    sign * Q(x) = sum q_i (x_i + sum_{j>i} u_ij x_j)^2, over Fractions;
+    None if neither sign makes the form positive definite."""
+    n = len(gram)
+    for sign in (1, -1):
+        a = [[Fraction(sign * x) for x in row] for row in gram]
+        q = [None] * n
+        u = [[Fraction(0)] * n for _ in range(n)]
+        ok = True
+        for i in range(n):
+            if a[i][i] <= 0:
+                ok = False
+                break
+            q[i] = a[i][i]
+            for j in range(i + 1, n):
+                u[i][j] = a[i][j] / q[i]
+            for k in range(i + 1, n):
+                for m in range(k, n):
+                    a[k][m] -= q[i] * u[i][k] * u[i][m]
+                    a[m][k] = a[k][m]
+        if ok:
+            return (sign, q, u)
+    return None
+
+
+def scaled_form(gram):
+    """(scale, a, unum, uden) of `roots._scaled_form`, integerised from
+    `cholesky` by clearing each row's denominators and an LCM of the pivots."""
+    _sign, q, u = cholesky(gram)
+    n = len(gram)
+    uden = []
+    unum = []
+    for i in range(n):
+        den = 1
+        for j in range(i + 1, n):
+            den = den * u[i][j].denominator // gcd(den, u[i][j].denominator)
+        uden.append(den)
+        unum.append([int(u[i][j] * den) for j in range(n)])
+    scale = 1
+    for i in range(n):
+        block = q[i].denominator * uden[i] * uden[i]
+        scale = scale * block // gcd(scale, block)
+    a = [q[i].numerator * (scale // (q[i].denominator * uden[i] * uden[i])) for i in range(n)]
+    return (scale, a, unum, uden)

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, exact tolerances, one
 pass/fail line each (run with -s to see them on success)."""
 
+import ast
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from k3mod import e8
 from k3mod import lattice as lt
@@ -168,3 +170,12 @@ def test_criterion_13_discriminant_plumbing():
             assert disc.q_values[0] == Fraction(-1, 2 * d) % 2
         assert rf.parity_delta(lt.disc_group(lt.parse_lattice_expr("U(2)"))) == 0
         assert rf.parity_delta(lt.disc_group(lt.parse_lattice_expr("<2>+<-2>"))) == 1
+
+
+def test_no_check_in_the_library_is_a_plain_assert():
+    # `python -O` strips assert statements, so a check that must hold raises
+    paths = sorted(Path(lt.__file__).parent.rglob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert paths and found == []

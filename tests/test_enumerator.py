@@ -12,7 +12,8 @@ and even norms, are pinned to the reference: on leading Gram blocks G2 with
 1, 3, 4 and 24 classes, on ranks 1-3 (which have no level 2), on negative
 definite lattices, and on one case whose counts overflow a digit that is
 too narrow.  The exact counts of `enumerate_norm_vectors` are pinned
-beside them."""
+beside them, and the integer square completion under every walk is pinned
+to the Fraction LDL^T it was once integerised from."""
 
 import gc
 import random
@@ -22,6 +23,8 @@ import pytest
 
 from k3mod import lattice, qseries, reflective, roots
 from k3mod.lattice import IntLattice, parse_lattice_expr
+
+from exact_references import scaled_form
 
 
 def _reference_enumerate(lat, target, visitor, exact):
@@ -116,6 +119,13 @@ def _reference_histogram(lat, top):
 
 
 _PINNED = ["E6", "E7", "E8", "D(5)", "D(8)", "A(2)+A(4)", "E8(-1)"]
+
+
+@pytest.mark.parametrize("expr", _PINNED + ["<100>+<300>+<2>", "<4>+<6>+A(2)"])
+def test_square_completion_matches_the_fraction_reference(expr):
+    for seed in range(4):
+        lat = _signed_permutation(expr, random.Random(f"{expr}/{seed}"))
+        assert roots._scaled_form(lat) == scaled_form(lat.gram), seed
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -17,6 +17,8 @@ from k3mod import lattice as lt
 from k3mod import reflective as rf
 from k3mod import rst
 
+from exact_references import det_bareiss
+
 
 def solve_rational(a, rhs_cols):
     """Solve a*X = rhs for X over Q; `a` square nonsingular, rhs a list of columns."""
@@ -131,7 +133,7 @@ def _random_symmetric(rng, count, max_rank=4, bound=4):
         for i in range(n):
             for j in range(i, n):
                 g[i][j] = g[j][i] = rng.randint(-bound, bound)
-        if lt.det_bareiss(g):
+        if det_bareiss(g):
             out.append(lt.IntLattice(g))
     return out
 
@@ -212,6 +214,19 @@ def test_disc_group_rejects_transforms_that_do_not_check(monkeypatch):
         monkeypatch.setattr(lt, "smith_normal_form", lambda _g, case=case: case)
         with pytest.raises(lt.LatticeError):
             lt.disc_group(lat)
+
+
+def test_disc_group_rejects_a_transform_of_det_two_with_dual_lifts(monkeypatch):
+    # doubling column 0 of v and d_1 keeps u G v = D, and the lift v[:, 0] / d_1
+    # is still a dual vector: only |d_1 ... d_n| != |det G| shows det v = 2
+    lat = lt.parse_lattice_expr("<2>+<3>")
+    d, u, v = lt.smith_normal_form(lat.gram)
+    d = [[2 * d[0][0], 0], [0, d[1][1]]]
+    v = [[2 * row[0], row[1]] for row in v]
+    assert lt.mat_mul(lt.mat_mul(u, lat.gram), v) == d
+    monkeypatch.setattr(lt, "smith_normal_form", lambda _g: (d, u, v))
+    with pytest.raises(lt.LatticeError, match="do not check"):
+        lt.disc_group(lat)
 
 
 def test_orth_complement_matches_the_quadruple_sum():

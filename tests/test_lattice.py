@@ -11,6 +11,8 @@ from k3mod.lattice import (
     make_l2d, orth_complement, parse_lattice_expr, rescale, smith_normal_form,
 )
 
+from exact_references import det_bareiss, signature_of
+
 
 def test_named_constructors():
     u = parse_lattice_expr("U")
@@ -89,6 +91,32 @@ def test_l2d_shape():
     assert lat.signature == (2, 19)
     lat5 = parse_lattice_expr("2U+2E8(-1)+<-10>")
     assert lat5.det == -10 and lat5.signature == (2, 19)
+
+
+@pytest.mark.parametrize("gram", [make_l2d(d).gram for d in range(1, 31)] + [
+    lt._expr_gram(e) for e in ("U", "U+<-2>", "2U", "U(3)+A(2)", "<-4>+<4>")])
+def test_det_and_signature_match_the_references(gram):
+    lat = lt.IntLattice(gram)
+    assert lat.det == det_bareiss(gram)
+    assert lat.signature == signature_of(gram)
+
+
+def test_zero_pivots_are_replaced_by_congruences():
+    # U: no later nonzero diagonal entry, so row and column 1 are added to
+    # row and column 0 (pivot 2 a_01 = 2).  U+<-2>: b_0 swaps with the <-2>
+    # vector, and then the block of U needs the addition (pivot 2 a_12 = -4)
+    def minors(expr):
+        return [row[k] for k, row in enumerate(lt.symmetric_bareiss(lt._expr_gram(expr)))]
+
+    assert minors("U") == [2, -1]
+    assert minors("U+<-2>") == [-2, -4, 2]
+
+
+@pytest.mark.parametrize("gram", [[], [[0, 1, 0], [1, 0, 0], [0, 0, 0]], [[0, 0], [0, 0]],
+                                  [[1, 1], [1, 1]]])
+def test_empty_and_singular_grams_are_rejected(gram):
+    with pytest.raises(LatticeError):
+        lt.IntLattice(gram)
 
 
 def test_divisor():
@@ -170,7 +198,7 @@ def test_disc_order_is_det():
 
 
 def test_smith_normal_form_transforms():
-    from k3mod.lattice import mat_mul, det_bareiss
+    from k3mod.lattice import mat_mul
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
     d, u, v = smith_normal_form(m)
     assert mat_mul(mat_mul(u, m), v) == d

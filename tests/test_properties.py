@@ -11,6 +11,8 @@ from k3mod import e8, roots
 from k3mod import lattice as lt
 from k3mod import qseries as qs
 
+from exact_references import det_bareiss, scaled_form, signature_of
+
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
@@ -25,7 +27,7 @@ def _matrices(draw, max_size=4, bound=9):
 def test_snf_transforms_give_the_normal_form(m):
     d, u, v = lt.smith_normal_form(m)
     assert lt.mat_mul(lt.mat_mul(u, m), v) == d
-    assert abs(lt.det_bareiss(u)) == 1 and abs(lt.det_bareiss(v)) == 1
+    assert abs(det_bareiss(u)) == 1 and abs(det_bareiss(v)) == 1
     rows, cols = len(m), len(m[0])
     assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
     diag = [d[i][i] for i in range(min(rows, cols))]
@@ -47,11 +49,34 @@ def _symmetric(draw, max_rank=4, bound=4):
 @_SETTINGS
 @given(_symmetric())
 def test_disc_group_order_is_the_determinant(g):
-    assume(lt.det_bareiss(g) != 0)
+    assume(det_bareiss(g) != 0)
     lat = lt.IntLattice(g)
     disc = lt.disc_group(lat)
     assert disc.order == abs(lat.det)
     assert len(disc.generator_lifts) == len(disc.invariant_factors)
+
+
+@_SETTINGS
+@given(_symmetric(max_rank=6, bound=3).map(
+    lambda g: [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(g)]))
+def test_det_and_signature_of_zero_diagonal_grams_match_the_references(g):
+    # with a zero diagonal the first step always pivots by adding a row and column
+    assume(det_bareiss(g) != 0)
+    lat = lt.IntLattice(g)
+    assert lat.det == det_bareiss(g)
+    assert lat.signature == signature_of(g)
+
+
+@_SETTINGS
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.sampled_from((1, -1)))
+def test_square_completion_matches_the_fraction_reference(b, sign):
+    # G = sign * B^T B is definite when B is nonsingular
+    n = len(b)
+    g = [[sign * sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assume(det_bareiss(g) != 0)
+    assert roots._scaled_form(lt.IntLattice(g)) == scaled_form(g)
 
 
 @_SETTINGS

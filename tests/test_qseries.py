@@ -196,6 +196,13 @@ def test_rep_num():
         rep_num("E9", 2)
 
 
+@pytest.mark.parametrize("args", [("X", 0), ("X", 3), ("X", 4), ("E6", 0, "bogus")])
+def test_rep_num_checks_its_arguments_before_the_norm(args):
+    # norm 0 and odd norms have fixed answers, but not for a bad name or method
+    with pytest.raises(ValueError):
+        rep_num(*args)
+
+
 def test_representation_bounds():
     # the three growth constants, as exact rational comparisons (unit-sized
     # range; the acceptance suite runs the full m <= 240)

@@ -6,9 +6,11 @@ import pytest
 from k3mod import lattice as lt
 from k3mod import reflective as rf
 from k3mod.lattice import (
-    LatticeError, det_bareiss, disc_group, make_l2d,
+    LatticeError, disc_group, make_l2d,
     orth_complement, parse_lattice_expr,
 )
+
+from exact_references import det_bareiss
 
 
 def test_root_reflection_in_e8():

@@ -45,6 +45,13 @@ def test_indefinite_rejected():
         enumerate_roots(u)
 
 
+@pytest.mark.parametrize("expr", ["<2>+<-2>", "A(2)+U", "E8+<-2>"])
+def test_indefinite_forms_with_nonzero_first_pivots_are_rejected(expr):
+    # "A(2)+U" pivots at its third step; the form check reads the minors after the pass
+    with pytest.raises(IndefiniteError):
+        enumerate_roots(parse_lattice_expr(expr))
+
+
 def test_negative_definite_normalised():
     e8m = parse_lattice_expr("E8(-1)")
     assert enumerate_roots(e8m).count == 240

@@ -20,7 +20,7 @@ def test_one_digest_per_group(capsys):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
-                     + ["orbit-scan", "lattice-reflect", "counts", "cli-tables"]
+                     + ["orbit-scan", "lattice-reflect", "counts", "forms", "cli-tables"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -33,6 +33,7 @@ def test_one_digest_per_group(capsys):
     assert digests["lattice-reflect"] == same_outputs.digest(
         same_outputs.lattice_reflect(d) for d in (40, 41))
     assert digests["counts"] == same_outputs.digest(same_outputs.counts())
+    assert digests["forms"] == same_outputs.digest(same_outputs.forms())
     # the in-process calls give the recorded stdout with exit code 0
     for workload, calls in golden.items():
         assert digests[f"cli-{workload}"] == same_outputs.digest(
@@ -62,3 +63,25 @@ def test_lattice_reflect_reads_the_l2d_outputs():
     # h + 5 u1 + u2 has r^2 = -10 and div 1: |det r^perp| = 10 * 10
     assert abs(lt.IntLattice(out["complement"][0]).det) == 100
     assert [r["class"] for r in out["reports"]][:2] == ["minus_in_tilde_O"] * 2
+
+
+def test_forms_reads_square_completions_dets_and_signatures():
+    items = list(same_outputs.forms())
+    n_forms = ((len(same_outputs.COUNTS_LATTICES) + len(same_outputs.FORMS_EXTRA))
+               * len(same_outputs.COUNTS_SEEDS))
+    # L * Q(b_j) = sum_i a_i y_i^2 with y_i = uden_i [i = j] + unum_i[j]
+    for expr, seed, (scale, a, unum, uden) in items[:n_forms]:
+        g = same_outputs.signed_permutation(expr, seed).gram
+        sign = 1 if g[0][0] > 0 else -1
+        for j in range(len(g)):
+            assert scale * sign * g[j][j] == sum(
+                ai * (di * (i == j) + row[j]) ** 2
+                for i, (ai, di, row) in enumerate(zip(a, uden, unum))), (expr, seed, j)
+    l2d = items[n_forms:n_forms + same_outputs.LATTICE_REFLECT_MAX_D]
+    # h + d u1 + u2 has norm -2d, so its complement has signature (2, 18), |det| 4d^2
+    assert [(d, det, sig) for d, det, sig, _cd, _cs in l2d][:2] == [(1, -2, (2, 19)),
+                                                                  (2, -4, (2, 19))]
+    assert all(csig == (2, 18) and abs(cdet) == 4 * d * d for d, _det, _sig, cdet, csig in l2d)
+    assert items[n_forms + same_outputs.LATTICE_REFLECT_MAX_D:] == [
+        ["U", -1, (1, 1)], ["2U", 1, (2, 2)], ["U(3)+A(2)", -27, (3, 1)],
+        ["<-4>+<4>", -16, (1, 1)]]

@@ -8,7 +8,9 @@ import pytest
 
 from k3mod import e8, roots
 from k3mod import search as se
-from k3mod.lattice import IntLattice, LatticeError
+from k3mod.lattice import LatticeError
+
+from exact_references import cholesky
 
 
 def test_embeddings_and_norms():
@@ -222,7 +224,7 @@ def _stabiliser(weight_coords):
 def _dominant_by_fractions(norm):
     """The orbit scan's reference walk: the same dominant chamber, walked on
     the rational square completion of the weight form with Fraction bounds."""
-    _sign, q, u = roots._cholesky(IntLattice(e8.weight_gram()))
+    _sign, q, u = cholesky(e8.weight_gram())
     x = [0] * 8
     out = []
 

@@ -20,6 +20,11 @@ byte-identical outputs in that group.  The groups are
   permutations of the bases of COUNTS_LATTICES, then `rep_num(name, 2d,
   "brute")` for every name and d in REP_RANGES (the norm ranges of the
   lattice-enum benchmark workload); this group does not depend on --degrees;
+* `forms`: the integer square completion `roots._scaled_form` of the
+  `counts` group's signed permutations and of those of FORMS_EXTRA, then
+  (det, signature) of L_2d and of the complement of the `lattice-reflect`
+  group for every d up to LATTICE_REFLECT_MAX_D, and of FORMS_INDEFINITE;
+  this group does not depend on --degrees either;
 * `cli-tables`: the stdout of `k3mod tables` in each output format;
 * `cli-<workload>`: the stdout of every `k3mod` call that
   perfbench/golden.json records for that workload.
@@ -57,6 +62,10 @@ COUNTS_SEEDS = (0, 1)
 COUNTS_MAX_NORM = 16
 # d ranges of rep_num(name, 2d, "brute")
 REP_RANGES = {"E6": (14, 18), "E7": (7, 9), "D5": (40, 50), "D6": (14, 18), "D8": (6, 8)}
+# definite forms with large or mixed pivot denominators, and indefinite ones
+# whose elimination meets a zero pivot
+FORMS_EXTRA = ("<100>+<300>+<2>", "<4>+<6>+A(2)")
+FORMS_INDEFINITE = ("U", "2U", "U(3)+A(2)", "<-4>+<4>")
 
 
 def parse_degrees(text):
@@ -79,13 +88,18 @@ def cli_stdout(argv):
     return code, out.getvalue()
 
 
+def l2d_complement(lat, d):
+    """(complement, basis) of h + d u1 + u2 in L_2d = `lat`."""
+    r = [0] * lat.rank
+    r[0], r[2], r[-1] = d, 1, 1
+    return lattice.orth_complement(lat, [r])
+
+
 def lattice_reflect(d):
     """The reflection, discriminant and complement outputs on L_2d, as JSON."""
     lat = lattice.make_l2d(d)
     disc = lattice.disc_group(lat)
-    r = [0] * lat.rank
-    r[0], r[2], r[-1] = d, 1, 1
-    comp, basis = lattice.orth_complement(lat, [r])
+    comp, basis = l2d_complement(lat, d)
     return {
         "sample": reflective.reflk3_sample_check(d, 300, seed=d),
         "disc": [disc.invariant_factors, [str(q) for q in disc.q_values],
@@ -118,6 +132,20 @@ def counts():
             yield [name, 2 * d, qseries.rep_num(name, 2 * d, "brute")]
 
 
+def forms():
+    """The square completions and the (det, signature) pairs, as JSON."""
+    for expr in COUNTS_LATTICES + FORMS_EXTRA:
+        for seed in COUNTS_SEEDS:
+            yield [expr, seed, roots._scaled_form(signed_permutation(expr, seed))]
+    for d in range(1, LATTICE_REFLECT_MAX_D + 1):
+        lat = lattice.make_l2d(d)
+        comp = l2d_complement(lat, d)[0]
+        yield [d, lat.det, lat.signature, comp.det, comp.signature]
+    for expr in FORMS_INDEFINITE:
+        lat = lattice.parse_lattice_expr(expr)
+        yield [expr, lat.det, lat.signature]
+
+
 def groups(degrees):
     """(group name, digest) pairs in a fixed order."""
     yield "verdict", digest(search.kodaira_verdict(d).to_dict() for d in degrees)
@@ -130,6 +158,7 @@ def groups(degrees):
     yield "lattice-reflect", digest(lattice_reflect(d)
                                     for d in degrees if d <= LATTICE_REFLECT_MAX_D)
     yield "counts", digest(counts())
+    yield "forms", digest(forms())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
