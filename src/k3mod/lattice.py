@@ -222,7 +222,9 @@ class IntLattice:
     isometric lattices must not silently interoperate.  Every function that
     takes a vector of the lattice reads it through `coords_of`, so a `LatVec`
     of another lattice and a coordinate tuple of the wrong length both raise
-    `LatticeError`.  The det and the signature come from one
+    `LatticeError`.  The Gram entries follow the same rule as vector
+    entries: one that is not an integer is a `TypeError`, never truncated.
+    The det and the signature come from one
     `symmetric_bareiss` pass.  Data derived from the Gram matrix
     (`disc_group`, the root data) is memoised on the instance (`memoised`),
     so it lives exactly as long as the lattice.
@@ -231,7 +233,7 @@ class IntLattice:
     __slots__ = ("gram", "rank", "name", "token", "_det", "_signature", "_memo")
 
     def __init__(self, gram, name=None):
-        g = tuple(tuple(int(x) for x in row) for row in gram)
+        g = tuple(tuple(map(index, row)) for row in gram)
         n = len(g)
         if any(len(row) != n for row in g):
             raise LatticeError("Gram matrix must be square")

@@ -61,7 +61,9 @@ Three things keep the recursion cheap:
   norm 0..top.  The level-2 loop steps Q_proj(z) by finite differences and
   the class by a table, and adds one shifted histogram per z.  This replaces
   the level-1 loop and its level-0 leaf calls.  The width is the bit length
-  of the Fincke-Pohst box bound
+  of the Fincke-Pohst box bound, rounded up to whole bytes so that
+  `int.to_bytes` and `int.from_bytes` pack and unpack the digits in linear
+  time.  The box bound is
 
       prod_i (floor(2 floor(sqrt(L top / a_i)) / uden_i) + 1).
 
@@ -70,7 +72,8 @@ Three things keep the recursion cheap:
   a norm <= top.  Digits above top may overflow, but a carry moves only
   upwards, past the digits read.  The leaf also counts the pairs (z, w) that
   land at norms <= top.  A digit that overflowed would make the sum of the
-  digits read smaller than that count, and the leaf raises.
+  digits read smaller than that count, and the leaf raises; so does the
+  packing of a class histogram with a digit that does not fit.
 """
 
 from __future__ import annotations
@@ -314,13 +317,16 @@ def _half_counts(lat, top):
     hist0 = histogram(0)[0]
     if n == 2:
         return [0] + [h // 2 for h in hist0[1:]]
-    width = _box_bound(lat, top).bit_length()
+    # whole bytes per digit, so packing and unpacking are linear-time
+    size = (_box_bound(lat, top).bit_length() + 7) // 8
+    width = 8 * size
 
     def pack(hist):
-        packed = 0
-        for h in reversed(hist):
-            packed = (packed << width) | h
-        return packed
+        try:
+            digits = b"".join(h.to_bytes(size, "little") for h in hist)
+        except OverflowError:
+            raise LatticeError("a norm count overflowed its digit") from None
+        return int.from_bytes(digits, "little")
 
     gam0, gam1 = sign * gram[0][2], sign * gram[1][2]
 
@@ -383,8 +389,9 @@ def _half_counts(lat, top):
         found += seen
 
     _walk(lat, top, x, leaf, stop=2)
-    mask = (1 << width) - 1
-    half = [(acc >> width * m) & mask for m in range(top + 1)]
+    length = size * (top + 1)
+    digits = (acc & ((1 << 8 * length) - 1)).to_bytes(length, "little")
+    half = [int.from_bytes(digits[i:i + size], "little") for i in range(0, length, size)]
     # a digit that overflowed carried 2^width into the next one
     if sum(half) != found:
         raise LatticeError("a norm count overflowed its digit")

@@ -12,13 +12,16 @@ build their hits from these streams; the verdict keeps only running minima
 and builds a hit for its winners.  Family IV is the largest: its tuples
 (m3, ..., m7, -m8) sum to zero, so they are the vectors of norm 2d in A5,
 taken modulo S5 (permuting m3..m7) and the global sign.  Three loops choose
-m3 <= m4 <= m5; the last pair then solves w^2 + 3v^2 = K
-(w = 3(m6 + m7) + 2(m3 + m4 + m5), v = m7 - m6) by lookup in a table of
-all such pairs up to K = 12d.  The exhaustive search enumerates one
-dominant representative per Weyl orbit (the orthogonal-root count is Weyl
-invariant), which turns the 10^8-vector streams of the naive scan into a
-handful of cone vectors; `roots.enumerate_cone` walks them on the weight
-form in integers, so no rational arithmetic.
+m3 <= m4 <= m5, with sum s; the last pair then solves x^2 + 3v^2 = K with
+x = 3(m6 + m7) + 2s and v = m7 - m6.  One table of these solutions, shared
+by all degrees and grown geometrically up to K = 12d, is indexed by K and
+by x mod 3 and lists x descending: a triple reads only the x = 2s (mod 3)
+that an integral m6 + m7 needs, and stops at the first x that makes
+m8 = (x + s) / 3 negative or leaves no m6 >= m5.  The exhaustive search
+enumerates one dominant representative per Weyl orbit (the orthogonal-root
+count is Weyl invariant), which turns the 10^8-vector streams of the naive
+scan into a handful of cone vectors; `roots.enumerate_cone` walks them on
+the weight form in integers, so no rational arithmetic.
 The verdict has one rule at every degree: the families run first, and the
 orbit scan runs wherever no family gives N_l <= 12.
 
@@ -225,9 +228,9 @@ CASES = tuple(FAMILIES)
 # (m3, ..., m7, -m8) of norm 2d modulo S5 x {+-1}: m3 <= ... <= m7, and
 # m8 = m3 + ... + m7 > 0, or m8 = 0 and the tuple is the smaller of itself
 # and its negative sorted.  Its last pair (m6, m7) comes from the solutions
-# of w^2 + 3v^2 = K, so no loop runs over m6 or m7.  Sign flips and
-# coordinate permutations fixing each family preserve the counts, so these
-# domains see every hit class.
+# of x^2 + 3v^2 = K (`_case4_pairs`), so no loop runs over m6 or m7.  Sign
+# flips and coordinate permutations fixing each family preserve the counts,
+# so these domains see every hit class.
 
 def iter_case_tuples(case, d):
     """The tuples of family `case` at degree d (see the domains above)."""
@@ -281,27 +284,34 @@ def _case_tuples(case, d):
     else:  # "IV"
         # the last pair from u = m6 + m7, v = m7 - m6 >= 0: with s and sq the
         # sum and square sum of (m3, m4, m5), the norm equation reads
-        # (3u + 2s)^2 + 3v^2 = K with K = 6(2d - sq) - 2s^2 <= 12d.  K is
-        # even, so w = 3u + 2s and v have one parity, and so do u and v.
-        pairs = {}
-        top = 12 * d
-        for v in range(isqrt(top // 3) + 1):
-            for w in range(v % 2, isqrt(top - 3 * v * v) + 1, 2):
-                pairs.setdefault(w * w + 3 * v * v, []).append((w, v))
+        # x^2 + 3v^2 = K with x = 3u + 2s and K = 6(2d - sq) - 2s^2 <= 12d.
+        # K is even, so x and v have one parity, and so do u and v: once
+        # x = 2s (mod 3), m6 = (lo - 2s) / 6 and m7 = (hi - 2s) / 6 are
+        # integers, with lo = x - 3v and hi = x + 3v.  The shared table lists
+        # the (x, lo, hi) per K and x mod 3, x descending, so a triple reads
+        # only the x of its residue.  It stops at the first x < -s, where
+        # m8 = s + u = (x + s) / 3 turns negative, or x < 2s + 6 m5, where
+        # lo <= x can no longer give m6 >= m5.
+        table = _case4_pairs(12 * d)
         for m3 in _case4_range(-isqrt(two_d), 0, 0, 4, two_d):
             for m4 in _case4_range(m3, m3, m3 * m3, 3, two_d):
                 s4, sq4 = m3 + m4, m3 * m3 + m4 * m4
                 for m5 in _case4_range(m4, s4, sq4, 2, two_d):
                     s, sq = s4 + m5, sq4 + m5 * m5
+                    t = 2 * s
+                    entries = table.get(3 * (6 * (two_d - sq) - s * t) + t % 3)
+                    if entries is None:
+                        continue
+                    low6 = t + 6 * m5  # m6 >= m5 reads lo >= low6
+                    stop = max(-s, low6)
                     tails = []
-                    for w, v in pairs.get(6 * (two_d - sq) - 2 * s * s, ()):
-                        for x in (w, -w) if w else (0,):
-                            u, r = divmod(x - 2 * s, 3)
-                            m6 = (u - v) // 2
-                            if r == 0 and m6 >= m5:
-                                ms = (m3, m4, m5, m6, m6 + v)
-                                if _case4_canonical(ms, s + u):
-                                    tails.append(ms)
+                    for x, lo, hi in entries:
+                        if x < stop:
+                            break
+                        if lo >= low6:
+                            ms = (m3, m4, m5, (lo - t) // 6, (hi - t) // 6)
+                            if x > -s or _case4_canonical(ms, 0):
+                                tails.append(ms)
                     tails.sort()
                     yield from tails
 
@@ -328,6 +338,39 @@ def _case4_range(lo, s, sq, free, two_d):
         hi = min(hi, max(0, (r - b * s) // (a * b),
                          min(isqrt(rem // b), (-s - 1) // b)))
     return range(lo, hi + 1)
+
+
+# the family-IV table of `_case4_pairs`: (top, {3K + x mod 3: entries})
+_case4_table = (-1, {})
+
+
+def _case4_pairs(top):
+    """The solutions of x^2 + 3v^2 = K with v >= 0 and K even, for every K
+    up to at least top, shared by all degrees: a dict from 3K + (x mod 3)
+    to the tuple of (x, x - 3v, x + 3v), x descending.
+
+    The table grows by the rule of `qseries._cached_series`: the first build
+    is at exactly top, and a request above the cached bound rebuilds at
+    max(top, 2 * cached), so an ascending sweep rebuilds O(log) times.  A
+    larger table holds the same entries for every K <= top, in the same
+    order, so what a degree reads does not depend on the table's history.
+    """
+    global _case4_table
+    cached, table = _case4_table
+    if cached >= top:
+        return table
+    if cached >= 0:
+        top = max(top, 2 * cached)
+    lists = {}
+    for v in range(isqrt(top // 3) + 1):
+        # K is even in every lookup: x and v have one parity
+        for w in range(v % 2, isqrt(top - 3 * v * v) + 1, 2):
+            for x in (w, -w) if w else (0,):
+                lists.setdefault(3 * (w * w + 3 * v * v) + x % 3, []).append(
+                    (x, x - 3 * v, x + 3 * v))
+    table = {key: tuple(sorted(entries, reverse=True)) for key, entries in lists.items()}
+    _case4_table = top, table
+    return table
 
 
 def _case4_canonical(ms, m8):
@@ -380,14 +423,17 @@ def _family_stream(case, d):
     Every such tuple is checked twice before it is yielded: its vector must
     have norm 2d (doubled coordinates: square sum 8d), and the claim must
     equal the closed-form E8 root count, else RuntimeError.  The count is
-    memoised for this one call on the class key sorted(|v_i|), used only
-    when some coordinate is 0: then every signed permutation of v is a
-    product of transpositions and an even number of sign changes (flip the
-    zero coordinate too), so it lies in W(D8), which is a subgroup of
-    W(E8), and N_l is Weyl invariant.  Every family vector has e1 = e2 = 0.
+    memoised for this one call on the class key sorted(|v_i|), which is
+    sound when some coordinate is 0: then every signed permutation of v is
+    a product of transpositions and an even number of sign changes (flip
+    the zero coordinate too), so it lies in W(D8), which is a subgroup of
+    W(E8), and N_l is Weyl invariant.  Every family vector has e1 = e2 = 0,
+    so every key starts with 0; a key that does not is an internal error.
     """
     tuples = iter_case_tuples(case, d)
     claim, embed = FAMILIES[case]
+    oracle = e8.count_orth_roots_2x
+    eight_d = 8 * d
     counts = {}
     for ms in tuples:
         claimed = claim(ms)
@@ -395,16 +441,17 @@ def _family_stream(case, d):
             continue
         vec = embed(ms)
         norm = sum(map(mul, vec, vec))
-        if norm != 8 * d:
+        if norm != eight_d:
             raise RuntimeError(f"case {case} tuple {ms} has square sum {norm} "
-                               f"in doubled coordinates, expected 8d = {8 * d}")
-        if 0 in vec:
-            key = tuple(sorted(map(abs, vec)))
-            actual = counts.get(key)
-            if actual is None:
-                actual = counts[key] = e8.count_orth_roots_2x(vec)
-        else:
-            actual = e8.count_orth_roots_2x(vec)
+                               f"in doubled coordinates, expected 8d = {eight_d}")
+        key = tuple(sorted(map(abs, vec)))
+        actual = counts.get(key)
+        if actual is None:
+            # a key met before starts with 0, so checking new keys checks all
+            if key[0]:
+                raise RuntimeError(f"case {case} vector {vec} has no zero "
+                                   f"coordinate, so sorted(|v_i|) is no W(D8) class")
+            actual = counts[key] = oracle(vec)
         if actual != claimed:
             raise RuntimeError(
                 f"case {case} rules claim {claimed} orthogonal roots but the "

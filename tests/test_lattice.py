@@ -119,6 +119,13 @@ def test_empty_and_singular_grams_are_rejected(gram):
         lt.IntLattice(gram)
 
 
+@pytest.mark.parametrize("gram", [[[2.5]], [["3"]], [[2, 1.0], [1, 2]], [[Fraction(4)]]])
+def test_non_integer_gram_entries_are_rejected(gram):
+    # the rule of `coords_of`: an entry that is not an integer is never truncated
+    with pytest.raises(TypeError):
+        lt.IntLattice(gram)
+
+
 def test_divisor():
     u = parse_lattice_expr("U")
     assert divisor(u, u.vector((1, 0))) == 1

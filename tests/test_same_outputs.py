@@ -20,7 +20,7 @@ def test_one_digest_per_group(capsys):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
-                     + ["orbit-scan", "lattice-reflect", "counts", "forms", "cli-tables"]
+                     + ["tuples", "orbit-scan", "lattice-reflect", "counts", "forms", "cli-tables"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -28,6 +28,9 @@ def test_one_digest_per_group(capsys):
         want.update(json.dumps(se.kodaira_verdict(d).to_dict(), sort_keys=True).encode()
                     + b"\n")
     assert digests["verdict"] == want.hexdigest()
+    assert digests["tuples"] == same_outputs.digest(
+        [case, d, [list(ms) for ms in se.iter_case_tuples(case, d)]]
+        for case in se.CASES for d in (40, 41))
     assert digests["orbit-scan"] == same_outputs.digest(
         se._enumerate_dominant(2 * d) for d in (40, 41))
     assert digests["lattice-reflect"] == same_outputs.digest(

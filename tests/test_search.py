@@ -379,6 +379,23 @@ def test_class_memoised_count_matches_the_closed_form():
     assert seen > 10000
 
 
+def test_every_family_vector_has_e1_e2_zero():
+    # the class memo of `_family_stream` needs a zero coordinate; every
+    # tuple's vector, claimed or not, has two
+    for case in se.CASES:
+        embed = se.FAMILIES[case][1]
+        for d in range(1, 151):
+            for ms in se.iter_case_tuples(case, d):
+                assert embed(ms)[:2] == (0, 0), (case, d, ms)
+
+
+def test_family_vector_without_a_zero_is_an_internal_error(monkeypatch):
+    # (1, ..., 1) has square sum 8 = 8d at d = 1, so only the memo key is wrong
+    monkeypatch.setitem(se.FAMILIES, "IV", (lambda ms: 0, lambda ms: (1,) * 8))
+    with pytest.raises(RuntimeError, match="has no zero coordinate"):
+        list(se._family_stream("IV", 1))
+
+
 def test_verdicts():
     assert se.kodaira_verdict(100).kind == se.GENERAL_TYPE
     v57 = se.kodaira_verdict(57)
@@ -606,6 +623,26 @@ def _case4_formula_count_by_subsets(ms):
 def test_case4_generator_matches_recursion_in_order(ds):
     for d in ds:
         assert list(se.iter_case_tuples("IV", d)) == _case4_tuples_recursive(d), d
+
+
+def test_case4_table_history_changes_no_tuple(monkeypatch):
+    # the (w, v) table is shared across degrees: built at d = 400 first, it
+    # serves d = 1..60 without a rebuild, in the same order as a fresh build
+    monkeypatch.setattr(se, "_case4_table", (-1, {}))
+    assert list(se.iter_case_tuples("IV", 400)) == _case4_tuples_recursive(400)
+    for d in range(1, 61):
+        assert list(se.iter_case_tuples("IV", d)) == _case4_tuples_recursive(d), d
+    assert se._case4_table[0] == 12 * 400
+
+
+def test_case4_table_grows_geometrically(monkeypatch):
+    # first build at 12d, then a rebuild at max(12d, 2 x cached)
+    monkeypatch.setattr(se, "_case4_table", (-1, {}))
+    tops = []
+    for d in range(10, 41):
+        list(se.iter_case_tuples("IV", d))
+        tops.append(se._case4_table[0])
+    assert sorted(set(tops)) == [120, 240, 480]
 
 
 def test_case4_count_rule_matches_subset_sums():

@@ -8,6 +8,8 @@ byte-identical outputs in that group.  The groups are
 * `verdict`: `kodaira_verdict(d).to_dict()` for every d in --degrees;
 * `search-<case>`: `structured_search(d, case, range(2, 15))`, every hit's
   `to_dict()`, for every d in --degrees and each family;
+* `tuples`: `list(iter_case_tuples(case, d))`, in order, for each family
+  and every d in --degrees;
 * `orbit-scan`: the dominant vectors `_enumerate_dominant(2d)` of the
   exhaustive search, for every d in --degrees up to ORBIT_SCAN_MAX_D;
 * `lattice-reflect`: for every d in --degrees up to LATTICE_REFLECT_MAX_D,
@@ -153,6 +155,8 @@ def groups(degrees):
         yield f"search-{case}", digest(
             [h.to_dict() for h in search.structured_search(d, case, range(2, 15))]
             for d in degrees)
+    yield "tuples", digest([case, d, list(search.iter_case_tuples(case, d))]
+                           for case in search.CASES for d in degrees)
     yield "orbit-scan", digest(search._enumerate_dominant(2 * d)
                                for d in degrees if d <= ORBIT_SCAN_MAX_D)
     yield "lattice-reflect", digest(lattice_reflect(d)
@@ -169,8 +173,8 @@ def groups(degrees):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--degrees", type=parse_degrees, default=range(1, 401),
-                    help="degree range LO-HI for the verdict, search, orbit-scan "
-                         "and lattice-reflect groups")
+                    help="degree range LO-HI for the verdict, search, tuples, "
+                         "orbit-scan and lattice-reflect groups")
     args = ap.parse_args(argv)
     for name, value in groups(args.degrees):
         print(name, value)
