@@ -217,14 +217,13 @@ def _cmd_repnum(args):
 
 
 def _cmd_theta(args):
-    names = {"E6": qs.theta_e6, "E7": qs.theta_e7, "D5": lambda p: qs.theta_dn(5, p),
-             "D6": lambda p: qs.theta_dn(6, p), "D8": lambda p: qs.theta_dn(8, p)}
+    named = args.name in qs.NAMED_LATTICES
     if args.prec < 0:
         raise ValueError("precision must be nonnegative")
-    if args.method == "formula" and args.name in names:
-        series = names[args.name](args.prec)
+    if args.method == "formula" and named:
+        series = qs.named_theta(args.name, args.prec)
     else:
-        lat = (qs.named_definite_lattice(args.name) if args.name in names
+        lat = (qs.named_definite_lattice(args.name) if named
                else lt.parse_lattice_expr(args.name))
         series = qs.theta_brute(lat, args.prec)
     payload = series.to_json_dict()

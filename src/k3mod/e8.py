@@ -15,7 +15,7 @@ exact.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import product
 
 from .lattice import LatticeError, root_lattice_e
@@ -59,7 +59,7 @@ def in_e8_2x(vec2x):
     return len(pars) == 1 and sum(vec2x) % 4 == 0
 
 
-@lru_cache(maxsize=1)
+@cache
 def lattice():
     """The shared E8 lattice instance (Gram = Cartan matrix of the Coxeter basis)."""
     return root_lattice_e(8)
@@ -85,7 +85,7 @@ def to_2x(alpha_coords):
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
+@cache
 def roots_2x():
     """All 240 roots in doubled e-coordinates, lexicographically sorted.
 
@@ -142,7 +142,7 @@ def count_orth_roots_2x(vec2x):
     return n + 2 * half
 
 
-@lru_cache(maxsize=1)
+@cache
 def weight_gram():
     """Gram matrix of the fundamental weights (the inverse Cartan matrix)."""
     return tuple(tuple(dot2x(a, b) for b in WEIGHTS_2X) for a in WEIGHTS_2X)

@@ -15,6 +15,11 @@ One rule governs every vector argument (`coords_of`): a `LatVec` must belong
 to the lattice it is used with, and a plain sequence of integers must have
 one entry per basis vector; anything else raises `LatticeError` (or
 `TypeError` for a non-integer entry).
+
+Caches follow three rules: data derived from one lattice is memoised on it
+(`IntLattice.memoised`); a value fixed by its arguments comes from
+`functools.cache` on its builder, which returns an immutable value; and a
+process-wide table that must cover a requested bound comes from `_grown`.
 """
 
 from __future__ import annotations
@@ -205,6 +210,23 @@ def kernel_basis(mat):
     cols = len(mat[0])
     rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
     return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
+
+
+# key -> (bound, table): the process-wide tables of `_grown`
+_grown_tables = {}
+
+
+def _grown(key, bound, build):
+    """The table build(top) stored under key, for some top >= bound.  The first
+    build is at exactly bound; a request above the stored bound rebuilds at
+    max(bound, 2 * stored), so an ascending sweep rebuilds O(log) times.
+    build(top) must answer every request up to top as build(bound) would."""
+    entry = _grown_tables.get(key)
+    if entry is None or entry[0] < bound:
+        if entry is not None:
+            bound = max(bound, 2 * entry[0])
+        _grown_tables[key] = entry = bound, build(bound)
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ closed form in the twisted divisor sums (see `_EISENSTEIN`).
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
 
 from .lattice import LatticeError
@@ -208,25 +209,11 @@ def theta3_2tau(prec):
     return QSeries(out, prec)
 
 
-# lattice name -> its theta series at the highest precision asked for so far
-_series_cache = {}
-
-
 def _cached_series(name, prec, build):
-    """The one cached series `name`, at precision prec or above.
-
-    The first build is at exactly prec; a request above the cached precision
-    rebuilds at max(prec, 2 * cached), so a sweep over ascending precisions
-    rebuilds O(log) times, not at every step.
-    """
+    """The one cached series `name`, at precision prec or above (`lattice._grown`)."""
     if prec < 0:
         raise LatticeError("precision must be nonnegative")
-    series = _series_cache.get(name)
-    if series is None:
-        series = _series_cache[name] = build(prec)
-    elif series.prec < prec:
-        series = _series_cache[name] = build(max(prec, 2 * series.prec))
-    return series
+    return lt._grown(name, prec, build)
 
 
 def _theta(name, prec, build):
@@ -290,29 +277,37 @@ def theta_brute(lat, prec):
     return QSeries(roots.norm_counts(lat, 2 * prec)[::2], prec)
 
 
+# name -> (root-lattice constructor, closed-form theta builder), the one table
+# of the named lattices; each series is cached under its name
 _REP_LATTICES = {
-    "E6": lt.root_lattice_e,
-    "E7": lt.root_lattice_e,
-    "D5": lt.root_lattice_d,
-    "D6": lt.root_lattice_d,
-    "D8": lt.root_lattice_d,
+    "E6": (lt.root_lattice_e, lambda p: _eisenstein_series("E6", p)),
+    "E7": (lt.root_lattice_e, _build_e7),
+    "D5": (lt.root_lattice_d, _dn_builder(5)),
+    "D6": (lt.root_lattice_d, _dn_builder(6)),
+    "D8": (lt.root_lattice_d, _dn_builder(8)),
 }
 NAMED_LATTICES = tuple(_REP_LATTICES)
-_named_lattice_cache = {}
 
 
-def named_definite_lattice(name):
+def _named(name):
     if name not in _REP_LATTICES:
         raise ValueError(f"unknown lattice name {name!r}")
-    if name not in _named_lattice_cache:
-        _named_lattice_cache[name] = _REP_LATTICES[name](int(name[1:]))
-    return _named_lattice_cache[name]
+    return _REP_LATTICES[name]
+
+
+@cache
+def named_definite_lattice(name):
+    return _named(name)[0](int(name[1:]))
+
+
+def named_theta(name, prec=240):
+    """Theta series of a lattice in NAMED_LATTICES, from its closed form."""
+    return _theta(name, prec, _named(name)[1])
 
 
 def rep_num(name, two_d, method="formula"):
     """Representation number N_L(2d) for L in {E6, E7, D5, D6, D8}."""
-    if name not in NAMED_LATTICES:
-        raise ValueError(f"unknown lattice name {name!r}")
+    _make, build = _named(name)
     if method not in ("formula", "brute"):
         raise ValueError("method must be 'formula' or 'brute'")
     if two_d < 0:
@@ -327,7 +322,4 @@ def rep_num(name, two_d, method="formula"):
     if name in _EISENSTEIN:
         return _eisenstein_count(name, m)
     # one coefficient, read off the cached series without truncating a copy
-    prec = max(240, m)
-    if name == "E7":
-        return _cached_series("E7", prec, _build_e7).coeff(m)
-    return _cached_series(name, prec, _dn_builder(int(name[1]))).coeff(m)
+    return _cached_series(name, max(240, m), build).coeff(m)

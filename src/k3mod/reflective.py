@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from . import lattice as lt
 from .lattice import LatticeError, coords_of, disc_group, is_primitive, make_l2d, \
@@ -42,12 +42,13 @@ class IsometryMatrix:
     (M^t G M)_ij = sum_a M_ai GM_aj with G_ij for i <= j (n(n+1)/2 dot
     products of length n, O(n^3)); both triangles are covered because
     M^t G M and G are symmetric.  `LatticeError` on the first mismatch.
+    An entry that is not an integer is a `TypeError`, never truncated.
     """
 
     __slots__ = ("lattice", "matrix")
 
     def __init__(self, lattice, matrix):
-        m = tuple(tuple(int(x) for x in row) for row in matrix)
+        m = tuple(tuple(map(index, row)) for row in matrix)
         g = lattice.gram
         n = lattice.rank
         if len(m) != n or any(len(row) != n for row in m):

@@ -11,20 +11,24 @@ numerical eigensolver.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from operator import index
 
 from .lattice import identity_matrix, mat_mul
 
 
 class EigenExponents:
-    """Eigenvalues zeta^{a_1}, ..., zeta^{a_n} of an order-m map, zeta = e^(2 pi i/m)."""
+    """Eigenvalues zeta^{a_1}, ..., zeta^{a_n} of an order-m map, zeta = e^(2 pi i/m);
+    a non-integer order or exponent is a `TypeError`, never truncated."""
 
     __slots__ = ("order", "exponents")
 
     def __init__(self, order, exponents):
+        order = index(order)
         if order < 1:
             raise ValueError("order must be positive")
-        exponents = tuple(int(a) for a in exponents)
+        exponents = tuple(map(index, exponents))
         if any(a < 0 or a >= order for a in exponents):
             raise ValueError("exponents must satisfy 0 <= a < order")
         self.order = order
@@ -126,23 +130,19 @@ def _poly_divmod(a, b):
     return out, a
 
 
-_cyclo_cache = {1: [-1, 1]}
-
-
+@cache
 def cyclotomic_poly(d):
-    """Coefficients (low degree first) of the d-th cyclotomic polynomial."""
+    """Coefficients (low degree first) of the d-th cyclotomic polynomial, a tuple."""
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    if d not in _cyclo_cache:
-        num = [0] * d + [1]
-        num[0] = -1  # x^d - 1
-        for e in range(1, d):
-            if d % e == 0:
-                num, rem = _poly_divmod(num, cyclotomic_poly(e))
-                if num is None or any(rem):
-                    raise ArithmeticError(f"Phi_{e} does not divide x^{d} - 1 exactly")
-        _cyclo_cache[d] = num
-    return _cyclo_cache[d]
+    num = [0] * d + [1]
+    num[0] = -1  # x^d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            num, rem = _poly_divmod(num, cyclotomic_poly(e))
+            if num is None or any(rem):
+                raise ArithmeticError(f"Phi_{e} does not divide x^{d} - 1 exactly")
+    return tuple(num)
 
 
 def matrix_order(g, cap=10**4):

@@ -14,9 +14,9 @@ and builds a hit for its winners.  Family IV is the largest: its tuples
 taken modulo S5 (permuting m3..m7) and the global sign.  Three loops choose
 m3 <= m4 <= m5, with sum s; the last pair then solves x^2 + 3v^2 = K with
 x = 3(m6 + m7) + 2s and v = m7 - m6.  One table of these solutions, shared
-by all degrees and grown geometrically up to K = 12d, is indexed by K and
-by x mod 3 and lists x descending: a triple reads only the x = 2s (mod 3)
-that an integral m6 + m7 needs, and stops at the first x that makes
+by all degrees up to K = 12d (`lattice._grown`), is indexed by K and by
+x mod 3 and lists x descending: a triple reads only the x = 2s (mod 3) that
+an integral m6 + m7 needs, and stops at the first x that makes
 m8 = (x + s) / 3 negative or leaves no m6 >= m5.  The exhaustive search
 enumerates one dominant representative per Weyl orbit (the orthogonal-root
 count is Weyl invariant), which turns the 10^8-vector streams of the naive
@@ -40,7 +40,7 @@ from operator import mul
 from . import e8
 from . import qseries as qs
 from . import roots as rt
-from .lattice import IntLattice, LatticeError
+from .lattice import IntLattice, LatticeError, _grown
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def _case_tuples(case, d):
         # only the x of its residue.  It stops at the first x < -s, where
         # m8 = s + u = (x + s) / 3 turns negative, or x < 2s + 6 m5, where
         # lo <= x can no longer give m6 >= m5.
-        table = _case4_pairs(12 * d)
+        table = _grown("case4", 12 * d, _case4_pairs)
         for m3 in _case4_range(-isqrt(two_d), 0, 0, 4, two_d):
             for m4 in _case4_range(m3, m3, m3 * m3, 3, two_d):
                 s4, sq4 = m3 + m4, m3 * m3 + m4 * m4
@@ -340,27 +340,13 @@ def _case4_range(lo, s, sq, free, two_d):
     return range(lo, hi + 1)
 
 
-# the family-IV table of `_case4_pairs`: (top, {3K + x mod 3: entries})
-_case4_table = (-1, {})
-
-
 def _case4_pairs(top):
     """The solutions of x^2 + 3v^2 = K with v >= 0 and K even, for every K
-    up to at least top, shared by all degrees: a dict from 3K + (x mod 3)
-    to the tuple of (x, x - 3v, x + 3v), x descending.
-
-    The table grows by the rule of `qseries._cached_series`: the first build
-    is at exactly top, and a request above the cached bound rebuilds at
-    max(top, 2 * cached), so an ascending sweep rebuilds O(log) times.  A
-    larger table holds the same entries for every K <= top, in the same
-    order, so what a degree reads does not depend on the table's history.
-    """
-    global _case4_table
-    cached, table = _case4_table
-    if cached >= top:
-        return table
-    if cached >= 0:
-        top = max(top, 2 * cached)
+    up to top: a dict from 3K + (x mod 3) to the tuple of (x, x - 3v,
+    x + 3v), x descending.  Family IV reads one such table for all degrees,
+    `lattice._grown("case4", 12d, _case4_pairs)`: a larger table holds the
+    same entries for every K <= top, in the same order, so what a degree
+    reads does not depend on the table's history."""
     lists = {}
     for v in range(isqrt(top // 3) + 1):
         # K is even in every lookup: x and v have one parity
@@ -368,9 +354,7 @@ def _case4_pairs(top):
             for x in (w, -w) if w else (0,):
                 lists.setdefault(3 * (w * w + 3 * v * v) + x % 3, []).append(
                     (x, x - 3 * v, x + 3 * v))
-    table = {key: tuple(sorted(entries, reverse=True)) for key, entries in lists.items()}
-    _case4_table = top, table
-    return table
+    return {key: tuple(sorted(entries, reverse=True)) for key, entries in lists.items()}
 
 
 def _case4_canonical(ms, m8):

@@ -179,3 +179,51 @@ def test_no_check_in_the_library_is_a_plain_assert():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert paths and found == []
+
+
+_MUTATORS = frozenset({"add", "append", "clear", "discard", "extend", "insert", "pop",
+                       "popitem", "remove", "setdefault", "update"})
+
+
+def _module_level_writes(tree):
+    """The module-level names whose value some function of the module writes
+    to: an item assignment or deletion, or a mutating method call."""
+    module_names = {t.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in ast.walk(node)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+    written = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        nodes = list(ast.walk(fn))
+        local = {a.arg for a in nodes if isinstance(a, ast.arg)}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if (isinstance(target, ast.Name) and target.id in module_names
+                    and target.id not in local):
+                written.add(target.id)
+    return written
+
+
+def test_every_cache_in_the_library_follows_the_cache_policy():
+    # the three rules of the `lattice` docstring: a function-level cache is
+    # `functools.cache`, never `lru_cache`, and the one module-level cache is
+    # the store of `lattice._grown`; no function rebinds module state
+    paths = sorted(Path(lt.__file__).parent.rglob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno} global" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+        found += [f"{path.name}:{node.lineno} lru_cache" for node in ast.walk(tree)
+                  if "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None))]
+        found += [f"{path.name} {name}" for name in sorted(_module_level_writes(tree))]
+    assert paths and found == ["lattice.py _grown_tables"]

@@ -126,6 +126,28 @@ def test_non_integer_gram_entries_are_rejected(gram):
         lt.IntLattice(gram)
 
 
+def test_grown_table_follows_the_one_growth_rule(monkeypatch):
+    monkeypatch.setattr(lt, "_grown_tables", {})
+    builds = []
+
+    def build(top):
+        builds.append(top)
+        return ("table", top)
+
+    # the first build is at exactly the bound
+    assert lt._grown("t", 10, build) == ("table", 10)
+    # no rebuild at or below the stored bound
+    assert lt._grown("t", 7, build) == lt._grown("t", 10, build) == ("table", 10)
+    assert builds == [10]
+    # a rebuild is at max(bound, 2 x stored)
+    assert lt._grown("t", 15, build) == ("table", 20)
+    assert lt._grown("t", 50, build) == ("table", 50)
+    assert builds == [10, 20, 50]
+    # each key has its own table
+    assert lt._grown("u", 3, build) == ("table", 3)
+    assert lt._grown_tables == {"t": (50, ("table", 50)), "u": (3, ("table", 3))}
+
+
 def test_divisor():
     u = parse_lattice_expr("U")
     assert divisor(u, u.vector((1, 0))) == 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3mod import lattice as lt
 from k3mod import qseries as qs
 from k3mod.qseries import (
     CHI3, CHI4, QSeries, rep_num, sigma_chi, sigma_tilde_chi, theta3_2tau,
@@ -84,7 +85,7 @@ _PRECS = (0, 1, 2, 10, 240, 400)
 def test_theta_dn_matches_the_half_grid_builder(monkeypatch, n):
     want = _half_grid_theta_dn(n, max(_PRECS))
     for prec in _PRECS:
-        monkeypatch.setattr(qs, "_series_cache", {})
+        monkeypatch.setattr(lt, "_grown_tables", {})
         assert theta_dn(n, prec).coeffs == want[:prec + 1], (n, prec)
         assert _half_grid_theta_dn(n, prec) == want[:prec + 1]
 
@@ -92,7 +93,7 @@ def test_theta_dn_matches_the_half_grid_builder(monkeypatch, n):
 def test_theta_e7_matches_the_quarter_grid_builder(monkeypatch):
     want = _quarter_grid_theta_e7(max(_PRECS))
     for prec in _PRECS:
-        monkeypatch.setattr(qs, "_series_cache", {})
+        monkeypatch.setattr(lt, "_grown_tables", {})
         assert theta_e7(prec).coeffs == want[:prec + 1], prec
         assert _quarter_grid_theta_e7(prec) == want[:prec + 1]
 
@@ -100,7 +101,7 @@ def test_theta_e7_matches_the_quarter_grid_builder(monkeypatch):
 @pytest.mark.parametrize("build, chi, a", [(theta_e6, CHI3, 81), (theta_d6_eis, CHI4, 64)],
                          ids=["theta_e6", "theta_d6_eis"])
 def test_eisenstein_theta_matches_the_two_series_sum(monkeypatch, build, chi, a):
-    monkeypatch.setattr(qs, "_series_cache", {})
+    monkeypatch.setattr(lt, "_grown_tables", {})
     cusp0, cusp_inf = (_eisenstein_e3(chi, v, 240) for v in ("cusp0", "cusp_inf"))
     assert build(240).coeffs == [a * x + y for x, y in zip(cusp0, cusp_inf)]
 
@@ -183,6 +184,7 @@ def test_formula_matches_brute(name, builder):
     series = builder(10)
     for m in range(11):
         assert series.coeff(m) == brute.coeff(m), (name, m)
+    assert qs.named_theta(name, 10) == series
 
 
 def test_rep_num():
@@ -194,6 +196,9 @@ def test_rep_num():
     assert rep_num("E6", 0) == 1
     with pytest.raises(ValueError):
         rep_num("E9", 2)
+    for named in (qs.named_theta, qs.named_definite_lattice):
+        with pytest.raises(ValueError, match="unknown lattice name"):
+            named("E9")
 
 
 @pytest.mark.parametrize("args", [("X", 0), ("X", 3), ("X", 4), ("E6", 0, "bogus")])
@@ -279,7 +284,7 @@ def test_series_cache_is_order_independent(monkeypatch):
     ms = range(241, 261)
     results = []
     for order in (ms, reversed(ms)):
-        monkeypatch.setattr(qs, "_series_cache", {})
+        monkeypatch.setattr(lt, "_grown_tables", {})
         results.append({(name, m): qs.rep_num(name, 2 * m)
                         for m in order for name in ("E7", "D5")})
     assert results[0] == results[1]
@@ -287,9 +292,9 @@ def test_series_cache_is_order_independent(monkeypatch):
 
 
 def test_series_cache_truncates_to_the_requested_precision(monkeypatch):
-    monkeypatch.setattr(qs, "_series_cache", {})
+    monkeypatch.setattr(lt, "_grown_tables", {})
     fresh = theta_e7(300)
-    monkeypatch.setattr(qs, "_series_cache", {})
+    monkeypatch.setattr(lt, "_grown_tables", {})
     big = theta_e7(480)
     small = theta_e7(300)
     assert big.prec == 480 and small.prec == 300
@@ -300,7 +305,7 @@ def test_series_cache_truncates_to_the_requested_precision(monkeypatch):
 
 def test_series_cache_grows_geometrically(monkeypatch):
     # an ascending sweep rebuilds each series a logarithmic number of times
-    monkeypatch.setattr(qs, "_series_cache", {})
+    monkeypatch.setattr(lt, "_grown_tables", {})
     builds = {}
     cached = qs._cached_series
 
@@ -320,7 +325,7 @@ def test_series_cache_grows_geometrically(monkeypatch):
 
 def test_rep_num_reads_the_cached_series_without_a_copy(monkeypatch):
     # with the cache longer than the request, rep_num builds no QSeries
-    monkeypatch.setattr(qs, "_series_cache", {})
+    monkeypatch.setattr(lt, "_grown_tables", {})
     want = {"E7": theta_e7(600).coeff(300), "D5": theta_dn(5, 600).coeff(300)}
     made = []
     init = QSeries.__init__
@@ -338,8 +343,8 @@ def test_rep_num_reads_the_cached_series_without_a_copy(monkeypatch):
                                    lambda p: theta_dn(5, p)],
                          ids=["theta_e7", "theta_e6", "theta_d6_eis", "theta_dn"])
 def test_cached_theta_series_reject_a_negative_precision(monkeypatch, build):
-    monkeypatch.setattr(qs, "_series_cache", {})
+    monkeypatch.setattr(lt, "_grown_tables", {})
     with pytest.raises(LatticeError, match="precision must be nonnegative"):
         build(-1)
-    assert qs._series_cache == {}
+    assert lt._grown_tables == {}
     assert build(0).coeffs == [1]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -69,6 +70,13 @@ def test_isometry_validation():
     with pytest.raises(LatticeError):
         rf.IsometryMatrix(u, ((1, 1), (0, 1)))
     rf.IsometryMatrix(u, ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("expr, matrix", [("<2>", [[-1.7]]), ("<2>", [[1.0]]), ("<2>", [["1"]]),
+                                          ("U", [[0, Fraction(1)], [1, 0]])])
+def test_isometry_entries_are_integers_never_truncated(expr, matrix):
+    with pytest.raises(TypeError):
+        rf.IsometryMatrix(parse_lattice_expr(expr), matrix)
 
 
 def test_disc_action_and_classification():

@@ -62,10 +62,10 @@ def test_quasi_reflection_flags():
 
 
 def test_cyclotomic_polys():
-    assert cyclotomic_poly(1) == [-1, 1]
-    assert cyclotomic_poly(2) == [1, 1]
-    assert cyclotomic_poly(6) == [1, -1, 1]
-    assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+    assert cyclotomic_poly(1) == (-1, 1)
+    assert cyclotomic_poly(2) == (1, 1)
+    assert cyclotomic_poly(6) == (1, -1, 1)
+    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
     assert len(cyclotomic_poly(30)) == euler_phi(30) + 1
 
 
@@ -188,6 +188,20 @@ def test_eigen_exponents_from_decomp_order_scale():
     assert dec.eigen_exponents().exponents == (1, 5, 7, 11)
     dec = CycloDecomp(12, 4, {3: 1, 4: 1})
     assert dec.eigen_exponents().exponents == (3, 4, 8, 9)
+
+
+def test_cyclotomic_poly_hands_out_no_shared_mutable_value():
+    p = cyclotomic_poly(6)
+    with pytest.raises(AttributeError):
+        p.append(99)
+    assert cyclotomic_poly(6) == (1, -1, 1)
+
+
+@pytest.mark.parametrize("order, exponents", [(4, [1.5, "2"]), (4, [1.0]), (4, ["2"]),
+                                              (4, [Fraction(1)]), (4.0, [1])])
+def test_eigen_exponents_are_integers_never_truncated(order, exponents):
+    with pytest.raises(TypeError):
+        EigenExponents(order, exponents)
 
 
 def test_cyclotomic_poly_rejects_nonpositive_index():

@@ -7,6 +7,7 @@ from math import factorial, isqrt
 import pytest
 
 from k3mod import e8, roots
+from k3mod import lattice as lt
 from k3mod import search as se
 from k3mod.lattice import LatticeError
 
@@ -628,20 +629,20 @@ def test_case4_generator_matches_recursion_in_order(ds):
 def test_case4_table_history_changes_no_tuple(monkeypatch):
     # the (w, v) table is shared across degrees: built at d = 400 first, it
     # serves d = 1..60 without a rebuild, in the same order as a fresh build
-    monkeypatch.setattr(se, "_case4_table", (-1, {}))
+    monkeypatch.setattr(lt, "_grown_tables", {})
     assert list(se.iter_case_tuples("IV", 400)) == _case4_tuples_recursive(400)
     for d in range(1, 61):
         assert list(se.iter_case_tuples("IV", d)) == _case4_tuples_recursive(d), d
-    assert se._case4_table[0] == 12 * 400
+    assert lt._grown_tables["case4"][0] == 12 * 400
 
 
 def test_case4_table_grows_geometrically(monkeypatch):
     # first build at 12d, then a rebuild at max(12d, 2 x cached)
-    monkeypatch.setattr(se, "_case4_table", (-1, {}))
+    monkeypatch.setattr(lt, "_grown_tables", {})
     tops = []
     for d in range(10, 41):
         list(se.iter_case_tuples("IV", d))
-        tops.append(se._case4_table[0])
+        tops.append(lt._grown_tables["case4"][0])
     assert sorted(set(tops)) == [120, 240, 480]
 
 
