@@ -12,16 +12,31 @@ live on finer grids are brought to the integer grid by two identities
 
 The weight-3 Eisenstein lattices E6 and D6 take each coefficient from one
 closed form in the twisted divisor sums (see `_EISENSTEIN`).
+
+Both series kernels are exact and work over the nonzero terms only.  A
+product loops over the nonzero terms of the sparser factor, in O(N * nnz)
+for precision N.  A power uses J.C.P. Miller's recurrence (Knuth, TAOCP
+vol. 2, 4.7), also O(N * nnz).  theta_3 and psi have about sqrt(N) nonzero
+terms, so every theta series here is built in O(N * sqrt(N)): the builders
+raise the sparse theta constants to powers and multiply a dense power by
+sparse factors one at a time, never two dense series.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from math import isqrt
+from operator import index
 
 from .lattice import LatticeError
 from . import lattice as lt
 from . import roots
+
+
+def _terms(coeffs):
+    """The (exponent, coefficient) pairs of the nonzero coefficients, ascending."""
+    return [(k, c) for k, c in enumerate(coeffs) if c]
 
 
 class QSeries:
@@ -85,30 +100,62 @@ class QSeries:
         if not isinstance(other, QSeries):
             return QSeries([c * other for c in self.coeffs], self.prec)
         a, b = self._align(other)
-        size = a.prec + 1
-        out = [0] * size
+        a_terms, b_terms = _terms(a.coeffs), _terms(b.coeffs)
+        if len(b_terms) < len(a_terms):
+            a_terms, b = b_terms, a
+        # one shifted row of the denser factor per nonzero term of the sparser
+        out = [0] * (a.prec + 1)
         bc = b.coeffs
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j in range(size - i):
-                    bj = bc[j]
-                    if bj:
-                        out[i + j] += ai * bj
+        for i, ai in a_terms:
+            out[i:] = [o + ai * c for o, c in zip(out[i:], bc)]
         return QSeries(out, a.prec)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+        With self = q^v h and h_0 != 0, g = h^n satisfies
+        k h_0 g_k = sum_{j >= 1} ((n + 1) j - k) h_j g_{k-j}, a sum over the
+        nonzero h_j only.  Integer coefficients divide exactly or raise
+        RuntimeError; any other coefficients are divided as Fractions.
+        """
+        n = index(n)
         if n < 0:
             raise ValueError("negative powers are not supported")
-        result = QSeries([1], self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        prec = self.prec
+        out = [0] * (prec + 1)
+        if n == 0:
+            out[0] = 1
+            return QSeries(out, prec)
+        terms = _terms(self.coeffs)
+        if not terms or terms[0][0] * n > prec:
+            return QSeries(out, prec)
+        v, h0 = terms[0]
+        shift = v * n
+        top = prec - shift
+        # (j, (n + 1) j h_j, h_j) for the nonzero h_j with j >= 1
+        rest = [(i - v, (n + 1) * (i - v) * c, c) for i, c in terms[1:]]
+        exact = all(isinstance(c, int) for _i, c in terms)
+        if not exact:
+            h0 = Fraction(h0)
+        g = [0] * (top + 1)
+        g[0] = h0**n
+        live = 0
+        for k in range(1, top + 1):
+            while live < len(rest) and rest[live][0] <= k:
+                live += 1
+            s = 0
+            for j, a, c in rest[:live]:
+                s += (a - k * c) * g[k - j]
+            if exact:
+                g[k], r = divmod(s, k * h0)
+                if r:
+                    raise RuntimeError(f"Miller's recurrence left a remainder at q^{k}")
+            else:
+                g[k] = s / (k * h0)
+        out[shift:] = g
+        return QSeries(out, prec)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -229,8 +276,9 @@ def _build_e7(prec):
     while n * (n + 1) <= prec:
         psi[n * (n + 1)] = 1
         n += 1
-    # 7 theta_2(2 tau)^4 = 112 q psi^4: the factor q shifts by one place
-    tail = t3**3 * QSeries(psi, prec) ** 4
+    # 7 theta_2(2 tau)^4 = 112 q psi^4: the factor q shifts by one place; the
+    # dense psi^4 meets the sparse theta_3 one factor at a time
+    tail = QSeries(psi, prec) ** 4 * t3 * t3 * t3
     return t3**7 + 112 * QSeries([0] + tail.coeffs, prec)
 
 
@@ -322,4 +370,4 @@ def rep_num(name, two_d, method="formula"):
     if name in _EISENSTEIN:
         return _eisenstein_count(name, m)
     # one coefficient, read off the cached series without truncating a copy
-    return _cached_series(name, max(240, m), build).coeff(m)
+    return _cached_series(name, m, build).coeff(m)

@@ -177,14 +177,15 @@ def char_poly(g):
 
 
 class CycloDecomp:
-    """Multiplicities nu_d of cyclotomic factors in the characteristic polynomial."""
+    """Multiplicities nu_d of cyclotomic factors in the characteristic polynomial;
+    a non-integer order, rank, index d or multiplicity is a `TypeError`."""
 
     __slots__ = ("order", "rank", "multiplicities")
 
     def __init__(self, order, rank, multiplicities):
-        self.order = order
-        self.rank = rank
-        self.multiplicities = dict(multiplicities)
+        self.order = index(order)
+        self.rank = rank = index(rank)
+        self.multiplicities = {index(d): index(v) for d, v in dict(multiplicities).items()}
         if sum(v * euler_phi(d) for d, v in self.multiplicities.items()) != rank:
             raise ValueError("cyclotomic multiplicities do not add up to the rank")
 

@@ -72,9 +72,8 @@ def compute_pex(max_m=240):
     has a negative q^m coefficient (the degrees where the second inequality fails)."""
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
-    prec = max(240, max_m)
-    combo = (5 * qs.theta_e7(prec) - 28 * qs.theta_e6(prec)
-             - 63 * qs.theta_dn(6, prec) - 378 * qs.theta_dn(5, prec))
+    combo = (5 * qs.theta_e7(max_m) - 28 * qs.theta_e6(max_m)
+             - 63 * qs.theta_dn(6, max_m) - 378 * qs.theta_dn(5, max_m))
     return [m for m in range(1, max_m + 1) if combo.coeff(m) < 0]
 
 

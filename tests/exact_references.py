@@ -1,14 +1,20 @@
-"""Reference eliminations the library replaced with `lattice.symmetric_bareiss`.
+"""Reference kernels the library replaced, each by a different route.
 
-Each works on its own, by a different route, so tests compare the library's
-one fraction-free pass against them: `det_bareiss` (row-pivoted Bareiss on
-any square integer matrix), `signature_of` (symmetric elimination over Q) and
-`cholesky` with `scaled_form` (the Fraction LDL^T of a definite form and its
-integerisation by an LCM pass).
+Tests compare the library against them.
+
+* The eliminations behind `lattice.symmetric_bareiss`: `det_bareiss`
+  (row-pivoted Bareiss on any square integer matrix), `signature_of`
+  (symmetric elimination over Q) and `cholesky` with `scaled_form` (the
+  Fraction LDL^T of a definite form and its integerisation by an LCM pass).
+* The dense q-series kernels behind `QSeries.__mul__` and `__pow__`:
+  `schoolbook_mul` (every pair of coefficients) and `pow_by_squaring`
+  (repeated squaring over it).
 """
 
 from fractions import Fraction
 from math import gcd
+
+from k3mod.qseries import QSeries
 
 
 def det_bareiss(mat):
@@ -112,3 +118,31 @@ def scaled_form(gram):
         scale = scale * block // gcd(scale, block)
     a = [q[i].numerator * (scale // (q[i].denominator * uden[i] * uden[i])) for i in range(n)]
     return (scale, a, unum, uden)
+
+
+def schoolbook_mul(a, b):
+    """a * b for two QSeries, truncated at the lower precision, over every
+    pair of coefficients."""
+    prec = min(a.prec, b.prec)
+    size = prec + 1
+    out = [0] * size
+    bc = b.coeffs
+    for i, ai in enumerate(a.coeffs[:size]):
+        if ai:
+            for j in range(size - i):
+                bj = bc[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return QSeries(out, prec)
+
+
+def pow_by_squaring(f, n):
+    """f^n for a QSeries f and n >= 0 by repeated squaring with `schoolbook_mul`."""
+    result = QSeries([1], f.prec)
+    base = f
+    while n:
+        if n & 1:
+            result = schoolbook_mul(result, base)
+        base = schoolbook_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result

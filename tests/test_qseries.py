@@ -12,6 +12,8 @@ from k3mod.qseries import (
 )
 from k3mod.lattice import LatticeError, parse_lattice_expr
 
+from exact_references import pow_by_squaring, schoolbook_mul
+
 
 # ---------------------------------------------------------------------------
 # references: the builders on the fractional grids that the integer-grid
@@ -263,6 +265,71 @@ def test_pow_matches_repeated_mul():
     assert (t**0).coeff(0) == 1
 
 
+def _random_series(rng, prec, const, kind, density):
+    """A seeded series with constant term `const`; `sparse` keeps about one
+    coefficient in six, `dense` every one."""
+    coeffs = [const]
+    for _ in range(prec):
+        if density == "sparse" and rng.random() > 1 / 6:
+            coeffs.append(0)
+        elif kind == "fraction":
+            coeffs.append(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        else:
+            coeffs.append(rng.randint(-9, 9))
+    return QSeries(coeffs, prec)
+
+
+@pytest.mark.parametrize("density", ["sparse", "dense"])
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("const", [1, -1, 3, 0])
+def test_pow_and_mul_match_the_dense_references(const, kind, density):
+    rng = random.Random(f"{const}/{kind}/{density}")
+    for _ in range(4):
+        prec = rng.choice([0, 1, 7, 16, 30])
+        f = _random_series(rng, prec, const, kind, density)
+        for n in range(10):
+            assert (f**n).coeffs == pow_by_squaring(f, n).coeffs, (f, n)
+        for other in ("sparse", "dense"):
+            g = _random_series(rng, rng.choice([prec, prec + 3]), rng.randint(-2, 2), kind, other)
+            want = schoolbook_mul(f, g)
+            assert (f * g).prec == (g * f).prec == want.prec
+            assert (f * g).coeffs == (g * f).coeffs == want.coeffs, (f, g)
+
+
+def test_pow_of_a_series_with_a_high_valuation():
+    f = QSeries([0, 0, 0, 2, 1], 10)
+    assert (f**3).coeffs == [0] * 9 + [8, 12]
+    assert (f**4).coeffs == [0] * 11 and (f**0).coeffs == [1] + [0] * 10
+    assert (QSeries([], 5) ** 2).coeffs == [0] * 6
+    with pytest.raises(ValueError):
+        f ** -1
+
+
+def test_pow_raises_on_an_integer_remainder(monkeypatch):
+    # the integer division of Miller's recurrence is checked, never assumed
+    monkeypatch.setattr(qs, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(RuntimeError, match="remainder"):
+        theta3_2tau(4) ** 2
+    monkeypatch.undo()
+    assert (theta3_2tau(4) ** 2).coeffs == [1, 4, 4, 0, 4]
+
+
+def _dense_theta_e7(prec):
+    """theta_3(2t)^7 + 112 q theta_3(2t)^3 psi^4 with the dense reference kernels."""
+    t3 = theta3_2tau(prec)
+    psi = QSeries([1 if m in {n * (n + 1) for n in range(prec + 1)} else 0
+                   for m in range(prec + 1)], prec)
+    tail = schoolbook_mul(pow_by_squaring(t3, 3), pow_by_squaring(psi, 4))
+    return [a + 112 * b for a, b in zip(pow_by_squaring(t3, 7).coeffs, [0] + tail.coeffs)]
+
+
+def test_theta_series_match_the_dense_references_to_600(monkeypatch):
+    monkeypatch.setattr(lt, "_grown_tables", {})
+    assert theta_e7(600).coeffs == _dense_theta_e7(600)
+    for n in (5, 6, 8):
+        assert theta_dn(n, 600).coeffs == pow_by_squaring(theta3_2tau(1200), n).coeffs[::2], n
+
+
 def test_serialization_roundtrip():
     s = theta_e6(8)
     blob = json.dumps(s.to_json_dict())
@@ -303,8 +370,8 @@ def test_series_cache_truncates_to_the_requested_precision(monkeypatch):
     assert theta_dn(5, 12).prec == 12 and theta_e6(5).prec == 5
 
 
-def test_series_cache_grows_geometrically(monkeypatch):
-    # an ascending sweep rebuilds each series a logarithmic number of times
+def _count_builds(monkeypatch):
+    """Empty the series cache and record, per name, the precision of every build."""
     monkeypatch.setattr(lt, "_grown_tables", {})
     builds = {}
     cached = qs._cached_series
@@ -316,11 +383,23 @@ def test_series_cache_grows_geometrically(monkeypatch):
         return cached(name, prec, counted)
 
     monkeypatch.setattr(qs, "_cached_series", counting)
+    return builds
+
+
+def test_series_cache_grows_geometrically(monkeypatch):
+    # an ascending sweep rebuilds each series a logarithmic number of times
+    builds = _count_builds(monkeypatch)
     for m in range(241, 601):
         qs.rep_num("E7", 2 * m)
         qs.rep_num("D5", 2 * m)
     assert builds == {"E7": [241, 482, 964], "D5": [241, 482, 964]}
     assert theta_e7(600).prec == 600 and theta_dn(5, 300).prec == 300
+
+
+def test_rep_num_builds_the_series_only_as_far_as_asked(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    assert qs.rep_num("E7", 92) == theta_e7(46).coeff(46)
+    assert builds == {"E7": [46]}
 
 
 def test_rep_num_reads_the_cached_series_without_a_copy(monkeypatch):

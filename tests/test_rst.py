@@ -215,6 +215,15 @@ def test_char_poly_rejects_non_integral_matrix():
         char_poly([[Fraction(1, 2), 0], [0, 1]])
 
 
+@pytest.mark.parametrize("order, rank, multiplicities", [
+    (4, 2, {4.0: 1}), (4.0, 2, {4: 1}), (4, 2.0, {4: 1}), (4, 2, {4: 1.0}), (4, 2, {"4": 1})])
+def test_cyclo_decomp_rejects_non_integers_at_construction(order, rank, multiplicities):
+    # both used to be accepted and to fail only later, in eigen_exponents()
+    with pytest.raises(TypeError):
+        CycloDecomp(order, rank, multiplicities)
+    assert CycloDecomp(4, 2, {4: 1}).eigen_exponents().exponents == (1, 3)
+
+
 def test_cyclo_decomp_rejects_multiplicities_off_the_rank():
     with pytest.raises(ValueError):
         CycloDecomp(2, 3, {1: 1, 2: 1})

@@ -20,7 +20,8 @@ def test_one_digest_per_group(capsys):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
-                     + ["tuples", "orbit-scan", "lattice-reflect", "counts", "forms", "cli-tables"]
+                     + ["tuples", "orbit-scan", "lattice-reflect", "counts", "forms", "series",
+                        "cli-tables"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -37,6 +38,7 @@ def test_one_digest_per_group(capsys):
         same_outputs.lattice_reflect(d) for d in (40, 41))
     assert digests["counts"] == same_outputs.digest(same_outputs.counts())
     assert digests["forms"] == same_outputs.digest(same_outputs.forms())
+    assert digests["series"] == same_outputs.digest(same_outputs.series())
     # the in-process calls give the recorded stdout with exit code 0
     for workload, calls in golden.items():
         assert digests[f"cli-{workload}"] == same_outputs.digest(
@@ -88,3 +90,18 @@ def test_forms_reads_square_completions_dets_and_signatures():
     assert items[n_forms + same_outputs.LATTICE_REFLECT_MAX_D:] == [
         ["U", -1, (1, 1)], ["2U", 1, (2, 2)], ["U(3)+A(2)", -27, (3, 1)],
         ["<-4>+<4>", -16, (1, 1)]]
+
+
+def test_series_reads_the_theta_series_and_the_inequality_sweep():
+    items = list(same_outputs.series())
+    heads = {name: coeffs[:2] for name, coeffs in items[:6]}
+    assert heads == {"E7": [1, 126], "D5": [1, 40], "D6": [1, 60], "D8": [1, 112],
+                     "E6": [1, 72], "D6eis": [1, 60]}
+    assert all(len(coeffs) == same_outputs.SERIES_PREC + 1 for _name, coeffs in items[:6])
+    sweep = items[6:-1]
+    assert [d for d, _reps, _mineq, _mineqd in sweep] == list(
+        range(1, same_outputs.SERIES_MAX_D + 1))
+    assert sweep[0] == [1, [72, 126, 40, 60, 112], False, False]
+    # the last degree where either inequality fails is 143
+    assert max(d for d, _reps, mineq, mineqd in sweep if not (mineq and mineqd)) == 143
+    assert items[-1] == ["pex", se.compute_pex(same_outputs.PEX_MAX_M)]

@@ -27,6 +27,11 @@ byte-identical outputs in that group.  The groups are
   (det, signature) of L_2d and of the complement of the `lattice-reflect`
   group for every d up to LATTICE_REFLECT_MAX_D, and of FORMS_INDEFINITE;
   this group does not depend on --degrees either;
+* `series`: the closed-form theta series `theta_e7`, `theta_dn(n)` for n in
+  SERIES_DN, `theta_e6` and `theta_d6_eis` at precision SERIES_PREC, then
+  `rep_num(name, 2d)` for every named lattice and `check_mineq(d)`,
+  `check_mineqd(d)` for every d in 1..SERIES_MAX_D, in ascending order, then
+  `compute_pex(PEX_MAX_M)`; this group does not depend on --degrees either;
 * `cli-tables`: the stdout of `k3mod tables` in each output format;
 * `cli-<workload>`: the stdout of every `k3mod` call that
   perfbench/golden.json records for that workload.
@@ -68,6 +73,11 @@ REP_RANGES = {"E6": (14, 18), "E7": (7, 9), "D5": (40, 50), "D6": (14, 18), "D8"
 # whose elimination meets a zero pivot
 FORMS_EXTRA = ("<100>+<300>+<2>", "<4>+<6>+A(2)")
 FORMS_INDEFINITE = ("U", "2U", "U(3)+A(2)", "<-4>+<4>")
+# the theta series and the inequality sweep of the `series` group
+SERIES_PREC = 1200
+SERIES_DN = (5, 6, 8)
+SERIES_MAX_D = 2000
+PEX_MAX_M = 600
 
 
 def parse_degrees(text):
@@ -148,6 +158,19 @@ def forms():
         yield [expr, lat.det, lat.signature]
 
 
+def series():
+    """The closed-form theta series, representation numbers and inequalities, as JSON."""
+    yield ["E7", qseries.theta_e7(SERIES_PREC).coeffs]
+    for n in SERIES_DN:
+        yield [f"D{n}", qseries.theta_dn(n, SERIES_PREC).coeffs]
+    yield ["E6", qseries.theta_e6(SERIES_PREC).coeffs]
+    yield ["D6eis", qseries.theta_d6_eis(SERIES_PREC).coeffs]
+    for d in range(1, SERIES_MAX_D + 1):
+        yield [d, [qseries.rep_num(name, 2 * d) for name in qseries.NAMED_LATTICES],
+               search.check_mineq(d), search.check_mineqd(d)]
+    yield ["pex", search.compute_pex(PEX_MAX_M)]
+
+
 def groups(degrees):
     """(group name, digest) pairs in a fixed order."""
     yield "verdict", digest(search.kodaira_verdict(d).to_dict() for d in degrees)
@@ -163,6 +186,7 @@ def groups(degrees):
                                     for d in degrees if d <= LATTICE_REFLECT_MAX_D)
     yield "counts", digest(counts())
     yield "forms", digest(forms())
+    yield "series", digest(series())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
