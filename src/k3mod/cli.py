@@ -82,8 +82,8 @@ def build_parser():
     s.add_argument("--vector", help="comma-separated integer coordinates")
     s.add_argument("--sample-d", type=int, dest="sample_d",
                    help="sampled biconditional check on L_2d")
-    s.add_argument("--samples", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    s.add_argument("--samples", type=int, help="samples of --sample-d (default 10000)")
+    s.add_argument("--seed", type=int, help="seed of --sample-d (default 0)")
 
     s = _common(subs.add_parser("disc", help="discriminant group of a lattice"))
     s.add_argument("expr")
@@ -289,11 +289,17 @@ def _cmd_tables(args):
 
 def _cmd_reflect(args):
     if args.sample_d is not None:
-        rep = rf.reflk3_sample_check(args.sample_d, samples=args.samples, seed=args.seed)
+        if args.expr is not None or args.vector is not None:
+            raise UsageError("--sample-d takes no EXPR or --vector")
+        samples = 10**4 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        rep = rf.reflk3_sample_check(args.sample_d, samples=samples, seed=seed)
         _emit(args, rep, [json.dumps(rep, default=_json_default)])
         return 0
     if not args.expr or not args.vector:
         raise UsageError("reflect needs EXPR --vector or --sample-d")
+    if args.samples is not None or args.seed is not None:
+        raise UsageError("--samples and --seed go with --sample-d only")
     lat = lt.parse_lattice_expr(args.expr)
     coords = tuple(_parse_ints("--vector", args.vector.split(",")))
     rep = rf.reflection_report(lat, coords)
@@ -323,6 +329,8 @@ def _cmd_disc(args):
 
 def _cmd_rst(args):
     if args.matrix is not None:
+        if args.exponents is not None or args.sigma_prime_l is not None:
+            raise UsageError("--matrix takes no --exponents or --sigma-prime")
         rep = rst.toric_order2_check(_parse_matrix(args.matrix))
         rep["sigma"] = str(rep["sigma"])
         _emit(args, rep, [json.dumps(rep)])

@@ -75,16 +75,6 @@ def alpha_from_2x(vec2x):
     return tuple(dot2x(vec2x, w) for w in WEIGHTS_2X)
 
 
-def to_2x(alpha_coords):
-    """Doubled e-coordinates of a vector given in simple-root coordinates."""
-    out = [0] * 8
-    for c, root in zip(alpha_coords, SIMPLE_ROOTS_2X):
-        if c:
-            for i in range(8):
-                out[i] += c * root[i]
-    return tuple(out)
-
-
 @cache
 def roots_2x():
     """All 240 roots in doubled e-coordinates, lexicographically sorted.

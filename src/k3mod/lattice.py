@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import index, mul
 
 
@@ -292,12 +292,6 @@ class IntLattice:
 
     def vector(self, coords):
         return LatVec(self, coords)
-
-    def dual_vector(self, coords):
-        """The dual vector with rational coordinates `coords` in the lattice basis."""
-        coords = [Fraction(c) for c in coords]
-        den = lcm(*(c.denominator for c in coords))
-        return DualVec(self, [c.numerator * (den // c.denominator) for c in coords], den)
 
     def __repr__(self):
         label = self.name or f"rank-{self.rank} lattice"

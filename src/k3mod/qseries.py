@@ -288,7 +288,7 @@ def theta_e7(prec=240):
     With theta_2(2t)^4 = 16 q psi(q)^4, psi(q) = sum_{n >= 0} q^(n(n+1)), this
     is theta_3(2t)^7 + 112 q theta_3(2t)^3 psi(q)^4, all in integer powers of q.
     """
-    return _theta("E7", prec, _build_e7)
+    return _theta("E7", prec, _named("E7")[1])
 
 
 def theta_dn(n, prec=240):
@@ -308,7 +308,7 @@ def _dn_builder(n):
 
 def theta_e6(prec=240):
     """Theta series of E6, 81 E3_cusp0(chi3) + E3_cusp_inf(chi3) (see _EISENSTEIN)."""
-    return _theta("E6", prec, lambda p: _eisenstein_series("E6", p))
+    return _theta("E6", prec, _named("E6")[1])
 
 
 def theta_d6_eis(prec=240):

@@ -38,10 +38,10 @@ Three things keep the recursion cheap:
 
   so the norm histogram of the plane z + Z^2 is the class histogram
   F_c(k) = #{w : Q2(w) + 2 c . w = k}, moved by s = Q(z) - Q2(t) - 2 c . t.
-  A lattice needs at most |det G2| class histograms, each built when its
-  class is first met.
+  A lattice needs at most |det G2| class histograms, each built once, for
+  class 0 (the plane z = 0) and for each class the walk tallies.
 
-  The shift is never negative.  Minimising Q(z + w) over real w gives
+  The shift lies in 0..top.  Minimising Q(z + w) over real w gives
   Q_proj(z) = Q(z) - l^T G2^-1 l, the norm of the part of z orthogonal to
   b_0 and b_1.  In the square completion of `_scaled_form` it is
   sum_{i>=2} a_i y_i^2 / L.  Minimising the other side gives
@@ -50,35 +50,23 @@ Three things keep the recursion cheap:
       s = Q_proj(z) + c^T G2^-1 c.
 
   Every k is an integer >= -c^T G2^-1 c, so k >= -K_c with
-  K_c = floor(c^T G2^-1 c).  The histogram of class c is therefore stored
-  from digit j = k + K_c >= 0, and moved by
-  s - K_c = Q_proj(z) + frac(c^T G2^-1 c) >= 0: no digit below norm 0 is
-  needed.  The walk keeps Q_proj(z) <= top, so the move is <= top too.  The
-  leaf computes the move as (det G2 L Q_proj(z) + L (e mod det G2)) /
-  (L det G2), with e = c^T adj(G2) c, and checks that the division is exact.
+  K_c = floor(c^T G2^-1 c).  The histogram of class c is therefore indexed
+  by j = k + K_c >= 0 and moved by s - K_c = Q_proj(z) + frac(c^T G2^-1 c),
+  which is >= 0.  The walk keeps Q_proj(z) <= top, and the move is an
+  integer below Q_proj(z) + 1, so it is <= top too.  The leaf computes the
+  move as (det G2 L Q_proj(z) + L (e mod det G2)) / (L det G2), with
+  e = c^T adj(G2) c, and checks that the division is exact.
 
-  Each class histogram is one big integer with one digit of `width` bits per
-  norm 0..top.  The level-2 loop steps Q_proj(z) by finite differences and
-  the class by a table, and adds one shifted histogram per z.  This replaces
-  the level-1 loop and its level-0 leaf calls.  The width is the bit length
-  of the Fincke-Pohst box bound, rounded up to whole bytes so that
-  `int.to_bytes` and `int.from_bytes` pack and unpack the digits in linear
-  time.  The box bound is
-
-      prod_i (floor(2 floor(sqrt(L top / a_i)) / uden_i) + 1).
-
-  Level i passes at most the i-th factor of values of x_i, so the product
-  bounds the number of vectors with Q(x) <= top, and with it every digit for
-  a norm <= top.  Digits above top may overflow, but a carry moves only
-  upwards, past the digits read.  The leaf also counts the pairs (z, w) that
-  land at norms <= top.  A digit that overflowed would make the sum of the
-  digits read smaller than that count, and the leaf raises; so does the
-  packing of a class histogram with a digit that does not fit.
+  The level-2 loop steps Q_proj(z) by finite differences and the class by
+  a table, and adds 1 to the tally of (class, move) for each z.  This
+  replaces the level-1 loop and its level-0 leaf calls.  After the walk,
+  each tallied (class, move) adds its class histogram, stored once as
+  ascending (j, count) pairs, times its tally, from norm move + j up to
+  top; a move outside 0..top would index outside the result, so it raises.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -256,10 +244,11 @@ def _half_counts(lat, top):
     0..top, as a list (entry 0 is 0).
 
     The walk stops at level 2, and the leaf does levels 1 and 0 together: it
-    walks x_2 and, for each z = (x_2, ..., x_{n-1}), adds the norm histogram
-    of the plane z + Z b_0 + Z b_1 as one shifted big integer, from one
-    precomputed histogram per class of (b_0 . z, b_1 . z) modulo G2 Z^2 (the
-    identity, the shift and the digit width are in the module docstring).
+    walks x_2 and, for each z = (x_2, ..., x_{n-1}), tallies the class of
+    (b_0 . z, b_1 . z) modulo G2 Z^2 with the shift of the plane
+    z + Z b_0 + Z b_1.  Each tallied (class, shift) then adds its class
+    histogram, shifted, once (the identity and the shift are in the module
+    docstring).
     """
     scale, a, _unum, uden = _scaled_form(lat)
     gram = lat.gram
@@ -284,19 +273,23 @@ def _half_counts(lat, top):
         u, r1 = divmod(l1, hd)
         return r1 * ha + (l0 - u * hb) % ha
 
-    def histogram(cls):
-        """(hist, e mod det): hist[j] counts the w in Z^2 with
-        Q2(w) + 2 c.w + floor(e / det) = j <= top, e = c^T adj(G2) c."""
+    def adj_norm(cls):
+        """(c0, c1, e) for the representative c of `cls`, e = c^T adj(G2) c."""
         c1, c0 = divmod(cls, ha)
-        e = g11 * c0 * c0 - 2 * g01 * c0 * c1 + g00 * c1 * c1
-        k, rem = divmod(e, det)
-        hist = [0] * (top + 1)
+        return c0, c1, g11 * c0 * c0 - 2 * g01 * c0 * c1 + g00 * c1 * c1
+
+    def histogram(cls):
+        """Ascending (j, count) pairs, count > 0: count is the number of w in
+        Z^2 with Q2(w) + 2 c.w + floor(e / det) = j <= top."""
+        c0, c1, e = adj_norm(cls)
+        k = e // det
         # (det w1 + b1)^2 <= disc1 iff some real w0 gives j <= top
         b1 = g00 * c1 - g01 * c0
         disc1 = b1 * b1 - det * (g00 * (k - top) - c0 * c0)
         if disc1 < 0:
-            return hist, rem
+            return []
         r = isqrt(disc1)
+        hist = {}
         for w1 in range(-((r + b1) // det), (r - b1) // det + 1):
             # j = g00 w0^2 + 2 b w0 + rest + top <= top iff (g00 w0 + b)^2 <= disc
             b = g01 * w1 + c0
@@ -309,42 +302,26 @@ def _half_counts(lat, top):
             j = (g00 * lo + 2 * b) * lo + rest + top
             dj = g00 * (2 * lo + 1) + 2 * b
             for _ in range(lo, (r - b) // g00 + 1):
-                hist[j] += 1
+                hist[j] = hist.get(j, 0) + 1
                 j += dj
                 dj += 2 * g00
-        return hist, rem
+        return sorted(hist.items())
 
-    hist0 = histogram(0)[0]
+    hists = _Lazy(histogram)
+    # the plane z = 0 in the symmetric state: one of each pair +-w, w != 0
+    half = [0] * (top + 1)
+    for j, h in hists[0][1:]:
+        half[j] = h // 2
     if n == 2:
-        return [0] + [h // 2 for h in hist0[1:]]
-    # whole bytes per digit, so packing and unpacking are linear-time
-    size = (_box_bound(lat, top).bit_length() + 7) // 8
-    width = 8 * size
-
-    def pack(hist):
-        try:
-            digits = b"".join(h.to_bytes(size, "little") for h in hist)
-        except OverflowError:
-            raise LatticeError("a norm count overflowed its digit") from None
-        return int.from_bytes(digits, "little")
-
+        return half
     gam0, gam1 = sign * gram[0][2], sign * gram[1][2]
 
-    def record(cls):
-        """(packed histogram, numerator offset of its shift, the number of
-        its vectors that land at norm <= top for each shift, next class
-        along x_2)."""
-        hist, rem = histogram(cls)
-        below = list(accumulate(hist))
-        below.reverse()
-        c1, c0 = divmod(cls, ha)
-        return pack(hist), scale * rem, below, reduce(c0 + gam0, c1 + gam1)
+    def step(cls):
+        """(numerator offset of the shift of class `cls`, next class along x_2)."""
+        c0, c1, e = adj_norm(cls)
+        return scale * (e % det), reduce(c0 + gam0, c1 + gam1)
 
-    classes = _Lazy(record)
-    # z = 0 in the symmetric state: one of each pair +-w, w != 0
-    half0 = pack([h // 2 for h in hist0])
-    seen0 = (sum(hist0) - 1) // 2
-    after0 = classes[0][3]
+    classes = _Lazy(step)
     row0 = [sign * v for v in gram[0][3:]]
     row1 = [sign * v for v in gram[1][3:]]
     a2, d2 = a[2], uden[2]
@@ -353,13 +330,11 @@ def _half_counts(lat, top):
     total_budget = scale * top
     unit = scale * det
     x = [0] * n
-    acc = 0
-    found = 0
+    tally = {}
 
     def leaf(budget, centre, sym):
         # p = det * L * Q_proj(z), stepped along x_2 by finite differences;
         # the shift of class c is (p + L * (e mod det)) / (L * det)
-        nonlocal acc, found
         ymax = isqrt(budget // a2)
         lo = 0 if sym else -((ymax + centre) // d2)
         hi = (ymax - centre) // d2
@@ -367,45 +342,36 @@ def _half_counts(lat, top):
         p = det * (total_budget - budget) + da2 * y * y
         dp = da2 * d2 * (2 * y + d2)
         if sym:
-            got, seen, cls = half0, seen0, after0
+            # z = 0 is the plane already in `half`
+            cls = classes[0][1]
             p += dp
             dp += ddp
             lo = 1
         else:
-            got = seen = 0
             z = x[3:]
             cls = reduce(sum(map(mul, row0, z)) + lo * gam0,
                          sum(map(mul, row1, z)) + lo * gam1)
         for _ in range(lo, hi + 1):
-            packed, off, below, cls = classes[cls]
+            off, nxt = classes[cls]
             sh, r = divmod(p + off, unit)
             if r:
                 raise LatticeError("norm of a lattice vector is not an integer")
-            got += packed << width * sh
-            seen += below[sh]
+            key = (cls, sh)
+            tally[key] = tally.get(key, 0) + 1
+            cls = nxt
             p += dp
             dp += ddp
-        acc += got
-        found += seen
 
     _walk(lat, top, x, leaf, stop=2)
-    length = size * (top + 1)
-    digits = (acc & ((1 << 8 * length) - 1)).to_bytes(length, "little")
-    half = [int.from_bytes(digits[i:i + size], "little") for i in range(0, length, size)]
-    # a digit that overflowed carried 2^width into the next one
-    if sum(half) != found:
-        raise LatticeError("a norm count overflowed its digit")
+    for (cls, sh), times in tally.items():
+        if not 0 <= sh <= top:
+            raise LatticeError("a plane's norm shift is outside 0..top")
+        for j, h in hists[cls]:
+            j += sh
+            if j > top:
+                break
+            half[j] += times * h
     return half
-
-
-def _box_bound(lat, top):
-    """The Fincke-Pohst box bound on the number of vectors with Q(x) <= top:
-    the product over the levels of the number of x_i with |y_i| <= sqrt(L top / a_i)."""
-    scale, a, _unum, uden = _scaled_form(lat)
-    bound = 1
-    for ai, di in zip(a, uden):
-        bound *= 2 * isqrt(scale * top // ai) // di + 1
-    return bound
 
 
 def norm_counts(lat, max_norm):

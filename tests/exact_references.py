@@ -9,11 +9,16 @@ Tests compare the library against them.
 * The dense q-series kernels behind `QSeries.__mul__` and `__pow__`:
   `schoolbook_mul` (every pair of coefficients) and `pow_by_squaring`
   (repeated squaring over it).
+* Two chart conversions only tests need: `to_2x` (simple-root to doubled
+  e-coordinates of E8) and `dual_vector` (a `DualVec` from rational
+  coordinates).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+from k3mod.e8 import SIMPLE_ROOTS_2X
+from k3mod.lattice import DualVec
 from k3mod.qseries import QSeries
 
 
@@ -146,3 +151,20 @@ def pow_by_squaring(f, n):
         base = schoolbook_mul(base, base) if n > 1 else base
         n >>= 1
     return result
+
+
+def to_2x(alpha_coords):
+    """Doubled e-coordinates of a vector given in simple-root coordinates."""
+    out = [0] * 8
+    for c, root in zip(alpha_coords, SIMPLE_ROOTS_2X):
+        if c:
+            for i in range(8):
+                out[i] += c * root[i]
+    return tuple(out)
+
+
+def dual_vector(lat, coords):
+    """The dual vector of `lat` with rational coordinates `coords` in its basis."""
+    coords = [Fraction(c) for c in coords]
+    den = lcm(*(c.denominator for c in coords))
+    return DualVec(lat, [c.numerator * (den // c.denominator) for c in coords], den)

@@ -422,6 +422,29 @@ def test_integer_lists_are_usage_errors(capture, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("rst", "--matrix", "[[0,1],[1,0]]", "--exponents", "4:2,2,1"),
+     "--matrix takes no --exponents or --sigma-prime"),
+    (("rst", "--matrix", "[[0,1],[1,0]]", "--sigma-prime", "1"),
+     "--matrix takes no --exponents or --sigma-prime"),
+    (("reflect", "--sample-d", "5", "U"), "--sample-d takes no EXPR or --vector"),
+    (("reflect", "--sample-d", "5", "--vector", "1,0"), "--sample-d takes no EXPR or --vector"),
+    (("reflect", "U", "--vector", "1,0", "--samples", "10"),
+     "--samples and --seed go with --sample-d only"),
+    (("reflect", "U", "--vector", "1,0", "--seed", "3"),
+     "--samples and --seed go with --sample-d only"),
+])
+def test_options_that_would_be_ignored_are_usage_errors(capture, argv, message):
+    code, out, err = capture(*argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_reflect_sample_defaults_to_ten_thousand_samples(capture):
+    code, out, _ = capture("reflect", "--sample-d", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["samples"] == 10**4
+
+
 def test_rst_sigma_prime_without_exponents_is_a_computational_error(capture):
     code, out, err = capture("rst", "--exponents", "4:", "--sigma-prime", "1")
     assert code == 1 and out == ""

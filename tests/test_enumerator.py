@@ -4,16 +4,17 @@ replaced, and the per-lattice memo checked for leaks.
 The reference walks every coordinate range in full, sums each centre anew
 and calls a visitor once per vector.  The walks under test use the x/-x
 symmetry and stepped centres.  The walk of `norm_counts` also stops at
-level 2 and adds, for each z = (x_2, ..., x_{n-1}), the precomputed norm
-histogram of the class of (b_0 . z, b_1 . z) modulo G2 Z^2, shifted by an
-integer >= 0 and packed one digit per norm (the identity and the bounds are
-in the `roots` docstring).  So its histograms, and their top entries at odd
-and even norms, are pinned to the reference: on leading Gram blocks G2 with
-1, 3, 4 and 24 classes, on ranks 1-3 (which have no level 2), on negative
-definite lattices, and on one case whose counts overflow a digit that is
-too narrow.  The exact counts of `enumerate_norm_vectors` are pinned
-beside them, and the integer square completion under every walk is pinned
-to the Fraction LDL^T it was once integerised from."""
+level 2 and tallies, for each z = (x_2, ..., x_{n-1}), the class of
+(b_0 . z, b_1 . z) modulo G2 Z^2 with an integer shift in 0..top; each
+tallied (class, shift) then adds the norm histogram of its class, shifted
+(the identity and the bound are in the `roots` docstring).  So its
+histograms, and their top entries at odd and even norms, are pinned to the
+reference: on leading Gram blocks G2 with 1, 3, 4, 24 and 30,000 classes,
+on ranks 1-3 (which have no level 2), on negative definite lattices and on
+counts wider than a byte; a shift outside 0..top raises.  The exact counts
+of `enumerate_norm_vectors` are pinned beside them, and the integer square
+completion under every walk is pinned to the Fraction LDL^T it was once
+integerised from."""
 
 import gc
 import random
@@ -180,7 +181,7 @@ def test_counting_leaf_matches_the_reference_for_each_class_count(expr, classes)
     top = 13
     hist = _reference_histogram(lat, top)
     assert roots.norm_counts(lat, top) == hist
-    # the top digit, at an even and an odd norm
+    # the top entry, at an even and an odd norm
     for norm in (top - 1, top):
         assert roots.norm_counts(lat, norm)[norm] == roots.enumerate_norm_vectors(lat, norm) \
             == _reference_enumerate(lat, norm, None, True) == hist[norm]
@@ -197,18 +198,41 @@ def test_counting_leaf_on_ranks_one_to_three(expr):
     assert [roots.enumerate_norm_vectors(lat, m) for m in range(1, top + 1)] == hist[1:]
 
 
-def test_counts_need_digits_wider_than_a_byte(monkeypatch):
-    # D(4) has up to 3,744 vectors of one norm <= 200; the box bound is larger
+def test_counts_need_digits_wider_than_a_byte():
+    # D(4) has up to 3,744 vectors of one norm <= 200
     lat = parse_lattice_expr("D(4)")
     hist = _reference_histogram(lat, 200)
     assert max(hist) > 1 << 11
-    assert sum(hist) <= roots._box_bound(lat, 200)
     assert roots.norm_counts(lat, 200) == hist
     assert roots.enumerate_norm_vectors(lat, 200) == hist[200]
-    # with 8-bit digits the counts carry into the next norm, and the leaf raises
-    monkeypatch.setattr(roots, "_box_bound", lambda _lat, _top: 255)
-    with pytest.raises(lattice.LatticeError, match="overflowed its digit"):
-        roots.norm_counts(lat, 200)
+
+
+@pytest.mark.parametrize("expr, top", [("<100>+<300>+<2>", 2000), ("<4>+<6>+A(2)", 300)])
+def test_counting_leaf_on_large_leading_blocks(expr, top):
+    # |det G2| = 30,000 and 24: most classes are met at a few shifts only
+    lat = parse_lattice_expr(expr)
+    hist = _reference_histogram(lat, top)
+    assert roots.norm_counts(lat, top) == hist
+    assert roots.enumerate_norm_vectors(lat, top) == hist[top]
+
+
+@pytest.mark.parametrize("move", [-1, 1])
+def test_a_shift_outside_the_histogram_raises(monkeypatch, move):
+    # a shift of class c moved below 0 or above top would index outside the
+    # result; the tally is checked once per (class, shift) and raises
+    lat = parse_lattice_expr("E8")
+    top = 6
+    g = lat.gram
+    unit = roots._scaled_form(lat)[0] * (g[0][0] * g[1][1] - g[0][1] ** 2)
+
+    def moved(p, q):
+        sh, r = divmod(p, q)
+        return (sh + move * (top + 1), r) if q == unit else (sh, r)
+
+    assert roots.norm_counts(lat, top) == _reference_histogram(lat, top)
+    monkeypatch.setattr(roots, "divmod", moved, raising=False)
+    with pytest.raises(lattice.LatticeError, match="outside 0..top"):
+        roots.norm_counts(lat, top)
 
 
 def test_theta_brute_of_e8_is_240_sigma3():

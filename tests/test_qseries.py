@@ -427,3 +427,19 @@ def test_cached_theta_series_reject_a_negative_precision(monkeypatch, build):
         build(-1)
     assert lt._grown_tables == {}
     assert build(0).coeffs == [1]
+
+
+@pytest.mark.parametrize("name, public", [("E7", theta_e7), ("E6", theta_e6)])
+def test_theta_functions_build_through_the_named_table(monkeypatch, name, public):
+    # one builder per cache key: the public theta function and rep_num share it
+    monkeypatch.setattr(lt, "_grown_tables", {})
+    built = []
+    make, build = qs._REP_LATTICES[name]
+
+    def counted(p):
+        built.append(p)
+        return build(p)
+
+    monkeypatch.setitem(qs._REP_LATTICES, name, (make, counted))
+    assert public(12) == qs.named_theta(name, 12)
+    assert built == [12]

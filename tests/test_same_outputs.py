@@ -20,7 +20,7 @@ def test_one_digest_per_group(capsys):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
-                     + ["tuples", "orbit-scan", "lattice-reflect", "counts", "forms", "series",
+                     + ["tuples", "orbit-scan", "lattice-reflect", "counts", "histograms", "forms", "series",
                         "cli-tables"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
@@ -37,6 +37,7 @@ def test_one_digest_per_group(capsys):
     assert digests["lattice-reflect"] == same_outputs.digest(
         same_outputs.lattice_reflect(d) for d in (40, 41))
     assert digests["counts"] == same_outputs.digest(same_outputs.counts())
+    assert digests["histograms"] == same_outputs.digest(same_outputs.histograms())
     assert digests["forms"] == same_outputs.digest(same_outputs.forms())
     assert digests["series"] == same_outputs.digest(same_outputs.series())
     # the in-process calls give the recorded stdout with exit code 0
@@ -54,6 +55,24 @@ def test_counts_reads_histograms_and_brute_representation_numbers():
     assert len(reps) == sum(hi - lo + 1 for lo, hi in same_outputs.REP_RANGES.values())
     for name, norm, n in reps:
         assert n == qs.rep_num(name, norm)
+
+
+def test_histograms_read_norm_counts_at_large_tops():
+    items = list(same_outputs.histograms())
+    n_perm = len(same_outputs.HISTOGRAMS_PERMUTED) * len(same_outputs.COUNTS_SEEDS)
+    assert [item[0] for item in items[n_perm:]] == [e for e, _t in same_outputs.HISTOGRAMS_PARSED]
+    # the closed forms: 240 sigma_3(m) for E8 and E8(-1), theta_e7 and theta_dn(4)
+    checked = set()
+    for expr, *_seed, top, hist in items:
+        assert len(hist) == top + 1 and hist[0] == 1 and top > same_outputs.COUNTS_MAX_NORM
+        e8 = [240 * sum(t ** 3 for t in range(1, m + 1) if m % t == 0)
+              for m in range(1, top // 2 + 1)]
+        want = {"E8": e8, "E8(-1)": e8, "E7": qs.theta_e7(top // 2).coeffs[1:],
+                "D(4)": qs.theta_dn(4, top // 2).coeffs[1:]}
+        if expr in want:
+            assert hist[2::2] == want[expr] and not any(hist[1::2]), expr
+            checked.add(expr)
+    assert checked == {"E8", "E8(-1)", "E7", "D(4)"}
 
 
 def test_degree_range_syntax():

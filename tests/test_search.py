@@ -11,7 +11,7 @@ from k3mod import lattice as lt
 from k3mod import search as se
 from k3mod.lattice import LatticeError
 
-from exact_references import cholesky
+from exact_references import cholesky, to_2x
 
 
 def test_embeddings_and_norms():
@@ -160,7 +160,7 @@ def _exhaustive_by_stream(d):
 
     def visit(coords, _norm):
         nonlocal best
-        vec = e8.to_2x(coords)
+        vec = to_2x(coords)
         n_l = e8.count_orth_roots_2x(vec)
         if 2 <= n_l <= 14 and (best is None or (n_l, vec) < best):
             best = (n_l, vec)
@@ -477,7 +477,7 @@ def test_closed_form_root_count_on_short_vectors():
         roots.enumerate_norm_vectors(e8.lattice(), norm, lambda c, _n: vectors.append(c))
     assert len(vectors) == 240 + 2160
     for alpha in vectors + [(0,) * 8]:
-        vec = e8.to_2x(alpha)
+        vec = to_2x(alpha)
         assert e8.count_orth_roots_2x(vec) == _scan_count(vec), alpha
 
 

@@ -22,6 +22,10 @@ byte-identical outputs in that group.  The groups are
   permutations of the bases of COUNTS_LATTICES, then `rep_num(name, 2d,
   "brute")` for every name and d in REP_RANGES (the norm ranges of the
   lattice-enum benchmark workload); this group does not depend on --degrees;
+* `histograms`: `norm_counts` at tops above COUNTS_MAX_NORM, on seeded
+  signed permutations of HISTOGRAMS_PERMUTED and on HISTOGRAMS_PARSED as
+  parsed (their leading 2x2 blocks have 1 to 30,000 classes); this group
+  does not depend on --degrees;
 * `forms`: the integer square completion `roots._scaled_form` of the
   `counts` group's signed permutations and of those of FORMS_EXTRA, then
   (det, signature) of L_2d and of the complement of the `lattice-reflect`
@@ -69,6 +73,10 @@ COUNTS_SEEDS = (0, 1)
 COUNTS_MAX_NORM = 16
 # d ranges of rep_num(name, 2d, "brute")
 REP_RANGES = {"E6": (14, 18), "E7": (7, 9), "D5": (40, 50), "D6": (14, 18), "D8": (6, 8)}
+# (expression, top) pairs of the `histograms` group
+HISTOGRAMS_PERMUTED = (("E8", 30), ("E7", 30))
+HISTOGRAMS_PARSED = (("D(4)", 200), ("<100>+<300>+<2>", 2000), ("<4>+<6>+A(2)", 300),
+                     ("E8(-1)", 20))
 # definite forms with large or mixed pivot denominators, and indefinite ones
 # whose elimination meets a zero pivot
 FORMS_EXTRA = ("<100>+<300>+<2>", "<4>+<6>+A(2)")
@@ -144,6 +152,15 @@ def counts():
             yield [name, 2 * d, qseries.rep_num(name, 2 * d, "brute")]
 
 
+def histograms():
+    """The norm histograms at large tops, as JSON."""
+    for expr, top in HISTOGRAMS_PERMUTED:
+        for seed in COUNTS_SEEDS:
+            yield [expr, seed, top, roots.norm_counts(signed_permutation(expr, seed), top)]
+    for expr, top in HISTOGRAMS_PARSED:
+        yield [expr, top, roots.norm_counts(lattice.parse_lattice_expr(expr), top)]
+
+
 def forms():
     """The square completions and the (det, signature) pairs, as JSON."""
     for expr in COUNTS_LATTICES + FORMS_EXTRA:
@@ -185,6 +202,7 @@ def groups(degrees):
     yield "lattice-reflect", digest(lattice_reflect(d)
                                     for d in degrees if d <= LATTICE_REFLECT_MAX_D)
     yield "counts", digest(counts())
+    yield "histograms", digest(histograms())
     yield "forms", digest(forms())
     yield "series", digest(series())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
