@@ -1,105 +1,113 @@
 """Command-line surface: one subcommand per computation, reproducible output.
 
 Exit codes: 0 success, 1 computational failure (e.g. an indefinite lattice
-where a definite one is needed) or stdout closed before all output was
-written, 2 usage error, 3 failed internal check (a cross-check between two
-code paths disagreed).
+where a definite one is needed, or a request too large for memory) or stdout
+closed before all output was written, 2 usage error, 3 failed internal check
+(a cross-check between two code paths disagreed).
 Identical invocations produce byte-identical output.
+
+Imports happen on use: at module level only `lattice`, whose exceptions
+`run` catches; each `_cmd_*` body imports the layers it calls, and `run`
+builds the parser of the named subcommand only, so layer-held choices are
+read only by their own subcommand.  Each `k3mod` call is a fresh interpreter
+that compiles every module it imports unless bytecode is cached, so a cold
+call compiles only what it runs (`k3mod cmin 60`: `cli`, `lattice`, `rst`).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
 from fractions import Fraction
 
 from . import lattice as lt
-from . import qseries as qs
-from . import reflective as rf
-from . import roots
-from . import rst
-from . import search as se
 
 
-def _common(sub):
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                     help="output format (default text)")
-    return sub
+def build_parser(command=None):
+    """The `k3mod` parser with every subcommand, or with `command`'s only.
 
-
-def build_parser():
+    On an argv that starts with `command` both print the same usage line: the
+    one-subcommand parser lists every subcommand in its metavar.  The full
+    parser has none, so its errors name the argument `command`.
+    """
     p = argparse.ArgumentParser(
         prog="k3mod",
         description="Exact lattice arithmetic, E8 root searches and "
                     "Kodaira-type verdicts for degree-2d K3 moduli.")
-    subs = p.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = p.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    s = _common(subs.add_parser("roots", help="enumerate the roots of a definite lattice"))
-    s.add_argument("expr", help="lattice expression, e.g. E8 or 2U+<-2>")
-    s.add_argument("--count", action="store_true", help="print the count only")
+    def add(name, help_text):
+        if command not in (None, name):
+            return None
+        s = subs.add_parser(name, help=help_text)
+        s.add_argument("--format", choices=("json", "csv", "text"), default="text",
+                       help="output format (default text)")
+        return s
 
-    s = _common(subs.add_parser("enum", help="enumerate vectors of a fixed norm"))
-    s.add_argument("expr")
-    s.add_argument("norm", type=int)
-    s.add_argument("--count", action="store_true")
+    if s := add("roots", "enumerate the roots of a definite lattice"):
+        s.add_argument("expr", help="lattice expression, e.g. E8 or 2U+<-2>")
+        s.add_argument("--count", action="store_true", help="print the count only")
 
-    s = _common(subs.add_parser("repnum", help="representation number N_L(2d)"))
-    s.add_argument("name", choices=qs.NAMED_LATTICES)
-    s.add_argument("two_d", type=int)
-    s.add_argument("--method", choices=("formula", "brute"), default="formula")
+    if s := add("enum", "enumerate vectors of a fixed norm"):
+        s.add_argument("expr")
+        s.add_argument("norm", type=int)
+        s.add_argument("--count", action="store_true")
 
-    s = _common(subs.add_parser("theta", help="theta series q-expansion"))
-    s.add_argument("name", help="E6, E7, D5, D6, D8 or a lattice expression (brute force)")
-    s.add_argument("--prec", type=int, default=20)
-    s.add_argument("--method", choices=("formula", "brute"), default="formula")
+    if s := add("repnum", "representation number N_L(2d)"):
+        from . import qseries as qs
+        s.add_argument("name", choices=qs.NAMED_LATTICES)
+        s.add_argument("two_d", type=int)
+        s.add_argument("--method", choices=("formula", "brute"), default="formula")
 
-    s = _common(subs.add_parser("pex", help="degrees where the 5/28/63/378 series "
-                                            "has a negative coefficient"))
-    s.add_argument("--max", type=int, default=240, dest="max_m")
+    if s := add("theta", "theta series q-expansion"):
+        s.add_argument("name", help="E6, E7, D5, D6, D8 or a lattice expression (brute force)")
+        s.add_argument("--prec", type=int, default=20)
+        s.add_argument("--method", choices=("formula", "brute"), default="formula")
 
-    s = _common(subs.add_parser("ineq", help="representation-number inequalities at d"))
-    s.add_argument("d", type=int)
+    if s := add("pex", "degrees where the 5/28/63/378 series has a negative coefficient"):
+        s.add_argument("--max", type=int, default=240, dest="max_m")
 
-    s = _common(subs.add_parser("search", help="structured search for vectors with few "
-                                               "orthogonal roots"))
-    s.add_argument("d", type=int)
-    s.add_argument("--case", choices=se.CASES + ("all",), default="all")
-    s.add_argument("--targets", default="2-12",
-                   help="orthogonal-root counts to keep, e.g. '2-12' or '8,12,14'")
+    if s := add("ineq", "representation-number inequalities at d"):
+        s.add_argument("d", type=int)
 
-    s = _common(subs.add_parser("verdict", help="Kodaira-type verdict for degree 2d"))
-    s.add_argument("d", type=int)
+    if s := add("search", "structured search for vectors with few orthogonal roots"):
+        from . import search as se
+        s.add_argument("d", type=int)
+        s.add_argument("--case", choices=se.CASES + ("all",), default="all")
+        s.add_argument("--targets", default="2-12",
+                       help="orthogonal-root counts to keep, e.g. '2-12' or '8,12,14'")
 
-    s = _common(subs.add_parser("tables", help="reproduce the structured-family tables"))
-    s.add_argument("--table", choices=se.TABLES + ("all",), default="all")
+    if s := add("verdict", "Kodaira-type verdict for degree 2d"):
+        s.add_argument("d", type=int)
 
-    s = _common(subs.add_parser("reflect", help="classify reflections on a lattice"))
-    s.add_argument("expr", nargs="?", help="lattice expression (with --vector)")
-    s.add_argument("--vector", help="comma-separated integer coordinates")
-    s.add_argument("--sample-d", type=int, dest="sample_d",
-                   help="sampled biconditional check on L_2d")
-    s.add_argument("--samples", type=int, help="samples of --sample-d (default 10000)")
-    s.add_argument("--seed", type=int, help="seed of --sample-d (default 0)")
+    if s := add("tables", "reproduce the structured-family tables"):
+        from . import search as se
+        s.add_argument("--table", choices=se.TABLES + ("all",), default="all")
 
-    s = _common(subs.add_parser("disc", help="discriminant group of a lattice"))
-    s.add_argument("expr")
+    if s := add("reflect", "classify reflections on a lattice"):
+        s.add_argument("expr", nargs="?", help="lattice expression (with --vector)")
+        s.add_argument("--vector", help="comma-separated integer coordinates")
+        s.add_argument("--sample-d", type=int, dest="sample_d",
+                       help="sampled biconditional check on L_2d")
+        s.add_argument("--samples", type=int, help="samples of --sample-d (default 10000)")
+        s.add_argument("--seed", type=int, help="seed of --sample-d (default 0)")
 
-    s = _common(subs.add_parser("rst", help="eigenvalue-exponent sums and cyclotomic "
-                                            "decompositions"))
-    s.add_argument("--exponents", help="m:a1,a2,... for the fractional sum")
-    s.add_argument("--sigma-prime", type=int, dest="sigma_prime_l",
-                   help="also evaluate the modified sum at this power")
-    s.add_argument("--matrix", help="JSON integer matrix to decompose")
+    if s := add("disc", "discriminant group of a lattice"):
+        s.add_argument("expr")
 
-    s = _common(subs.add_parser("cmin", help="minimal shifted coprime fractional sum"))
-    s.add_argument("d", type=int)
+    if s := add("rst", "eigenvalue-exponent sums and cyclotomic decompositions"):
+        s.add_argument("--exponents", help="m:a1,a2,... for the fractional sum")
+        s.add_argument("--sigma-prime", type=int, dest="sigma_prime_l",
+                       help="also evaluate the modified sum at this power")
+        s.add_argument("--matrix", help="JSON integer matrix to decompose")
 
-    s = _common(subs.add_parser("bigphi", help="verify the coprime-residue sum bound"))
-    s.add_argument("r_max", type=int)
+    if s := add("cmin", "minimal shifted coprime fractional sum"):
+        s.add_argument("d", type=int)
+
+    if s := add("bigphi", "verify the coprime-residue sum bound"):
+        s.add_argument("r_max", type=int)
 
     return p
 
@@ -107,8 +115,10 @@ def build_parser():
 def _emit(args, payload, text_lines=None, csv_rows=None, csv_header=None):
     """Render one result in the requested format."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, default=_json_default))
+        print(_dumps(payload, indent=2))
     elif args.format == "csv":
+        import csv
+        import io
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
         if csv_header:
@@ -117,8 +127,14 @@ def _emit(args, payload, text_lines=None, csv_rows=None, csv_header=None):
             w.writerow(row)
         sys.stdout.write(out.getvalue())
     else:
-        for line in (text_lines if text_lines is not None else [json.dumps(payload, default=_json_default)]):
+        for line in (text_lines if text_lines is not None else [_dumps(payload)]):
             print(line)
+
+
+def _dumps(obj, **kwargs):
+    """`json.dumps` with Fractions as strings."""
+    import json
+    return json.dumps(obj, default=_json_default, **kwargs)
 
 
 def _json_default(obj):
@@ -165,6 +181,7 @@ def _parse_ints(option, parts):
 
 def _parse_matrix(text):
     """A JSON list of lists of ints (bools rejected); the shape is the library's check."""
+    import json
     try:
         mat = json.loads(text)
     except ValueError:
@@ -180,6 +197,7 @@ def _parse_matrix(text):
 # ---------------------------------------------------------------------------
 
 def _cmd_roots(args):
+    from . import roots
     lat = lt.parse_lattice_expr(args.expr)
     data = roots.enumerate_roots(lat)
     if args.count:
@@ -194,6 +212,7 @@ def _cmd_roots(args):
 
 
 def _cmd_enum(args):
+    from . import roots
     lat = lt.parse_lattice_expr(args.expr)
     found = []
     if args.count:
@@ -211,12 +230,14 @@ def _cmd_enum(args):
 
 
 def _cmd_repnum(args):
+    from . import qseries as qs
     n = qs.rep_num(args.name, args.two_d, args.method)
     _emit(args, n, [str(n)], [[n]])
     return 0
 
 
 def _cmd_theta(args):
+    from . import qseries as qs
     named = args.name in qs.NAMED_LATTICES
     if args.prec < 0:
         raise ValueError("precision must be nonnegative")
@@ -234,12 +255,14 @@ def _cmd_theta(args):
 
 
 def _cmd_pex(args):
+    from . import search as se
     pex = se.compute_pex(args.max_m)
     _emit(args, pex, [" ".join(map(str, pex))], [[m] for m in pex], ["m"])
     return 0
 
 
 def _cmd_ineq(args):
+    from . import search as se
     payload = {"d": args.d, "mineq": se.check_mineq(args.d),
                "mineqd": se.check_mineqd(args.d)}
     _emit(args, payload,
@@ -248,6 +271,7 @@ def _cmd_ineq(args):
 
 
 def _cmd_search(args):
+    from . import search as se
     targets = _parse_targets(args.targets)
     if args.case == "all":
         hits = se.structured_search_all(args.d, targets)
@@ -262,6 +286,7 @@ def _cmd_search(args):
 
 
 def _cmd_verdict(args):
+    from . import search as se
     v = se.kodaira_verdict(args.d)
     payload = v.to_dict()
     lines = [f"d={v.d}: {v.kind}"]
@@ -273,6 +298,7 @@ def _cmd_verdict(args):
 
 
 def _cmd_tables(args):
+    from . import search as se
     which = se.TABLES if args.table == "all" else (args.table,)
     rows = []
     for w in which:
@@ -288,13 +314,14 @@ def _cmd_tables(args):
 
 
 def _cmd_reflect(args):
+    from . import reflective as rf
     if args.sample_d is not None:
         if args.expr is not None or args.vector is not None:
             raise UsageError("--sample-d takes no EXPR or --vector")
         samples = 10**4 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
         rep = rf.reflk3_sample_check(args.sample_d, samples=samples, seed=seed)
-        _emit(args, rep, [json.dumps(rep, default=_json_default)])
+        _emit(args, rep, [_dumps(rep)])
         return 0
     if not args.expr or not args.vector:
         raise UsageError("reflect needs EXPR --vector or --sample-d")
@@ -303,11 +330,12 @@ def _cmd_reflect(args):
     lat = lt.parse_lattice_expr(args.expr)
     coords = tuple(_parse_ints("--vector", args.vector.split(",")))
     rep = rf.reflection_report(lat, coords)
-    _emit(args, rep, [json.dumps(rep, default=_json_default)])
+    _emit(args, rep, [_dumps(rep)])
     return 0
 
 
 def _cmd_disc(args):
+    from . import reflective as rf
     lat = lt.parse_lattice_expr(args.expr)
     disc = lt.disc_group(lat)
     payload = {
@@ -328,12 +356,13 @@ def _cmd_disc(args):
 
 
 def _cmd_rst(args):
+    from . import rst
     if args.matrix is not None:
         if args.exponents is not None or args.sigma_prime_l is not None:
             raise UsageError("--matrix takes no --exponents or --sigma-prime")
         rep = rst.toric_order2_check(_parse_matrix(args.matrix))
         rep["sigma"] = str(rep["sigma"])
-        _emit(args, rep, [json.dumps(rep)])
+        _emit(args, rep, [_dumps(rep)])
         return 0
     if not args.exponents:
         raise UsageError("rst needs --exponents m:a1,a2,... or --matrix")
@@ -346,11 +375,12 @@ def _cmd_rst(args):
                "reflection": rst.is_reflection(e)}
     if args.sigma_prime_l is not None:
         payload["sigma_prime"] = str(rst.sigma_prime(e, args.sigma_prime_l))
-    _emit(args, payload, [json.dumps(payload)])
+    _emit(args, payload, [_dumps(payload)])
     return 0
 
 
 def _cmd_cmin(args):
+    from . import rst
     value, arg = rst.c_min_with_argmin(args.d)
     payload = {"d": args.d, "c_min": str(value), "argmin": arg}
     _emit(args, payload, [f"c_min({args.d}) = {value} (attained at a = {arg})"],
@@ -359,6 +389,7 @@ def _cmd_cmin(args):
 
 
 def _cmd_bigphi(args):
+    from . import rst
     rep = rst.bigphi_verify(args.r_max)
     payload = {"checked": rep["checked"], "min_sum": str(rep["min_sum"]),
                "min_at": list(rep["min_at"]), "violations": rep["violations"]}
@@ -384,7 +415,8 @@ _COMMANDS = {
 
 def run(argv):
     """Parse argv and execute; returns the process exit code."""
-    parser = build_parser()
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -396,6 +428,9 @@ def run(argv):
         return 2
     except (lt.LatticeError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except (AssertionError, RuntimeError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)

@@ -43,3 +43,28 @@ def test_run_once_reads_the_attempted_op_count(monkeypatch, tmp_path):
     monkeypatch.setattr(ab_bench.subprocess, "run", lambda *_a, **_k: Done())
     assert ab_bench.run_once(tmp_path, "verdict-low", 1, 10) \
         == ({"ops_per_s": 51.3, "peak_rss_mb": 24.45}, True, 488)
+
+
+def test_run_once_compiles_every_module_from_source(monkeypatch, tmp_path):
+    caches = [tmp_path / "src" / "k3mod" / "__pycache__", tmp_path / "perfbench" / "__pycache__"]
+    kept = tmp_path / "tools" / "__pycache__"
+    for cache in caches + [kept]:
+        cache.mkdir(parents=True)
+        (cache / "cli.cpython-311.pyc").write_bytes(b"")
+    calls = []
+
+    class Done:
+        returncode = 0
+        stdout = json.dumps({"correct": True, "attempted": 1, "metrics": {}}) + "\n"
+
+    def fake_run(argv, **kwargs):
+        calls.append((argv, kwargs, [c.exists() for c in caches]))
+        return Done()
+
+    monkeypatch.setattr(ab_bench.subprocess, "run", fake_run)
+    ab_bench.run_once(tmp_path, "reflect-disc", 1, 10)
+    # one process, run.py, started with no bytecode under src or perfbench
+    [(argv, kwargs, exist)] = calls
+    assert argv[1] == "perfbench/run.py" and kwargs["cwd"] == tmp_path
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert exist == [False, False] and kept.exists()

@@ -215,6 +215,69 @@ def test_internal_check_failure_exit_code(capture, monkeypatch, exc):
     assert err == "error: internal check failed: cross-check disagrees\n"
 
 
+def test_memory_error_is_one_error_line(capture, monkeypatch):
+    from k3mod import qseries as qs
+
+    def fail(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(qs, "named_theta", fail)
+    code, out, err = capture("theta", "E7", "--prec", "100000000000")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"
+
+
+def test_usage_errors_name_every_subcommand(capture):
+    # the parser of one subcommand prints the full parser's usage line
+    code, out, no_command = capture()
+    assert code == 2 and out == ""
+    usage, _, message = no_command.partition("k3mod: error: ")
+    assert "{roots,enum,repnum,theta,pex,ineq,search,verdict,tables,reflect,disc,rst,cmin,bigphi}" \
+        in " ".join(usage.split())
+    assert message == "the following arguments are required: command\n"
+    for argv in (("verdict", "5", "extra"), ("cmin", "5", "extra")):
+        code, out, err = capture(*argv)
+        assert code == 2 and out == ""
+        assert err == usage + "k3mod: error: unrecognized arguments: extra\n"
+    code, _, err = capture("nosuchcommand")
+    assert code == 2 and err.startswith(usage + "k3mod: error: argument command: invalid choice: ")
+
+
+# the k3mod modules a fresh process holds after one call of each subcommand
+_LAYERS = {
+    ("cmin", "5"): {"cli", "lattice", "rst"},
+    ("bigphi", "10"): {"cli", "lattice", "rst"},
+    ("rst", "--exponents", "4:2,2,1"): {"cli", "lattice", "rst"},
+    ("disc", "U(2)"): {"cli", "lattice", "reflective"},
+    ("reflect", "A(2)+A(2)", "--vector", "0,0,1,-1"): {"cli", "lattice", "reflective"},
+    ("roots", "A(2)"): {"cli", "lattice", "roots"},
+    ("enum", "A(2)", "2", "--count"): {"cli", "lattice", "roots"},
+    ("repnum", "E7", "2"): {"cli", "lattice", "qseries", "roots"},
+    ("theta", "E6", "--prec", "3"): {"cli", "lattice", "qseries", "roots"},
+    ("verdict", "3"): {"cli", "e8", "lattice", "qseries", "roots", "search"},
+    ("ineq", "3"): {"cli", "e8", "lattice", "qseries", "roots", "search"},
+    ("search", "5", "--case", "I"): {"cli", "e8", "lattice", "qseries", "roots", "search"},
+    ("pex", "--max", "10"): {"cli", "e8", "lattice", "qseries", "roots", "search"},
+    ("tables", "--table", "IV"): {"cli", "e8", "lattice", "qseries", "roots", "search"},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_LAYERS), ids=" ".join)
+def test_each_subcommand_imports_only_the_layers_it_runs(argv):
+    script = ("import contextlib, io, sys\n"
+              "from k3mod import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.run(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('k3mod.')))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, *modules = proc.stdout.split()
+    assert (code, proc.stderr) == ("0", "")
+    assert set(modules) == {f"k3mod.{name}" for name in _LAYERS[argv]}
+
+
 # the benchmark's recorded CLI calls; this file is only read here
 _GOLDEN = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
                      .read_text())

@@ -21,7 +21,7 @@ def test_one_digest_per_group(capsys):
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
                      + ["tuples", "orbit-scan", "lattice-reflect", "counts", "histograms", "forms", "series",
-                        "cli-tables"]
+                        "cli-tables", "cli-usage"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -40,6 +40,8 @@ def test_one_digest_per_group(capsys):
     assert digests["histograms"] == same_outputs.digest(same_outputs.histograms())
     assert digests["forms"] == same_outputs.digest(same_outputs.forms())
     assert digests["series"] == same_outputs.digest(same_outputs.series())
+    assert digests["cli-usage"] == same_outputs.digest(
+        same_outputs.cli_output(argv) for argv in same_outputs.CLI_USAGE)
     # the in-process calls give the recorded stdout with exit code 0
     for workload, calls in golden.items():
         assert digests[f"cli-{workload}"] == same_outputs.digest(
@@ -73,6 +75,24 @@ def test_histograms_read_norm_counts_at_large_tops():
             assert hist[2::2] == want[expr] and not any(hist[1::2]), expr
             checked.add(expr)
     assert checked == {"E8", "E8(-1)", "E7", "D(4)"}
+
+
+def test_cli_usage_reads_help_texts_and_usage_errors(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    outputs = [same_outputs.cli_output(argv) for argv in same_outputs.CLI_USAGE]
+    assert same_outputs.os.environ["COLUMNS"] == "200"  # restored after each call
+    # the width is pinned to 80 columns, whatever the terminal says
+    monkeypatch.setenv("COLUMNS", "40")
+    assert [same_outputs.cli_output(argv) for argv in same_outputs.CLI_USAGE] == outputs
+    helps = [argv for argv in same_outputs.CLI_USAGE if argv[-1:] == ["--help"]]
+    assert len(helps) == 15 and len(outputs) == 24
+    for argv, (code, out, err) in zip(same_outputs.CLI_USAGE, outputs):
+        if argv in helps:
+            prog = " ".join(["k3mod"] + argv[:-1])
+            assert code == 0 and err == "" and out.startswith(f"usage: {prog} [-h]"), argv
+        else:
+            assert code == 2 and out == "" and err.count(" error: ") == 1, argv
+    assert "series has a negative\n" in outputs[0][1]  # wrapped at 80 columns
 
 
 def test_degree_range_syntax():

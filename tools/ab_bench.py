@@ -7,9 +7,12 @@ DIR is a second checkout of the program (for example made with
 `git archive`); the other side is the checkout this script lives in.  For
 each seed the two sides run `perfbench/run.py --trace 0` one after the
 other, and the side that goes first alternates from seed to seed.  Before
-every run `python -m compileall -q src perfbench` refreshes that side's
-bytecode, so neither side pays for compiling a stale module inside the
-measured set-up, CLI and memory numbers.
+every run the script removes each `__pycache__` directory under that side's
+`src` and `perfbench`, and it starts run.py with PYTHONDONTWRITEBYTECODE=1.
+So every process of either side compiles the modules it imports from
+source: the set-up, CLI and memory numbers include that compile time on
+both sides alike, as in a fresh checkout run without writable bytecode,
+and no side mixes stale and fresh bytecode.
 
 The script only starts `perfbench/run.py` as a subprocess and reads the
 last line of its stdout; run.py writes its own result files.  It prints
@@ -34,6 +37,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,12 +57,13 @@ def parse_seeds(text):
 
 def run_once(tree, workload, seed, seconds):
     """The metrics of one --trace 0 run in `tree`, whether it was correct and
-    how many ops it attempted."""
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                   cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    how many ops it attempted.  No bytecode is read or written."""
+    for cache in [c for d in ("src", "perfbench") for c in Path(tree, d).rglob("__pycache__")]:
+        shutil.rmtree(cache)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if proc.returncode != 0:
         raise RuntimeError(f"run.py failed in {tree} (seed {seed}):\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])

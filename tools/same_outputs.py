@@ -37,10 +37,13 @@ byte-identical outputs in that group.  The groups are
   `check_mineqd(d)` for every d in 1..SERIES_MAX_D, in ascending order, then
   `compute_pex(PEX_MAX_M)`; this group does not depend on --degrees either;
 * `cli-tables`: the stdout of `k3mod tables` in each output format;
+* `cli-usage`: the help texts and usage errors of CLI_USAGE, each hashed as
+  (exit code, stdout, stderr) at a terminal width of 80 columns;
 * `cli-<workload>`: the stdout of every `k3mod` call that
   perfbench/golden.json records for that workload.
 
-The `k3mod` calls run in this process and hash (exit code, stdout).
+The `k3mod` calls run in this process; except in `cli-usage` they hash
+(exit code, stdout).
 
 Each group hashes one JSON line per item, in order.  The program is
 imported from the `src` directory of the checkout this script lives in.
@@ -53,9 +56,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -86,6 +91,14 @@ SERIES_PREC = 1200
 SERIES_DN = (5, 6, 8)
 SERIES_MAX_D = 2000
 PEX_MAX_M = 600
+# the `cli-usage` calls: every help text, then the usage errors of the full
+# parser (no command, an unknown command, an option before the command) and
+# of a subcommand (trailing, missing and invalid arguments)
+CLI_USAGE = ([["--help"]] + [[cmd, "--help"] for cmd in cli._COMMANDS]
+             + [[], ["nosuchcommand"], ["--format", "json", "verdict", "3"],
+                ["verdict", "5", "extra"], ["verdict"], ["repnum", "X9", "4"],
+                ["search", "5", "--case", "V"], ["tables", "--table", "Z"],
+                ["verdict", "3", "--format", "xml"]])
 
 
 def parse_degrees(text):
@@ -100,12 +113,19 @@ def digest(items):
     return h.hexdigest()
 
 
+def cli_output(argv):
+    """(exit code, stdout, stderr) of one `k3mod` call run in this process, at a
+    terminal width of 80 columns: argparse wraps its help and usage to the width."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def cli_stdout(argv):
     """(exit code, stdout) of one `k3mod` call run in this process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.run(list(argv))
-    return code, out.getvalue()
+    return cli_output(argv)[:2]
 
 
 def l2d_complement(lat, d):
@@ -207,6 +227,7 @@ def groups(degrees):
     yield "series", digest(series())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
+    yield "cli-usage", digest(cli_output(argv) for argv in CLI_USAGE)
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     for workload, calls in golden.items():
         yield f"cli-{workload}", digest(cli_stdout(c["argv"]) for c in calls)
