@@ -64,7 +64,7 @@ def build_parser(command=None):
     if s := add("theta", "theta series q-expansion"):
         s.add_argument("name", help="E6, E7, D5, D6, D8 or a lattice expression (brute force)")
         s.add_argument("--prec", type=int, default=20)
-        s.add_argument("--method", choices=("formula", "brute"), default="formula")
+        s.add_argument("--method", choices=("formula", "brute"))
 
     if s := add("pex", "degrees where the 5/28/63/378 series has a negative coefficient"):
         s.add_argument("--max", type=int, default=240, dest="max_m")
@@ -239,9 +239,12 @@ def _cmd_repnum(args):
 def _cmd_theta(args):
     from . import qseries as qs
     named = args.name in qs.NAMED_LATTICES
+    if args.method == "formula" and not named:
+        raise UsageError("--method formula needs a named lattice "
+                         f"({', '.join(qs.NAMED_LATTICES)})")
     if args.prec < 0:
         raise ValueError("precision must be nonnegative")
-    if args.method == "formula" and named:
+    if named and args.method != "brute":
         series = qs.named_theta(args.name, args.prec)
     else:
         lat = (qs.named_definite_lattice(args.name) if named
@@ -321,7 +324,7 @@ def _cmd_reflect(args):
         samples = 10**4 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
         rep = rf.reflk3_sample_check(args.sample_d, samples=samples, seed=seed)
-        _emit(args, rep, [_dumps(rep)])
+        _emit(args, rep)
         return 0
     if not args.expr or not args.vector:
         raise UsageError("reflect needs EXPR --vector or --sample-d")
@@ -330,7 +333,7 @@ def _cmd_reflect(args):
     lat = lt.parse_lattice_expr(args.expr)
     coords = tuple(_parse_ints("--vector", args.vector.split(",")))
     rep = rf.reflection_report(lat, coords)
-    _emit(args, rep, [_dumps(rep)])
+    _emit(args, rep)
     return 0
 
 
@@ -362,7 +365,7 @@ def _cmd_rst(args):
             raise UsageError("--matrix takes no --exponents or --sigma-prime")
         rep = rst.toric_order2_check(_parse_matrix(args.matrix))
         rep["sigma"] = str(rep["sigma"])
-        _emit(args, rep, [_dumps(rep)])
+        _emit(args, rep)
         return 0
     if not args.exponents:
         raise UsageError("rst needs --exponents m:a1,a2,... or --matrix")
@@ -375,7 +378,7 @@ def _cmd_rst(args):
                "reflection": rst.is_reflection(e)}
     if args.sigma_prime_l is not None:
         payload["sigma_prime"] = str(rst.sigma_prime(e, args.sigma_prime_l))
-    _emit(args, payload, [_dumps(payload)])
+    _emit(args, payload)
     return 0
 
 

@@ -3,13 +3,15 @@
 Everything here works over Z with arbitrary-precision integers.  One
 fraction-free elimination, `symmetric_bareiss`, reduces every Gram matrix:
 the determinant and the signature of a lattice and the walker's square
-completion in `roots` all come from its pivot rows.  A dual vector is
-integer numerators over one positive denominator, so dual membership,
-pairings and the action of an isometry on A_L are integer sums and
-congruences; Fractions appear only in outputs (dual coordinates, pairings,
-discriminant-form values).  No floating point: discriminant groups,
-divisors and elementary divisors are integrality statements and are
-computed as such.
+completion in `roots` all come from its pivot rows.  A lattice expression
+(`parse_lattice_expr`, `make_l2d`) is parsed into integer Gram blocks, one
+per atom, whose orthogonal sum becomes one `IntLattice`: each expression is
+eliminated once.  A dual vector is integer numerators over one positive
+denominator, so dual membership, pairings and the action of an isometry on
+A_L are integer sums and congruences; Fractions appear only in outputs (dual
+coordinates, pairings, discriminant-form values).  No floating point:
+discriminant groups, divisors and elementary divisors are integrality
+statements and are computed as such.
 
 One rule governs every vector argument (`coords_of`): a `LatVec` must belong
 to the lattice it is used with, and a plain sequence of integers must have
@@ -403,76 +405,50 @@ class DiscGroup:
 # constructors
 # ---------------------------------------------------------------------------
 
-def hyperbolic_plane(scale=1):
-    name = "U" if scale == 1 else f"U({scale})"
-    return IntLattice([[0, scale], [scale, 0]], name=name)
-
-
-def rank_one(k):
-    if k == 0:
-        raise LatticeError("rank-1 lattice needs a nonzero norm")
-    return IntLattice([[k]], name=f"<{k}>")
-
-
-def root_lattice_a(n):
-    if n < 1:
-        raise LatticeError("A(n) needs n >= 1")
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-        if i + 1 < n:
-            g[i][i + 1] = g[i + 1][i] = -1
-    return IntLattice(g, name=f"A{n}")
-
-
-def root_lattice_d(n):
-    if n < 2:
-        raise LatticeError("D(n) needs n >= 2")
-    # chain e_i - e_{i+1} plus the fork e_{n-1} + e_n
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-    for i in range(n - 2):
-        g[i][i + 1] = g[i + 1][i] = -1
-    if n >= 3:
-        g[n - 3][n - 1] = g[n - 1][n - 3] = -1
-    return IntLattice(g, name=f"D{n}")
-
-
 _E8_EDGES = ((1, 3), (3, 4), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 
-def root_lattice_e(n):
-    """E6/E7/E8 on the Coxeter simple-root basis (chain 1-3-4-5-6-7-8, node 2 on 4)."""
-    if n not in (6, 7, 8):
-        raise LatticeError("E(n) needs n in {6, 7, 8}")
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-    for i, j in _E8_EDGES:
-        if i <= n and j <= n:
-            g[i - 1][j - 1] = g[j - 1][i - 1] = -1
-    return IntLattice(g, name=f"E{n}")
-
-
-def _block_gram(lattices):
-    """Block-diagonal Gram matrix of the orthogonal sum of `lattices`."""
-    n = sum(lat.rank for lat in lattices)
-    g = [[0] * n for _ in range(n)]
-    off = 0
-    for lat in lattices:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                g[off + i][off + j] = lat.gram[i][j]
-        off += lat.rank
+def _dynkin_gram(kind, n):
+    """The Cartan matrix of A_n, D_n or E_n (kind "A", "D" or "E"): 2 on the
+    diagonal and -1 on each edge of the Dynkin diagram.  D_n is the chain
+    e_i - e_{i+1} plus the fork e_{n-1} + e_n; E_n is on the Coxeter basis
+    (chain 1-3-4-5-6-7-8, node 2 on 4)."""
+    if kind == "E":
+        if n not in (6, 7, 8):
+            raise LatticeError("E(n) needs n in {6, 7, 8}")
+        edges = [(i - 1, j - 1) for i, j in _E8_EDGES if j <= n]
+    else:
+        low = 1 if kind == "A" else 2
+        if n < low:
+            raise LatticeError(f"{kind}(n) needs n >= {low}")
+        # the chain has n - 1 edges in A_n, n - 2 in D_n
+        edges = [(i, i + 1) for i in range(n - low)]
+        if kind == "D" and n >= 3:
+            edges.append((n - 3, n - 1))
+    g = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
     return g
 
 
-def rescale(lat, t):
-    if t == 0:
-        raise LatticeError("rescaling by zero")
-    g = [[t * x for x in row] for row in lat.gram]
-    return IntLattice(g, name=f"{lat.name or '?'}({t})")
+def root_lattice_d(n):
+    return IntLattice(_dynkin_gram("D", n), name=f"D{n}")
+
+
+def root_lattice_e(n):
+    return IntLattice(_dynkin_gram("E", n), name=f"E{n}")
+
+
+def _block_gram(blocks):
+    """The block-diagonal Gram matrix of the orthogonal sum of the Gram `blocks`."""
+    n = sum(map(len, blocks))
+    g = [[0] * n for _ in range(n)]
+    off = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            g[off + i][off:off + len(row)] = row
+        off += len(block)
+    return g
 
 
 def make_l2d(d):
@@ -599,7 +575,7 @@ def parse_lattice_expr(text):
 
 
 def _expr_gram(text):
-    """Gram matrix of a lattice expression: the orthogonal sum of its atoms."""
+    """Gram matrix of a lattice expression: the orthogonal sum of its atoms' blocks."""
     return _block_gram(_ExprParser(text).parse())
 
 
@@ -637,7 +613,7 @@ class _ExprParser:
         self._skip_ws()
         if self.pos != len(self.text):
             raise ParseError("trailing input", self.pos)
-        return [lat for mult, lat in parts for _ in range(mult)]
+        return [block for mult, block in parts for _ in range(mult)]
 
     def _term(self):
         mult = 1
@@ -651,19 +627,20 @@ class _ExprParser:
         return mult, self._atom()
 
     def _atom(self):
+        """The Gram block of the next atom, as rows of ints."""
         ch = self._peek()
         start = self.pos
         if ch == "U":
             self.pos += 1
             scale = self._opt_scale()
-            return hyperbolic_plane(scale)
+            return [[0, scale], [scale, 0]]
         if ch in ("A", "D"):
             self.pos += 1
             self._expect("(")
             n = self._int()
             self._expect(")")
             try:
-                return root_lattice_a(n) if ch == "A" else root_lattice_d(n)
+                return _dynkin_gram(ch, n)
             except LatticeError as exc:
                 raise ParseError(str(exc), start) from None
         if ch == "E":
@@ -671,16 +648,15 @@ class _ExprParser:
             n = self._int()
             if n not in (6, 7, 8):
                 raise ParseError("E rank must be 6, 7 or 8", start)
-            lat = root_lattice_e(n)
             scale = self._opt_scale()
-            return lat if scale == 1 else rescale(lat, scale)
+            return [[scale * x for x in row] for row in _dynkin_gram("E", n)]
         if ch == "<":
             self.pos += 1
             k = self._int()
             self._expect(">")
             if k == 0:
                 raise ParseError("<0> is degenerate", start)
-            return rank_one(k)
+            return [[k]]
         raise ParseError("expected a lattice atom", self.pos)
 
     def _opt_scale(self):

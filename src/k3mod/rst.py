@@ -204,9 +204,13 @@ class CycloDecomp:
 
 def cyclo_decompose(g):
     """Factor the characteristic polynomial of a finite-order integer matrix
-    into cyclotomic polynomials by exact trial division."""
-    order = matrix_order(g)
+    into cyclotomic polynomials by exact trial division.  The constant term
+    of det(xI - g) is +-det g, so any other value means g is not invertible
+    over Z and has no finite order: `ValueError` before any power of g."""
     poly = char_poly(g)
+    if poly[0] not in (1, -1):
+        raise ValueError("matrix is not invertible over Z, so it has no finite order")
+    order = matrix_order(g)
     mult = {}
     for d in range(1, order + 1):
         if order % d:

@@ -9,13 +9,15 @@ Tests compare the library against them.
 * The dense q-series kernels behind `QSeries.__mul__` and `__pow__`:
   `schoolbook_mul` (every pair of coefficients) and `pow_by_squaring`
   (repeated squaring over it).
+* The divisor sums behind the sieve of `qseries._eisenstein_series`:
+  `sigma_chi` and `sigma_tilde_chi`, each a sum over the divisors of one m.
 * Two chart conversions only tests need: `to_2x` (simple-root to doubled
   e-coordinates of E8) and `dual_vector` (a `DualVec` from rational
   coordinates).
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from k3mod.e8 import SIMPLE_ROOTS_2X
 from k3mod.lattice import DualVec
@@ -168,3 +170,27 @@ def dual_vector(lat, coords):
     coords = [Fraction(c) for c in coords]
     den = lcm(*(c.denominator for c in coords))
     return DualVec(lat, [c.numerator * (den // c.denominator) for c in coords], den)
+
+
+def _divisors(m):
+    small, large = [], []
+    for d in range(1, isqrt(m) + 1):
+        if m % d == 0:
+            small.append(d)
+            if d != m // d:
+                large.append(m // d)
+    return small + large[::-1]
+
+
+def sigma_chi(m, k, chi):
+    """sigma_k(m, chi) = sum over divisors d of chi(d) * d^k."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    return sum(chi(d) * d**k for d in _divisors(m))
+
+
+def sigma_tilde_chi(m, k, chi):
+    """twisted form: sum over divisors d of chi(m/d) * d^k."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    return sum(chi(m // d) * d**k for d in _divisors(m))

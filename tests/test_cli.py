@@ -385,6 +385,18 @@ def test_theta_precision_zero(capture, method):
     assert code == 0 and out == "q^0: 1\n"
 
 
+def test_theta_method_formula_needs_a_named_lattice(capture):
+    for expr in ("A(2)", "E8"):
+        code, out, err = capture("theta", expr, "--method", "formula")
+        assert code == 2 and out == ""
+        assert err == "error: --method formula needs a named lattice (E6, E7, D5, D6, D8)\n"
+    # without --method a named lattice uses its closed form, an expression the enumerator
+    assert capture("theta", "D6", "--prec", "4") == capture("theta", "D6", "--prec", "4",
+                                                             "--method", "formula")
+    assert capture("theta", "A(2)", "--prec", "2") == capture("theta", "A(2)", "--prec", "2",
+                                                               "--method", "brute")
+
+
 def test_rst_non_square_matrix_is_a_computational_error(capture):
     code, out, err = capture("rst", "--matrix", "[[1, 2]]")
     assert code == 1 and out == ""

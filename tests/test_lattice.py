@@ -8,7 +8,7 @@ from k3mod import reflective as rf
 from k3mod import roots
 from k3mod.lattice import (
     LatticeError, ParseError, disc_group, divisor, inner,
-    make_l2d, orth_complement, parse_lattice_expr, rescale, smith_normal_form,
+    make_l2d, orth_complement, parse_lattice_expr, smith_normal_form,
 )
 
 from exact_references import det_bareiss, dual_vector, signature_of
@@ -77,10 +77,11 @@ def test_direct_sum_and_rescale():
     u = parse_lattice_expr("U")
     uu = parse_lattice_expr("2U")
     assert uu.rank == 4 and uu.det == 1
-    u2 = rescale(u, 2)
+    assert u.gram == ((0, 1), (1, 0)) and u.det == -1
+    u2 = parse_lattice_expr("U(2)")
     assert u2.gram == ((0, 2), (2, 0)) and u2.det == -4
-    with pytest.raises(LatticeError):
-        rescale(u, 0)
+    with pytest.raises(ParseError, match="scale must be nonzero"):
+        parse_lattice_expr("U(0)")
 
 
 def test_l2d_shape():
@@ -305,7 +306,8 @@ def test_parser():
     assert parse_lattice_expr("D(6)").det == 4
 
 
-@pytest.mark.parametrize("bad", ["", "E5", "U+", "<0>", "2", "A(0)", "U)troll", "<x>"])
+@pytest.mark.parametrize("bad", ["", "E5", "U+", "<0>", "2", "A(0)", "U)troll", "<x>",
+                                 "U(0)", "E8(0)", "D(1)", "A(2"])
 def test_parser_errors(bad):
     with pytest.raises(ParseError) as info:
         parse_lattice_expr(bad)
@@ -351,6 +353,41 @@ def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(LatticeError):
         lt.mat_mul([[1, 2], [3]], [[1], [2]])
     assert lt.mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+
+
+@pytest.mark.parametrize("build", [lambda: make_l2d(5),
+                                   lambda: parse_lattice_expr("A(2)+A(4)+E6"),
+                                   lambda: parse_lattice_expr("E8")],
+                         ids=["make_l2d(5)", "A(2)+A(4)+E6", "E8"])
+def test_each_expression_is_eliminated_once(monkeypatch, build):
+    # the atoms are Gram blocks, so only the one IntLattice of the sum is reduced
+    calls = []
+    bareiss = lt.symmetric_bareiss
+
+    def counting(gram):
+        calls.append(len(gram))
+        return bareiss(gram)
+
+    monkeypatch.setattr(lt, "symmetric_bareiss", counting)
+    lat = build()
+    assert calls == [lat.rank]
+
+
+def test_dynkin_grams_match_the_root_lattices():
+    # A_n and D_n have det n + 1 and 4, E6, E7, E8 have det 3, 2, 1; each is definite
+    for n in range(1, 9):
+        assert parse_lattice_expr(f"A({n})").det == n + 1
+    for n in range(2, 9):
+        d = lt.root_lattice_d(n)
+        assert d.name == f"D{n}" and d.det == 4 and d.signature == (n, 0)
+        assert d.gram == parse_lattice_expr(f"D({n})").gram
+    for n, det in ((6, 3), (7, 2), (8, 1)):
+        e = lt.root_lattice_e(n)
+        assert e.name == f"E{n}" and e.det == det and e.signature == (n, 0)
+    with pytest.raises(LatticeError, match="needs n >= 2"):
+        lt.root_lattice_d(1)
+    with pytest.raises(LatticeError, match="needs n in"):
+        lt.root_lattice_e(5)
 
 
 def test_names_are_set_at_construction():

@@ -7,12 +7,12 @@ import pytest
 from k3mod import lattice as lt
 from k3mod import qseries as qs
 from k3mod.qseries import (
-    CHI3, CHI4, QSeries, rep_num, sigma_chi, sigma_tilde_chi, theta3_2tau,
+    CHI3, CHI4, QSeries, rep_num, theta3_2tau,
     theta_brute, theta_d6_eis, theta_dn, theta_e6, theta_e7,
 )
 from k3mod.lattice import LatticeError, parse_lattice_expr
 
-from exact_references import pow_by_squaring, schoolbook_mul
+from exact_references import pow_by_squaring, schoolbook_mul, sigma_chi, sigma_tilde_chi
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +416,35 @@ def test_rep_num_reads_the_cached_series_without_a_copy(monkeypatch):
     monkeypatch.setattr(QSeries, "__init__", counting)
     assert {name: qs.rep_num(name, 600) for name in ("E7", "D5")} == want
     assert made == []
+
+
+def test_rep_num_reads_the_series_named_theta_prints(monkeypatch):
+    monkeypatch.setattr(lt, "_grown_tables", {})
+    for name in qs.NAMED_LATTICES:
+        series = qs.named_theta(name, 300)
+        assert [rep_num(name, 2 * m) for m in range(301)] == series.coeffs, name
+
+
+def test_rep_num_of_the_eisenstein_lattices_reads_their_cached_series(monkeypatch):
+    # once E6 and D6 are cached, rep_num evaluates no character, hence no divisor sum
+    builds = _count_builds(monkeypatch)
+    evaluated = []
+
+    def counting(chi):
+        def call(n):
+            evaluated.append(n)
+            return chi(n)
+        return call
+
+    monkeypatch.setattr(qs, "_EISENSTEIN", {name: (counting(chi), a, b)
+                                            for name, (chi, a, b) in qs._EISENSTEIN.items()})
+    want = {name: qs.named_theta(name, 300) for name in ("E6", "D6")}
+    evaluated.clear()
+    for m in range(1, 301):
+        for name, series in want.items():
+            assert qs.rep_num(name, 2 * m) == series.coeff(m)
+    assert evaluated == []
+    assert builds == {"E6": [300], "D6": [300]}
 
 
 @pytest.mark.parametrize("build", [theta_e7, theta_e6, theta_d6_eis,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3mod import rst
 from k3mod.lattice import mat_mul, identity_matrix
 from k3mod.rst import (
     CycloDecomp, EigenExponents, bigphi_verify, c_min, c_min_with_argmin,
@@ -228,3 +229,16 @@ def test_cyclo_decomp_rejects_multiplicities_off_the_rank():
     with pytest.raises(ValueError):
         CycloDecomp(2, 3, {1: 1, 2: 1})
     assert CycloDecomp(2, 3, {1: 1, 2: 2}).rank == 3
+
+
+@pytest.mark.parametrize("g", [[[0]], [[2]], [[1, 0], [0, 3]], [[1, 2], [2, 4]]])
+def test_a_matrix_not_invertible_over_z_has_no_finite_order(monkeypatch, g):
+    # the constant term of the characteristic polynomial is +-det g: no power is taken
+    monkeypatch.setattr(rst, "matrix_order", lambda *_a: pytest.fail("matrix_order called"))
+    with pytest.raises(ValueError, match="not invertible over Z"):
+        cyclo_decompose(g)
+
+
+def test_a_unimodular_matrix_of_infinite_order_meets_the_cap():
+    with pytest.raises(ValueError, match="matrix order exceeds the cap 10000"):
+        cyclo_decompose([[1, 1], [0, 1]])

@@ -20,8 +20,8 @@ def test_one_digest_per_group(capsys):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
-                     + ["tuples", "orbit-scan", "lattice-reflect", "counts", "histograms", "forms", "series",
-                        "cli-tables", "cli-usage"]
+                     + ["tuples", "orbit-scan", "lattice-reflect", "counts", "histograms", "forms",
+                        "expressions", "series", "cli-tables", "cli-usage"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -39,6 +39,7 @@ def test_one_digest_per_group(capsys):
     assert digests["counts"] == same_outputs.digest(same_outputs.counts())
     assert digests["histograms"] == same_outputs.digest(same_outputs.histograms())
     assert digests["forms"] == same_outputs.digest(same_outputs.forms())
+    assert digests["expressions"] == same_outputs.digest(same_outputs.expressions())
     assert digests["series"] == same_outputs.digest(same_outputs.series())
     assert digests["cli-usage"] == same_outputs.digest(
         same_outputs.cli_output(argv) for argv in same_outputs.CLI_USAGE)
@@ -144,3 +145,21 @@ def test_series_reads_the_theta_series_and_the_inequality_sweep():
     # the last degree where either inequality fails is 143
     assert max(d for d, _reps, mineq, mineqd in sweep if not (mineq and mineqd)) == 143
     assert items[-1] == ["pex", se.compute_pex(same_outputs.PEX_MAX_M)]
+
+
+def test_expressions_read_lattices_and_parse_errors():
+    items = list(same_outputs.expressions())
+    n_bad = len(same_outputs.BAD_EXPRESSIONS) + 3
+    good, bad = items[:-n_bad], items[-n_bad:]
+    assert len(good) == len(same_outputs.EXPRESSIONS) + same_outputs.EXPRESSIONS_MAX_D + 10
+    names = [name for name, *_rest in good]
+    assert names[:3] == ["A(1)", "A(2)", "A(3)"] and "2U+2E8(-1)+<-10>" in names
+    assert names[-10:] == ["D2", "D3", "D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"]
+    l2d = good[len(same_outputs.EXPRESSIONS):-10]
+    assert [(name, det, sig) for name, _gram, det, sig in l2d[:2]] == [("L_2", -2, (2, 19)),
+                                                                      ("L_4", -4, (2, 19))]
+    # every malformed input is rejected with its message and position
+    assert [item[0] for item in bad] == list(same_outputs.BAD_EXPRESSIONS) + [1, 5, 0]
+    assert all(item[1] in ("ParseError", "LatticeError") for item in bad)
+    assert ["", "ParseError", "expected a lattice atom (at position 0)", 0] in bad
+    assert ["U(0)", "ParseError", "scale must be nonzero (at position 4)", 4] in bad

@@ -31,6 +31,11 @@ byte-identical outputs in that group.  The groups are
   (det, signature) of L_2d and of the complement of the `lattice-reflect`
   group for every d up to LATTICE_REFLECT_MAX_D, and of FORMS_INDEFINITE;
   this group does not depend on --degrees either;
+* `expressions`: (name, Gram, det, signature) of `parse_lattice_expr` on
+  EXPRESSIONS, of `make_l2d(d)` for d in 1..EXPRESSIONS_MAX_D and of
+  `root_lattice_d(n)`, `root_lattice_e(n)`, then (exception type, message,
+  position) of each of BAD_EXPRESSIONS and of the constructors' bad
+  arguments; this group does not depend on --degrees either;
 * `series`: the closed-form theta series `theta_e7`, `theta_dn(n)` for n in
   SERIES_DN, `theta_e6` and `theta_d6_eis` at precision SERIES_PREC, then
   `rep_num(name, 2d)` for every named lattice and `check_mineq(d)`,
@@ -86,6 +91,15 @@ HISTOGRAMS_PARSED = (("D(4)", 200), ("<100>+<300>+<2>", 2000), ("<4>+<6>+A(2)", 
 # whose elimination meets a zero pivot
 FORMS_EXTRA = ("<100>+<300>+<2>", "<4>+<6>+A(2)")
 FORMS_INDEFINITE = ("U", "2U", "U(3)+A(2)", "<-4>+<4>")
+# the lattice expressions of the `expressions` group: every atom, scales,
+# multiplicities and whitespace, then malformed input (message and position)
+EXPRESSIONS = ([f"A({n})" for n in range(1, 9)] + [f"D({n})" for n in range(2, 9)]
+               + ["E6", "E7", "E8", "E8(-1)", "E6(3)", "U", "U(3)", "U(-2)", "<2>", "<-2>",
+                  "<7>", "<-10>", "2U", "3A(1)", "2E8(-1)", " 2U + 2E8(-1) + <-10> ",
+                  "A(2)+A(4)+E6", "E7(2)+D(4)+<-6>", "U(3)+A(2)", "<-4>+<4>"])
+EXPRESSIONS_MAX_D = 10
+BAD_EXPRESSIONS = ("", "E5", "E9", "U+", "+U", "<0>", "2", "0U", "A(0)", "A(-1)", "D(1)",
+                   "A(2", "D(x)", "U)troll", "<x>", "<3", "U(0)", "E8(0)", "E8(1", "Q")
 # the theta series and the inequality sweep of the `series` group
 SERIES_PREC = 1200
 SERIES_DN = (5, 6, 8)
@@ -195,6 +209,25 @@ def forms():
         yield [expr, lat.det, lat.signature]
 
 
+def expressions():
+    """The parsed lattices, the named constructors and the parse errors, as JSON."""
+    lattices = ([lattice.parse_lattice_expr(text) for text in EXPRESSIONS]
+                + [lattice.make_l2d(d) for d in range(1, EXPRESSIONS_MAX_D + 1)]
+                + [lattice.root_lattice_d(n) for n in range(2, 9)]
+                + [lattice.root_lattice_e(n) for n in (6, 7, 8)])
+    for lat in lattices:
+        yield [lat.name, lat.gram, lat.det, lat.signature]
+    bad = ([(lattice.parse_lattice_expr, text) for text in BAD_EXPRESSIONS]
+           + [(lattice.root_lattice_d, 1), (lattice.root_lattice_e, 5), (lattice.make_l2d, 0)])
+    for build, arg in bad:
+        try:
+            build(arg)
+        except lattice.LatticeError as exc:
+            yield [arg, type(exc).__name__, str(exc), getattr(exc, "pos", None)]
+        else:
+            yield [arg, "accepted"]
+
+
 def series():
     """The closed-form theta series, representation numbers and inequalities, as JSON."""
     yield ["E7", qseries.theta_e7(SERIES_PREC).coeffs]
@@ -224,6 +257,7 @@ def groups(degrees):
     yield "counts", digest(counts())
     yield "histograms", digest(histograms())
     yield "forms", digest(forms())
+    yield "expressions", digest(expressions())
     yield "series", digest(series())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
