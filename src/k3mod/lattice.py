@@ -453,7 +453,7 @@ def _block_gram(blocks):
 
 def make_l2d(d):
     """The signature (2, 19) lattice 2U + 2E8(-1) + <-2d>; the <-2d> generator is last."""
-    if d < 1:
+    if index(d) < 1:
         raise LatticeError("polarisation degree d must be positive")
     return IntLattice(_expr_gram(f"2U+2E8(-1)+<{-2 * d}>"), name=f"L_{2 * d}")
 

@@ -1,8 +1,8 @@
 """Exact truncated q-expansions for theta and Eisenstein series.
 
-Every QSeries is a series in integer powers of q.  The theta constants that
-live on finer grids are brought to the integer grid by two identities
-(Conway-Sloane, SPLAG ch. 4):
+Every QSeries is a series in integer powers of q with integer coefficients.
+The theta constants that live on finer grids are brought to the integer grid
+by two identities (Conway-Sloane, SPLAG ch. 4):
 
 * x in Z^n lies in D_n exactly when its norm is even, so theta_{D_n} is the
   even-norm part of theta_{Z^n}: the q^m coefficient of theta_{D_n} is the
@@ -29,7 +29,6 @@ sparse factors one at a time, never two dense series.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from operator import index
 
@@ -44,23 +43,20 @@ def _terms(coeffs):
 
 
 class QSeries:
-    """Truncated power series in integer powers of q, exact rational coefficients.
+    """Truncated power series in integer powers of q, integer coefficients.
 
     coeffs[k] is the coefficient of q^k; the series is truncated after
-    q^prec, so len(coeffs) == prec + 1.
+    q^prec, so len(coeffs) == prec + 1.  The precision and every coefficient
+    are read with `operator.index`, so a float or Fraction raises TypeError.
     """
 
     __slots__ = ("coeffs", "prec")
 
     def __init__(self, coeffs, prec):
-        want = prec + 1
-        coeffs = list(coeffs)
-        if len(coeffs) < want:
-            coeffs += [0] * (want - len(coeffs))
-        elif len(coeffs) > want:
-            del coeffs[want:]
-        self.coeffs = coeffs
-        self.prec = prec
+        self.prec = prec = index(prec)
+        self.coeffs = coeffs = list(map(index, coeffs))
+        del coeffs[prec + 1:]
+        coeffs += [0] * (prec + 1 - len(coeffs))
 
     # -- structural helpers -------------------------------------------------
 
@@ -83,22 +79,9 @@ class QSeries:
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
-            out = list(self.coeffs)
-            out[0] += other
-            return QSeries(out, self.prec)
+            return NotImplemented
         a, b = self._align(other)
         return QSeries([x + y for x, y in zip(a.coeffs, b.coeffs)], a.prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -121,8 +104,7 @@ class QSeries:
 
         With self = q^v h and h_0 != 0, g = h^n satisfies
         k h_0 g_k = sum_{j >= 1} ((n + 1) j - k) h_j g_{k-j}, a sum over the
-        nonzero h_j only.  Integer coefficients divide exactly or raise
-        RuntimeError; any other coefficients are divided as Fractions.
+        nonzero h_j only.  Each step divides exactly or raises RuntimeError.
         """
         n = index(n)
         if n < 0:
@@ -140,9 +122,6 @@ class QSeries:
         top = prec - shift
         # (j, (n + 1) j h_j, h_j) for the nonzero h_j with j >= 1
         rest = [(i - v, (n + 1) * (i - v) * c, c) for i, c in terms[1:]]
-        exact = all(isinstance(c, int) for _i, c in terms)
-        if not exact:
-            h0 = Fraction(h0)
         g = [0] * (top + 1)
         g[0] = h0**n
         live = 0
@@ -152,12 +131,9 @@ class QSeries:
             s = 0
             for j, a, c in rest[:live]:
                 s += (a - k * c) * g[k - j]
-            if exact:
-                g[k], r = divmod(s, k * h0)
-                if r:
-                    raise RuntimeError(f"Miller's recurrence left a remainder at q^{k}")
-            else:
-                g[k] = s / (k * h0)
+            g[k], r = divmod(s, k * h0)
+            if r:
+                raise RuntimeError(f"Miller's recurrence left a remainder at q^{k}")
         out[shift:] = g
         return QSeries(out, prec)
 
@@ -185,26 +161,14 @@ class QSeries:
 # Dirichlet characters and Eisenstein series
 # ---------------------------------------------------------------------------
 
-class DirichletChar:
-    """The unique nontrivial character modulo 3 or 4."""
-
-    __slots__ = ("modulus", "table")
-
-    def __init__(self, modulus):
-        if modulus == 3:
-            self.table = (0, 1, -1)
-        elif modulus == 4:
-            self.table = (0, 1, 0, -1)
-        else:
-            raise ValueError("only moduli 3 and 4 are supported")
-        self.modulus = modulus
-
-    def __call__(self, n):
-        return self.table[n % self.modulus]
+def CHI3(n):
+    """The nontrivial Dirichlet character modulo 3."""
+    return (0, 1, -1)[n % 3]
 
 
-CHI3 = DirichletChar(3)
-CHI4 = DirichletChar(4)
+def CHI4(n):
+    """The nontrivial Dirichlet character modulo 4."""
+    return (0, 1, 0, -1)[n % 4]
 
 
 # name -> (chi, a, b): N_L(2m) = a sigma~_2(m, chi) - b sigma_2(m, chi) for
@@ -242,6 +206,7 @@ def theta3_2tau(prec):
 
 def _cached_series(name, prec, build):
     """The one cached series `name`, at precision prec or above (`lattice._grown`)."""
+    prec = index(prec)
     if prec < 0:
         raise LatticeError("precision must be nonnegative")
     return lt._grown(name, prec, build)
@@ -302,6 +267,7 @@ def theta_d6_eis(prec=240):
 
 def theta_brute(lat, prec):
     """Theta series by direct vector enumeration; the oracle for the closed forms."""
+    prec = index(prec)
     if not lat.is_even():
         raise LatticeError("brute theta expects an even lattice")
     if prec < 0:
@@ -343,6 +309,7 @@ def rep_num(name, two_d, method="formula"):
     build = _named(name)[1]
     if method not in ("formula", "brute"):
         raise ValueError("method must be 'formula' or 'brute'")
+    two_d = index(two_d)
     if two_d < 0:
         raise ValueError("norm must be nonnegative")
     if two_d == 0:

@@ -271,6 +271,7 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
     seed leaves the report unchanged: at 10^4 samples, d in {1, 2, 5, 6, 12}
     and seeds 0 and 3 all read `reflective: 5, skipped_nonintegral: 9995`.
     """
+    samples = index(samples)
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     lat = make_l2d(d)

@@ -68,7 +68,7 @@ Three things keep the recursion cheap:
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import index, mul
 
 from .lattice import LatticeError, coords_of, pairing_vector, symmetric_bareiss
 
@@ -377,6 +377,7 @@ def _half_counts(lat, top):
 def norm_counts(lat, max_norm):
     """Number of vectors of each norm 0..max_norm, as a list indexed by the
     (sign-normalised) norm; entry 0 counts the zero vector."""
+    max_norm = index(max_norm)
     if max_norm < 0:
         raise LatticeError("bound must be nonnegative")
     counts = [2 * h for h in _half_counts(lat, max_norm)]
@@ -391,6 +392,7 @@ def enumerate_norm_vectors(lat, norm, visitor=None):
     equals the theta-series coefficient of the (sign-normalised) lattice.
     An odd `norm` on an even lattice simply yields 0.
     """
+    norm = index(norm)
     if norm < 1:
         raise LatticeError("norm must be positive")
 
@@ -405,6 +407,7 @@ def enumerate_norm_vectors(lat, norm, visitor=None):
 def enumerate_cone(lat, norm):
     """The vectors x with every x_i >= 0 and (x, x) = norm, as a sorted list
     of coordinate tuples."""
+    norm = index(norm)
     if norm < 1:
         raise LatticeError("norm must be positive")
     out = []

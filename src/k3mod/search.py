@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from math import isqrt
-from operator import mul
+from operator import index, mul
 
 from . import e8
 from . import qseries as qs
@@ -48,23 +48,31 @@ from .lattice import IntLattice, LatticeError, _grown
 # ---------------------------------------------------------------------------
 
 def _check_degree(d):
-    if d < 1:
+    if index(d) < 1:
         raise LatticeError("d must be positive")
+
+
+# each inequality holds at d when its margin, sum weight * N_L(2d), is positive
+_INEQUALITIES = {
+    "mineq": (("E7", 4), ("E6", -28), ("D6", -63)),
+    "mineqd": (("E7", 5), ("E6", -28), ("D6", -63), ("D5", -378)),
+}
+
+
+def _margin(which, d):
+    return sum(w * qs.rep_num(name, 2 * d) for name, w in _INEQUALITIES[which])
 
 
 def check_mineq(d):
     """4 N_E7(2d) > 28 N_E6(2d) + 63 N_D6(2d), evaluated exactly; d >= 1."""
     _check_degree(d)
-    return 4 * qs.rep_num("E7", 2 * d) > (28 * qs.rep_num("E6", 2 * d)
-                                          + 63 * qs.rep_num("D6", 2 * d))
+    return _margin("mineq", d) > 0
 
 
 def check_mineqd(d):
     """5 N_E7 > 28 N_E6 + 63 N_D6 + 378 N_D5 at norm 2d, evaluated exactly; d >= 1."""
     _check_degree(d)
-    return 5 * qs.rep_num("E7", 2 * d) > (28 * qs.rep_num("E6", 2 * d)
-                                          + 63 * qs.rep_num("D6", 2 * d)
-                                          + 378 * qs.rep_num("D5", 2 * d))
+    return _margin("mineqd", d) > 0
 
 
 def compute_pex(max_m=240):
@@ -72,9 +80,10 @@ def compute_pex(max_m=240):
     has a negative q^m coefficient (the degrees where the second inequality fails)."""
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
-    combo = (5 * qs.theta_e7(max_m) - 28 * qs.theta_e6(max_m)
-             - 63 * qs.theta_dn(6, max_m) - 378 * qs.theta_dn(5, max_m))
-    return [m for m in range(1, max_m + 1) if combo.coeff(m) < 0]
+    # read the top coefficients first, so each series is built once, at max_m
+    for name, _w in _INEQUALITIES["mineqd"]:
+        qs.rep_num(name, 2 * max_m)
+    return [m for m in range(1, max_m + 1) if _margin("mineqd", m) < 0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +318,8 @@ def _case_tuples(case, d):
                             break
                         if lo >= low6:
                             ms = (m3, m4, m5, (lo - t) // 6, (hi - t) // 6)
-                            if x > -s or _case4_canonical(ms, 0):
+                            # the global sign: m8 > 0, or m8 = 0 and ms <= -ms sorted
+                            if x > -s or ms <= tuple(sorted(-m for m in ms)):
                                 tails.append(ms)
                     tails.sort()
                     yield from tails
@@ -354,16 +364,6 @@ def _case4_pairs(top):
                 lists.setdefault(3 * (w * w + 3 * v * v) + x % 3, []).append(
                     (x, x - 3 * v, x + 3 * v))
     return {key: tuple(sorted(entries, reverse=True)) for key, entries in lists.items()}
-
-
-def _case4_canonical(ms, m8):
-    """Global-sign normalisation: keep the representative with m8 > 0, or the
-    lexicographically smaller sorted tuple when m8 == 0."""
-    if m8 > 0:
-        return True
-    if m8 < 0:
-        return False
-    return ms <= tuple(sorted(-m for m in ms))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ pass/fail line each (run with -s to see them on success)."""
 
 import ast
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from k3mod import e8
 from k3mod import lattice as lt
@@ -181,6 +184,27 @@ def test_no_check_in_the_library_is_a_plain_assert():
     assert paths and found == []
 
 
+_NON_INTEGER_CALLS = {
+    "check_mineq": lambda: se.check_mineq(2.5),
+    "check_mineqd": lambda: se.check_mineqd(2.5),
+    "rep_num": lambda: qs.rep_num("E7", 5.0),
+    "reflk3_sample_check": lambda: rf.reflk3_sample_check(2, samples=2.5),
+    "make_l2d": lambda: lt.make_l2d(2.0),
+    "theta_e7": lambda: qs.theta_e7(2.0),
+    "theta_brute": lambda: qs.theta_brute(e8.lattice(), 2.0),
+    "norm_counts": lambda: roots.norm_counts(e8.lattice(), 4.0),
+    "enumerate_norm_vectors": lambda: roots.enumerate_norm_vectors(e8.lattice(), Fraction(2)),
+    "enumerate_cone": lambda: roots.enumerate_cone(e8.lattice(), Fraction(2)),
+}
+
+
+@pytest.mark.parametrize("call", _NON_INTEGER_CALLS.values(), ids=_NON_INTEGER_CALLS)
+def test_entry_points_reject_non_integer_arguments(call):
+    # degrees, norms, precisions and sample counts are read with operator.index
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
 _MUTATORS = frozenset({"add", "append", "clear", "discard", "extend", "insert", "pop",
                        "popitem", "remove", "setdefault", "update"})
 
@@ -227,3 +251,32 @@ def test_every_cache_in_the_library_follows_the_cache_policy():
                                      getattr(node, "name", None))]
         found += [f"{path.name} {name}" for name in sorted(_module_level_writes(tree))]
     assert paths and found == ["lattice.py _grown_tables"]
+
+
+def test_every_private_module_name_in_the_library_is_read():
+    # a module-level private function, class or assignment that nothing in
+    # the package reads, outside its own definition, is dead code
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(lt.__file__).parent.rglob("*.py"))}
+
+    def reads(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [t.id for t in ast.walk(node)
+                         if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+            else:
+                continue
+            own = reads(node)
+            dead += [f"{module} {name}" for name in names
+                     if name.startswith("_") and not name.startswith("__")
+                     and total[name] <= own[name]]
+    assert trees
+    assert dead == []

@@ -74,7 +74,7 @@ def _quarter_grid_theta_e7(prec):
 
 def _eisenstein_e3(chi, variant, prec):
     """The weight-3 Eisenstein series at the cusp 0 or at infinity."""
-    c = {3: 9, 4: 4}[chi.modulus]
+    c = {CHI3: 9, CHI4: 4}[chi]
     if variant == "cusp_inf":
         return [1] + [-c * sigma_chi(m, 2, chi) for m in range(1, prec + 1)]
     return [0] + [sigma_tilde_chi(m, 2, chi) for m in range(1, prec + 1)]
@@ -238,8 +238,7 @@ def test_series_ring_properties():
 
     def rand_series():
         prec = rng.choice([4, 6, 8])
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(prec + 1)]
-        return QSeries(coeffs, prec)
+        return QSeries([rng.randint(-9, 9) for _ in range(prec + 1)], prec)
 
     for _ in range(25):
         a, b, c = rand_series(), rand_series(), rand_series()
@@ -248,7 +247,26 @@ def test_series_ring_properties():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert (a - a).coeffs == [0] * len((a - a).coeffs)
+        assert a + QSeries([], a.prec) == a
+        assert (a + (-1) * a).coeffs == [0] * (a.prec + 1)
+
+
+@pytest.mark.parametrize("coeffs, prec", [
+    ([1, Fraction(1, 2)], 1), ([1, Fraction(2)], 1), ([1, 2.0], 1), ([1, 2], 1.0),
+    ([1, 2], Fraction(1)),
+], ids=["fraction-coeff", "integral-fraction-coeff", "float-coeff", "float-prec",
+        "fraction-prec"])
+def test_series_coefficients_and_precision_must_be_integers(coeffs, prec):
+    with pytest.raises(TypeError):
+        QSeries(coeffs, prec)
+
+
+def test_series_have_no_subtraction_negation_or_scalar_addition():
+    a = theta3_2tau(4)
+    for op in (lambda: a - a, lambda: -a, lambda: 1 + a, lambda: a + 1, lambda: 1 - a,
+               lambda: a * Fraction(1, 2), lambda: 0.5 * a):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_truncation_consistency():
@@ -267,8 +285,9 @@ def test_pow_matches_repeated_mul():
 
 def _random_series(rng, prec, const, kind, density):
     """A seeded series with constant term `const`; `sparse` keeps about one
-    coefficient in six, `dense` every one."""
-    coeffs = [const]
+    coefficient in six, `dense` every one.  With kind `fraction` the
+    coefficients are Fractions, which QSeries refuses with TypeError."""
+    coeffs = [const if kind == "int" else Fraction(const)]
     for _ in range(prec):
         if density == "sparse" and rng.random() > 1 / 6:
             coeffs.append(0)
@@ -286,6 +305,10 @@ def test_pow_and_mul_match_the_dense_references(const, kind, density):
     rng = random.Random(f"{const}/{kind}/{density}")
     for _ in range(4):
         prec = rng.choice([0, 1, 7, 16, 30])
+        if kind == "fraction":
+            with pytest.raises(TypeError):
+                _random_series(rng, prec, const, kind, density)
+            continue
         f = _random_series(rng, prec, const, kind, density)
         for n in range(10):
             assert (f**n).coeffs == pow_by_squaring(f, n).coeffs, (f, n)

@@ -8,6 +8,7 @@ import pytest
 
 from k3mod import e8, roots
 from k3mod import lattice as lt
+from k3mod import qseries as qs
 from k3mod import search as se
 from k3mod.lattice import LatticeError
 
@@ -143,6 +144,28 @@ def test_inequalities():
     for d in range(1, 241):
         if d not in pex:
             assert se.check_mineq(d) or se.check_mineqd(d), d
+
+
+def _pex_by_series(max_m):
+    """The negative q^m coefficients of 5 theta_E7 - 28 theta_E6 - 63 theta_D6
+    - 378 theta_D5, combined on the coefficient lists."""
+    combo = [5 * a - 28 * b - 63 * c - 378 * e for a, b, c, e in zip(
+        qs.theta_e7(max_m).coeffs, qs.theta_e6(max_m).coeffs,
+        qs.theta_dn(6, max_m).coeffs, qs.theta_dn(5, max_m).coeffs)]
+    return [m for m in range(1, max_m + 1) if combo[m] < 0]
+
+
+@pytest.mark.parametrize("max_m", [0, 1, 240, 600])
+def test_pex_matches_the_series_combination(monkeypatch, max_m):
+    monkeypatch.setattr(lt, "_grown_tables", {})
+    assert se.compute_pex(max_m) == _pex_by_series(max_m)
+
+
+def test_inequalities_match_the_written_out_formulas():
+    for d in range(1, 2001):
+        e7, e6, d6, d5 = (qs.rep_num(name, 2 * d) for name in ("E7", "E6", "D6", "D5"))
+        assert se.check_mineq(d) == (4 * e7 > 28 * e6 + 63 * d6), d
+        assert se.check_mineqd(d) == (5 * e7 > 28 * e6 + 63 * d6 + 378 * d5), d
 
 
 def test_pex_reproduction():
@@ -431,11 +454,21 @@ def test_table_degrees_recovered_by_search():
         assert se.embed_case1(*ms) in [h.coords2x for h in hits]
 
 
+def _case4_canonical(ms, m8):
+    """Global-sign normalisation of a family-IV tuple: keep the representative
+    with m8 > 0, or the lexicographically smaller sorted tuple when m8 == 0."""
+    if m8 > 0:
+        return True
+    if m8 < 0:
+        return False
+    return ms <= tuple(sorted(-m for m in ms))
+
+
 def test_case4_canonical_covers_global_sign():
     count = 0
     for ms in se.iter_case_tuples("IV", 40):
         m8 = sum(ms)
-        assert se._case4_canonical(ms, m8)
+        assert _case4_canonical(ms, m8)
         count += 1
     assert count > 0
 
@@ -507,7 +540,7 @@ def _case4_tuples_by_leaf_loop(d):
         k = len(prefix)
         if k == 5:
             m8 = sum(prefix)
-            if sq + m8 * m8 == two_d and se._case4_canonical(prefix, m8):
+            if sq + m8 * m8 == two_d and _case4_canonical(prefix, m8):
                 yield prefix
             return
         for m in range(lo, bound + 1):
@@ -588,7 +621,7 @@ def _case4_tuples_recursive(d):
             if r * r != disc or (r + s) % 2:
                 return
             for m7 in ((-s - r) // 2, (-s + r) // 2) if r else (-s // 2,):
-                if m7 >= lo and se._case4_canonical(prefix + (m7,), s + m7):
+                if m7 >= lo and _case4_canonical(prefix + (m7,), s + m7):
                     yield prefix + (m7,)
             return
         for m in range(lo, bound + 1):
