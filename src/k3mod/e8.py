@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
+from operator import index
 
 from .lattice import LatticeError, root_lattice_e
 
@@ -113,7 +114,13 @@ def count_orth_roots_2x(vec2x):
     are counted by meeting the two 4-coordinate halves on the key
     (partial sum, parity of minus signs).  Since s and -s are both
     solutions or both not, only the patterns with s_1 = + are counted, twice.
+
+    A coordinate that is not an integer is a `TypeError`, and a length other
+    than 8 a `LatticeError`.
     """
+    vec2x = tuple(map(index, vec2x))
+    if len(vec2x) != 8:
+        raise LatticeError("a vector of E8 has 8 doubled e-coordinates")
     n = 0
     seen = {}
     for x in vec2x:

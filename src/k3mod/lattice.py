@@ -120,11 +120,30 @@ def symmetric_bareiss(gram):
     return a
 
 
+def _snf_pivot(a, t):
+    """(i, j) of the nonzero entry of least absolute value in the block
+    a[t:, t:], ties broken row-major (the first one met wins), or None when
+    the block is zero.  The scan stops at the first entry of absolute value
+    1: nothing nonzero is smaller, and every later tie loses to it."""
+    best = piv = None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (best is None or x < best):
+                if x == 1:
+                    return i, j
+                best, piv = x, (i, j)
+    return piv
+
+
 def smith_normal_form(mat):
     """Smith normal form with transforms: returns (d, u, v) with u*mat*v = d.
 
-    Deterministic pivoting: smallest absolute nonzero entry, ties broken
-    row-major, so generator lifts derived from `v` are reproducible.
+    Deterministic pivoting (`_snf_pivot`; Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4): smallest absolute nonzero entry, ties
+    broken row-major, the scan stopping at the first unit entry, so generator
+    lifts derived from `v` are reproducible.
     """
     a = [list(row) for row in mat]
     rows = len(a)
@@ -154,13 +173,7 @@ def smith_normal_form(mat):
 
     t = 0
     while t < min(rows, cols):
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best, piv = x, (i, j)
+        piv = _snf_pivot(a, t)
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -511,12 +524,14 @@ def disc_group(lat):
     dual vector G^-1 u^-1 e_i that realises the i-th cyclic factor is
     v D^-1 e_i = v[:, i] / d_i: the lifts need no inverse and no solve, and
     each is stored as it comes, numerators v[:, i] over the denominator d_i.
-    The transforms are checked in integers first: u G v = D, and
-    |d_1 ... d_n| = |det G|.  Given the first, det u * det G * det v = det D
-    with det u and det v integers and det G != 0, so the second holds exactly
-    when |det u| = |det v| = 1: it proves u and v unimodular without
-    eliminating them.  `LatticeError` if either check fails.
-    The lifts are reproducible thanks to the deterministic SNF pivoting.
+    The transforms are checked in integers first: u (G v) = D, with the
+    sparse G as the left factor of the first product (`mat_mul` skips the
+    zero entries of its left factor), and |d_1 ... d_n| = |det G|.  Given
+    the first, det u * det G * det v = det D with det u and det v integers
+    and det G != 0, so the second holds exactly when |det u| = |det v| = 1:
+    it proves u and v unimodular without eliminating them.  `LatticeError`
+    if either check fails.  The lifts are reproducible thanks to the
+    deterministic SNF pivoting.
     """
     return lat.memoised("disc_group", _disc_group)
 
@@ -525,7 +540,7 @@ def _disc_group(lat):
     g = lat.gram
     d, u, v = smith_normal_form(g)
     n = lat.rank
-    if mat_mul(mat_mul(u, g), v) != d or abs(prod(d[i][i] for i in range(n))) != abs(lat.det):
+    if mat_mul(u, mat_mul(g, v)) != d or abs(prod(d[i][i] for i in range(n))) != abs(lat.det):
         raise LatticeError("Smith normal form transforms do not check")
     factors = []
     lifts = []
@@ -556,9 +571,14 @@ def orth_complement(lat, vectors):
         raise LatticeError("vectors are not linearly independent")
     if not basis:
         raise LatticeError("the vectors span the whole lattice")
-    # Gram B^t (G B) from the pairing vectors G b: O(k n^2)
+    # Gram B^t (G B) from the pairing vectors G b: O(k n^2), each entry of
+    # the upper triangle computed once and mirrored
     gb = [pairing_vector(lat, b) for b in basis]
-    sub = [[sum(map(mul, a, p)) for p in gb] for a in basis]
+    k = len(basis)
+    sub = [[0] * k for _ in range(k)]
+    for i, a in enumerate(basis):
+        for j in range(i, k):
+            sub[i][j] = sub[j][i] = sum(map(mul, a, gb[j]))
     return IntLattice(sub), basis
 
 

@@ -5,7 +5,11 @@ sigma_r preserves the lattice; its class records whether the induced action
 on A_L is the identity, minus the identity, or neither.  For the signature
 (2, 19) lattices L_2d this classification is governed by r^2 and div(r),
 and the module checks those statements on demand (sampled, with exact
-arithmetic) rather than assuming them.
+arithmetic) rather than assuming them.  The sampler rejects a draw as
+cheaply as exact arithmetic allows: first on r^2 = 0, then at the first
+basis vector b_j for which r^2 does not divide 2 (r, b_j).  Only the
+reflective draws go on to the reflection, its isometry check, the action
+on A_L and the complement determinant.
 
 Some of those statements hold on every even lattice (the identity action
 and the necessary conditions for the minus-identity action); the sufficient
@@ -265,6 +269,14 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
     Returns a report dict; `counterexamples` is expected empty.  A negative
     `samples` raises ValueError.
 
+    A draw is rejected in this order: as `skipped_isotropic` if r^2 = 0, then
+    as `skipped_nonintegral` at the first j (in basis order) where r^2 does
+    not divide 2 (r, b_j).  Both come from the nonzero Gram entries of L_2d
+    (49 of its 441), tabled once per call, so a rejected draw usually costs
+    r^2 and one pairing.  A reflective draw goes through `_pairings`,
+    `reflection` (with its isometry check), `_disc_signs` and
+    `orth_det_check`.
+
     In practice no draw from [-20, 20]^21 is reflective (the reflection in a
     primitive r is integral only if r^2 divides 2 div(r), and a random r has
     |r^2| in the thousands), so the seeded vectors carry the test, and the
@@ -281,6 +293,12 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
               "skipped_isotropic": 0, "counterexamples": [], "det_checks": 0,
               "det_mismatches": []}
     queue = _interesting_vectors(d, lat)
+    # the nonzero Gram entries: the upper triangle with doubled off-diagonal
+    # entries, for r^2, and each row, for the pairings (r, b_j)
+    gram = lat.gram
+    upper = [(i, j, x if i == j else 2 * x)
+             for i, row in enumerate(gram) for j, x in enumerate(row[i:], i) if x]
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in gram]
     produced = 0
     while produced < samples:
         if queue:
@@ -294,13 +312,14 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
                 coords = tuple(c // g for c in coords)
         produced += 1
         report["samples"] += 1
-        pair, norm, div = _pairings(lat, coords)
+        norm = sum([x * coords[i] * coords[j] for i, j, x in upper])
         if norm == 0:
             report["skipped_isotropic"] += 1
             continue
-        if _coefficients(pair, norm) is None:
+        if any(2 * sum([x * coords[j] for j, x in row]) % norm for row in rows):
             report["skipped_nonintegral"] += 1
             continue
+        div = _pairings(lat, coords)[2]
         sigma = reflection(lat, coords)
         report["reflective"] += 1
         plus, minus = _disc_signs(lat, sigma)

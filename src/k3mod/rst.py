@@ -81,7 +81,8 @@ def is_reflection(e):
 
 def c_min_with_argmin(d):
     """min over shifts a of sum_{0<b<d, (b,d)=1} {(b+a)/d}, with the smallest
-    shift attaining it."""
+    shift attaining it; a non-integer d is a `TypeError`."""
+    d = index(d)
     if d < 3:
         raise ValueError("c_min needs d >= 3")
     coprime = [b for b in range(1, d) if gcd(b, d) == 1]
@@ -103,7 +104,8 @@ def c_min(d):
 # ---------------------------------------------------------------------------
 
 def euler_phi(n):
-    out = n
+    """Euler's totient of n; a non-integer n is a `TypeError`."""
+    out = n = index(n)
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -130,16 +132,22 @@ def _poly_divmod(a, b):
     return out, a
 
 
-@cache
 def cyclotomic_poly(d):
-    """Coefficients (low degree first) of the d-th cyclotomic polynomial, a tuple."""
+    """Coefficients (low degree first) of the d-th cyclotomic polynomial, a
+    tuple; a non-integer d is a `TypeError`, also where `cache` would take
+    4.0 for the key 4."""
+    return _cyclotomic_poly(index(d))
+
+
+@cache
+def _cyclotomic_poly(d):
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
     num = [0] * d + [1]
     num[0] = -1  # x^d - 1
     for e in range(1, d):
         if d % e == 0:
-            num, rem = _poly_divmod(num, cyclotomic_poly(e))
+            num, rem = _poly_divmod(num, _cyclotomic_poly(e))
             if num is None or any(rem):
                 raise ArithmeticError(f"Phi_{e} does not divide x^{d} - 1 exactly")
     return tuple(num)
@@ -237,8 +245,9 @@ def bigphi_verify(r_max):
     residue k1: check sum_{i>=3} {(k1 + k_i)/r} >= 1 by direct evaluation.
 
     Returns a report with the minimum attained and any violations (none
-    expected).
+    expected).  A non-integer r_max is a `TypeError`.
     """
+    r_max = index(r_max)
     if r_max < 7:
         raise ValueError("r_max must be at least 7")
     checked = 0

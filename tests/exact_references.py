@@ -11,6 +11,8 @@ Tests compare the library against them.
   (repeated squaring over it).
 * The divisor sums behind the sieve of `qseries._eisenstein_series`:
   `sigma_chi` and `sigma_tilde_chi`, each a sum over the divisors of one m.
+* The pivot search of `lattice.smith_normal_form` before its scan stopped
+  at the first unit entry: `snf_pivot_full_scan` scans the whole block.
 * Two chart conversions only tests need: `to_2x` (simple-root to doubled
   e-coordinates of E8) and `dual_vector` (a `DualVec` from rational
   coordinates).
@@ -153,6 +155,20 @@ def pow_by_squaring(f, n):
         base = schoolbook_mul(base, base) if n > 1 else base
         n >>= 1
     return result
+
+
+def snf_pivot_full_scan(a, t):
+    """(i, j) of the nonzero entry of least absolute value in the block
+    a[t:, t:], ties broken row-major, found by scanning every entry; None
+    when the block is zero."""
+    piv = None
+    best = None
+    for i in range(t, len(a)):
+        for j in range(t, len(a[0])):
+            x = abs(a[i][j])
+            if x and (best is None or x < best):
+                best, piv = x, (i, j)
+    return piv
 
 
 def to_2x(alpha_coords):

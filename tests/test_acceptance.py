@@ -195,12 +195,19 @@ _NON_INTEGER_CALLS = {
     "norm_counts": lambda: roots.norm_counts(e8.lattice(), 4.0),
     "enumerate_norm_vectors": lambda: roots.enumerate_norm_vectors(e8.lattice(), Fraction(2)),
     "enumerate_cone": lambda: roots.enumerate_cone(e8.lattice(), Fraction(2)),
+    "euler_phi": lambda: rst.euler_phi(6.0),
+    "c_min": lambda: rst.c_min(2.5),
+    "c_min_with_argmin": lambda: rst.c_min_with_argmin(2.5),
+    "bigphi_verify": lambda: rst.bigphi_verify(2.5),
+    "cyclotomic_poly": lambda: rst.cyclotomic_poly(4.0),
+    "count_orth_roots_2x": lambda: e8.count_orth_roots_2x((0,) * 6 + (2, 2.5)),
 }
 
 
 @pytest.mark.parametrize("call", _NON_INTEGER_CALLS.values(), ids=_NON_INTEGER_CALLS)
 def test_entry_points_reject_non_integer_arguments(call):
-    # degrees, norms, precisions and sample counts are read with operator.index
+    # degrees, norms, precisions, sample counts, orders and coordinates are
+    # read with operator.index
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
 

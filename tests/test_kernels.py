@@ -1,6 +1,7 @@
 """The exact O(n^3) kernels of the discriminant and reflection layers pinned
-to the dense references they replaced: the Fraction inverse of the SNF
-transform for `disc_group`, the Fraction pairings and discriminant action
+to the dense references they replaced: the full-scan pivot search for
+`smith_normal_form`, the Fraction inverse of the SNF transform for
+`disc_group`, the Fraction pairings and discriminant action
 for the integer `DualVec`, the quadruple-sum Gram for `orth_complement`,
 the O(n^4) form check for `IsometryMatrix`, the Fraction inverse of the
 simple-root matrix for `e8.alpha_from_2x` and the Fraction sum for
@@ -17,7 +18,7 @@ from k3mod import lattice as lt
 from k3mod import reflective as rf
 from k3mod import rst
 
-from exact_references import det_bareiss, dual_vector, to_2x
+from exact_references import det_bareiss, dual_vector, snf_pivot_full_scan, to_2x
 
 
 def solve_rational(a, rhs_cols):
@@ -145,6 +146,40 @@ def _lattices():
     return lats + _random_symmetric(random.Random(17), 150)
 
 
+def _snf_matrices():
+    """L_2d Grams for d <= 60 and seeded integer matrices: shapes 1 x n and
+    n x 1 among them, negative entries, zero rows and columns, and matrices
+    with no entry of absolute value 1."""
+    rng = random.Random(37)
+    mats = [[list(row) for row in lt.make_l2d(d).gram] for d in range(1, 61)]
+    shapes = [(1, n) for n in range(1, 8)] + [(n, 1) for n in range(1, 8)]
+    shapes += [(rng.randint(2, 7), rng.randint(2, 7)) for _ in range(150)]
+    for k, (rows, cols) in enumerate(shapes):
+        values = (0, 2, -2, 3, -3, 4, -6, 9, 10) if k % 3 == 0 else range(-9, 10)
+        m = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+        if k % 4 == 1:
+            m[rng.randrange(rows)] = [0] * cols
+        if k % 4 == 2:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        mats.append(m)
+    return mats
+
+
+def test_smith_normal_form_matches_the_full_scan_pivot(monkeypatch):
+    mats = _snf_matrices()
+    assert any(not any(row) for m in mats for row in m)
+    assert any(not any(col) for m in mats for col in zip(*m))
+    assert any(any(map(any, m)) and all(abs(x) != 1 for row in m for x in row) for m in mats)
+    got = [lt.smith_normal_form(m) for m in mats]
+    for m, (d, u, v) in zip(mats, got):
+        assert lt.mat_mul(lt.mat_mul(u, m), v) == d
+    # every pivot of every step, the early stop's against the full scan's
+    monkeypatch.setattr(lt, "_snf_pivot", snf_pivot_full_scan)
+    assert [lt.smith_normal_form(m) for m in mats] == got
+
+
 def test_disc_group_matches_the_inverse_path():
     for lat in _lattices():
         disc = lt.disc_group(lat)
@@ -244,6 +279,22 @@ def test_orth_complement_matches_the_quadruple_sum():
             assert comp.gram == _reference_complement_gram(lat, basis)
 
 
+def test_orth_complement_gram_is_the_full_product_on_l2d():
+    # B^t G B as two whole matrix products, B the complement basis as columns
+    rng = random.Random(43)
+    for d in range(1, 61):
+        lat = lt.make_l2d(d)
+        # h + k d (a u1 + c u2), as the benchmark's complement ops draw it
+        r = [0] * 21
+        a, c = rng.choice(((1, 0), (2, -1), (-3, 5), (1, 1)))
+        k = rng.choice((1, 2))
+        r[0], r[2], r[20] = k * d * a, k * d * c, 1
+        for vec in [r] + rf._interesting_vectors(d, lat):
+            comp, basis = lt.orth_complement(lat, [vec])
+            full = lt.mat_mul(lt.mat_mul(basis, lat.gram), [list(col) for col in zip(*basis)])
+            assert [list(row) for row in comp.gram] == full, (d, vec)
+
+
 def test_isometry_accepts_every_sampled_reflection():
     # small draws on the first six coordinates and the last one, where
     # reflective vectors are common
@@ -266,9 +317,9 @@ def test_isometry_accepts_every_sampled_reflection():
 
 
 def test_sampler_builds_reflections_for_reflective_samples_only(monkeypatch):
-    # one `_pairings` call per sample; `reflection` (and its isometry check)
-    # only for reflective samples, each adding one `_pairings` call there and
-    # one in orth_det_check
+    # `reflection` (and its isometry check) only for reflective samples; a
+    # rejected draw builds no pairing vector, and a reflective one three:
+    # in the sampler, in `reflection` and in `orth_det_check`
     built = []
     pairings = []
     reflection, _pairings = rf.reflection, rf._pairings
@@ -291,7 +342,7 @@ def test_sampler_builds_reflections_for_reflective_samples_only(monkeypatch):
         rep = rf.reflk3_sample_check(d, samples=400, seed=seed)
         assert rep["reflective"] >= 5
         assert len(built) == rep["reflective"]
-        assert len(pairings) == rep["samples"] + 2 * rep["reflective"]
+        assert len(pairings) == 3 * rep["reflective"]
 
 
 @pytest.mark.parametrize("expr, r", [

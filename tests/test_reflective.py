@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -258,6 +260,30 @@ def test_sample_check_deterministic():
     a = rf.reflk3_sample_check(2, samples=300, seed=12)
     b = rf.reflk3_sample_check(2, samples=300, seed=12)
     assert a == b
+
+
+# sha256 over the JSON lines [seed, samples, report] of reflk3_sample_check(d,
+# samples, seed) for seeds 0 and 3 and samples 0, 6 and 500 (and 10^4 for
+# d <= 6), taken when every draw still built its full pairing vector
+_SAMPLE_DIGESTS = {
+    1: "bd462cee5b3d94e04dbba0f43c8410a8af64d3276aaec49ee7caa9cde42fdb90",
+    2: "46291b0b88b76e9a06ff70222270c4c4c478b0f5922a43cb520f08077d974de4",
+    5: "d67457b270bf252cbe3457c1c86a9737c3229987ebdd3882cf62af2773a46494",
+    6: "91dd76dca31da1bab6ba9e38ea7e01cb6ddea9ce3fc1069170e29e14d07b0f98",
+    12: "5d7f2d80d22dfce1692575089cd196c53e01912701df0cfce04d43b419f8a310",
+    37: "4c8ccb613ecdc57471c79e898c8c993cb51af8823b3267023bee8d62cdfd218c",
+    199: "55ea08e5cf2ca0f97e621b0ee578019fc3c006dc4274d7587370f1e27a4f0254",
+}
+
+
+@pytest.mark.parametrize("d", _SAMPLE_DIGESTS)
+def test_sample_check_reports_are_pinned(d):
+    h = hashlib.sha256()
+    for seed in (0, 3):
+        for samples in (0, 6, 500) + ((10**4,) if d <= 6 else ()):
+            rep = rf.reflk3_sample_check(d, samples=samples, seed=seed)
+            h.update(json.dumps([seed, samples, rep], sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == _SAMPLE_DIGESTS[d]
 
 
 def test_reflection_report():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from k3mod import e8
-from k3mod.lattice import parse_lattice_expr
+from k3mod.lattice import LatticeError, parse_lattice_expr
 from k3mod.roots import (
     IndefiniteError, bouquet_decomposition, count_orth_roots,
     enumerate_norm_vectors, enumerate_roots, norm_counts,
@@ -95,6 +95,15 @@ def test_count_orth_roots_table_vectors():
     assert count_orth_roots(lat, v) == 12
     v = e8.alpha_from_2x(se.embed_case2(1, 2, 3, 10))
     assert count_orth_roots(lat, v) == 10
+
+
+def test_count_orth_roots_2x_needs_8_coordinates():
+    # a non-integer coordinate is one of the acceptance tests' TypeError cases
+    for bad in ((0,) * 7, (0,) * 9, ()):
+        with pytest.raises(LatticeError, match="8 doubled e-coordinates"):
+            e8.count_orth_roots_2x(bad)
+    # any integer sequence of length 8 is read as a tuple
+    assert e8.count_orth_roots_2x([0] * 6 + [2, 2]) == e8.count_orth_roots_2x((0,) * 6 + (2, 2))
 
 
 def test_e_chart_conversions_roundtrip():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from k3mod import lattice as lt
 from k3mod import qseries as qs
+from k3mod import reflective as rf
 from k3mod import search as se
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +109,11 @@ def test_lattice_reflect_reads_the_l2d_outputs():
     # h + 5 u1 + u2 has r^2 = -10 and div 1: |det r^perp| = 10 * 10
     assert abs(lt.IntLattice(out["complement"][0]).det) == 100
     assert [r["class"] for r in out["reports"]][:2] == ["minus_in_tilde_O"] * 2
+    # criterion 12's runs: 10^4 samples, seed 0, only at its degrees
+    big = out["criterion_12"]
+    assert (big["samples"], big["reflective"], big["skipped_nonintegral"]) == (10**4, 5, 9995)
+    assert big == rf.reflk3_sample_check(5, samples=10**4, seed=0)
+    assert "criterion_12" not in same_outputs.lattice_reflect(7)
 
 
 def test_forms_reads_square_completions_dets_and_signatures():

@@ -17,7 +17,9 @@ byte-identical outputs in that group.  The groups are
   factors, q-values, generator lift coordinates), the orthogonal complement
   of h + d u1 + u2 (Gram and basis; h the <-2d> generator, u1 and u2 the
   first basis vectors of the two hyperbolic planes) and `reflection_report`
-  on each of `_interesting_vectors(d)`;
+  on each of `_interesting_vectors(d)`; for d in CRITERION_12_DEGREES also
+  `reflk3_sample_check(d, 10**4, seed=0)`, the runs of acceptance
+  criterion 12;
 * `counts`: `norm_counts(lat, COUNTS_MAX_NORM)` on seeded signed
   permutations of the bases of COUNTS_LATTICES, then `rep_num(name, 2d,
   "brute")` for every name and d in REP_RANGES (the norm ranges of the
@@ -78,6 +80,8 @@ from k3mod import lattice, qseries, reflective, roots  # noqa: E402
 ORBIT_SCAN_MAX_D = 150
 # d = 1..60 takes a few seconds
 LATTICE_REFLECT_MAX_D = 60
+# the degrees that acceptance criterion 12 samples 10^4 times with seed 0
+CRITERION_12_DEGREES = (1, 2, 5, 6)
 COUNTS_LATTICES = ("E6", "E7", "E8", "D(5)", "D(8)", "A(2)+A(4)", "E8(-1)")
 COUNTS_SEEDS = (0, 1)
 COUNTS_MAX_NORM = 16
@@ -154,7 +158,7 @@ def lattice_reflect(d):
     lat = lattice.make_l2d(d)
     disc = lattice.disc_group(lat)
     comp, basis = l2d_complement(lat, d)
-    return {
+    out = {
         "sample": reflective.reflk3_sample_check(d, 300, seed=d),
         "disc": [disc.invariant_factors, [str(q) for q in disc.q_values],
                  [[str(c) for c in w.coords] for w in disc.generator_lifts]],
@@ -162,6 +166,9 @@ def lattice_reflect(d):
         "reports": [reflective.reflection_report(lat, v)
                     for v in reflective._interesting_vectors(d, lat)],
     }
+    if d in CRITERION_12_DEGREES:
+        out["criterion_12"] = reflective.reflk3_sample_check(d, 10**4, seed=0)
+    return out
 
 
 def signed_permutation(expr, seed):
