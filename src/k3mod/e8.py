@@ -46,16 +46,27 @@ WEIGHTS_2X = (
 )
 
 
+def _vec2x(vec2x):
+    """A vector's 8 doubled e-coordinates as a tuple of ints: a coordinate
+    that is not an integer is a `TypeError`, a length other than 8 a
+    `LatticeError`."""
+    vec2x = tuple(map(index, vec2x))
+    if len(vec2x) != 8:
+        raise LatticeError("a vector of E8 has 8 doubled e-coordinates")
+    return vec2x
+
+
 def dot2x(a, b):
-    """Inner product of two vectors given in doubled e-coordinates."""
-    s = sum(x * y for x, y in zip(a, b))
+    """Inner product of two vectors given in doubled e-coordinates (`_vec2x`)."""
+    s = sum(x * y for x, y in zip(_vec2x(a), _vec2x(b)))
     if s % 4:
         raise LatticeError("non-integral inner product: vectors not both in E8")
     return s // 4
 
 
 def in_e8_2x(vec2x):
-    """Membership test for a doubled e-coordinate vector."""
+    """Membership test for a doubled e-coordinate vector (`_vec2x`)."""
+    vec2x = _vec2x(vec2x)
     pars = {c & 1 for c in vec2x}
     return len(pars) == 1 and sum(vec2x) % 4 == 0
 
@@ -116,7 +127,8 @@ def count_orth_roots_2x(vec2x):
     solutions or both not, only the patterns with s_1 = + are counted, twice.
 
     A coordinate that is not an integer is a `TypeError`, and a length other
-    than 8 a `LatticeError`.
+    than 8 a `LatticeError`; the check is `_vec2x`'s, inlined because this
+    is the per-vector oracle of the family streams.
     """
     vec2x = tuple(map(index, vec2x))
     if len(vec2x) != 8:

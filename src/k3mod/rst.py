@@ -5,14 +5,16 @@ The sum Sigma(g) of fractional eigenvalue exponents decides canonicity of a
 cyclic quotient singularity; c_min(d) bounds the contribution of one
 irreducible rational summand.  Exponents are always recovered from the
 cyclotomic factorisation of the characteristic polynomial, never from a
-numerical eigensolver.
+numerical eigensolver, and so is the order of a matrix g: L = lcm{d : Phi_d
+divides det(xI - g)} is the order iff g^L = 1, and no d > 2n^2 matters at
+rank n, because phi(d) >= sqrt(d/2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 from .lattice import identity_matrix, mat_mul
@@ -153,16 +155,13 @@ def _cyclotomic_poly(d):
     return tuple(num)
 
 
-def matrix_order(g, cap=10**4):
-    """Multiplicative order of an integer matrix, or raises past the cap."""
-    n = len(g)
-    ident = identity_matrix(n)
-    power = [row[:] for row in g]
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = mat_mul(power, g)
-    raise ValueError(f"matrix order exceeds the cap {cap}")
+def _mat_power(g, e):
+    """g^e for e >= 1 as a list of lists, by repeated squaring in at most
+    2 log2(e) products."""
+    if e == 1:
+        return [list(row) for row in g]
+    half = _mat_power(mat_mul(g, g), e // 2)
+    return mat_mul(half, g) if e % 2 else half
 
 
 def char_poly(g):
@@ -212,16 +211,24 @@ class CycloDecomp:
 
 def cyclo_decompose(g):
     """Factor the characteristic polynomial of a finite-order integer matrix
-    into cyclotomic polynomials by exact trial division.  The constant term
-    of det(xI - g) is +-det g, so any other value means g is not invertible
-    over Z and has no finite order: `ValueError` before any power of g."""
+    into cyclotomic polynomials by exact trial division, then derive the order.
+
+    The constant term of det(xI - g) is +-det g, so any other value means g
+    is not invertible over Z: `ValueError`.  Phi_d is tried for d up to 2n^2
+    (n the rank), since phi(d) >= sqrt(d/2); a remainder is an
+    `ArithmeticError`.  Neither takes a power of g.  Each Phi_d gives an
+    eigenvalue of exact order d, so the order is L = lcm(d) iff g^L = 1;
+    otherwise g has a unipotent part and no finite order: `ValueError`.
+    """
     poly = char_poly(g)
     if poly[0] not in (1, -1):
         raise ValueError("matrix is not invertible over Z, so it has no finite order")
-    order = matrix_order(g)
+    n = len(g)
     mult = {}
-    for d in range(1, order + 1):
-        if order % d:
+    for d in range(1, 2 * n * n + 1):
+        if poly == [1]:
+            break
+        if euler_phi(d) >= len(poly):
             continue
         cp = cyclotomic_poly(d)
         while len(poly) >= len(cp):
@@ -233,7 +240,10 @@ def cyclo_decompose(g):
     if poly != [1]:
         raise ArithmeticError("characteristic polynomial is not a product of "
                               "cyclotomics; the matrix cannot have finite order")
-    return CycloDecomp(order, len(g), mult)
+    order = lcm(*mult)
+    if _mat_power(g, order) != identity_matrix(n):
+        raise ValueError(f"matrix has no finite order: g^{order} is not the identity")
+    return CycloDecomp(order, n, mult)
 
 
 # ---------------------------------------------------------------------------

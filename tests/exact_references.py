@@ -13,6 +13,9 @@ Tests compare the library against them.
   `sigma_chi` and `sigma_tilde_chi`, each a sum over the divisors of one m.
 * The pivot search of `lattice.smith_normal_form` before its scan stopped
   at the first unit entry: `snf_pivot_full_scan` scans the whole block.
+* The order search of `rst.cyclo_decompose` before it derived the order
+  from the cyclotomic factors: `matrix_order_by_powers` multiplies by g
+  until the identity comes up, or raises past a cap.
 * Two chart conversions only tests need: `to_2x` (simple-root to doubled
   e-coordinates of E8) and `dual_vector` (a `DualVec` from rational
   coordinates).
@@ -22,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from k3mod.e8 import SIMPLE_ROOTS_2X
-from k3mod.lattice import DualVec
+from k3mod.lattice import DualVec, identity_matrix, mat_mul
 from k3mod.qseries import QSeries
 
 
@@ -169,6 +172,17 @@ def snf_pivot_full_scan(a, t):
             if x and (best is None or x < best):
                 best, piv = x, (i, j)
     return piv
+
+
+def matrix_order_by_powers(g, cap):
+    """Multiplicative order of an integer matrix, or ValueError past the cap."""
+    ident = identity_matrix(len(g))
+    power = [list(row) for row in g]
+    for k in range(1, cap + 1):
+        if power == ident:
+            return k
+        power = mat_mul(power, g)
+    raise ValueError(f"matrix order exceeds the cap {cap}")
 
 
 def to_2x(alpha_coords):

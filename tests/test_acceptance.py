@@ -201,6 +201,10 @@ _NON_INTEGER_CALLS = {
     "bigphi_verify": lambda: rst.bigphi_verify(2.5),
     "cyclotomic_poly": lambda: rst.cyclotomic_poly(4.0),
     "count_orth_roots_2x": lambda: e8.count_orth_roots_2x((0,) * 6 + (2, 2.5)),
+    "dot2x": lambda: e8.dot2x((2.0,) + (0,) * 7, (2.0,) + (0,) * 7),
+    "in_e8_2x": lambda: e8.in_e8_2x((2.0,) * 8),
+    "alpha_from_2x": lambda: e8.alpha_from_2x((2, 2.0) + (0,) * 6),
+    "SearchHit": lambda: se.SearchHit(1, (2.0, 2.0) + (0,) * 6, 2, "case1"),
 }
 
 
@@ -209,6 +213,22 @@ def test_entry_points_reject_non_integer_arguments(call):
     # degrees, norms, precisions, sample counts, orders and coordinates are
     # read with operator.index
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+_WRONG_LENGTH_CALLS = {
+    "dot2x": lambda: e8.dot2x((2,) + (0,) * 7, (2, 0, 0)),
+    "in_e8_2x": lambda: e8.in_e8_2x((2, 2)),
+    "alpha_from_2x_4": lambda: e8.alpha_from_2x((2, 2, 0, 0)),
+    "alpha_from_2x_10": lambda: e8.alpha_from_2x((2, 2) + (0,) * 8),
+    "SearchHit": lambda: se.SearchHit(1, (2, 2, 0), 2, "case1"),
+}
+
+
+@pytest.mark.parametrize("call", _WRONG_LENGTH_CALLS.values(), ids=_WRONG_LENGTH_CALLS)
+def test_e8_charts_take_exactly_8_coordinates(call):
+    # zip used to truncate the longer vector, and a short one could pass as in E8
+    with pytest.raises(lt.LatticeError, match="8 doubled e-coordinates"):
         call()
 
 

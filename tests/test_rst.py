@@ -1,14 +1,17 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from k3mod import rst
+from exact_references import matrix_order_by_powers
+from k3mod import cli, rst
 from k3mod.lattice import mat_mul, identity_matrix
 from k3mod.rst import (
     CycloDecomp, EigenExponents, bigphi_verify, c_min, c_min_with_argmin,
     char_poly, cyclo_decompose, cyclotomic_poly, euler_phi,
-    is_quasi_reflection, is_reflection, matrix_order, sigma_prime, sigma_rst,
+    is_quasi_reflection, is_reflection, sigma_prime, sigma_rst,
     toric_order2_check,
 )
 
@@ -76,10 +79,10 @@ def test_char_poly():
 
 
 def test_matrix_order():
-    assert matrix_order([[0, -1], [1, 0]]) == 4
-    assert matrix_order(identity_matrix(3)) == 1
-    with pytest.raises(ValueError):
-        matrix_order([[1, 1], [0, 1]], cap=50)
+    assert cyclo_decompose([[0, -1], [1, 0]]).order == 4
+    assert cyclo_decompose(identity_matrix(3)).order == 1
+    # rows given as tuples: the identity has order 1 (the power search said 2)
+    assert cyclo_decompose(((1, 0), (0, 1))).order == 1
 
 
 def test_cyclo_decompose_basic():
@@ -234,11 +237,100 @@ def test_cyclo_decomp_rejects_multiplicities_off_the_rank():
 @pytest.mark.parametrize("g", [[[0]], [[2]], [[1, 0], [0, 3]], [[1, 2], [2, 4]]])
 def test_a_matrix_not_invertible_over_z_has_no_finite_order(monkeypatch, g):
     # the constant term of the characteristic polynomial is +-det g: no power is taken
-    monkeypatch.setattr(rst, "matrix_order", lambda *_a: pytest.fail("matrix_order called"))
+    monkeypatch.setattr(rst, "_mat_power", lambda *_a: pytest.fail("_mat_power called"))
     with pytest.raises(ValueError, match="not invertible over Z"):
         cyclo_decompose(g)
 
 
-def test_a_unimodular_matrix_of_infinite_order_meets_the_cap():
-    with pytest.raises(ValueError, match="matrix order exceeds the cap 10000"):
+def test_a_unimodular_matrix_of_infinite_order_has_no_finite_order():
+    # Phi_1^2 divides its characteristic polynomial, but g^1 is not 1
+    with pytest.raises(ValueError, match="matrix has no finite order: g\\^1 is not the identity"):
         cyclo_decompose([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="no finite order: g\\^6 is not"):
+        cyclo_decompose([[0, -1, 1, 0], [1, 1, 0, 1], [0, 0, 0, -1], [0, 0, 1, 1]])
+
+
+def _companion(poly):
+    """Companion matrix of a monic integer polynomial, low degree first."""
+    n = len(poly) - 1
+    return [[(i == j + 1) - (j == n - 1) * poly[i] for j in range(n)] for i in range(n)]
+
+
+def _block_companion(indices):
+    """Block-diagonal matrix of the companions of Phi_d for d in `indices`."""
+    blocks = [_companion(cyclotomic_poly(d)) for d in indices]
+    n = sum(map(len, blocks))
+    g = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            g[at + i][at:at + len(row)] = row
+        at += len(block)
+    return g
+
+
+def _multisets(indices, budget):
+    """Every multiset of `indices` (ascending tuples) with sum of phi(d) <= budget."""
+    yield ()
+    for i, d in enumerate(indices):
+        if euler_phi(d) <= budget:
+            for rest in _multisets(indices[i:], budget - euler_phi(d)):
+                yield (d,) + rest
+
+
+def _counted_products(monkeypatch):
+    """Patch `rst.mat_mul` to count its calls; returns the growing count list."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return mat_mul(a, b)
+    monkeypatch.setattr(rst, "mat_mul", counted)
+    return calls
+
+
+# the largest finite order at rank 21, and an order past the old 10^4 cap at rank 30
+RANK_21_ORDER_2520 = (1, 5, 7, 8, 9)
+RANK_30_ORDER_11088 = (7, 9, 11, 16)
+
+
+def test_the_order_matches_the_power_search_on_every_small_factor_multiset():
+    rng = random.Random(5)
+    indices = [d for d in range(1, 31) if euler_phi(d) <= 8]
+    cases = [ms for ms in _multisets(indices, 8) if ms] + [RANK_21_ORDER_2520]
+    assert len(cases) == 501
+    for ms in cases:
+        g = _block_companion(ms)
+        if len(g) > 1:
+            g = _random_conjugation(rng, g)
+        dec = cyclo_decompose(g)
+        assert dec.order == matrix_order_by_powers(g, 10**4), ms
+        assert list(dec.multiplicities.items()) == sorted(Counter(ms).items()), ms
+
+
+def test_the_largest_order_at_rank_21_takes_few_products(monkeypatch):
+    g = _random_conjugation(random.Random(2520), _block_companion(RANK_21_ORDER_2520))
+    calls = _counted_products(monkeypatch)
+    dec = cyclo_decompose(g)
+    assert dec.order == 2520 and dec.multiplicities == {1: 1, 5: 1, 7: 1, 8: 1, 9: 1}
+    # char_poly takes 21 products, the check g^2520 = 1 at most 2 log2(2520)
+    assert len(calls) - 21 <= 24
+
+
+def test_an_order_past_ten_thousand_is_found(capsys):
+    g = _random_conjugation(random.Random(11088), _block_companion(RANK_30_ORDER_11088))
+    dec = cyclo_decompose(g)
+    assert (dec.order, dec.rank) == (11088, 30)
+    assert dec.multiplicities == {7: 1, 9: 1, 11: 1, 16: 1}
+    assert cli.run(["rst", "--matrix", json.dumps(g)]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and json.loads(out.out)["order"] == 11088
+
+
+def test_a_characteristic_polynomial_off_the_cyclotomics_takes_no_power(monkeypatch):
+    # x^21 - x - 1 is unimodular but not a product of cyclotomic polynomials
+    g = _companion([-1, -1] + [0] * 19 + [1])
+    calls = _counted_products(monkeypatch)
+    with pytest.raises(ArithmeticError, match="not a product of cyclotomics"):
+        cyclo_decompose(g)
+    assert len(calls) == 21  # char_poly's own products only

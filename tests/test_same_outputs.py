@@ -1,18 +1,26 @@
-"""tools/same_outputs.py on a tiny degree range."""
+"""tools/same_outputs.py on a tiny degree range, and its digests at the
+pinned range against tests/golden_digests.json."""
 import hashlib
 import importlib.util
 import json
+import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from k3mod import lattice as lt
 from k3mod import qseries as qs
 from k3mod import reflective as rf
+from k3mod import rst
 from k3mod import search as se
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
 same_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_outputs)
+GOLDEN = json.loads((ROOT / "tests" / "golden_digests.json").read_text())
+REGENERATE = f"python tools/same_outputs.py --degrees {GOLDEN['degrees']}"
 
 
 def test_one_digest_per_group(capsys):
@@ -22,7 +30,7 @@ def test_one_digest_per_group(capsys):
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
                      + ["tuples", "orbit-scan", "lattice-reflect", "counts", "histograms", "forms",
-                        "expressions", "series", "cli-tables", "cli-usage"]
+                        "expressions", "series", "rst", "cli-tables", "cli-usage"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -42,6 +50,7 @@ def test_one_digest_per_group(capsys):
     assert digests["forms"] == same_outputs.digest(same_outputs.forms())
     assert digests["expressions"] == same_outputs.digest(same_outputs.expressions())
     assert digests["series"] == same_outputs.digest(same_outputs.series())
+    assert digests["rst"] == same_outputs.digest(same_outputs.rst_outputs())
     assert digests["cli-usage"] == same_outputs.digest(
         same_outputs.cli_output(argv) for argv in same_outputs.CLI_USAGE)
     # the in-process calls give the recorded stdout with exit code 0
@@ -169,3 +178,75 @@ def test_expressions_read_lattices_and_parse_errors():
     assert all(item[1] in ("ParseError", "LatticeError") for item in bad)
     assert ["", "ParseError", "expected a lattice atom (at position 0)", 0] in bad
     assert ["U(0)", "ParseError", "scale must be nonzero (at position 4)", 4] in bad
+
+
+def test_rst_reads_decompositions_sums_and_c_min():
+    items = list(same_outputs.rst_outputs())
+    n_mat = same_outputs.RST_MATRICES + len(same_outputs.RST_EXTRA_BLOCKS)
+    ranks = Counter()
+    for g, order, mult, report in items[:n_mat]:
+        # the multiplicities come in ascending order, and the order is their lcm
+        assert [d for d, _v in mult] == sorted(d for d, _v in mult)
+        assert sum(v * rst.euler_phi(d) for d, v in mult) == len(g)
+        assert report["order"] == order and report["decomposition"] == dict(mult)
+        assert report["consistent"]
+        ranks[len(g)] += 1
+    assert max(ranks) == same_outputs.RST_MAX_RANK and len(ranks) > 10
+    assert items[n_mat - 3][1:3] == [2520, [(1, 1), (5, 1), (7, 1), (8, 1), (9, 1)]]
+    singular = items[n_mat:n_mat + len(same_outputs.RST_SINGULAR)]
+    assert all(out == "matrix is not invertible over Z, so it has no finite order"
+               for _g, out in singular)
+    assert items[-1] == {"checked": 1078, "min_sum": "10/7", "min_at": (7, 6),
+                         "violations": []}
+    cmin = items[-1 - (same_outputs.CMIN_MAX_D - 2):-1]
+    assert [d for d, _value, _shift in cmin] == list(range(3, same_outputs.CMIN_MAX_D + 1))
+    assert cmin[30 - 3] == [30, "46/15", 19]  # c_min(30) = 92/30 at the shift 19
+
+
+def test_block_companions_and_their_conjugates_have_the_cyclotomic_charpoly():
+    g = same_outputs.block_companion((3, 4))
+    assert g == [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    h = same_outputs.unimodular_conjugate(g, same_outputs.random.Random(0))
+    assert h != g and rst.char_poly(h) == rst.char_poly(g) == [1, 1, 2, 1, 1]
+
+
+@pytest.fixture(scope="module")
+def pinned_digests():
+    return dict(same_outputs.groups(same_outputs.parse_degrees(GOLDEN["degrees"])))
+
+
+def test_the_output_digests_match_the_pinned_ones(pinned_digests):
+    got = {name: value for name, value in pinned_digests.items() if name != "cli-usage"}
+    changed = sorted(name for name in got.keys() | GOLDEN["digests"].keys()
+                     if got.get(name) != GOLDEN["digests"].get(name))
+    assert not changed, (f"groups {changed} differ from tests/golden_digests.json; if the "
+                         f"change is meant, regenerate with `{REGENERATE}` and say in "
+                         "CHANGES.md which groups changed and why")
+
+
+def test_the_usage_digest_matches_the_pin_of_this_python(pinned_digests):
+    # argparse lays out help texts differently across minor versions (3.13)
+    version = f"{sys.version_info[0]}.{sys.version_info[1]}"
+    pins = GOLDEN["cli-usage"]
+    assert version in pins, (f"no cli-usage digest is pinned for Python {version}: run "
+                             f"`python{version} {REGENERATE.partition(' ')[2]}` and add its "
+                             "cli-usage line to tests/golden_digests.json")
+    assert pinned_digests["cli-usage"] == pins[version], (
+        f"cli-usage differs from its Python {version} pin; if meant, regenerate with "
+        f"`{REGENERATE}`")
+
+
+def test_the_verdict_kinds_up_to_61_are_pinned():
+    kinds = {}
+    for d in range(1, 62):
+        kinds.setdefault(se.kodaira_verdict(d).kind, []).append(d)
+    assert kinds == GOLDEN["verdict_kinds"]
+    assert kinds["general_type"] == [46, 50, 52, 54, 57, 58, 60]
+
+
+def test_the_inequality_failures_up_to_2000_are_pinned():
+    mineq = [d for d in range(1, 2001) if not se.check_mineq(d)]
+    mineqd = [d for d in range(1, 2001) if not se.check_mineqd(d)]
+    assert (len(mineq), len(mineqd)) == (126, 117)
+    assert (mineq, mineqd) == (GOLDEN["mineq_failures"], GOLDEN["mineqd_failures"])
+    assert mineq[-1] == mineqd[-1] == 143

@@ -43,6 +43,15 @@ byte-identical outputs in that group.  The groups are
   `rep_num(name, 2d)` for every named lattice and `check_mineq(d)`,
   `check_mineqd(d)` for every d in 1..SERIES_MAX_D, in ascending order, then
   `compute_pex(PEX_MAX_M)`; this group does not depend on --degrees either;
+* `rst`: `cyclo_decompose` (order and multiplicities, in order) and
+  `toric_order2_check` on RST_MATRICES seeded unimodular conjugates of
+  block-diagonal companion matrices of cyclotomic polynomials, of rank up to
+  RST_MAX_RANK, and on RST_EXTRA_BLOCKS, then the errors of RST_SINGULAR,
+  then `sigma_rst` and the quasi-reflection flags on seeded exponent lists
+  of every order up to RST_MAX_ORDER, `sigma_prime` on seeded lists of
+  every even order up to RST_MAX_ORDER, `c_min_with_argmin(d)` for d in
+  3..CMIN_MAX_D and `bigphi_verify(CMIN_MAX_D)`; this group does not depend
+  on --degrees either;
 * `cli-tables`: the stdout of `k3mod tables` in each output format;
 * `cli-usage`: the help texts and usage errors of CLI_USAGE, each hashed as
   (exit code, stdout, stderr) at a terminal width of 80 columns;
@@ -54,6 +63,11 @@ The `k3mod` calls run in this process; except in `cli-usage` they hash
 
 Each group hashes one JSON line per item, in order.  The program is
 imported from the `src` directory of the checkout this script lives in.
+
+tests/golden_digests.json pins every group's digest at --degrees 1-61, the
+`cli-usage` group once per Python minor version (argparse's help layout
+changed in 3.13), and tier-1 recomputes them in-process.  Ranges beyond the
+pinned one are still checked by running this script in two checkouts.
 """
 
 from __future__ import annotations
@@ -73,7 +87,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from k3mod import cli, search  # noqa: E402
-from k3mod import lattice, qseries, reflective, roots  # noqa: E402
+from k3mod import lattice, qseries, reflective, roots, rst  # noqa: E402
 
 # the orbit scan's cost rises steeply with d: d = 1..150 takes about 20 s,
 # 1..400 would take about 10 min (CPython 3.11 on a 2-core VM)
@@ -109,6 +123,17 @@ SERIES_PREC = 1200
 SERIES_DN = (5, 6, 8)
 SERIES_MAX_D = 2000
 PEX_MAX_M = 600
+# the matrices and exponent lists of the `rst` group: blocks are companions
+# of Phi_d with phi(d) <= 8; (1, 5, 7, 8, 9) has order 2520, the largest
+# finite order at rank 21
+RST_MATRICES = 40
+RST_SHEARS = 4
+RST_MAX_RANK = 21
+RST_INDICES = tuple(d for d in range(1, 31) if rst.euler_phi(d) <= 8)
+RST_EXTRA_BLOCKS = ((1, 5, 7, 8, 9), (2, 2, 2), (4, 4, 3, 6))
+RST_SINGULAR = ([[0]], [[2]], [[1, 0], [0, 3]], [[1, 2], [2, 4]])
+RST_MAX_ORDER = 12
+CMIN_MAX_D = 60
 # the `cli-usage` calls: every help text, then the usage errors of the full
 # parser (no command, an unknown command, an option before the command) and
 # of a subcommand (trailing, missing and invalid arguments)
@@ -248,6 +273,71 @@ def series():
     yield ["pex", search.compute_pex(PEX_MAX_M)]
 
 
+def block_companion(indices):
+    """Block-diagonal matrix of the companion matrices of Phi_d, d in `indices`."""
+    n = sum(rst.euler_phi(d) for d in indices)
+    g = [[0] * n for _ in range(n)]
+    at = 0
+    for d in indices:
+        poly = rst.cyclotomic_poly(d)
+        k = len(poly) - 1
+        for i in range(k):
+            if i:
+                g[at + i][at + i - 1] = 1
+            g[at + i][at + k - 1] = -poly[i]
+        at += k
+    return g
+
+
+def unimodular_conjugate(g, rng):
+    """E g E^-1 for a seeded product E of RST_SHEARS elementary matrices I + c e_ij."""
+    g = [row[:] for row in g]
+    for _ in range(RST_SHEARS if len(g) > 1 else 0):
+        i, j = rng.sample(range(len(g)), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+        for row in g:
+            row[j] -= c * row[i]
+    return g
+
+
+def rst_outputs():
+    """Cyclotomic decompositions, eigenvalue sums and the c_min bounds, as JSON."""
+    rng = random.Random("rst")
+    blocks = []
+    for _ in range(RST_MATRICES):
+        indices, left = [], rng.randint(1, RST_MAX_RANK)
+        while left:
+            indices.append(rng.choice([d for d in RST_INDICES if rst.euler_phi(d) <= left]))
+            left -= rst.euler_phi(indices[-1])
+        blocks.append(indices)
+    for indices in blocks + list(RST_EXTRA_BLOCKS):
+        g = unimodular_conjugate(block_companion(indices), rng)
+        dec = rst.cyclo_decompose(g)
+        report = rst.toric_order2_check(g)
+        yield [g, dec.order, list(dec.multiplicities.items()),
+               {**report, "sigma": str(report["sigma"])}]
+    for g in RST_SINGULAR:
+        try:
+            yield [g, rst.cyclo_decompose(g).order]
+        except ValueError as exc:
+            yield [g, str(exc)]
+    for m in range(1, RST_MAX_ORDER + 1):
+        for _ in range(3):
+            e = rst.EigenExponents(m, [rng.randrange(m) for _ in range(rng.randint(1, 6))])
+            yield [m, e.exponents, str(rst.sigma_rst(e)), rst.is_quasi_reflection(e),
+                   rst.is_reflection(e)]
+    for k in range(2, RST_MAX_ORDER // 2 + 1):
+        evens = [2 * rng.randrange(k) for _ in range(rng.randint(0, 4))]
+        e = rst.EigenExponents(2 * k, evens + [2 * rng.randrange(k) + 1])
+        yield [2 * k, e.exponents, [str(rst.sigma_prime(e, l)) for l in range(1, k)]]
+    for d in range(3, CMIN_MAX_D + 1):
+        value, shift = rst.c_min_with_argmin(d)
+        yield [d, str(value), shift]
+    report = rst.bigphi_verify(CMIN_MAX_D)
+    yield {**report, "min_sum": str(report["min_sum"])}
+
+
 def groups(degrees):
     """(group name, digest) pairs in a fixed order."""
     yield "verdict", digest(search.kodaira_verdict(d).to_dict() for d in degrees)
@@ -266,6 +356,7 @@ def groups(degrees):
     yield "forms", digest(forms())
     yield "expressions", digest(expressions())
     yield "series", digest(series())
+    yield "rst", digest(rst_outputs())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
     yield "cli-usage", digest(cli_output(argv) for argv in CLI_USAGE)
