@@ -199,7 +199,9 @@ def smith_normal_form(mat):
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide the remaining block
+            # pivot must divide the remaining block, as a unit pivot does
+            if a[t][t] in (1, -1):
+                break
             witness = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):

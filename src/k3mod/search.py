@@ -21,7 +21,11 @@ m8 = (x + s) / 3 negative or leaves no m6 >= m5.  The exhaustive search
 enumerates one dominant representative per Weyl orbit (the orthogonal-root
 count is Weyl invariant), which turns the 10^8-vector streams of the naive
 scan into a handful of cone vectors; `roots.enumerate_cone` walks them on
-the weight form in integers, so no rational arithmetic.
+the weight form in integers, so no rational arithmetic.  The walk takes the
+fundamental weights in reverse Coxeter order, w1 outermost and w8 (norm 2,
+the widest range) solved at the leaf: over d = 1..61 that makes 23,683 leaf
+calls against 113,618 in Coxeter order (`_enumerate_dominant` has the
+measurements).
 The verdict has one rule at every degree: the families run first, and the
 orbit scan runs wherever no family gives N_l <= 12.
 
@@ -48,8 +52,11 @@ from .lattice import IntLattice, LatticeError, _grown
 # ---------------------------------------------------------------------------
 
 def _check_degree(d):
-    if index(d) < 1:
+    """The degree as an int (`operator.index`), checked positive."""
+    d = index(d)
+    if d < 1:
         raise LatticeError("d must be positive")
+    return d
 
 
 # each inequality holds at d when its margin, sum weight * N_L(2d), is positive
@@ -65,14 +72,12 @@ def _margin(which, d):
 
 def check_mineq(d):
     """4 N_E7(2d) > 28 N_E6(2d) + 63 N_D6(2d), evaluated exactly; d >= 1."""
-    _check_degree(d)
-    return _margin("mineq", d) > 0
+    return _margin("mineq", _check_degree(d)) > 0
 
 
 def check_mineqd(d):
     """5 N_E7 > 28 N_E6 + 63 N_D6 + 378 N_D5 at norm 2d, evaluated exactly; d >= 1."""
-    _check_degree(d)
-    return _margin("mineqd", d) > 0
+    return _margin("mineqd", _check_degree(d)) > 0
 
 
 def compute_pex(max_m=240):
@@ -242,7 +247,7 @@ CASES = tuple(FAMILIES)
 
 def iter_case_tuples(case, d):
     """The tuples of family `case` at degree d (see the domains above)."""
-    _check_degree(d)
+    d = _check_degree(d)
     if case not in FAMILIES:
         raise ValueError(f"unknown case {case!r}")
     return _case_tuples(case, d)
@@ -449,6 +454,7 @@ def structured_search(d, case, targets):
     The hits are the members of the family's verified stream (every claim
     and norm checked on every tuple, see `_family_stream`) with N_l in
     `targets`."""
+    d = _check_degree(d)
     targets = frozenset(targets)
     hits = [SearchHit(d, vec, n_l, f"case{case}")
             for n_l, vec in _family_stream(case, d) if n_l in targets]
@@ -457,6 +463,7 @@ def structured_search(d, case, targets):
 
 
 def structured_search_all(d, targets):
+    d = _check_degree(d)
     hits = []
     for case in CASES:
         hits.extend(structured_search(d, case, targets))
@@ -466,10 +473,11 @@ def structured_search_all(d, targets):
 
 # -- exhaustive search -------------------------------------------------------
 
-# E8 on the fundamental weights (it carries the memoised scaled form); the
-# e-coordinate t of sum_i x_i w_i is the pairing of x with column t
-_WEIGHT_LATTICE = IntLattice(e8.weight_gram())
-_WEIGHT_COLUMNS = tuple(zip(*e8.WEIGHTS_2X))
+# E8 on the fundamental weights w8, ..., w1, the reverse Coxeter order of
+# `_enumerate_dominant` (it carries the memoised scaled form); the
+# e-coordinate t of x_0 w8 + ... + x_7 w1 is the pairing of x with column t
+_WEIGHT_LATTICE = IntLattice(tuple(row[::-1] for row in e8.weight_gram()[::-1]))
+_WEIGHT_COLUMNS = tuple(zip(*e8.WEIGHTS_2X[::-1]))
 
 
 def _enumerate_dominant(norm):
@@ -481,6 +489,17 @@ def _enumerate_dominant(norm):
     weights; the weight Gram matrix is the inverse Cartan matrix.  So the
     vectors are the nonnegative cone of that form at this norm
     (`roots.enumerate_cone`), mapped to e-coordinates.
+
+    The walk takes the weights in reverse Coxeter order: w1 at its outermost
+    level, w8 solved from the square root at the leaf.  The walk makes one
+    leaf call per choice of the other seven coordinates, and w8 has norm 2,
+    the least of the eight, so its coordinate has the widest range and is
+    the one best solved rather than walked.  Over d = 1..61 the walk made
+    113,618 leaf calls in Coxeter order (w8 outermost) and makes 23,683 in
+    this one.  Of the orders measured (Coxeter, reversed, ascending norm,
+    60 random ones) this was the fastest at d <= 61, 62..150 and 200..300;
+    orders that solve w4 (norm 30, the narrowest range) at the leaf were
+    over 100 times slower.
     """
     out = [tuple(sum(map(mul, col, x)) for col in _WEIGHT_COLUMNS)
            for x in rt.enumerate_cone(_WEIGHT_LATTICE, norm)]
@@ -496,7 +515,7 @@ def exhaustive_search(d):
     constant on orbits), found by an integer walk of the weight
     coordinates; runs at any d >= 1.
     """
-    _check_degree(d)
+    d = _check_degree(d)
     best = None
     for vec in _enumerate_dominant(2 * d):
         n_l = e8.count_orth_roots_2x(vec)
@@ -567,6 +586,7 @@ def kodaira_verdict(d):
     first family wins, as in the sorted `structured_search_all`; a
     `SearchHit` is built only for the winners.
     """
+    d = _check_degree(d)
     mineq = check_mineq(d)
     mineqd = check_mineqd(d)
     # the least (N_l, coords2x) with 2 <= N_l <= 12 and with N_l = 14, each

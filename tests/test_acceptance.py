@@ -2,6 +2,7 @@
 pass/fail line each (run with -s to see them on success)."""
 
 import ast
+import json
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -214,6 +215,38 @@ def test_entry_points_reject_non_integer_arguments(call):
     # read with operator.index
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
+
+
+class _Degree:
+    """A degree that is an integer only through `__index__`."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def __index__(self):
+        return self.d
+
+
+_DEGREE_CALLS = {
+    "check_mineq": se.check_mineq,
+    "check_mineqd": se.check_mineqd,
+    "iter_case_tuples": lambda d: list(se.iter_case_tuples("IV", d)),
+    "structured_search": lambda d: [h.to_dict() for h in se.structured_search(d, "I", (8, 12))],
+    "structured_search_all": lambda d: [h.to_dict()
+                                        for h in se.structured_search_all(d, range(2, 15))],
+    "exhaustive_search": lambda d: (hit := se.exhaustive_search(d)) and hit.to_dict(),
+    "kodaira_verdict": lambda d: se.kodaira_verdict(d).to_dict(),
+}
+
+
+@pytest.mark.parametrize("call", _DEGREE_CALLS.values(), ids=_DEGREE_CALLS)
+def test_entry_points_read_the_degree_once_as_an_int(call):
+    # the degree is read with operator.index and the int is used from then
+    # on: a type with only __index__ works, and True is the degree 1, never
+    # `"d": true` in a result (JSON tells true from 1)
+    for arg, d in ((_Degree(46), 46), (True, 1)):
+        got, want = call(arg), call(d)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 _WRONG_LENGTH_CALLS = {

@@ -21,9 +21,43 @@ same_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_outputs)
 GOLDEN = json.loads((ROOT / "tests" / "golden_digests.json").read_text())
 REGENERATE = f"python tools/same_outputs.py --degrees {GOLDEN['degrees']}"
+# the generators of the groups that do not depend on --degrees
+DEGREE_FREE = ("counts", "histograms", "forms", "expressions", "series", "rst_outputs")
 
 
-def test_one_digest_per_group(capsys):
+@pytest.fixture(scope="module")
+def computed_once():
+    """A function that installs, on a monkeypatch, memoised stand-ins for the
+    generators of DEGREE_FREE (each returns its items as a list) and for the
+    in-process `k3mod` call `cli_output`.  The memo lives as long as this
+    module's tests, so each of those groups and each call runs once."""
+    generators = {name: getattr(same_outputs, name) for name in DEGREE_FREE}
+    cli_output = same_outputs.cli_output
+    items, calls = {}, {}
+
+    def memo_items(name):
+        def read():
+            if name not in items:
+                items[name] = list(generators[name]())
+            return items[name]
+        return read
+
+    def memo_cli_output(argv):
+        key = tuple(argv)
+        if key not in calls:
+            calls[key] = cli_output(argv)
+        return calls[key]
+
+    def install(mp):
+        for name in DEGREE_FREE:
+            mp.setattr(same_outputs, name, memo_items(name))
+        mp.setattr(same_outputs, "cli_output", memo_cli_output)
+
+    return install
+
+
+def test_one_digest_per_group(capsys, monkeypatch, computed_once):
+    computed_once(monkeypatch)
     same_outputs.main(["--degrees", "40-41"])
     lines = capsys.readouterr().out.splitlines()
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
@@ -59,7 +93,8 @@ def test_one_digest_per_group(capsys):
             (0, c["stdout"]) for c in calls), workload
 
 
-def test_counts_reads_histograms_and_brute_representation_numbers():
+def test_counts_reads_histograms_and_brute_representation_numbers(monkeypatch, computed_once):
+    computed_once(monkeypatch)
     items = list(same_outputs.counts())
     n_hist = len(same_outputs.COUNTS_LATTICES) * len(same_outputs.COUNTS_SEEDS)
     e8 = [hist for expr, _seed, hist in items[:n_hist] if expr == "E8"]
@@ -70,7 +105,8 @@ def test_counts_reads_histograms_and_brute_representation_numbers():
         assert n == qs.rep_num(name, norm)
 
 
-def test_histograms_read_norm_counts_at_large_tops():
+def test_histograms_read_norm_counts_at_large_tops(monkeypatch, computed_once):
+    computed_once(monkeypatch)
     items = list(same_outputs.histograms())
     n_perm = len(same_outputs.HISTOGRAMS_PERMUTED) * len(same_outputs.COUNTS_SEEDS)
     assert [item[0] for item in items[n_perm:]] == [e for e, _t in same_outputs.HISTOGRAMS_PARSED]
@@ -125,7 +161,8 @@ def test_lattice_reflect_reads_the_l2d_outputs():
     assert "criterion_12" not in same_outputs.lattice_reflect(7)
 
 
-def test_forms_reads_square_completions_dets_and_signatures():
+def test_forms_reads_square_completions_dets_and_signatures(monkeypatch, computed_once):
+    computed_once(monkeypatch)
     items = list(same_outputs.forms())
     n_forms = ((len(same_outputs.COUNTS_LATTICES) + len(same_outputs.FORMS_EXTRA))
                * len(same_outputs.COUNTS_SEEDS))
@@ -147,7 +184,8 @@ def test_forms_reads_square_completions_dets_and_signatures():
         ["<-4>+<4>", -16, (1, 1)]]
 
 
-def test_series_reads_the_theta_series_and_the_inequality_sweep():
+def test_series_reads_the_theta_series_and_the_inequality_sweep(monkeypatch, computed_once):
+    computed_once(monkeypatch)
     items = list(same_outputs.series())
     heads = {name: coeffs[:2] for name, coeffs in items[:6]}
     assert heads == {"E7": [1, 126], "D5": [1, 40], "D6": [1, 60], "D8": [1, 112],
@@ -162,7 +200,8 @@ def test_series_reads_the_theta_series_and_the_inequality_sweep():
     assert items[-1] == ["pex", se.compute_pex(same_outputs.PEX_MAX_M)]
 
 
-def test_expressions_read_lattices_and_parse_errors():
+def test_expressions_read_lattices_and_parse_errors(monkeypatch, computed_once):
+    computed_once(monkeypatch)
     items = list(same_outputs.expressions())
     n_bad = len(same_outputs.BAD_EXPRESSIONS) + 3
     good, bad = items[:-n_bad], items[-n_bad:]
@@ -180,7 +219,8 @@ def test_expressions_read_lattices_and_parse_errors():
     assert ["U(0)", "ParseError", "scale must be nonzero (at position 4)", 4] in bad
 
 
-def test_rst_reads_decompositions_sums_and_c_min():
+def test_rst_reads_decompositions_sums_and_c_min(monkeypatch, computed_once):
+    computed_once(monkeypatch)
     items = list(same_outputs.rst_outputs())
     n_mat = same_outputs.RST_MATRICES + len(same_outputs.RST_EXTRA_BLOCKS)
     ranks = Counter()
@@ -211,8 +251,10 @@ def test_block_companions_and_their_conjugates_have_the_cyclotomic_charpoly():
 
 
 @pytest.fixture(scope="module")
-def pinned_digests():
-    return dict(same_outputs.groups(same_outputs.parse_degrees(GOLDEN["degrees"])))
+def pinned_digests(computed_once):
+    with pytest.MonkeyPatch.context() as mp:
+        computed_once(mp)
+        return dict(same_outputs.groups(same_outputs.parse_degrees(GOLDEN["degrees"])))
 
 
 def test_the_output_digests_match_the_pinned_ones(pinned_digests):

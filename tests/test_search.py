@@ -304,6 +304,26 @@ def test_orbit_scan_misses_no_orbit():
         assert orbit_sum == 240 * sum(t ** 3 for t in range(1, d + 1) if d % t == 0), d
 
 
+def test_orbit_scan_solves_the_widest_weight_at_the_leaf(monkeypatch):
+    # the cone walk takes w1 outermost and solves w8 (norm 2, the widest
+    # range) at the leaf; with w8 outermost, in Coxeter order, it made
+    # 113,618 leaf calls over d = 1..61
+    walk = roots._walk
+    calls = 0
+
+    def counted_walk(lat, target, x, leaf, *args):
+        def counted_leaf(*leaf_args):
+            nonlocal calls
+            calls += 1
+            leaf(*leaf_args)
+        walk(lat, target, x, counted_leaf, *args)
+
+    monkeypatch.setattr(roots, "_walk", counted_walk)
+    for d in range(1, 62):
+        se._enumerate_dominant(2 * d)
+    assert 0 < calls <= 113618 // 3
+
+
 def test_exhaustive_search_hits():
     hit = se.exhaustive_search(46)
     assert hit is not None and 2 <= hit.n_l <= 12
