@@ -12,7 +12,7 @@ this module.  The walk serves the vectors of one norm and their number
 and the nonnegative cone of one norm (`enumerate_cone`, where every level
 walks x_i >= 0: the dominant-orbit scan of `search`).
 
-Three things keep the recursion cheap:
+Four things keep the recursion cheap:
 
 * x/-x symmetry.  While every higher coordinate is 0, the centre of the
   current level is 0 and its range is symmetric, so only x_i >= 0 is walked
@@ -23,6 +23,10 @@ Three things keep the recursion cheap:
 * Stepped centres.  A level computes the part of the next level's centre
   that comes from the higher coordinates once, then steps it by one
   coefficient per value of its own coordinate.
+* Empty levels return at once.  A level whose range is empty (hi < lo)
+  returns before it computes the next level's centre.  Its coordinate is 0
+  already, since every level resets its coordinate when it finishes.  In
+  the cone walk of `search`'s orbit scan two thirds of the levels are empty.
 * Histograms two levels at a time.  The walk of `norm_counts` counts the
   norms up to a bound `top` and stops at level 2.  Fix
   z = (x_2, ..., x_{n-1}).  With G2 the Gram block of b_0 and b_1,
@@ -139,7 +143,8 @@ def _walk(lat, target, x, leaf, cone=False, stop=0):
     budget = L * target - sum_{i>stop} a_i y_i^2 >= 0; centre = sum_{j>stop}
     unum_stop[j] x_j, so y_stop = uden_stop x_stop + centre; sym is True while
     x_{stop+1} = ... = x_{n-1} = 0, and then centre is 0.  A level in the
-    symmetric state walks x_i >= 0 only; with `cone` every level does.
+    symmetric state walks x_i >= 0 only; with `cone` every level does.  A
+    level whose range is empty returns before any work for the level below.
     """
     scale, a, unum, uden = _scaled_form(lat)
     n = lat.rank
@@ -155,6 +160,9 @@ def _walk(lat, target, x, leaf, cone=False, stop=0):
         if cone and lo < 0:
             lo = 0
         hi = (ymax - centre) // di
+        if hi < lo:
+            # x[i] is 0 already: every level resets its coordinate when it finishes
+            return
         # centre of level i-1: the higher coordinates' part once, then stepped
         step = unum[i - 1][i]
         c = step * lo + sum(map(mul, tails[i], x[i + 1:]))

@@ -24,7 +24,9 @@ scan into a handful of cone vectors; `roots.enumerate_cone` walks them on
 the weight form in integers, so no rational arithmetic.  The walk takes the
 fundamental weights in reverse Coxeter order, w1 outermost and w8 (norm 2,
 the widest range) solved at the leaf: over d = 1..61 that makes 23,683 leaf
-calls against 113,618 in Coxeter order (`_enumerate_dominant` has the
+calls against 113,618 in Coxeter order.  Those d take 192,229 levels of
+the walk; the 128,519 with an empty range return at once, so the walk makes
+258,834 centre products, not 856,864 (`_enumerate_dominant` has the
 measurements).
 The verdict has one rule at every degree: the families run first, and the
 orbit scan runs wherever no family gives N_l <= 12.
@@ -381,7 +383,7 @@ class SearchHit:
     __slots__ = ("d", "coords2x", "n_l", "source")
 
     def __init__(self, d, coords2x, n_l, source):
-        self.d = d
+        self.d = d = _check_degree(d)
         self.coords2x = tuple(coords2x)
         self.n_l = n_l
         self.source = source
@@ -500,6 +502,12 @@ def _enumerate_dominant(norm):
     60 random ones) this was the fastest at d <= 61, 62..150 and 200..300;
     orders that solve w4 (norm 30, the narrowest range) at the leaf were
     over 100 times slower.
+
+    Over the same d the walk's level function (`roots._walk`) is called
+    192,229 times.  128,519 of those levels have an empty range and return
+    before computing the next level's centre, so the centre products (calls
+    of `roots.mul`) number 258,834, against 856,864 when every level
+    computed its centre.
     """
     out = [tuple(sum(map(mul, col, x)) for col in _WEIGHT_COLUMNS)
            for x in rt.enumerate_cone(_WEIGHT_LATTICE, norm)]

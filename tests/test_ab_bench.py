@@ -68,3 +68,40 @@ def test_run_once_compiles_every_module_from_source(monkeypatch, tmp_path):
     assert argv[1] == "perfbench/run.py" and kwargs["cwd"] == tmp_path
     assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert exist == [False, False] and kept.exists()
+
+
+def _summary(monkeypatch, capsys, tmp_path, sides):
+    """The summary lines of main() over one seed, each side's run given as
+    (peak_rss_mb, attempted)."""
+    def fake_run_once(tree, _workload, _seed, _seconds):
+        mb, ops = sides["change" if tree == ab_bench.HERE else "parent"]
+        return {name: 1.0 for name in BOUNDS} | {"peak_rss_mb": mb}, True, ops
+
+    monkeypatch.setattr(ab_bench, "run_once", fake_run_once)
+    monkeypatch.setattr(ab_bench.sys, "argv", ["ab_bench.py", "--parent", str(tmp_path),
+                                               "--workload", "verdict-low", "--seeds", "1"])
+    assert ab_bench.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    return lines[lines.index("") + 2:]
+
+
+def test_the_memory_line_gives_the_cost_per_extra_op(monkeypatch, capsys, tmp_path):
+    # 28.27 -> 29.76 MB at 2,196 -> 3,233 ops: 1.49 MB over 1,037 ops, and
+    # the 0.1 bound, 2.827 MB above the parent, at 1 + 2.827 / 1.49 * 1037 / 2196
+    lines = _summary(monkeypatch, capsys, tmp_path,
+                     {"parent": (28.27, 2196), "change": (29.76, 3233)})
+    assert lines[0].startswith("attempted") and "2196 ->" in lines[0]
+    assert lines[1] == ("memory       1.47 KB of peak_rss_mb per extra op; at that rate "
+                        "the 0.1 bound is reached at 1.9x the parent's ops")
+
+
+@pytest.mark.parametrize("parent, change", [
+    ((28.27, 2196), (29.76, 2196)),  # the same op count
+    ((28.27, 2196), (28.0, 3233)),  # memory fell
+    ((28.27, 2196), (28.27, 3233)),  # memory flat
+    ((28.27, 2196), (29.76, 1500)),  # fewer ops, more memory
+])
+def test_the_memory_line_reads_n_a_without_a_rise_in_both(monkeypatch, capsys, tmp_path,
+                                                          parent, change):
+    lines = _summary(monkeypatch, capsys, tmp_path, {"parent": parent, "change": change})
+    assert lines[1] == "memory       n/a"

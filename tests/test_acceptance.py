@@ -7,6 +7,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import index
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,9 @@ _DEGREE_CALLS = {
                                         for h in se.structured_search_all(d, range(2, 15))],
     "exhaustive_search": lambda d: (hit := se.exhaustive_search(d)) and hit.to_dict(),
     "kodaira_verdict": lambda d: se.kodaira_verdict(d).to_dict(),
+    # a vector of norm 2d for each degree the test passes
+    "SearchHit": lambda d: se.SearchHit(
+        d, {1: (2, 2) + (0,) * 6, 46: (18, 6, 2, 2) + (0,) * 4}[index(d)], 2, "x").to_dict(),
 }
 
 

@@ -285,23 +285,33 @@ def test_integer_orbit_scan_matches_the_fraction_walk():
         assert se._enumerate_dominant(2 * d) == _dominant_by_fractions(2 * d), d
 
 
-def test_orbit_scan_misses_no_orbit():
+def _check_orbit_sum(d):
     # sum over dominant x of |W(E8)| / |W_S(x)| = N_E8(2d) = 240 sigma_3(d)
     # (Conway-Sloane, SPLAG ch. 4); the stabiliser of a dominant x is the
-    # parabolic subgroup on its zero weight coordinates; d = 1..61 covers
-    # every degree whose verdict rests on the scan
+    # parabolic subgroup on its zero weight coordinates
     w_e8 = 696729600
+    vectors = se._enumerate_dominant(2 * d)
+    assert len(vectors) == len(set(vectors)), d
+    orbit_sum = 0
+    for vec in vectors:
+        x = [e8.dot2x(vec, a) for a in e8.SIMPLE_ROOTS_2X]
+        assert min(x) >= 0 and e8.dot2x(vec, vec) == 2 * d, vec
+        order, n_roots = _stabiliser(x)
+        assert e8.count_orth_roots_2x(vec) == n_roots, vec
+        orbit_sum += w_e8 // order
+    assert orbit_sum == 240 * sum(t ** 3 for t in range(1, d + 1) if d % t == 0), d
+
+
+def test_orbit_scan_misses_no_orbit():
+    # d = 1..61 covers every degree whose verdict rests on the scan
     for d in range(1, 62):
-        vectors = se._enumerate_dominant(2 * d)
-        assert len(vectors) == len(set(vectors)), d
-        orbit_sum = 0
-        for vec in vectors:
-            x = [e8.dot2x(vec, a) for a in e8.SIMPLE_ROOTS_2X]
-            assert min(x) >= 0 and e8.dot2x(vec, vec) == 2 * d, vec
-            order, n_roots = _stabiliser(x)
-            assert e8.count_orth_roots_2x(vec) == n_roots, vec
-            orbit_sum += w_e8 // order
-        assert orbit_sum == 240 * sum(t ** 3 for t in range(1, d + 1) if d % t == 0), d
+        _check_orbit_sum(d)
+
+
+@pytest.mark.parametrize("d", [62, 77, 100, 128, 150])
+def test_orbit_scan_misses_no_orbit_past_the_pinned_degrees(d):
+    # larger norms, where most levels of the cone walk have an empty range
+    _check_orbit_sum(d)
 
 
 def test_orbit_scan_solves_the_widest_weight_at_the_leaf(monkeypatch):
@@ -322,6 +332,23 @@ def test_orbit_scan_solves_the_widest_weight_at_the_leaf(monkeypatch):
     for d in range(1, 62):
         se._enumerate_dominant(2 * d)
     assert 0 < calls <= 113618 // 3
+
+
+def test_cone_walk_does_no_centre_work_on_an_empty_level(monkeypatch):
+    # a level with hi < lo returns before it computes the next level's
+    # centre; when every level computed it, the cone walks over d = 1..61
+    # took 856,864 centre products
+    products = 0
+
+    def counted_mul(a, b):
+        nonlocal products
+        products += 1
+        return a * b
+
+    monkeypatch.setattr(roots, "mul", counted_mul)
+    for d in range(1, 62):
+        se._enumerate_dominant(2 * d)
+    assert 0 < products <= 856864 // 3
 
 
 def test_exhaustive_search_hits():

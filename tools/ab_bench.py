@@ -18,7 +18,11 @@ The script only starts `perfbench/run.py` as a subprocess and reads the
 last line of its stdout; run.py writes its own result files.  It prints
 each run's `attempted` op count next to its metrics, and each side's median
 count in the summary: the harness keeps a record per op, so a memory figure
-is read against the op count.  It prints, per end-to-end metric, each
+is read against the op count.  The line after the counts turns the two
+sides' medians into the KB of `peak_rss_mb` per extra attempted op, and
+into the ratio of op counts, change over parent, at which memory growing at
+that rate would reach the `peak_rss_mb` bound (n/a unless both the op count
+and the memory rose).  It prints, per end-to-end metric, each
 side's median and quartiles and the number of seeds on which the working
 tree was better, in the direction BENCHMARK.json gives for that metric,
 and applies the acceptance rule with that metric's `bound` from
@@ -91,6 +95,17 @@ def verdict(old, new, direction, bound):
     return tags
 
 
+def memory_per_op(old_mb, new_mb, old_ops, new_ops, bound):
+    """(KB of peak memory per extra op, op-count ratio at which memory
+    reaches `bound`) from the two sides' medians, or None unless both the op
+    count and the memory rose.  peak_rss_mb is ru_maxrss / 1024, so 1 MB is
+    1024 KB."""
+    if new_ops <= old_ops or new_mb <= old_mb:
+        return None
+    mb_per_op = (new_mb - old_mb) / (new_ops - old_ops)
+    return 1024 * mb_per_op, 1 + bound * old_mb / mb_per_op / old_ops
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path,
@@ -101,6 +116,7 @@ def main():
     args = ap.parse_args()
     metrics = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: (m["better"], m["bound"]) for m in metrics}
+    rss_bound = better["peak_rss_mb"][1]
     sides = {"parent": args.parent.resolve(), "change": HERE}
     runs = {"parent": [], "change": []}
     attempted = {"parent": [], "change": []}
@@ -119,8 +135,14 @@ def main():
     pairs = len(runs["change"])
     print(f"\n{args.workload}, {pairs} pairs: median [q1, q3] parent -> change, wins, "
           "acceptance")
-    print(f"{'attempted':12s} {statistics.median(attempted['parent']):10g} -> "
-          f"{statistics.median(attempted['change']):10g} ops per run (median)")
+    old_ops, new_ops = (statistics.median(attempted[side]) for side in ("parent", "change"))
+    print(f"{'attempted':12s} {old_ops:10g} -> {new_ops:10g} ops per run (median)")
+    old_mb, new_mb = (statistics.median(r["peak_rss_mb"] for r in runs[side])
+                      for side in ("parent", "change"))
+    per_op = memory_per_op(old_mb, new_mb, old_ops, new_ops, rss_bound)
+    print(f"{'memory':12s} " + ("n/a" if per_op is None else
+          f"{per_op[0]:.3g} KB of peak_rss_mb per extra op; at that rate the "
+          f"{rss_bound:g} bound is reached at {per_op[1]:.3g}x the parent's ops"))
     any_worse = False
     for name, (direction, bound) in better.items():
         old = [r[name] for r in runs["parent"]]
