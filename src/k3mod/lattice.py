@@ -120,15 +120,15 @@ def symmetric_bareiss(gram):
     return a
 
 
-def _snf_pivot(a, t):
+def _snf_pivot(a, t, cols):
     """(i, j) of the nonzero entry of least absolute value in the block
-    a[t:, t:], ties broken row-major (the first one met wins), or None when
-    the block is zero.  The scan stops at the first entry of absolute value
-    1: nothing nonzero is smaller, and every later tie loses to it."""
+    a[t:, t:cols], ties broken row-major (the first one met wins), or None
+    when the block is zero.  The scan stops at the first entry of absolute
+    value 1: nothing nonzero is smaller, and every later tie loses to it."""
     best = piv = None
     for i in range(t, len(a)):
         row = a[i]
-        for j in range(t, len(row)):
+        for j in range(t, cols):
             x = abs(row[j])
             if x and (best is None or x < best):
                 if x == 1:
@@ -140,44 +140,37 @@ def _snf_pivot(a, t):
 def smith_normal_form(mat):
     """Smith normal form with transforms: returns (d, u, v) with u*mat*v = d.
 
-    Deterministic pivoting (`_snf_pivot`; Cohen, *A Course in Computational
-    Algebraic Number Theory*, 2.4): smallest absolute nonzero entry, ties
-    broken row-major, the scan stopping at the first unit entry, so generator
-    lifts derived from `v` are reproducible.
+    The moves act on two augmented matrices at once: each row of mat carries
+    its row of u on the right ([mat | u], so a row move is one statement),
+    and the rows of v sit under the columns ([mat ; v], so a column move is
+    one statement).  Deterministic pivoting (`_snf_pivot`; Cohen, *A Course
+    in Computational Algebraic Number Theory*, 2.4): smallest absolute
+    nonzero entry, ties broken row-major, the scan stopping at the first unit
+    entry, so generator lifts derived from `v` are reproducible.
     """
-    a = [list(row) for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    a = [[*row, *e] for row, e in zip(mat, identity_matrix(rows))] + identity_matrix(cols)
 
-    def row_op(i, j, q):  # row_i -= q * row_j
+    def row_op(i, j, q):  # row_i -= q * row_j, u included
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
+    def col_op(i, j, q):  # col_i -= q * col_j, v included
         for r in a:
             r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     t = 0
     while t < min(rows, cols):
-        piv = _snf_pivot(a, t)
+        piv = _snf_pivot(a[:rows], t, cols)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        swap_cols(t, j)
         while True:
             # clear column t
             dirty = False
@@ -186,7 +179,7 @@ def smith_normal_form(mat):
                     q = a[i][t] // a[t][t]
                     row_op(i, t, q)
                     if a[i][t]:  # remainder becomes the new, smaller pivot
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             if dirty:
                 continue
@@ -215,9 +208,8 @@ def smith_normal_form(mat):
             row_op(t, witness, -1)  # fold the offending row into row t
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return a, u, v
+    return [row[:cols] for row in a[:rows]], [row[cols:] for row in a[:rows]], a[rows:]
 
 
 def kernel_basis(mat):
@@ -468,7 +460,8 @@ def _block_gram(blocks):
 
 def make_l2d(d):
     """The signature (2, 19) lattice 2U + 2E8(-1) + <-2d>; the <-2d> generator is last."""
-    if index(d) < 1:
+    d = index(d)
+    if d < 1:
         raise LatticeError("polarisation degree d must be positive")
     return IntLattice(_expr_gram(f"2U+2E8(-1)+<{-2 * d}>"), name=f"L_{2 * d}")
 

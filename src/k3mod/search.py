@@ -85,6 +85,7 @@ def check_mineqd(d):
 def compute_pex(max_m=240):
     """Degrees m <= max_m where 5 theta_E7 - 28 theta_E6 - 63 theta_D6 - 378 theta_D5
     has a negative q^m coefficient (the degrees where the second inequality fails)."""
+    max_m = index(max_m)
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     # read the top coefficients first, so each series is built once, at max_m
@@ -237,15 +238,17 @@ CASES = tuple(FAMILIES)
 # ---------------------------------------------------------------------------
 # canonical tuple domains
 # ---------------------------------------------------------------------------
-# Case I enumerates 0 < m3 < m5 < m7 < m8 (the count depends only on the set
-# of absolute values); case II takes m5 >= 1 and 0 < m6 < m7 < m8; case III
-# takes 1 <= m4 <= ... <= m8.  Case IV runs over the A5 shell vectors
-# (m3, ..., m7, -m8) of norm 2d modulo S5 x {+-1}: m3 <= ... <= m7, and
-# m8 = m3 + ... + m7 > 0, or m8 = 0 and the tuple is the smaller of itself
-# and its negative sorted.  Its last pair (m6, m7) comes from the solutions
-# of x^2 + 3v^2 = K (`_case4_pairs`), so no loop runs over m6 or m7.  Sign
-# flips and coordinate permutations fixing each family preserve the counts,
-# so these domains see every hit class.
+# Cases I-III come from `_square_tuples`, given here as (lo, step, parity).
+# I, (m3, m5, m7, m8) of square sum d: (1, 1, none), so 0 < m3 < ... < m8
+# (the count depends only on the set of absolute values).  II, m5 >= 1 and
+# (m6, m7, m8) of square sum 2d - 3 m5^2: (1, 1, m5 + ... + m8 even).  III,
+# (m4, ..., m8) of square sum 2d: (1, 0, sum even).  Case IV runs over the
+# A5 shell vectors (m3, ..., m7, -m8) of norm 2d modulo S5 x {+-1}:
+# m3 <= ... <= m7, and m8 = m3 + ... + m7 > 0, or m8 = 0 and the tuple is
+# the smaller of itself and its negative sorted.  Its last pair (m6, m7)
+# comes from the solutions of x^2 + 3v^2 = K (`_case4_pairs`), so no loop
+# runs over m6 or m7.  Sign flips and coordinate permutations fixing each
+# family preserve the counts, so these domains see every hit class.
 
 def iter_case_tuples(case, d):
     """The tuples of family `case` at degree d (see the domains above)."""
@@ -255,47 +258,38 @@ def iter_case_tuples(case, d):
     return _case_tuples(case, d)
 
 
+def _square_tuples(total, k, lo, step):
+    """The k-tuples x with x_1 >= lo, x_{i+1} >= x_i + step and square sum
+    total, in lexicographic order; step >= 0, so k x_1^2 <= total.  The last
+    coordinate comes from isqrt, and k = 2 solves it inline."""
+    x = lo
+    if k == 2:
+        while 2 * x * x <= total:
+            rest = total - x * x
+            y = isqrt(rest)
+            if y * y == rest and y >= x + step:
+                yield x, y
+            x += 1
+        return
+    while k * x * x <= total:
+        for tail in _square_tuples(total - x * x, k - 1, x + step, step):
+            yield (x, *tail)
+        x += 1
+
+
 def _case_tuples(case, d):
     two_d = 2 * d
     if case == "I":
-        for m3 in range(1, isqrt(d) + 1):
-            r3 = d - m3 * m3
-            for m5 in range(m3 + 1, isqrt(max(r3, 0)) + 1):
-                r5 = r3 - m5 * m5
-                for m7 in range(m5 + 1, isqrt(max(r5, 0)) + 1):
-                    r7 = r5 - m7 * m7
-                    if r7 > m7 * m7:
-                        m8 = isqrt(r7)
-                        if m8 * m8 == r7 and m8 > m7:
-                            yield (m3, m5, m7, m8)
+        yield from _square_tuples(d, 4, 1, 1)
     elif case == "II":
-        m5 = 1
-        while 3 * m5 * m5 <= two_d:
-            rem5 = two_d - 3 * m5 * m5
-            for m6 in range(1, isqrt(max(rem5, 0)) + 1):
-                r6 = rem5 - m6 * m6
-                for m7 in range(m6 + 1, isqrt(max(r6, 0)) + 1):
-                    r7 = r6 - m7 * m7
-                    if r7 > m7 * m7:
-                        m8 = isqrt(r7)
-                        if m8 * m8 == r7 and m8 > m7 and (m5 + m6 + m7 + m8) % 2 == 0:
-                            yield (m5, m6, m7, m8)
-            m5 += 1
+        for m5 in range(1, isqrt(two_d // 3) + 1):
+            for ms in _square_tuples(two_d - 3 * m5 * m5, 3, 1, 1):
+                if (m5 + sum(ms)) % 2 == 0:
+                    yield (m5, *ms)
     elif case == "III":
-        # nondecreasing coordinates: m_i^2 times the number of coordinates
-        # from m_i on is at most the norm left
-        for m4 in range(1, isqrt(two_d // 5) + 1):
-            r4 = two_d - m4 * m4
-            for m5 in range(m4, isqrt(r4 // 4) + 1):
-                r5 = r4 - m5 * m5
-                for m6 in range(m5, isqrt(r5 // 3) + 1):
-                    r6 = r5 - m6 * m6
-                    for m7 in range(m6, isqrt(r6 // 2) + 1):
-                        r7 = r6 - m7 * m7
-                        m8 = isqrt(r7)
-                        if (m8 * m8 == r7 and m8 >= m7
-                                and (m4 + m5 + m6 + m7 + m8) % 2 == 0):
-                            yield (m4, m5, m6, m7, m8)
+        for ms in _square_tuples(two_d, 5, 1, 0):
+            if sum(ms) % 2 == 0:
+                yield ms
     else:  # "IV"
         # the last pair from u = m6 + m7, v = m7 - m6 >= 0: with s and sq the
         # sum and square sum of (m3, m4, m5), the norm equation reads

@@ -160,14 +160,15 @@ def pow_by_squaring(f, n):
     return result
 
 
-def snf_pivot_full_scan(a, t):
+def snf_pivot_full_scan(a, t, cols):
     """(i, j) of the nonzero entry of least absolute value in the block
-    a[t:, t:], ties broken row-major, found by scanning every entry; None
-    when the block is zero."""
+    a[t:, t:cols], ties broken row-major, found by scanning every entry; None
+    when the block is zero.  The rows carry more entries (the transform u)
+    after the first cols."""
     piv = None
     best = None
     for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
+        for j in range(t, cols):
             x = abs(a[i][j])
             if x and (best is None or x < best):
                 best, piv = x, (i, j)

@@ -240,6 +240,9 @@ _DEGREE_CALLS = {
     # a vector of norm 2d for each degree the test passes
     "SearchHit": lambda d: se.SearchHit(
         d, {1: (2, 2) + (0,) * 6, 46: (18, 6, 2, 2) + (0,) * 4}[index(d)], 2, "x").to_dict(),
+    "compute_pex": se.compute_pex,
+    "make_l2d": lambda d: [(lat := lt.make_l2d(d)).name, lat.gram],
+    "reflk3_sample_check": lambda d: rf.reflk3_sample_check(d, samples=6),
 }
 
 

@@ -7,6 +7,8 @@ the O(n^4) form check for `IsometryMatrix`, the Fraction inverse of the
 simple-root matrix for `e8.alpha_from_2x` and the Fraction sum for
 `bigphi_verify`."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -178,6 +180,14 @@ def test_smith_normal_form_matches_the_full_scan_pivot(monkeypatch):
     # every pivot of every step, the early stop's against the full scan's
     monkeypatch.setattr(lt, "_snf_pivot", snf_pivot_full_scan)
     assert [lt.smith_normal_form(m) for m in mats] == got
+
+
+def test_smith_normal_form_keeps_its_transforms():
+    # (d, u, v) on every matrix above, pinned when u and v were still
+    # updated beside the matrix rather than carried in its augmented rows
+    text = json.dumps([lt.smith_normal_form(m) for m in _snf_matrices()])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e1b544ec9048fd3c8c9ea88ac57467b7cf974ac71beec99f57657ab372a3b3a3"
 
 
 def test_disc_group_matches_the_inverse_path():

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial, isqrt
@@ -772,6 +774,31 @@ def _case3_tuples_recursive(d):
 def test_case3_generator_matches_recursion_in_order(ds):
     for d in ds:
         assert list(se.iter_case_tuples("III", d)) == _case3_tuples_recursive(d), d
+
+
+def test_square_tuples_match_a_brute_force_scan():
+    # every nondecreasing tuple of entries up to isqrt(120), in the
+    # lexicographic order of combinations_with_replacement, bucketed by its
+    # square sum and kept when its steps are at least `step`
+    for k in range(2, 6):
+        for lo in (1, 2):
+            for step in (0, 1):
+                want = {}
+                for xs in itertools.combinations_with_replacement(range(lo, 11), k):
+                    if all(y - x >= step for x, y in zip(xs, xs[1:])):
+                        want.setdefault(sum(x * x for x in xs), []).append(xs)
+                for total in range(121):
+                    got = list(se._square_tuples(total, k, lo, step))
+                    assert got == want.get(total, []), (total, k, lo, step)
+
+
+def test_case_tuples_keep_their_order_to_degree_400():
+    # families I-III for every d <= 400, pinned when each family had its own
+    # loop nest; tier-1's golden digests pin the tuples only to d = 61
+    text = json.dumps([[case, d, list(se.iter_case_tuples(case, d))]
+                       for case in ("I", "II", "III") for d in range(1, 401)])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "d9bb53afdcd00a98c32c7453b865ce94f605092e136e53bfeba82afbe95debf7"
 
 
 @pytest.mark.parametrize("case", ["I", "II", "III"])  # IV: see above

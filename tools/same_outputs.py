@@ -89,8 +89,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from k3mod import cli, search  # noqa: E402
 from k3mod import lattice, qseries, reflective, roots, rst  # noqa: E402
 
-# the orbit scan's cost rises steeply with d: d = 1..150 takes about 20 s,
-# 1..400 would take about 10 min (CPython 3.11 on a 2-core VM)
+# the orbit scan's cost rises steeply with d: d = 1..150 takes about 2 s,
+# 151..400 about 35-40 s more (CPython 3.11 on a 2-core VM); the cap stays
+# at 150 so that `orbit-scan` digests compare with those of earlier checkouts
 ORBIT_SCAN_MAX_D = 150
 # d = 1..60 takes a few seconds
 LATTICE_REFLECT_MAX_D = 60
