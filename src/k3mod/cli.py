@@ -6,6 +6,12 @@ closed before all output was written, 2 usage error, 3 failed internal check
 (a cross-check between two code paths disagreed).
 Identical invocations produce byte-identical output.
 
+A subcommand body `_cmd_*` returns what it prints and prints nothing: the
+payload, then optionally the text lines, the CSV rows and the CSV header
+(the arguments of `_emit`).  `run` renders that result once, in the
+requested format, and owns the exit code: 0 when the body returns, else the
+code of the exception it raised.
+
 Imports happen on use: at module level only `lattice`, whose exceptions
 `run` catches; each `_cmd_*` body imports the layers it calls, and `run`
 builds the parser of the named subcommand only, so layer-held choices are
@@ -112,11 +118,11 @@ def build_parser(command=None):
     return p
 
 
-def _emit(args, payload, text_lines=None, csv_rows=None, csv_header=None):
-    """Render one result in the requested format."""
-    if args.format == "json":
+def _emit(fmt, payload, text_lines=None, csv_rows=None, csv_header=None):
+    """Render one subcommand result in the format `fmt`."""
+    if fmt == "json":
         print(_dumps(payload, indent=2))
-    elif args.format == "csv":
+    elif fmt == "csv":
         import csv
         import io
         out = io.StringIO()
@@ -196,44 +202,42 @@ def _parse_matrix(text):
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
+def _number(n):
+    """The result of a subcommand that prints one number."""
+    return n, [str(n)], [[n]]
+
+
+def _listing(payload, key):
+    """The result of a vector listing: its count, then one vector a line."""
+    vectors = payload[key]
+    return (payload, [f"{len(vectors)} {key}"] + [",".join(map(str, c)) for c in vectors],
+            vectors)
+
+
 def _cmd_roots(args):
     from . import roots
-    lat = lt.parse_lattice_expr(args.expr)
-    data = roots.enumerate_roots(lat)
+    data = roots.enumerate_roots(lt.parse_lattice_expr(args.expr))
     if args.count:
-        _emit(args, data.count, [str(data.count)], [[data.count]])
-        return 0
-    payload = {"lattice": args.expr, "count": data.count,
-               "roots": [list(c) for c in data.coords]}
-    _emit(args, payload,
-          [f"{data.count} roots"] + [",".join(map(str, c)) for c in data.coords],
-          [list(c) for c in data.coords])
-    return 0
+        return _number(data.count)
+    return _listing({"lattice": args.expr, "count": data.count,
+                     "roots": [list(c) for c in data.coords]}, "roots")
 
 
 def _cmd_enum(args):
     from . import roots
     lat = lt.parse_lattice_expr(args.expr)
-    found = []
     if args.count:
-        n = roots.enumerate_norm_vectors(lat, args.norm)
-        _emit(args, n, [str(n)], [[n]])
-        return 0
-    roots.enumerate_norm_vectors(lat, args.norm, lambda c, _n: found.append(c))
+        return _number(roots.enumerate_norm_vectors(lat, args.norm))
+    found = []
+    roots.enumerate_norm_vectors(lat, args.norm, lambda c, _n: found.append(list(c)))
     found.sort()
-    payload = {"lattice": args.expr, "norm": args.norm, "count": len(found),
-               "vectors": [list(c) for c in found]}
-    _emit(args, payload,
-          [f"{len(found)} vectors"] + [",".join(map(str, c)) for c in found],
-          [list(c) for c in found])
-    return 0
+    return _listing({"lattice": args.expr, "norm": args.norm, "count": len(found),
+                     "vectors": found}, "vectors")
 
 
 def _cmd_repnum(args):
     from . import qseries as qs
-    n = qs.rep_num(args.name, args.two_d, args.method)
-    _emit(args, n, [str(n)], [[n]])
-    return 0
+    return _number(qs.rep_num(args.name, args.two_d, args.method))
 
 
 def _cmd_theta(args):
@@ -250,27 +254,22 @@ def _cmd_theta(args):
         lat = (qs.named_definite_lattice(args.name) if named
                else lt.parse_lattice_expr(args.name))
         series = qs.theta_brute(lat, args.prec)
-    payload = series.to_json_dict()
-    _emit(args, payload,
-          [f"q^{m}: {series.coeff(m)}" for m in range(args.prec + 1)],
-          [[m, series.coeff(m)] for m in range(args.prec + 1)], ["m", "coeff"])
-    return 0
+    return (series.to_json_dict(),
+            [f"q^{m}: {series.coeff(m)}" for m in range(args.prec + 1)],
+            [[m, series.coeff(m)] for m in range(args.prec + 1)], ["m", "coeff"])
 
 
 def _cmd_pex(args):
     from . import search as se
     pex = se.compute_pex(args.max_m)
-    _emit(args, pex, [" ".join(map(str, pex))], [[m] for m in pex], ["m"])
-    return 0
+    return pex, [" ".join(map(str, pex))], [[m] for m in pex], ["m"]
 
 
 def _cmd_ineq(args):
     from . import search as se
     payload = {"d": args.d, "mineq": se.check_mineq(args.d),
                "mineqd": se.check_mineqd(args.d)}
-    _emit(args, payload,
-          [f"mineq: {payload['mineq']}", f"mineqd: {payload['mineqd']}"])
-    return 0
+    return payload, [f"mineq: {payload['mineq']}", f"mineqd: {payload['mineqd']}"]
 
 
 def _cmd_search(args):
@@ -280,40 +279,29 @@ def _cmd_search(args):
         hits = se.structured_search_all(args.d, targets)
     else:
         hits = se.structured_search(args.d, args.case, targets)
-    payload = [h.to_dict() for h in hits]
-    _emit(args, payload,
-          [f"{h.source}: N_l={h.n_l} weight={h.weight} l2x={h.coords2x}" for h in hits],
-          [[h.d, h.source, h.n_l, h.weight, " ".join(map(str, h.coords2x))] for h in hits],
-          ["d", "source", "N_l", "weight", "coords2x"])
-    return 0
+    return ([h.to_dict() for h in hits],
+            [f"{h.source}: N_l={h.n_l} weight={h.weight} l2x={h.coords2x}" for h in hits],
+            [[h.d, h.source, h.n_l, h.weight, " ".join(map(str, h.coords2x))] for h in hits],
+            ["d", "source", "N_l", "weight", "coords2x"])
 
 
 def _cmd_verdict(args):
     from . import search as se
     v = se.kodaira_verdict(args.d)
-    payload = v.to_dict()
     lines = [f"d={v.d}: {v.kind}"]
     if v.witness:
         lines.append(f"witness N_l={v.witness.n_l} weight={v.witness.weight} "
                      f"source={v.witness.source} l2x={v.witness.coords2x}")
-    _emit(args, payload, lines)
-    return 0
+    return v.to_dict(), lines
 
 
 def _cmd_tables(args):
     from . import search as se
     which = se.TABLES if args.table == "all" else (args.table,)
-    rows = []
-    for w in which:
-        for d, tup, n_l in se.table_rows(w):
-            rows.append([w, d, tup, n_l])
-    if args.format == "json":
-        payload = [{"table": w, "d": d, "m_tuple": t, "N_l": n} for w, d, t, n in rows]
-        _emit(args, payload)
-    else:
-        _emit(args, rows, [f"{w}: d={d} {t} N_l={n}" for w, d, t, n in rows],
-              [[d, t, n] for _w, d, t, n in rows], ["d", "m-tuple", "N_l"])
-    return 0
+    rows = [(w, d, tup, n_l) for w in which for d, tup, n_l in se.table_rows(w)]
+    return ([{"table": w, "d": d, "m_tuple": t, "N_l": n} for w, d, t, n in rows],
+            [f"{w}: d={d} {t} N_l={n}" for w, d, t, n in rows],
+            [[d, t, n] for _w, d, t, n in rows], ["d", "m-tuple", "N_l"])
 
 
 def _cmd_reflect(args):
@@ -323,18 +311,14 @@ def _cmd_reflect(args):
             raise UsageError("--sample-d takes no EXPR or --vector")
         samples = 10**4 if args.samples is None else args.samples
         seed = 0 if args.seed is None else args.seed
-        rep = rf.reflk3_sample_check(args.sample_d, samples=samples, seed=seed)
-        _emit(args, rep)
-        return 0
+        return (rf.reflk3_sample_check(args.sample_d, samples=samples, seed=seed),)
     if not args.expr or not args.vector:
         raise UsageError("reflect needs EXPR --vector or --sample-d")
     if args.samples is not None or args.seed is not None:
         raise UsageError("--samples and --seed go with --sample-d only")
     lat = lt.parse_lattice_expr(args.expr)
     coords = tuple(_parse_ints("--vector", args.vector.split(",")))
-    rep = rf.reflection_report(lat, coords)
-    _emit(args, rep)
-    return 0
+    return (rf.reflection_report(lat, coords),)
 
 
 def _cmd_disc(args):
@@ -351,11 +335,10 @@ def _cmd_disc(args):
         "two_elementary": rf.is_two_elementary(disc),
         "parity_delta": rf.parity_delta(disc) if disc.q_values is not None else None,
     }
-    _emit(args, payload, [
+    return payload, [
         f"A_L = {' x '.join(f'Z/{f}' for f in disc.invariant_factors) or 'trivial'}",
         f"q on generators: {payload['q_values']}",
-        f"2-elementary: {payload['two_elementary']}, delta: {payload['parity_delta']}"])
-    return 0
+        f"2-elementary: {payload['two_elementary']}, delta: {payload['parity_delta']}"]
 
 
 def _cmd_rst(args):
@@ -365,8 +348,7 @@ def _cmd_rst(args):
             raise UsageError("--matrix takes no --exponents or --sigma-prime")
         rep = rst.toric_order2_check(_parse_matrix(args.matrix))
         rep["sigma"] = str(rep["sigma"])
-        _emit(args, rep)
-        return 0
+        return (rep,)
     if not args.exponents:
         raise UsageError("rst needs --exponents m:a1,a2,... or --matrix")
     head, _, tail = args.exponents.partition(":")
@@ -378,17 +360,15 @@ def _cmd_rst(args):
                "reflection": rst.is_reflection(e)}
     if args.sigma_prime_l is not None:
         payload["sigma_prime"] = str(rst.sigma_prime(e, args.sigma_prime_l))
-    _emit(args, payload)
-    return 0
+    return (payload,)
 
 
 def _cmd_cmin(args):
     from . import rst
     value, arg = rst.c_min_with_argmin(args.d)
-    payload = {"d": args.d, "c_min": str(value), "argmin": arg}
-    _emit(args, payload, [f"c_min({args.d}) = {value} (attained at a = {arg})"],
-          [[args.d, str(value), arg]], ["d", "c_min", "argmin"])
-    return 0
+    return ({"d": args.d, "c_min": str(value), "argmin": arg},
+            [f"c_min({args.d}) = {value} (attained at a = {arg})"],
+            [[args.d, str(value), arg]], ["d", "c_min", "argmin"])
 
 
 def _cmd_bigphi(args):
@@ -396,11 +376,9 @@ def _cmd_bigphi(args):
     rep = rst.bigphi_verify(args.r_max)
     payload = {"checked": rep["checked"], "min_sum": str(rep["min_sum"]),
                "min_at": list(rep["min_at"]), "violations": rep["violations"]}
-    _emit(args, payload,
-          [f"checked {rep['checked']} cases, min sum {rep['min_sum']} at "
-           f"r={rep['min_at'][0]}, k1={rep['min_at'][1]}, "
-           f"violations: {len(rep['violations'])}"])
-    return 0
+    return payload, [f"checked {rep['checked']} cases, min sum {rep['min_sum']} at "
+                     f"r={rep['min_at'][0]}, k1={rep['min_at'][1]}, "
+                     f"violations: {len(rep['violations'])}"]
 
 
 class UsageError(ValueError):
@@ -425,7 +403,7 @@ def run(argv):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return _COMMANDS[args.command](args)
+        _emit(args.format, *_COMMANDS[args.command](args))
     except (UsageError, lt.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -438,6 +416,7 @@ def run(argv):
     except (AssertionError, RuntimeError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def main():

@@ -26,7 +26,6 @@ process-wide table that must cover a requested bound comes from `_grown`.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from math import gcd, prod
@@ -242,15 +241,12 @@ def _grown(key, bound, build):
 # domain types
 # ---------------------------------------------------------------------------
 
-_token_counter = itertools.count(1)
-
-
 class IntLattice:
     """An integral lattice presented by a symmetric Gram matrix.
 
-    Instances are immutable after construction.  Identity (for vector
-    ownership) is the `token`, not structural Gram equality: distinct
-    isometric lattices must not silently interoperate.  Every function that
+    Instances are immutable after construction.  Vector ownership is object
+    identity, not structural Gram equality: distinct isometric lattices must
+    not silently interoperate.  Every function that
     takes a vector of the lattice reads it through `coords_of`, so a `LatVec`
     of another lattice and a coordinate tuple of the wrong length both raise
     `LatticeError`.  The Gram entries follow the same rule as vector
@@ -261,7 +257,7 @@ class IntLattice:
     so it lives exactly as long as the lattice.
     """
 
-    __slots__ = ("gram", "rank", "name", "token", "_det", "_signature", "_memo")
+    __slots__ = ("gram", "rank", "name", "_det", "_signature", "_memo")
 
     def __init__(self, gram, name=None):
         g = tuple(tuple(map(index, row)) for row in gram)
@@ -275,7 +271,6 @@ class IntLattice:
         self.gram = g
         self.rank = n
         self.name = name
-        self.token = next(_token_counter)
         self._det = minors[-1]
         self._signature = (n - neg, neg)
         self._memo = {}
@@ -323,11 +318,12 @@ class LatVec:
         return LatVec(self.lattice, tuple(-c for c in self.coords))
 
     def __eq__(self, other):
-        return (type(other) is type(self) and other.lattice.token == self.lattice.token
+        return (type(other) is type(self) and other.lattice is self.lattice
                 and other.coords == self.coords)
 
     def __hash__(self):
-        return hash((self.lattice.token, self.coords))
+        # the vector holds its lattice, so no other lattice can reuse the id
+        return hash((id(self.lattice), self.coords))
 
     def __repr__(self):
         return f"LatVec{self.coords}"
@@ -364,7 +360,7 @@ class DualVec:
 
     def pair(self, other):
         """The rational pairing (self, other) with another dual vector of the lattice."""
-        if other.lattice.token != self.lattice.token:
+        if other.lattice is not self.lattice:
             raise LatticeError("vector belongs to a different lattice")
         return Fraction(sum(map(mul, pairing_vector(self.lattice, self.num), other.num)),
                         self.den * other.den)
@@ -473,12 +469,12 @@ def make_l2d(d):
 def coords_of(lat, x):
     """The coordinates of the vector x of `lat`, as a tuple of ints.
 
-    x is a `LatVec` of `lat` (the same token) or a sequence of `lat.rank`
+    x is a `LatVec` of `lat` (the same object) or a sequence of `lat.rank`
     integers: `LatticeError` for a `LatVec` of another lattice or a wrong
     length, `TypeError` for an entry that is not an integer (no truncation).
     """
     if isinstance(x, LatVec):
-        if x.lattice.token != lat.token:
+        if x.lattice is not lat:
             raise LatticeError("vector belongs to a different lattice")
         return x.coords
     coords = tuple(map(index, x))

@@ -337,10 +337,11 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
     return report
 
 
-def reflection_report(lat, coords):
+def reflection_report(lat, r):
     """JSON-ready classification of one vector: {r, rSquared, div, discAction, class}."""
+    coords = coords_of(lat, r)
     _pair, norm, div = _pairings(lat, coords)
-    tag = classify_reflection(lat, lat.vector(coords))
+    tag = classify_reflection(lat, coords)
     action = {IN_TILDE_O: "id", MINUS_IN_TILDE_O: "-id",
               NEITHER: "neither", NOT_INTEGRAL: "undefined"}[tag]
     return {"r": list(coords), "rSquared": norm, "div": div,

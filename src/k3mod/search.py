@@ -23,11 +23,10 @@ count is Weyl invariant), which turns the 10^8-vector streams of the naive
 scan into a handful of cone vectors; `roots.enumerate_cone` walks them on
 the weight form in integers, so no rational arithmetic.  The walk takes the
 fundamental weights in reverse Coxeter order, w1 outermost and w8 (norm 2,
-the widest range) solved at the leaf: over d = 1..61 that makes 23,683 leaf
-calls against 113,618 in Coxeter order.  Those d take 192,229 levels of
-the walk; the 128,519 with an empty range return at once, so the walk makes
-258,834 centre products, not 856,864 (`_enumerate_dominant` has the
-measurements).
+the widest range) solved at the leaf, so it makes one leaf call per choice
+of the seven narrower coordinates; a level with an empty range returns
+before it computes the next level's centre (`_enumerate_dominant` has the
+reasons).
 The verdict has one rule at every degree: the families run first, and the
 orbit scan runs wherever no family gives N_l <= 12.
 
@@ -490,18 +489,14 @@ def _enumerate_dominant(norm):
     level, w8 solved from the square root at the leaf.  The walk makes one
     leaf call per choice of the other seven coordinates, and w8 has norm 2,
     the least of the eight, so its coordinate has the widest range and is
-    the one best solved rather than walked.  Over d = 1..61 the walk made
-    113,618 leaf calls in Coxeter order (w8 outermost) and makes 23,683 in
-    this one.  Of the orders measured (Coxeter, reversed, ascending norm,
-    60 random ones) this was the fastest at d <= 61, 62..150 and 200..300;
-    orders that solve w4 (norm 30, the narrowest range) at the leaf were
-    over 100 times slower.
+    the one best solved rather than walked.  Of the orders measured
+    (Coxeter, reversed, ascending norm, 60 random ones) this was the fastest
+    at d <= 61, 62..150 and 200..300; orders that solve w4 (norm 30, the
+    narrowest range) at the leaf were over 100 times slower.
 
-    Over the same d the walk's level function (`roots._walk`) is called
-    192,229 times.  128,519 of those levels have an empty range and return
-    before computing the next level's centre, so the centre products (calls
-    of `roots.mul`) number 258,834, against 856,864 when every level
-    computed its centre.
+    Most levels of the walk (`roots._walk`) have an empty range.  They
+    return before computing the next level's centre, so the walk pays for
+    a centre product only where a coordinate has a value to take.
     """
     out = [tuple(sum(map(mul, col, x)) for col in _WEIGHT_COLUMNS)
            for x in rt.enumerate_cone(_WEIGHT_LATTICE, norm)]

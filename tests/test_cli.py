@@ -292,6 +292,32 @@ def test_golden_stdout(capture, argv, stdout):
     assert code == 0 and out == stdout
 
 
+# one call of every subcommand body and of each of its branches
+_BODY_CALLS = [
+    ("roots", "A(2)"), ("roots", "E8", "--count"), ("enum", "A(2)", "2"),
+    ("enum", "E8", "4", "--count"), ("repnum", "E7", "2"), ("theta", "E6", "--prec", "3"),
+    ("theta", "A(2)", "--prec", "2", "--method", "brute"), ("pex", "--max", "20"),
+    ("ineq", "96"), ("search", "46", "--case", "I", "--targets", "8,12"), ("verdict", "57"),
+    ("tables", "--table", "IV"), ("reflect", "A(2)+A(2)", "--vector", "0,0,1,-1"),
+    ("reflect", "--sample-d", "2", "--samples", "20", "--seed", "5"), ("disc", "U(2)"),
+    ("rst", "--matrix", "[[0,1],[1,0]]"), ("rst", "--exponents", "4:2,2,1", "--sigma-prime", "1"),
+    ("cmin", "30"), ("bigphi", "20"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", _BODY_CALLS, ids=" ".join)
+def test_subcommand_bodies_return_what_run_prints(capsys, argv, fmt):
+    from k3mod import cli
+    argv = [*argv, "--format", fmt]
+    args = cli.build_parser(argv[0]).parse_args(argv)
+    result = cli._COMMANDS[args.command](args)
+    assert capsys.readouterr().out == ""
+    cli._emit(args.format, *result)
+    rendered = capsys.readouterr().out
+    assert run(argv) == 0 and capsys.readouterr().out == rendered != ""
+
+
 def test_closed_stdout_ends_without_traceback():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

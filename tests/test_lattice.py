@@ -54,6 +54,7 @@ VECTOR_ENTRY_POINTS = {
     "reflection": rf.reflection,
     "reflection_coefficients": rf.reflection_coefficients,
     "classify_reflection": rf.classify_reflection,
+    "reflection_report": rf.reflection_report,
 }
 
 

@@ -3,6 +3,7 @@ pinned range against tests/golden_digests.json."""
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -140,6 +141,21 @@ def test_cli_usage_reads_help_texts_and_usage_errors(monkeypatch):
         else:
             assert code == 2 and out == "" and err.count(" error: ") == 1, argv
     assert "series has a negative\n" in outputs[0][1]  # wrapped at 80 columns
+
+
+def test_closed_stdout_ends_without_traceback():
+    proc = subprocess.Popen([sys.executable, str(ROOT / "tools" / "same_outputs.py"),
+                             "--degrees", "1-2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()  # the reader goes away after the first digest
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.stderr.close()
+    assert first.startswith(b"verdict ")
+    assert err == b"" and code == 1
 
 
 def test_degree_range_syntax():

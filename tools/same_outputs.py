@@ -3,7 +3,9 @@
     python tools/same_outputs.py [--degrees 1-400]
 
 Run it in two checkouts and diff the two outputs: equal lines mean
-byte-identical outputs in that group.  The groups are
+byte-identical outputs in that group.  Each line is written as its group
+finishes; a reader that closes early ends the script with exit code 1 and
+no traceback.  The groups are
 
 * `verdict`: `kodaira_verdict(d).to_dict()` for every d in --degrees;
 * `search-<case>`: `structured_search(d, case, range(2, 15))`, every hit's
@@ -372,8 +374,14 @@ def main(argv=None):
                     help="degree range LO-HI for the verdict, search, tuples, "
                          "orbit-scan and lattice-reflect groups")
     args = ap.parse_args(argv)
-    for name, value in groups(args.degrees):
-        print(name, value)
+    try:
+        for name, value in groups(args.degrees):
+            print(name, value, flush=True)
+    except BrokenPipeError:
+        # the reader went away; send the unflushed rest nowhere so that the
+        # flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":
