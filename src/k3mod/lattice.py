@@ -145,10 +145,13 @@ def smith_normal_form(mat):
     one statement).  Deterministic pivoting (`_snf_pivot`; Cohen, *A Course
     in Computational Algebraic Number Theory*, 2.4): smallest absolute
     nonzero entry, ties broken row-major, the scan stopping at the first unit
-    entry, so generator lifts derived from `v` are reproducible.
+    entry, so generator lifts derived from `v` are reproducible.  Rows of
+    unequal length are a `LatticeError`.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
+    if any(len(row) != cols for row in mat):
+        raise LatticeError("matrix rows must have equal length")
     a = [[*row, *e] for row, e in zip(mat, identity_matrix(rows))] + identity_matrix(cols)
 
     def row_op(i, j, q):  # row_i -= q * row_j, u included
@@ -376,18 +379,19 @@ class DiscGroup:
     """The finite group A_L = L^vee / L as cyclic invariant factors.
 
     `generator_lifts[i]` is a `DualVec` whose class generates the i-th
-    cyclic factor Z/invariant_factors[i].  `q_values` are the
-    discriminant-form values (g, g) of the generator lifts as Fractions,
-    reduced into [0, 2); only defined when the lattice is even.
+    cyclic factor; the rest is computed from the lifts.  The invariant
+    factors are their denominators, and `q_values` are the discriminant-form
+    values (g, g) of the lifts as Fractions, reduced into [0, 2), or None
+    when the lattice is odd.
     """
 
     __slots__ = ("lattice", "invariant_factors", "generator_lifts", "q_values")
 
-    def __init__(self, lattice, invariant_factors, generator_lifts, q_values):
+    def __init__(self, lattice, generator_lifts):
         self.lattice = lattice
-        self.invariant_factors = tuple(invariant_factors)
-        self.generator_lifts = tuple(generator_lifts)
-        self.q_values = None if q_values is None else tuple(q_values)
+        self.generator_lifts = lifts = tuple(generator_lifts)
+        self.invariant_factors = tuple(lift.den for lift in lifts)
+        self.q_values = tuple(lift.norm() % 2 for lift in lifts) if lattice.is_even() else None
 
     @property
     def order(self):
@@ -533,17 +537,8 @@ def _disc_group(lat):
     n = lat.rank
     if mat_mul(u, mat_mul(g, v)) != d or abs(prod(d[i][i] for i in range(n))) != abs(lat.det):
         raise LatticeError("Smith normal form transforms do not check")
-    factors = []
-    lifts = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            factors.append(di)
-            lifts.append(DualVec(lat, [v[r][i] for r in range(n)], di))
-    q_values = None
-    if lat.is_even():
-        q_values = [lift.norm() % 2 for lift in lifts]
-    return DiscGroup(lat, factors, lifts, q_values)
+    return DiscGroup(lat, [DualVec(lat, [row[i] for row in v], d[i][i])
+                           for i in range(n) if d[i][i] > 1])
 
 
 def orth_complement(lat, vectors):

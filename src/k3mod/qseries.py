@@ -10,13 +10,15 @@ by two identities (Conway-Sloane, SPLAG ch. 4):
 * theta_2(2 tau) = 2 q^(1/4) psi(q) with psi(q) = sum_{n >= 0} q^(n(n+1)), so
   theta_2(2 tau)^4 = 16 q psi(q)^4.
 
-The weight-3 Eisenstein forms build the series of E6 and `theta_d6_eis`,
-the independent reference for D6: each coefficient is one closed form in
-the twisted divisor sums (see `_EISENSTEIN`), summed by a divisor sieve.
+The weight-3 Eisenstein forms build the series of E6: each coefficient is
+one closed form in the twisted divisor sums (see `_eisenstein_series`),
+summed by a divisor sieve.
 
-Each named lattice has one cached series, the one `named_theta` truncates;
-`rep_num(name, 2m)` reads its q^m coefficient (`method="brute"` enumerates
-the vectors instead).
+Each named lattice has one closed form and one cached series, the one
+`named_theta` truncates; `rep_num(name, 2m)` reads its q^m coefficient
+(`method="brute"` enumerates the vectors instead).  `theta_e7` and
+`theta_dn(n)` read the same cache; `theta_dn` also builds D_n for n outside
+the named lattices.
 
 Both series kernels are exact and work over the nonzero terms only.  A
 product loops over the nonzero terms of the sparser factor, in O(N * nnz)
@@ -29,7 +31,7 @@ sparse factors one at a time, never two dense series.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from operator import index
 
 from .lattice import LatticeError
@@ -54,6 +56,8 @@ class QSeries:
 
     def __init__(self, coeffs, prec):
         self.prec = prec = index(prec)
+        if prec < 0:
+            raise ValueError("precision must be nonnegative")
         self.coeffs = coeffs = list(map(index, coeffs))
         del coeffs[prec + 1:]
         coeffs += [0] * (prec + 1 - len(coeffs))
@@ -63,7 +67,7 @@ class QSeries:
     def truncate(self, prec):
         if prec > self.prec:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self.coeffs[: max(prec + 1, 0)], prec)
+        return QSeries(self.coeffs[:prec + 1], prec)
 
     def coeff(self, exponent):
         """Coefficient of q^exponent, for an integer 0 <= exponent <= prec."""
@@ -158,7 +162,7 @@ class QSeries:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet characters and Eisenstein series
+# the Dirichlet character mod 3 and the Eisenstein sieve
 # ---------------------------------------------------------------------------
 
 def CHI3(n):
@@ -166,21 +170,12 @@ def CHI3(n):
     return (0, 1, -1)[n % 3]
 
 
-def CHI4(n):
-    """The nontrivial Dirichlet character modulo 4."""
-    return (0, 1, 0, -1)[n % 4]
-
-
-# name -> (chi, a, b): N_L(2m) = a sigma~_2(m, chi) - b sigma_2(m, chi) for
-# m >= 1, the q^m coefficient of a E3_cusp0(chi) + E3_cusp_inf(chi), where
-# E3_cusp0 = sum sigma~_2(m, chi) q^m and E3_cusp_inf = 1 - b sum sigma_2(m, chi) q^m
-_EISENSTEIN = {"E6": (CHI3, 81, 9), "D6": (CHI4, 64, 4)}
-
-
-def _eisenstein_series(name, prec):
-    """The q-series 1 + sum_m N_L(2m) q^m of `_EISENSTEIN[name]`, by a divisor
-    sieve: each d e = m adds d^2 (a chi(e) - b chi(d)), O(N log N) in all."""
-    chi, a, b = _EISENSTEIN[name]
+def _eisenstein_series(chi, a, b, prec):
+    """The q-series 1 + sum_m N(2m) q^m with N(2m) = a sigma~_2(m, chi) -
+    b sigma_2(m, chi) for m >= 1, the q^m coefficient of
+    a E3_cusp0(chi) + E3_cusp_inf(chi), where E3_cusp0 = sum sigma~_2(m, chi) q^m
+    and E3_cusp_inf = 1 - b sum sigma_2(m, chi) q^m.  A divisor sieve: each
+    d e = m adds d^2 (a chi(e) - b chi(d)), O(N log N) in all."""
     out = [0] * (prec + 1)
     ach = [a * chi(e) for e in range(1, prec + 1)]
     for d in range(1, prec + 1):
@@ -255,16 +250,6 @@ def _dn_builder(n):
     return lambda p: QSeries((theta3_2tau(2 * p) ** n).coeffs[::2], p)
 
 
-def theta_e6(prec=240):
-    """Theta series of E6, 81 E3_cusp0(chi3) + E3_cusp_inf(chi3) (see _EISENSTEIN)."""
-    return _theta("E6", prec, _named("E6")[1])
-
-
-def theta_d6_eis(prec=240):
-    """Theta series of D6, 64 E3_cusp0(chi4) + E3_cusp_inf(chi4) (see _EISENSTEIN)."""
-    return _theta("D6eis", prec, lambda p: _eisenstein_series("D6", p))
-
-
 def theta_brute(lat, prec):
     """Theta series by direct vector enumeration; the oracle for the closed forms."""
     prec = index(prec)
@@ -276,9 +261,10 @@ def theta_brute(lat, prec):
 
 
 # name -> (root-lattice constructor, closed-form theta builder), the one table
-# of the named lattices; each series is cached under its name
+# of the named lattices; each series is cached under its name.  E6's is
+# 81 E3_cusp0(chi3) + E3_cusp_inf(chi3)
 _REP_LATTICES = {
-    "E6": (lt.root_lattice_e, lambda p: _eisenstein_series("E6", p)),
+    "E6": (lt.root_lattice_e, partial(_eisenstein_series, CHI3, 81, 9)),
     "E7": (lt.root_lattice_e, _build_e7),
     "D5": (lt.root_lattice_d, _dn_builder(5)),
     "D6": (lt.root_lattice_d, _dn_builder(6)),

@@ -106,8 +106,11 @@ def c_min(d):
 # ---------------------------------------------------------------------------
 
 def euler_phi(n):
-    """Euler's totient of n; a non-integer n is a `TypeError`."""
+    """Euler's totient of n >= 1; a non-integer n is a `TypeError`, n < 1 a
+    `ValueError`."""
     out = n = index(n)
+    if n < 1:
+        raise ValueError("Euler's totient needs n >= 1")
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -184,17 +187,20 @@ def char_poly(g):
 
 
 class CycloDecomp:
-    """Multiplicities nu_d of cyclotomic factors in the characteristic polynomial;
-    a non-integer order, rank, index d or multiplicity is a `TypeError`."""
+    """Multiplicities nu_d of the cyclotomic factors Phi_d of a characteristic
+    polynomial.  The order lcm{d} and the rank sum nu_d phi(d) are computed
+    from them.  A non-integer index d or multiplicity is a `TypeError`, one
+    below 1 a `ValueError`."""
 
     __slots__ = ("order", "rank", "multiplicities")
 
-    def __init__(self, order, rank, multiplicities):
-        self.order = index(order)
-        self.rank = rank = index(rank)
-        self.multiplicities = {index(d): index(v) for d, v in dict(multiplicities).items()}
-        if sum(v * euler_phi(d) for d, v in self.multiplicities.items()) != rank:
-            raise ValueError("cyclotomic multiplicities do not add up to the rank")
+    def __init__(self, multiplicities):
+        mult = {index(d): index(v) for d, v in dict(multiplicities).items()}
+        if any(d < 1 or v < 1 for d, v in mult.items()):
+            raise ValueError("cyclotomic indices and multiplicities must be positive")
+        self.multiplicities = mult
+        self.order = lcm(*mult)
+        self.rank = sum(v * euler_phi(d) for d, v in mult.items())
 
     def eigen_exponents(self):
         """All eigenvalue exponents on the scale of the element order."""
@@ -240,10 +246,10 @@ def cyclo_decompose(g):
     if poly != [1]:
         raise ArithmeticError("characteristic polynomial is not a product of "
                               "cyclotomics; the matrix cannot have finite order")
-    order = lcm(*mult)
-    if _mat_power(g, order) != identity_matrix(n):
-        raise ValueError(f"matrix has no finite order: g^{order} is not the identity")
-    return CycloDecomp(order, n, mult)
+    decomp = CycloDecomp(mult)
+    if _mat_power(g, decomp.order) != identity_matrix(n):
+        raise ValueError(f"matrix has no finite order: g^{decomp.order} is not the identity")
+    return decomp
 
 
 # ---------------------------------------------------------------------------

@@ -535,18 +535,27 @@ UNKNOWN = "unknown"
 
 
 class Verdict:
-    """Kodaira-type verdict for the degree-2d moduli space.
+    """Kodaira-type verdict for the degree-2d moduli space; the kind is
+    computed from the witness.
 
-    general_type needs a witness with 2 <= N_l <= 12 (weight 12 + N_l/2 at
-    most 18, below the dimension 19); nonnegative_kodaira needs a best
-    witness with N_l = 14 (weight exactly 19).
+    A witness with 2 <= N_l <= 12 gives general_type (weight 12 + N_l/2 at
+    most 18, below the dimension 19), one with N_l = 14 nonnegative_kodaira
+    (weight exactly 19), and no witness unknown; a witness with any other
+    N_l is a `ValueError`.
     """
 
     __slots__ = ("d", "kind", "witness", "mineq", "mineqd")
 
-    def __init__(self, d, kind, witness, mineq, mineqd):
+    def __init__(self, d, witness, mineq, mineqd):
+        if witness is None:
+            self.kind = UNKNOWN
+        elif 2 <= witness.n_l <= 12:
+            self.kind = GENERAL_TYPE
+        elif witness.n_l == 14:
+            self.kind = NONNEGATIVE_KODAIRA
+        else:
+            raise ValueError(f"a witness with N_l = {witness.n_l} decides no verdict")
         self.d = d
-        self.kind = kind
         self.witness = witness
         self.mineq = mineq
         self.mineqd = mineqd
@@ -614,11 +623,7 @@ def kodaira_verdict(d):
         if witness is None and (mineq or mineqd):
             raise RuntimeError(
                 f"inequalities promise a witness at d={d} but none was found")
-    if witness is not None:
-        return Verdict(d, GENERAL_TYPE, witness, mineq, mineqd)
-    if best14 is not None:
-        return Verdict(d, NONNEGATIVE_KODAIRA, best14, mineq, mineqd)
-    return Verdict(d, UNKNOWN, None, mineq, mineqd)
+    return Verdict(d, best14 if witness is None else witness, mineq, mineqd)
 
 
 # ---------------------------------------------------------------------------

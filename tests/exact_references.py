@@ -11,6 +11,9 @@ Tests compare the library against them.
   (repeated squaring over it).
 * The divisor sums behind the sieve of `qseries._eisenstein_series`:
   `sigma_chi` and `sigma_tilde_chi`, each a sum over the divisors of one m.
+* The independent reference for the theta series of D6: `theta_d6_eis`,
+  the sieve's weight-3 Eisenstein form for the character `CHI4`, against
+  the library's theta_3(2 tau)^6 route (`qseries.theta_dn(6)`).
 * The pivot search of `lattice.smith_normal_form` before its scan stopped
   at the first unit entry: `snf_pivot_full_scan` scans the whole block.
 * The order search of `rst.cyclo_decompose` before it derived the order
@@ -26,7 +29,7 @@ from math import gcd, isqrt, lcm
 
 from k3mod.e8 import SIMPLE_ROOTS_2X
 from k3mod.lattice import DualVec, identity_matrix, mat_mul
-from k3mod.qseries import QSeries
+from k3mod.qseries import QSeries, _eisenstein_series
 
 
 def det_bareiss(mat):
@@ -225,3 +228,14 @@ def sigma_tilde_chi(m, k, chi):
     if m < 1:
         raise ValueError("m must be positive")
     return sum(chi(m // d) * d**k for d in _divisors(m))
+
+
+def CHI4(n):
+    """The nontrivial Dirichlet character modulo 4."""
+    return (0, 1, 0, -1)[n % 4]
+
+
+def theta_d6_eis(prec=240):
+    """Theta series of D6, 64 E3_cusp0(chi4) + E3_cusp_inf(chi4): N_D6(2m) =
+    64 sigma~_2(m, chi4) - 4 sigma_2(m, chi4) for m >= 1."""
+    return _eisenstein_series(CHI4, 64, 4, prec)

@@ -20,6 +20,8 @@ from k3mod import roots
 from k3mod import rst
 from k3mod import search as se
 
+from exact_references import theta_d6_eis
+
 
 @contextmanager
 def criterion(n, label):
@@ -59,7 +61,7 @@ def test_criterion_02_bouquet_decomposition():
 def test_criterion_03_theta_cross_validation():
     with criterion(3, "theta vs brute"):
         builders = {
-            "E7": qs.theta_e7(12), "E6": qs.theta_e6(12),
+            "E7": qs.theta_e7(12), "E6": qs.named_theta("E6", 12),
             "D5": qs.theta_dn(5, 12), "D6": qs.theta_dn(6, 12),
             "D8": qs.theta_dn(8, 12),
         }
@@ -67,7 +69,7 @@ def test_criterion_03_theta_cross_validation():
             brute = qs.theta_brute(qs.named_definite_lattice(name), 12)
             for m in range(13):
                 assert series.coeff(m) == brute.coeff(m), (name, m)
-        assert qs.theta_d6_eis(240) == qs.theta_dn(6, 240)
+        assert theta_d6_eis(240) == qs.theta_dn(6, 240)
 
 
 def test_criterion_04_e7_growth_ratio():

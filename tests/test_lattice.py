@@ -228,6 +228,27 @@ def test_disc_order_is_det():
         assert disc.order == abs(lat.det)
 
 
+@pytest.mark.parametrize("mat", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], []]])
+def test_smith_normal_form_rejects_ragged_rows(mat):
+    for call in (smith_normal_form, lt.kernel_basis):
+        with pytest.raises(LatticeError, match="equal length"):
+            call(mat)
+
+
+def test_disc_group_computes_its_factors_and_q_values():
+    # the lifts are the one input: factors are their denominators, q-values
+    # their norms mod 2, and an odd lattice has no q-values
+    for expr in ("U(2)+<6>", "A(2)+<-4>", "<3>+<5>"):
+        lat = parse_lattice_expr(expr)
+        disc = disc_group(lat)
+        assert disc.invariant_factors == tuple(g.den for g in disc.generator_lifts)
+        want = tuple(g.norm() % 2 for g in disc.generator_lifts) if lat.is_even() else None
+        assert disc.q_values == want
+        again = lt.DiscGroup(lat, disc.generator_lifts)
+        assert (again.invariant_factors, again.q_values) == (disc.invariant_factors, want)
+    assert disc_group(parse_lattice_expr("<3>+<5>")).q_values is None
+
+
 def test_smith_normal_form_transforms():
     from k3mod.lattice import mat_mul
     m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]

@@ -92,12 +92,8 @@ def test_orthogonal_root_count_is_weyl_and_sign_invariant(alpha, word):
         assert e8.count_orth_roots_2x(to_2x(x)) == n_l
 
 
-_THETA = {"E6": qs.theta_e6, "E7": qs.theta_e7, "D5": lambda p: qs.theta_dn(5, p),
-          "D6": lambda p: qs.theta_dn(6, p), "D8": lambda p: qs.theta_dn(8, p)}
-
-
 @settings(_SETTINGS, max_examples=20)
-@given(st.sampled_from(sorted(_THETA)), st.integers(1, 4), st.data())
+@given(st.sampled_from(sorted(qs.NAMED_LATTICES)), st.integers(1, 4), st.data())
 def test_enumerator_count_is_the_theta_coefficient(name, m, data):
     # a change of basis b_i -> b_i + k b_j keeps the lattice, not the Gram matrix
     gram = qs.named_definite_lattice(name).gram
@@ -109,4 +105,4 @@ def test_enumerator_count_is_the_theta_coefficient(name, m, data):
     u[i][j] = k
     ut = [list(col) for col in zip(*u)]
     lat = lt.IntLattice(lt.mat_mul(lt.mat_mul(u, gram), ut))
-    assert roots.enumerate_norm_vectors(lat, 2 * m) == _THETA[name](m).coeff(m)
+    assert roots.enumerate_norm_vectors(lat, 2 * m) == qs.named_theta(name, m).coeff(m)

@@ -7,12 +7,13 @@ import pytest
 from k3mod import lattice as lt
 from k3mod import qseries as qs
 from k3mod.qseries import (
-    CHI3, CHI4, QSeries, rep_num, theta3_2tau,
-    theta_brute, theta_d6_eis, theta_dn, theta_e6, theta_e7,
+    CHI3, QSeries, rep_num, theta3_2tau, theta_brute, theta_dn, theta_e7,
 )
 from k3mod.lattice import LatticeError, parse_lattice_expr
 
-from exact_references import pow_by_squaring, schoolbook_mul, sigma_chi, sigma_tilde_chi
+from exact_references import (
+    CHI4, pow_by_squaring, schoolbook_mul, sigma_chi, sigma_tilde_chi, theta_d6_eis,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,8 @@ def test_theta_e7_matches_the_quarter_grid_builder(monkeypatch):
         assert _quarter_grid_theta_e7(prec) == want[:prec + 1]
 
 
-@pytest.mark.parametrize("build, chi, a", [(theta_e6, CHI3, 81), (theta_d6_eis, CHI4, 64)],
+@pytest.mark.parametrize("build, chi, a", [(lambda p: qs.named_theta("E6", p), CHI3, 81),
+                                           (theta_d6_eis, CHI4, 64)],
                          ids=["theta_e6", "theta_d6_eis"])
 def test_eisenstein_theta_matches_the_two_series_sum(monkeypatch, build, chi, a):
     monkeypatch.setattr(lt, "_grown_tables", {})
@@ -124,11 +126,11 @@ def test_divisor_sums():
 
 def test_eisenstein_series():
     # E6: 81 sigma~_2 - 9 sigma_2, D6: 64 sigma~_2 - 4 sigma_2, at each m >= 1
-    assert theta_e6(3).coeffs == [1, 72, 270, 720]
+    assert qs.named_theta("E6", 3).coeffs == [1, 72, 270, 720]
     assert 81 * sigma_tilde_chi(2, 2, CHI3) - 9 * sigma_chi(2, 2, CHI3) == 270
     assert theta_d6_eis(2).coeffs == [1, 60, 252]
     assert 64 * sigma_tilde_chi(2, 2, CHI4) - 4 * sigma_chi(2, 2, CHI4) == 252
-    assert theta_e6(0).coeffs == [1] and theta_d6_eis(0).coeffs == [1]
+    assert qs.named_theta("E6", 0).coeffs == [1] and theta_d6_eis(0).coeffs == [1]
 
 
 def test_theta_constants():
@@ -161,11 +163,12 @@ def test_theta_dn_values():
 
 
 def test_theta_e6_and_d6():
-    assert theta_e6(12).coeff(1) == 72
+    assert qs.named_theta("E6", 12).coeff(1) == 72
     assert theta_d6_eis(240) == theta_dn(6, 240)
+    assert theta_d6_eis(1200) == theta_dn(6, 1200)
     for m in range(1, 30):
         want = 81 * sigma_tilde_chi(m, 2, CHI3) - 9 * sigma_chi(m, 2, CHI3)
-        assert theta_e6(30).coeff(m) == want
+        assert qs.named_theta("E6", 30).coeff(m) == want
 
 
 def test_theta_brute():
@@ -177,7 +180,7 @@ def test_theta_brute():
 
 
 @pytest.mark.parametrize("name,builder", [
-    ("E7", theta_e7), ("E6", theta_e6),
+    ("E7", theta_e7), ("E6", lambda p: qs.named_theta("E6", p)),
     ("D5", lambda p: theta_dn(5, p)), ("D6", lambda p: theta_dn(6, p)),
     ("D8", lambda p: theta_dn(8, p)),
 ])
@@ -354,12 +357,21 @@ def test_theta_series_match_the_dense_references_to_600(monkeypatch):
 
 
 def test_serialization_roundtrip():
-    s = theta_e6(8)
+    s = qs.named_theta("E6", 8)
     blob = json.dumps(s.to_json_dict())
     assert [int(c) for c in json.loads(blob)["coefficients"]] == s.coeffs
     assert json.loads(blob)["precision"] == 8
     assert json.loads(blob)["denominator"] == 1
     assert all(isinstance(c, str) for c in json.loads(blob)["coefficients"])
+
+
+def test_series_reject_a_negative_precision():
+    for coeffs, prec in (([1, 2], -1), ([1, 2, 3], -2), ([], -1)):
+        with pytest.raises(ValueError, match="precision must be nonnegative"):
+            QSeries(coeffs, prec)
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        theta3_2tau(4).truncate(-1)
+    assert theta3_2tau(4).truncate(0).coeffs == [1]
 
 
 def test_coeff_out_of_range():
@@ -390,7 +402,7 @@ def test_series_cache_truncates_to_the_requested_precision(monkeypatch):
     assert big.prec == 480 and small.prec == 300
     assert small == fresh and small.coeffs == fresh.coeffs
     assert theta_e7(480) is big
-    assert theta_dn(5, 12).prec == 12 and theta_e6(5).prec == 5
+    assert theta_dn(5, 12).prec == 12 and qs.named_theta("E6", 5).prec == 5
 
 
 def _count_builds(monkeypatch):
@@ -449,30 +461,29 @@ def test_rep_num_reads_the_series_named_theta_prints(monkeypatch):
 
 
 def test_rep_num_of_the_eisenstein_lattices_reads_their_cached_series(monkeypatch):
-    # once E6 and D6 are cached, rep_num evaluates no character, hence no divisor sum
+    # once E6 is cached, rep_num evaluates no character, hence no divisor sum
     builds = _count_builds(monkeypatch)
     evaluated = []
 
-    def counting(chi):
-        def call(n):
-            evaluated.append(n)
-            return chi(n)
-        return call
+    def counting(n):
+        evaluated.append(n)
+        return CHI3(n)
 
-    monkeypatch.setattr(qs, "_EISENSTEIN", {name: (counting(chi), a, b)
-                                            for name, (chi, a, b) in qs._EISENSTEIN.items()})
-    want = {name: qs.named_theta(name, 300) for name in ("E6", "D6")}
+    make = qs._REP_LATTICES["E6"][0]
+    monkeypatch.setitem(qs._REP_LATTICES, "E6",
+                        (make, lambda p: qs._eisenstein_series(counting, 81, 9, p)))
+    series = qs.named_theta("E6", 300)
+    assert len(evaluated) == 600
     evaluated.clear()
     for m in range(1, 301):
-        for name, series in want.items():
-            assert qs.rep_num(name, 2 * m) == series.coeff(m)
+        assert qs.rep_num("E6", 2 * m) == series.coeff(m)
     assert evaluated == []
-    assert builds == {"E6": [300], "D6": [300]}
+    assert builds == {"E6": [300]}
 
 
-@pytest.mark.parametrize("build", [theta_e7, theta_e6, theta_d6_eis,
+@pytest.mark.parametrize("build", [theta_e7, lambda p: qs.named_theta("E6", p),
                                    lambda p: theta_dn(5, p)],
-                         ids=["theta_e7", "theta_e6", "theta_d6_eis", "theta_dn"])
+                         ids=["theta_e7", "theta_e6", "theta_dn"])
 def test_cached_theta_series_reject_a_negative_precision(monkeypatch, build):
     monkeypatch.setattr(lt, "_grown_tables", {})
     with pytest.raises(LatticeError, match="precision must be nonnegative"):
@@ -481,7 +492,7 @@ def test_cached_theta_series_reject_a_negative_precision(monkeypatch, build):
     assert build(0).coeffs == [1]
 
 
-@pytest.mark.parametrize("name, public", [("E7", theta_e7), ("E6", theta_e6)])
+@pytest.mark.parametrize("name, public", [("E7", theta_e7)])
 def test_theta_functions_build_through_the_named_table(monkeypatch, name, public):
     # one builder per cache key: the public theta function and rep_num share it
     monkeypatch.setattr(lt, "_grown_tables", {})

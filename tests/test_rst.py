@@ -188,9 +188,9 @@ def test_bigphi():
 
 
 def test_eigen_exponents_from_decomp_order_scale():
-    dec = CycloDecomp(12, 4, {12: 1})
+    dec = CycloDecomp({12: 1})
     assert dec.eigen_exponents().exponents == (1, 5, 7, 11)
-    dec = CycloDecomp(12, 4, {3: 1, 4: 1})
+    dec = CycloDecomp({3: 1, 4: 1})
     assert dec.eigen_exponents().exponents == (3, 4, 8, 9)
 
 
@@ -219,19 +219,35 @@ def test_char_poly_rejects_non_integral_matrix():
         char_poly([[Fraction(1, 2), 0], [0, 1]])
 
 
-@pytest.mark.parametrize("order, rank, multiplicities", [
-    (4, 2, {4.0: 1}), (4.0, 2, {4: 1}), (4, 2.0, {4: 1}), (4, 2, {4: 1.0}), (4, 2, {"4": 1})])
-def test_cyclo_decomp_rejects_non_integers_at_construction(order, rank, multiplicities):
+@pytest.mark.parametrize("multiplicities", [{4.0: 1}, {4: 1.0}, {"4": 1}])
+def test_cyclo_decomp_rejects_non_integers_at_construction(multiplicities):
     # both used to be accepted and to fail only later, in eigen_exponents()
     with pytest.raises(TypeError):
-        CycloDecomp(order, rank, multiplicities)
-    assert CycloDecomp(4, 2, {4: 1}).eigen_exponents().exponents == (1, 3)
+        CycloDecomp(multiplicities)
+    assert CycloDecomp({4: 1}).eigen_exponents().exponents == (1, 3)
 
 
-def test_cyclo_decomp_rejects_multiplicities_off_the_rank():
-    with pytest.raises(ValueError):
-        CycloDecomp(2, 3, {1: 1, 2: 1})
-    assert CycloDecomp(2, 3, {1: 1, 2: 2}).rank == 3
+def test_cyclo_decomp_computes_its_order_and_rank():
+    # Phi_4's eigenvalues are +-i: order 4, rank 2, never exponents (0, 0)
+    dec = CycloDecomp({4: 1})
+    assert (dec.order, dec.rank, dec.eigen_exponents().exponents) == (4, 2, (1, 3))
+    assert CycloDecomp({3: 1, 4: 1}).order == 12
+    assert CycloDecomp({1: 1, 2: 2}).rank == 3
+    assert (CycloDecomp({}).order, CycloDecomp({}).rank) == (1, 0)
+
+
+@pytest.mark.parametrize("multiplicities", [{-1: -2}, {0: 1}, {-4: 1}, {4: 0}, {4: -1},
+                                            {1: 1, 3: 0}])
+def test_cyclo_decomp_rejects_indices_and_multiplicities_below_one(multiplicities):
+    with pytest.raises(ValueError, match="must be positive"):
+        CycloDecomp(multiplicities)
+
+
+@pytest.mark.parametrize("n", [0, -1, -5, -12])
+def test_euler_phi_rejects_arguments_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        euler_phi(n)
+    assert euler_phi(1) == 1
 
 
 @pytest.mark.parametrize("g", [[[0]], [[2]], [[1, 0], [0, 3]], [[1, 2], [2, 4]]])

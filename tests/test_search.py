@@ -152,7 +152,7 @@ def _pex_by_series(max_m):
     """The negative q^m coefficients of 5 theta_E7 - 28 theta_E6 - 63 theta_D6
     - 378 theta_D5, combined on the coefficient lists."""
     combo = [5 * a - 28 * b - 63 * c - 378 * e for a, b, c, e in zip(
-        qs.theta_e7(max_m).coeffs, qs.theta_e6(max_m).coeffs,
+        qs.theta_e7(max_m).coeffs, qs.named_theta("E6", max_m).coeffs,
         qs.theta_dn(6, max_m).coeffs, qs.theta_dn(5, max_m).coeffs)]
     return [m for m in range(1, max_m + 1) if combo[m] < 0]
 
@@ -420,16 +420,25 @@ def _verdict_by_sorted_hits(d):
                 witness = ex
             elif best14 is None:
                 best14 = ex
-    if witness is not None:
-        return se.Verdict(d, se.GENERAL_TYPE, witness, mineq, mineqd)
-    if best14 is not None:
-        return se.Verdict(d, se.NONNEGATIVE_KODAIRA, best14, mineq, mineqd)
-    return se.Verdict(d, se.UNKNOWN, None, mineq, mineqd)
+    return se.Verdict(d, best14 if witness is None else witness, mineq, mineqd)
 
 
 def test_running_minima_match_the_sorted_hits():
     for d in range(1, 201):
         assert se.kodaira_verdict(d).to_dict() == _verdict_by_sorted_hits(d).to_dict(), d
+
+
+def test_verdict_kind_is_computed_from_the_witness():
+    def verdict(n_l):
+        return se.Verdict(1, se.SearchHit(1, (2, 2) + (0,) * 6, n_l, "case1"), False, False)
+
+    for n_l in (2, 8, 12):
+        assert verdict(n_l).kind == se.GENERAL_TYPE
+    assert verdict(14).kind == se.NONNEGATIVE_KODAIRA
+    assert se.Verdict(1, None, False, False).kind == se.UNKNOWN
+    for n_l in (0, 1, 13, 16, 126):
+        with pytest.raises(ValueError, match="decides no verdict"):
+            verdict(n_l)
 
 
 def test_equal_keys_keep_the_first_family(monkeypatch):

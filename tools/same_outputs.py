@@ -41,7 +41,8 @@ no traceback.  The groups are
   position) of each of BAD_EXPRESSIONS and of the constructors' bad
   arguments; this group does not depend on --degrees either;
 * `series`: the closed-form theta series `theta_e7`, `theta_dn(n)` for n in
-  SERIES_DN, `theta_e6` and `theta_d6_eis` at precision SERIES_PREC, then
+  SERIES_DN, `named_theta("E6")` and the tests' D6 reference `theta_d6_eis`
+  (tests/exact_references.py) at precision SERIES_PREC, then
   `rep_num(name, 2d)` for every named lattice and `check_mineq(d)`,
   `check_mineqd(d)` for every d in 1..SERIES_MAX_D, in ascending order, then
   `compute_pex(PEX_MAX_M)`; this group does not depend on --degrees either;
@@ -64,7 +65,8 @@ The `k3mod` calls run in this process; except in `cli-usage` they hash
 (exit code, stdout).
 
 Each group hashes one JSON line per item, in order.  The program is
-imported from the `src` directory of the checkout this script lives in.
+imported from the `src` directory of the checkout this script lives in, and
+the D6 reference from its `tests` directory.
 
 tests/golden_digests.json pins every group's digest at --degrees 1-61, the
 `cli-usage` group once per Python minor version (argparse's help layout
@@ -86,10 +88,11 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from k3mod import cli, search  # noqa: E402
 from k3mod import lattice, qseries, reflective, roots, rst  # noqa: E402
+from exact_references import theta_d6_eis  # noqa: E402
 
 # the orbit scan's cost rises steeply with d: d = 1..150 takes about 2 s,
 # 151..400 about 35-40 s more (CPython 3.11 on a 2-core VM); the cap stays
@@ -268,8 +271,8 @@ def series():
     yield ["E7", qseries.theta_e7(SERIES_PREC).coeffs]
     for n in SERIES_DN:
         yield [f"D{n}", qseries.theta_dn(n, SERIES_PREC).coeffs]
-    yield ["E6", qseries.theta_e6(SERIES_PREC).coeffs]
-    yield ["D6eis", qseries.theta_d6_eis(SERIES_PREC).coeffs]
+    yield ["E6", qseries.named_theta("E6", SERIES_PREC).coeffs]
+    yield ["D6eis", theta_d6_eis(SERIES_PREC).coeffs]
     for d in range(1, SERIES_MAX_D + 1):
         yield [d, [qseries.rep_num(name, 2 * d) for name in qseries.NAMED_LATTICES],
                search.check_mineq(d), search.check_mineqd(d)]
