@@ -53,8 +53,9 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if any(len(row) != inner for row in a):
+    rows, inner = len(a), len(b)
+    cols = len(b[0]) if b else 0
+    if any(len(row) != inner for row in a) or any(len(row) != cols for row in b):
         raise LatticeError("matrix shapes do not match for a product")
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
@@ -87,12 +88,13 @@ def symmetric_bareiss(gram):
     unimodular, so it keeps det G, the signature and D_1, ..., D_k, and the
     divisions stay exact; the rows are then those of the transformed matrix.
     A definite G has no zero minor, so it never pivots.  A zero row k of the
-    remaining block means G is singular: `LatticeError`, as for an empty G.
+    remaining block means G is singular: `LatticeError`, as for an empty or
+    non-square G.
     """
     a = [list(row) for row in gram]
     n = len(a)
-    if not n:
-        raise LatticeError("Gram matrix is empty")
+    if not n or any(len(row) != n for row in a):
+        raise LatticeError("Gram matrix is empty or not square")
     prev = 1
     for k in range(n):
         if a[k][k] == 0:
@@ -216,6 +218,8 @@ def smith_normal_form(mat):
 
 def kernel_basis(mat):
     """Saturated basis of {x in Z^n : mat * x = 0}, as columns."""
+    if not mat:
+        raise LatticeError("matrix has no rows")
     d, _u, v = smith_normal_form(mat)
     rows = len(mat)
     cols = len(mat[0])

@@ -8,8 +8,8 @@ degree is one verified stream of (N_l, coords2x): on every tuple with a
 claim the norm is checked and the claim is re-verified against the
 closed-form E8 root count (`e8.count_orth_roots_2x`), memoised per call on
 the W(D8) class of the vector, since N_l is Weyl invariant.  The searches
-build their hits from these streams; the verdict keeps only running minima
-and builds a hit for its winners.  Family IV is the largest: its tuples
+build their hits from these streams; the verdict keeps one least key per
+kind and builds one hit.  Family IV is the largest: its tuples
 (m3, ..., m7, -m8) sum to zero, so they are the vectors of norm 2d in A5,
 taken modulo S5 (permuting m3..m7) and the global sign.  Three loops choose
 m3 <= m4 <= m5, with sum s; the last pair then solves x^2 + 3v^2 = K with
@@ -27,13 +27,11 @@ the widest range) solved at the leaf, so it makes one leaf call per choice
 of the seven narrower coordinates; a level with an empty range returns
 before it computes the next level's centre (`_enumerate_dominant` has the
 reasons).
-The verdict has one rule at every degree: the families run first, and the
-orbit scan runs wherever no family gives N_l <= 12.
 
-Hit counts feed the per-degree verdict: a vector orthogonal to between 2
-and 12 roots yields a modular form of weight below 19 with the vanishing
-needed for general type; a best count of 14 yields weight exactly 19 and a
-nonnegative Kodaira dimension.
+Hit counts feed the per-degree verdict through one map, `_KIND`, from N_l
+to the kind it decides (general type or a nonnegative Kodaira dimension).
+The verdict has one rule at every degree: the families run first, and the
+orbit scan runs wherever no family decides general type.
 """
 
 from __future__ import annotations
@@ -505,24 +503,18 @@ def _enumerate_dominant(norm):
 
 
 def exhaustive_search(d):
-    """Scan all l in E8 with l^2 = 2d; return a minimal hit with
-    2 <= N_l <= 14, or None.
+    """Scan all l in E8 with l^2 = 2d; return the hit with the least
+    (N_l, coords2x) whose N_l decides a verdict (`_KIND`), or None.
 
     Visits one dominant representative per Weyl orbit (the count N_l is
     constant on orbits), found by an integer walk of the weight
     coordinates; runs at any d >= 1.
     """
     d = _check_degree(d)
-    best = None
-    for vec in _enumerate_dominant(2 * d):
-        n_l = e8.count_orth_roots_2x(vec)
-        if 2 <= n_l <= 14:
-            key = (n_l, vec)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    return SearchHit(d, best[1], best[0], "exhaustive")
+    count = e8.count_orth_roots_2x
+    best = min(((n_l, vec) for vec in _enumerate_dominant(2 * d)
+                if (n_l := count(vec)) in _KIND), default=None)
+    return None if best is None else SearchHit(d, best[1], best[0], "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -533,27 +525,24 @@ GENERAL_TYPE = "general_type"
 NONNEGATIVE_KODAIRA = "nonnegative_kodaira"
 UNKNOWN = "unknown"
 
+# the one verdict rule, N_l -> kind: a vector orthogonal to 2 <= N_l <= 12
+# roots gives a cusp form of weight 12 + N_l/2 <= 18, below the dimension
+# 19, so general type; N_l = 14 gives weight exactly 19, so kappa >= 0.  No
+# other N_l decides anything.
+_KIND = {**dict.fromkeys(range(2, 13), GENERAL_TYPE), 14: NONNEGATIVE_KODAIRA}
+
 
 class Verdict:
     """Kodaira-type verdict for the degree-2d moduli space; the kind is
-    computed from the witness.
-
-    A witness with 2 <= N_l <= 12 gives general_type (weight 12 + N_l/2 at
-    most 18, below the dimension 19), one with N_l = 14 nonnegative_kodaira
-    (weight exactly 19), and no witness unknown; a witness with any other
-    N_l is a `ValueError`.
+    computed from the witness: `_KIND` of its N_l, or unknown when there is
+    no witness.  A witness whose N_l decides no kind is a `ValueError`.
     """
 
     __slots__ = ("d", "kind", "witness", "mineq", "mineqd")
 
     def __init__(self, d, witness, mineq, mineqd):
-        if witness is None:
-            self.kind = UNKNOWN
-        elif 2 <= witness.n_l <= 12:
-            self.kind = GENERAL_TYPE
-        elif witness.n_l == 14:
-            self.kind = NONNEGATIVE_KODAIRA
-        else:
+        self.kind = UNKNOWN if witness is None else _KIND.get(witness.n_l)
+        if self.kind is None:
             raise ValueError(f"a witness with N_l = {witness.n_l} decides no verdict")
         self.d = d
         self.witness = witness
@@ -577,53 +566,41 @@ def kodaira_verdict(d):
     """Derive the verdict for degree 2d; nothing about particular degrees is
     hardcoded, every claim is backed by a verified witness vector.
 
-    One rule at every d: the structured families run first (cheap, they cover
-    the table degrees and far beyond), and the exhaustive orbit scan runs
-    whenever no family gives N_l <= 12.  So general_type means a witness with
-    N_l <= 12, nonnegative_kodaira means a best witness with N_l = 14 and no
-    vector with 2 <= N_l <= 12, and unknown means no vector with
-    2 <= N_l <= 14.  When one of the two representation-number inequalities
-    holds a witness must exist, so a fruitless scan is an internal error.
-
-    The families are read as their verified streams (`_family_stream`: every
-    tuple's claim and norm checked), walked in CASES order.  The verdict
-    keeps two running minima of (N_l, coords2x), over 2 <= N_l <= 12 and
-    over N_l = 14, replaced only on a strict <, so among equal keys the
-    first family wins, as in the sorted `structured_search_all`; a
-    `SearchHit` is built only for the winners.
+    One rule at every d, `_KIND`: the witness is the least (N_l, coords2x)
+    of kind general_type, else of kind nonnegative_kodaira, else there is
+    none and the kind is unknown.  The structured families run first, read
+    as their verified streams (`_family_stream`: every tuple's claim and
+    norm checked) in CASES order.  One table keeps, per kind, the least key
+    and its source, replaced only on a strict <, so among equal keys the
+    first family wins, as in the sorted `structured_search_all`.  The
+    exhaustive orbit scan runs only when no family gives general type, and
+    its hit fills only a kind that no family filled: a family's
+    N_l = 14 vector is kept even where the scan's key is smaller.  When one
+    of the two representation-number inequalities holds a general-type
+    witness must exist, so a fruitless scan is an internal error.
     """
     d = _check_degree(d)
     mineq = check_mineq(d)
     mineqd = check_mineqd(d)
-    # the least (N_l, coords2x) with 2 <= N_l <= 12 and with N_l = 14, each
-    # with its family
-    low = top = None
+    best = {}  # kind -> ((N_l, coords2x), source)
     for case in CASES:
+        source = f"case{case}"
         for key in _family_stream(case, d):
-            if 2 <= key[0] <= 12:
-                if low is None or key < low[0]:
-                    low = key, case
-            elif key[0] == 14 and (top is None or key < top[0]):
-                top = key, case
-
-    def hit(best):
-        if best is None:
-            return None
-        (n_l, vec), case = best
-        return SearchHit(d, vec, n_l, f"case{case}")
-
-    witness, best14 = hit(low), hit(top)
-    if witness is None:
+            kind = _KIND.get(key[0])
+            if kind is not None:
+                held = best.get(kind)
+                if held is None or key < held[0]:
+                    best[kind] = key, source
+    if GENERAL_TYPE not in best:
         ex = exhaustive_search(d)
         if ex is not None:
-            if ex.n_l <= 12:
-                witness = ex
-            elif best14 is None:
-                best14 = ex
-        if witness is None and (mineq or mineqd):
+            best.setdefault(_KIND[ex.n_l], (ex.sort_key(), ex.source))
+        if GENERAL_TYPE not in best and (mineq or mineqd):
             raise RuntimeError(
                 f"inequalities promise a witness at d={d} but none was found")
-    return Verdict(d, best14 if witness is None else witness, mineq, mineqd)
+    won = best.get(GENERAL_TYPE) or best.get(NONNEGATIVE_KODAIRA)
+    witness = None if won is None else SearchHit(d, won[0][1], won[0][0], won[1])
+    return Verdict(d, witness, mineq, mineqd)
 
 
 # ---------------------------------------------------------------------------

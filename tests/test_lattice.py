@@ -375,6 +375,20 @@ def test_mat_mul_rejects_mismatched_shapes():
     with pytest.raises(LatticeError):
         lt.mat_mul([[1, 2], [3]], [[1], [2]])
     assert lt.mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+    assert lt.mat_mul([], []) == []
+
+
+@pytest.mark.parametrize("call, args", [
+    ("kernel_basis", ([],)),
+    ("mat_mul", ([[1]], [])),
+    ("mat_mul", ([[1, 1]], [[1, 2], [1]])),
+    ("symmetric_bareiss", ([[]],)),
+    ("symmetric_bareiss", ([[2, 1], [1]],)),
+])
+def test_matrix_kernels_reject_empty_and_ragged_arguments(call, args):
+    # a malformed matrix is a LatticeError, never a bare IndexError
+    with pytest.raises(LatticeError):
+        getattr(lt, call)(*args)
 
 
 @pytest.mark.parametrize("build", [lambda: make_l2d(5),

@@ -407,7 +407,7 @@ def test_wrong_family_norm_stops_the_verdict(monkeypatch):
 
 
 def _verdict_by_sorted_hits(d):
-    """The verdict before the running minima: every family hit built and
+    """The verdict before the best-key table: every family hit built and
     sorted, and the first hit with N_l <= 12 or N_l = 14 taken."""
     mineq, mineqd = se.check_mineq(d), se.check_mineqd(d)
     hits = se.structured_search_all(d, targets=range(2, 15))
@@ -443,10 +443,33 @@ def test_verdict_kind_is_computed_from_the_witness():
 
 def test_equal_keys_keep_the_first_family(monkeypatch):
     # families yield equal (N_l, coords2x) at some degrees; the sorted hits
-    # kept the first family in CASES order, and so must the running minimum
+    # kept the first family in CASES order, and so must the best-key table
     vec = se.embed_case1(1, 2, 4, 5)
     monkeypatch.setattr(se, "_family_stream", lambda case, d: iter([(12, vec)]))
     assert se.kodaira_verdict(46).witness.source == "caseI"
+
+
+@pytest.mark.parametrize("d", [43, 51, 55, 56])
+def test_a_family_n14_witness_beats_a_smaller_scan_key(d):
+    # no family decides general type here, so the scan runs; its N_l = 14
+    # key is smaller than family IV's, yet the family's witness is kept (a
+    # plain minimum over families and scan would take the scan's)
+    ex = se.exhaustive_search(d)
+    v = se.kodaira_verdict(d)
+    assert v.kind == se.NONNEGATIVE_KODAIRA
+    assert ex.n_l == 14 and ex.sort_key() < v.witness.sort_key()
+    assert v.witness.source == "caseIV"
+
+
+@pytest.mark.parametrize("d, n_l", [(46, 12), (50, 12), (100, 10), (151, 8), (400, 8)])
+def test_the_scan_stays_idle_where_a_family_decides(monkeypatch, d, n_l):
+    def no_scan(d):
+        raise AssertionError("the orbit scan ran")
+
+    monkeypatch.setattr(se, "exhaustive_search", no_scan)
+    v = se.kodaira_verdict(d)
+    assert v.kind == se.GENERAL_TYPE
+    assert (v.witness.source, v.witness.n_l) == ("caseIV", n_l)
 
 
 def test_class_memoised_count_matches_the_closed_form():
