@@ -150,8 +150,11 @@ def _json_default(obj):
 
 
 def _rows_from(payload):
+    """The CSV rows of a payload whose subcommand gives none: a dict gives
+    (key, value) rows, a list or dict value written as JSON."""
     if isinstance(payload, dict):
-        return sorted(payload.items())
+        return [(k, _dumps(v) if isinstance(v, (list, tuple, dict)) else v)
+                for k, v in sorted(payload.items())]
     if isinstance(payload, list):
         return [[x] if not isinstance(x, (list, tuple)) else x for x in payload]
     return [[payload]]
@@ -171,6 +174,8 @@ def _parse_targets(text):
             raise UsageError(f"--targets has a bad part {part!r}") from None
         if lo > hi:
             raise UsageError(f"--targets has an empty range {part!r}")
+        if lo < 0:
+            raise UsageError(f"--targets has a negative count {part!r}")
         out.update(range(lo, hi + 1))
     return out
 

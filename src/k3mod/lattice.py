@@ -13,10 +13,10 @@ coordinates, pairings, discriminant-form values).  No floating point:
 discriminant groups, divisors and elementary divisors are integrality
 statements and are computed as such.
 
-One rule governs every vector argument (`coords_of`): a `LatVec` must belong
-to the lattice it is used with, and a plain sequence of integers must have
-one entry per basis vector; anything else raises `LatticeError` (or
-`TypeError` for a non-integer entry).
+A vector is its coordinates: every vector argument is a sequence of
+integers, one per basis vector, passed beside its lattice and read by
+`coords_of`; a wrong length raises `LatticeError`, an entry that is not an
+integer `TypeError`.
 
 Caches follow three rules: data derived from one lattice is memoised on it
 (`IntLattice.memoised`); a value fixed by its arguments comes from
@@ -251,12 +251,10 @@ def _grown(key, bound, build):
 class IntLattice:
     """An integral lattice presented by a symmetric Gram matrix.
 
-    Instances are immutable after construction.  Vector ownership is object
-    identity, not structural Gram equality: distinct isometric lattices must
-    not silently interoperate.  Every function that
-    takes a vector of the lattice reads it through `coords_of`, so a `LatVec`
-    of another lattice and a coordinate tuple of the wrong length both raise
-    `LatticeError`.  The Gram entries follow the same rule as vector
+    Instances are immutable after construction.  Every function that takes
+    a vector of the lattice takes its coordinates beside the lattice and
+    reads them through `coords_of`, so a coordinate tuple of the wrong length
+    raises `LatticeError`.  The Gram entries follow the same rule as vector
     entries: one that is not an integer is a `TypeError`, never truncated.
     The det and the signature come from one
     `symmetric_bareiss` pass.  Data derived from the Gram matrix
@@ -301,58 +299,27 @@ class IntLattice:
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    def vector(self, coords):
-        return LatVec(self, coords)
-
     def __repr__(self):
         label = self.name or f"rank-{self.rank} lattice"
         return f"IntLattice({label}, det={self.det})"
 
 
-class LatVec:
-    """Integer coordinate vector relative to the basis of its owning lattice."""
-
-    __slots__ = ("lattice", "coords")
-
-    def __init__(self, lattice, coords):
-        self.lattice = lattice
-        self.coords = coords_of(lattice, coords)
-
-    def norm(self):
-        return inner(self.lattice, self, self)
-
-    def __neg__(self):
-        return LatVec(self.lattice, tuple(-c for c in self.coords))
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and other.lattice is self.lattice
-                and other.coords == self.coords)
-
-    def __hash__(self):
-        # the vector holds its lattice, so no other lattice can reuse the id
-        return hash((id(self.lattice), self.coords))
-
-    def __repr__(self):
-        return f"LatVec{self.coords}"
-
-
 class DualVec:
     """A vector of the dual lattice: integer numerators `num` (coordinates in
-    the lattice basis) over one positive denominator `den`.
+    the lattice basis, read by `coords_of`) over one positive denominator
+    `den`.
 
     Membership is checked in integers: every pairing with a basis vector,
     the entries of `pairing_vector(lattice, num)`, is divisible by `den`.
-    `pair` is the bilinear form on dual vectors; `coords` gives the rational
-    coordinates, for output only.
+    `pair` is the bilinear form on dual vectors of one lattice (the same
+    object); `coords` gives the rational coordinates, for output only.
     """
 
     __slots__ = ("lattice", "num", "den")
 
     def __init__(self, lattice, num, den):
-        num = tuple(map(index, num))
+        num = coords_of(lattice, num)
         den = index(den)
-        if len(num) != lattice.rank:
-            raise LatticeError("coordinate length does not match lattice rank")
         if den < 1:
             raise LatticeError("denominator must be positive")
         if any(p % den for p in pairing_vector(lattice, num)):
@@ -475,16 +442,11 @@ def make_l2d(d):
 # ---------------------------------------------------------------------------
 
 def coords_of(lat, x):
-    """The coordinates of the vector x of `lat`, as a tuple of ints.
+    """The coordinates x of a vector of `lat`, as a tuple of ints.
 
-    x is a `LatVec` of `lat` (the same object) or a sequence of `lat.rank`
-    integers: `LatticeError` for a `LatVec` of another lattice or a wrong
+    x is a sequence of `lat.rank` integers: `LatticeError` for a wrong
     length, `TypeError` for an entry that is not an integer (no truncation).
     """
-    if isinstance(x, LatVec):
-        if x.lattice is not lat:
-            raise LatticeError("vector belongs to a different lattice")
-        return x.coords
     coords = tuple(map(index, x))
     if len(coords) != lat.rank:
         raise LatticeError("coordinate length does not match lattice rank")

@@ -210,17 +210,12 @@ def parity_delta(disc):
     return 0
 
 
-def orth_det_check(r):
-    """Determinant of the orthogonal complement of the vector r in its
-    lattice L versus the index formula |det L| * |r^2| / div(r)^2 (which is
-    4d^2/div^2 for the r^2 = -2d reflective vectors of L_2d).  Returns
-    (|det|, predicted).
-
-    r is a `LatVec`: a coordinate tuple names no lattice, so it raises
-    `LatticeError`."""
-    if not isinstance(r, lt.LatVec):
-        raise LatticeError("orth_det_check needs a LatVec: coordinates alone name no lattice")
-    lat, coords = r.lattice, r.coords
+def orth_det_check(lat, r):
+    """Determinant of the orthogonal complement of the vector r in the
+    lattice L = `lat` versus the index formula |det L| * |r^2| / div(r)^2
+    (which is 4d^2/div^2 for the r^2 = -2d reflective vectors of L_2d).
+    Returns (|det|, predicted)."""
+    coords = coords_of(lat, r)
     if not is_primitive(lat, coords):
         raise LatticeError("determinant check needs a primitive vector")
     _pair, norm, div = _pairings(lat, coords)
@@ -329,7 +324,7 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
             report["counterexamples"].append(
                 {"r": list(coords), "rSquared": norm, "div": div,
                  "plus": plus, "minus": minus})
-        got, predicted = orth_det_check(lat.vector(coords))
+        got, predicted = orth_det_check(lat, coords)
         report["det_checks"] += 1
         if got != predicted:
             report["det_mismatches"].append(

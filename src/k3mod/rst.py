@@ -51,7 +51,7 @@ def sigma_prime(e, l):
     The last exponent is the odd one; the class of g^l modulo the reflection
     has exponent sum {l a_n / k} + sum_{i<n} {l a_i / 2k}.
     """
-    m = e.order
+    l, m = index(l), e.order
     if m % 2:
         raise ValueError("order must be even (g^k is an involution)")
     k = m // 2
@@ -170,6 +170,8 @@ def _mat_power(g, e):
 def char_poly(g):
     """Characteristic polynomial det(xI - g), low degree first, exact integers."""
     n = len(g)
+    if any(len(row) != n for row in g):
+        raise ValueError("matrix must be square")
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = identity_matrix(n)

@@ -49,7 +49,7 @@ def test_criterion_02_bouquet_decomposition():
         all_roots = list(roots.enumerate_roots(lat).coords)
         rng = random.Random(0)
         for a in rng.sample(all_roots, 10):
-            x, triples = roots.bouquet_decomposition(lat, lat.vector(a))
+            x, triples = roots.bouquet_decomposition(lat, a)
             assert len(x) == 114
             assert len(triples) == 28
             pm_a = {tuple(a), tuple(-c for c in a)}
@@ -204,6 +204,7 @@ _NON_INTEGER_CALLS = {
     "c_min_with_argmin": lambda: rst.c_min_with_argmin(2.5),
     "bigphi_verify": lambda: rst.bigphi_verify(2.5),
     "cyclotomic_poly": lambda: rst.cyclotomic_poly(4.0),
+    "sigma_prime": lambda: rst.sigma_prime(rst.EigenExponents(8, [2, 2, 1]), 2.0),
     "count_orth_roots_2x": lambda: e8.count_orth_roots_2x((0,) * 6 + (2, 2.5)),
     "dot2x": lambda: e8.dot2x((2.0,) + (0,) * 7, (2.0,) + (0,) * 7),
     "in_e8_2x": lambda: e8.in_e8_2x((2.0,) * 8),

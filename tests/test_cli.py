@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -318,6 +320,16 @@ def test_subcommand_bodies_return_what_run_prints(capsys, argv, fmt):
     assert run(argv) == 0 and capsys.readouterr().out == rendered != ""
 
 
+@pytest.mark.parametrize("argv", _BODY_CALLS, ids=" ".join)
+def test_csv_cells_holding_lists_or_objects_are_json(capture, argv):
+    code, out, _ = capture(*argv, "--format", "csv")
+    assert code == 0
+    for row in csv.reader(io.StringIO(out)):
+        for cell in row:
+            if cell[:1] in ("[", "{"):
+                json.loads(cell)
+
+
 def test_closed_stdout_ends_without_traceback():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -424,9 +436,10 @@ def test_theta_method_formula_needs_a_named_lattice(capture):
 
 
 def test_rst_non_square_matrix_is_a_computational_error(capture):
-    code, out, err = capture("rst", "--matrix", "[[1, 2]]")
-    assert code == 1 and out == ""
-    assert err == "error: matrix shapes do not match for a product\n"
+    for matrix in ("[[1, 2]]", "[[1,0]]", "[[]]"):
+        code, out, err = capture("rst", "--matrix", matrix)
+        assert code == 1 and out == ""
+        assert err == "error: matrix must be square\n", matrix
 
 
 @pytest.mark.parametrize("argv", [("ineq", "0"), ("ineq", "-3"), ("verdict", "0"),
@@ -449,6 +462,15 @@ def test_search_rejects_empty_target_range(capture, targets):
     code, out, err = capture("search", "10", "--targets", targets)
     assert code == 2 and out == ""
     assert err == f"error: --targets has an empty range {targets.split(',')[-1]!r}\n"
+
+
+@pytest.mark.parametrize("targets", ["-3", "2-12,-1"])
+def test_search_rejects_a_negative_target_count(capture, targets):
+    # N_l counts roots, so it is never negative; 0 stays a valid count
+    code, out, err = capture("search", "5", f"--targets={targets}")
+    assert code == 2 and out == ""
+    assert err == f"error: --targets has a negative count {targets.split(',')[-1]!r}\n"
+    assert capture("search", "5", "--targets=0")[0] == 0
 
 
 # `k3mod disc` stdout recorded while dual vectors were still Fraction tuples:

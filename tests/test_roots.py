@@ -3,7 +3,7 @@ import random
 import pytest
 
 from k3mod import e8
-from k3mod.lattice import LatticeError, parse_lattice_expr
+from k3mod.lattice import LatticeError, inner, parse_lattice_expr
 from k3mod.roots import (
     IndefiniteError, bouquet_decomposition, count_orth_roots,
     enumerate_norm_vectors, enumerate_roots, norm_counts,
@@ -28,7 +28,7 @@ def test_roots_closed_under_negation_and_sorted():
     coords = set(data.coords)
     assert all(tuple(-c for c in r) in coords for r in coords)
     assert list(data.coords) == sorted(data.coords)
-    assert all(data.lattice.vector(r).norm() == 2 for r in data.coords)
+    assert all(inner(data.lattice, r, r) == 2 for r in data.coords)
 
 
 def test_enumerate_norm_vectors():
@@ -112,7 +112,7 @@ def test_e_chart_conversions_roundtrip():
         alpha = tuple(rng.randint(-4, 4) for _ in range(8))
         vec2x = to_2x(alpha)
         assert e8.alpha_from_2x(vec2x) == alpha
-        assert e8.dot2x(vec2x, vec2x) == e8.lattice().vector(alpha).norm()
+        assert e8.dot2x(vec2x, vec2x) == inner(e8.lattice(), alpha, alpha)
 
 
 def test_weights_are_dual_to_simple_roots():
@@ -137,7 +137,7 @@ def test_bouquet_decomposition(seed):
     data = enumerate_roots(lat)
     rng = random.Random(seed)
     for a in rng.sample(list(data.coords), 5):
-        x, triples = bouquet_decomposition(lat, lat.vector(a))
+        x, triples = bouquet_decomposition(lat, a)
         assert len(x) == 114
         assert len(triples) == 28
         pm_a = {tuple(a), tuple(-c for c in a)}

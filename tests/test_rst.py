@@ -219,6 +219,12 @@ def test_char_poly_rejects_non_integral_matrix():
         char_poly([[Fraction(1, 2), 0], [0, 1]])
 
 
+@pytest.mark.parametrize("g", [[[1, 0]], [[]], [[1, 2], [3]]])
+def test_char_poly_needs_a_square_matrix(g):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        char_poly(g)
+
+
 @pytest.mark.parametrize("multiplicities", [{4.0: 1}, {4: 1.0}, {"4": 1}])
 def test_cyclo_decomp_rejects_non_integers_at_construction(multiplicities):
     # both used to be accepted and to fail only later, in eigen_exponents()

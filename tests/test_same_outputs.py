@@ -65,7 +65,7 @@ def test_one_digest_per_group(capsys, monkeypatch, computed_once):
     names = [line.split()[0] for line in lines]
     assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
                      + ["tuples", "orbit-scan", "lattice-reflect", "counts", "histograms", "forms",
-                        "expressions", "series", "rst", "cli-tables", "cli-usage"]
+                        "expressions", "series", "rst", "cli-tables", "cli-csv", "cli-usage"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -86,6 +86,8 @@ def test_one_digest_per_group(capsys, monkeypatch, computed_once):
     assert digests["expressions"] == same_outputs.digest(same_outputs.expressions())
     assert digests["series"] == same_outputs.digest(same_outputs.series())
     assert digests["rst"] == same_outputs.digest(same_outputs.rst_outputs())
+    assert digests["cli-csv"] == same_outputs.digest(
+        same_outputs.cli_stdout(argv) for argv in same_outputs.CLI_CSV)
     assert digests["cli-usage"] == same_outputs.digest(
         same_outputs.cli_output(argv) for argv in same_outputs.CLI_USAGE)
     # the in-process calls give the recorded stdout with exit code 0
@@ -156,6 +158,12 @@ def test_closed_stdout_ends_without_traceback():
         proc.stderr.close()
     assert first.startswith(b"verdict ")
     assert err == b"" and code == 1
+
+
+def test_cli_csv_reads_every_body_call_in_csv():
+    from test_cli import _BODY_CALLS
+    assert same_outputs.CLI_CSV == [[*argv, "--format", "csv"] for argv in _BODY_CALLS]
+    assert {argv[0] for argv in same_outputs.CLI_CSV} == set(same_outputs.cli._COMMANDS)
 
 
 def test_degree_range_syntax():

@@ -56,6 +56,8 @@ no traceback.  The groups are
   3..CMIN_MAX_D and `bigphi_verify(CMIN_MAX_D)`; this group does not depend
   on --degrees either;
 * `cli-tables`: the stdout of `k3mod tables` in each output format;
+* `cli-csv`: the CSV stdout of CLI_CSV, one call of every subcommand, whose
+  cells hold scalars, explicit rows, or lists and objects written as JSON;
 * `cli-usage`: the help texts and usage errors of CLI_USAGE, each hashed as
   (exit code, stdout, stderr) at a terminal width of 80 columns;
 * `cli-<workload>`: the stdout of every `k3mod` call that
@@ -140,6 +142,17 @@ RST_EXTRA_BLOCKS = ((1, 5, 7, 8, 9), (2, 2, 2), (4, 4, 3, 6))
 RST_SINGULAR = ([[0]], [[2]], [[1, 0], [0, 3]], [[1, 2], [2, 4]])
 RST_MAX_ORDER = 12
 CMIN_MAX_D = 60
+# the `cli-csv` calls: every subcommand, with its explicit CSV rows or the
+# (key, value) rows of its payload
+CLI_CSV = [[*argv, "--format", "csv"] for argv in (
+    ["roots", "A(2)"], ["roots", "E8", "--count"], ["enum", "A(2)", "2"],
+    ["enum", "E8", "4", "--count"], ["repnum", "E7", "2"], ["theta", "E6", "--prec", "3"],
+    ["theta", "A(2)", "--prec", "2", "--method", "brute"], ["pex", "--max", "20"],
+    ["ineq", "96"], ["search", "46", "--case", "I", "--targets", "8,12"], ["verdict", "57"],
+    ["tables", "--table", "IV"], ["reflect", "A(2)+A(2)", "--vector", "0,0,1,-1"],
+    ["reflect", "--sample-d", "2", "--samples", "20", "--seed", "5"], ["disc", "U(2)"],
+    ["rst", "--matrix", "[[0,1],[1,0]]"], ["rst", "--exponents", "4:2,2,1", "--sigma-prime", "1"],
+    ["cmin", "30"], ["bigphi", "20"])]
 # the `cli-usage` calls: every help text, then the usage errors of the full
 # parser (no command, an unknown command, an option before the command) and
 # of a subcommand (trailing, missing and invalid arguments)
@@ -365,6 +378,7 @@ def groups(degrees):
     yield "rst", digest(rst_outputs())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
                                for fmt in ("text", "json", "csv"))
+    yield "cli-csv", digest(cli_stdout(argv) for argv in CLI_CSV)
     yield "cli-usage", digest(cli_output(argv) for argv in CLI_USAGE)
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     for workload, calls in golden.items():
