@@ -176,7 +176,8 @@ def _parse_targets(text):
             raise UsageError(f"--targets has an empty range {part!r}")
         if lo < 0:
             raise UsageError(f"--targets has a negative count {part!r}")
-        out.update(range(lo, hi + 1))
+        # no N_l exceeds 240, the number of roots of E8
+        out.update(range(lo, min(hi, 240) + 1))
     return out
 
 

@@ -31,7 +31,10 @@ reasons).
 Hit counts feed the per-degree verdict through one map, `_KIND`, from N_l
 to the kind it decides (general type or a nonnegative Kodaira dimension).
 The verdict has one rule at every degree: the families run first, and the
-orbit scan runs wherever no family decides general type.
+orbit scan runs wherever no family decides general type.  It reads the
+families in ascending order of their floors (`FLOORS`, the least N_l a
+rule can claim), I, IV, II, III, and skips one whose floor lies above the
+general-type N_l it holds: it re-verifies only the families it reads.
 """
 
 from __future__ import annotations
@@ -231,6 +234,10 @@ FAMILIES = {
 
 CASES = tuple(FAMILIES)
 
+# the least N_l each rule claims: I 8 + 4 rel, II 10 or 14, III 12 or 14, IV
+# 8 base roots plus nonnegative terms; `_family_stream` checks every claim
+FLOORS = {"I": 8, "II": 10, "III": 12, "IV": 8}
+
 
 # ---------------------------------------------------------------------------
 # canonical tuple domains
@@ -401,11 +408,13 @@ def _family_stream(case, d):
     """The verified (N_l, coords2x) of every tuple of family `case` at degree
     d whose rule claims a count, in tuple order.
 
-    Every such tuple is checked twice before it is yielded: its vector must
-    have norm 2d (doubled coordinates: square sum 8d), and the claim must
-    equal the closed-form E8 root count, else RuntimeError.  The count is
-    memoised for this one call on the class key sorted(|v_i|), which is
-    sound when some coordinate is 0: then every signed permutation of v is
+    Every such tuple is checked before it is yielded: its vector must have
+    norm 2d (doubled coordinates: square sum 8d), the claim must equal the
+    closed-form E8 root count and reach the family's `FLOORS` entry (the
+    verdict's skips rest on it), else RuntimeError.  The searches drain
+    every stream; the verdict reads only some (`kodaira_verdict`).  The
+    count is memoised for this one call on the class key sorted(|v_i|),
+    which is sound when some coordinate is 0: every signed permutation of v is
     a product of transpositions and an even number of sign changes (flip
     the zero coordinate too), so it lies in W(D8), which is a subgroup of
     W(E8), and N_l is Weyl invariant.  Every family vector has e1 = e2 = 0,
@@ -413,6 +422,7 @@ def _family_stream(case, d):
     """
     tuples = iter_case_tuples(case, d)
     claim, embed = FAMILIES[case]
+    floor = FLOORS[case]
     oracle = e8.count_orth_roots_2x
     eight_d = 8 * d
     counts = {}
@@ -437,6 +447,9 @@ def _family_stream(case, d):
             raise RuntimeError(
                 f"case {case} rules claim {claimed} orthogonal roots but the "
                 f"E8 root count gives {actual} for {ms}")
+        if actual < floor:
+            raise RuntimeError(f"case {case} claims {actual} orthogonal roots for "
+                               f"{ms}, below the family floor {floor}")
         yield actual, vec
 
 
@@ -569,25 +582,33 @@ def kodaira_verdict(d):
     One rule at every d, `_KIND`: the witness is the least (N_l, coords2x)
     of kind general_type, else of kind nonnegative_kodaira, else there is
     none and the kind is unknown.  The structured families run first, read
-    as their verified streams (`_family_stream`: every tuple's claim and
-    norm checked) in CASES order.  One table keeps, per kind, the least key
-    and its source, replaced only on a strict <, so among equal keys the
-    first family wins, as in the sorted `structured_search_all`.  The
-    exhaustive orbit scan runs only when no family gives general type, and
-    its hit fills only a kind that no family filled: a family's
-    N_l = 14 vector is kept even where the scan's key is smaller.  When one
-    of the two representation-number inequalities holds a general-type
-    witness must exist, so a fruitless scan is an internal error.
+    as their verified streams (`_family_stream`: every tuple's claim, norm
+    and floor checked) in ascending order of `FLOORS`: I, IV, II, III.  One
+    table keeps, per kind, the least (N_l, coords2x, index in CASES) and its
+    source, so among equal vectors the first family in CASES order wins, as
+    in the sorted `structured_search_all`.  A family whose floor lies above
+    the general-type N_l held is skipped, unread and so not re-verified (at
+    every d in 151..400, II and III): none of its vectors could replace that
+    witness, and the nonnegative_kodaira entry goes unread.  The exhaustive
+    orbit scan runs only when no family gives general type, and its hit
+    fills only a kind that no family filled: a family's N_l = 14 vector is
+    kept even where the scan's key is smaller.  When one of the two
+    representation-number inequalities holds a general-type witness must
+    exist, so a fruitless scan is an internal error.
     """
     d = _check_degree(d)
     mineq = check_mineq(d)
     mineqd = check_mineqd(d)
-    best = {}  # kind -> ((N_l, coords2x), source)
-    for case in CASES:
+    best = {}  # kind -> ((N_l, coords2x, family index), source)
+    for rank, case in sorted(enumerate(CASES), key=lambda item: FLOORS[item[1]]):
+        held = best.get(GENERAL_TYPE)
+        if held is not None and held[0][0] < FLOORS[case]:
+            continue
         source = f"case{case}"
-        for key in _family_stream(case, d):
-            kind = _KIND.get(key[0])
+        for n_l, vec in _family_stream(case, d):
+            kind = _KIND.get(n_l)
             if kind is not None:
+                key = n_l, vec, rank
                 held = best.get(kind)
                 if held is None or key < held[0]:
                     best[kind] = key, source

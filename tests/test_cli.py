@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -471,6 +472,28 @@ def test_search_rejects_a_negative_target_count(capture, targets):
     assert code == 2 and out == ""
     assert err == f"error: --targets has a negative count {targets.split(',')[-1]!r}\n"
     assert capture("search", "5", "--targets=0")[0] == 0
+
+
+def _search_under_a_memory_limit(targets):
+    """`k3mod search 100 --targets TARGETS` in a process whose address
+    space is capped at 512 MB."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run([sys.executable, "-m", "k3mod.cli", "search", "100",
+                           "--targets", targets], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit)
+
+
+def test_a_huge_target_range_costs_no_memory():
+    # no N_l exceeds 240, the number of roots of E8; a range built in full
+    # would fail fast under the cap instead of filling the machine's memory
+    huge = _search_under_a_memory_limit("0-1000000000000")
+    assert (huge.returncode, huge.stderr) == (0, "")
+    assert huge.stdout == _search_under_a_memory_limit("0-240").stdout != ""
 
 
 # `k3mod disc` stdout recorded while dual vectors were still Fraction tuples:

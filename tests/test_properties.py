@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from k3mod import e8, roots
 from k3mod import lattice as lt
 from k3mod import qseries as qs
+from k3mod import search as se
 
 from exact_references import det_bareiss, scaled_form, signature_of, to_2x
 
@@ -106,3 +107,10 @@ def test_enumerator_count_is_the_theta_coefficient(name, m, data):
     ut = [list(col) for col in zip(*u)]
     lat = lt.IntLattice(lt.mat_mul(lt.mat_mul(u, gram), ut))
     assert roots.enumerate_norm_vectors(lat, 2 * m) == qs.named_theta(name, m).coeff(m)
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(st.tuples(*[st.integers()] * 5))
+def test_the_family_iv_rule_never_claims_below_its_floor(ms):
+    # 8 base roots, and every other term of the rule is a nonnegative count
+    assert se.case4_formula_count(ms) >= se.FLOORS["IV"] == 8

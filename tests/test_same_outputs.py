@@ -23,7 +23,8 @@ _spec.loader.exec_module(same_outputs)
 GOLDEN = json.loads((ROOT / "tests" / "golden_digests.json").read_text())
 REGENERATE = f"python tools/same_outputs.py --degrees {GOLDEN['degrees']}"
 # the generators of the groups that do not depend on --degrees
-DEGREE_FREE = ("counts", "histograms", "forms", "expressions", "series", "rst_outputs")
+DEGREE_FREE = ("high_verdicts", "counts", "histograms", "forms", "expressions", "series",
+               "rst_outputs")
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +64,7 @@ def test_one_digest_per_group(capsys, monkeypatch, computed_once):
     lines = capsys.readouterr().out.splitlines()
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     names = [line.split()[0] for line in lines]
-    assert names == (["verdict"] + [f"search-{c}" for c in se.CASES]
+    assert names == (["verdict", "verdict-62-400"] + [f"search-{c}" for c in se.CASES]
                      + ["tuples", "orbit-scan", "lattice-reflect", "counts", "histograms", "forms",
                         "expressions", "series", "rst", "cli-tables", "cli-csv", "cli-usage"]
                      + [f"cli-{w}" for w in golden])
@@ -73,6 +74,8 @@ def test_one_digest_per_group(capsys, monkeypatch, computed_once):
         want.update(json.dumps(se.kodaira_verdict(d).to_dict(), sort_keys=True).encode()
                     + b"\n")
     assert digests["verdict"] == want.hexdigest()
+    assert digests["verdict-62-400"] == same_outputs.digest(
+        se.kodaira_verdict(d).to_dict() for d in range(62, 401))
     assert digests["tuples"] == same_outputs.digest(
         [case, d, [list(ms) for ms in se.iter_case_tuples(case, d)]]
         for case in se.CASES for d in (40, 41))

@@ -449,6 +449,66 @@ def test_equal_keys_keep_the_first_family(monkeypatch):
     assert se.kodaira_verdict(46).witness.source == "caseI"
 
 
+def test_equal_keys_go_by_cases_order_not_by_read_order(monkeypatch):
+    # the verdict reads IV before III, yet an equal (12, vec) from both
+    # goes to III, the first of the two in CASES
+    vec = se.embed_case3(2, 3, 5, 6, 8)
+    monkeypatch.setattr(se, "_family_stream",
+                        lambda case, d: iter([(12, vec)] if case in ("III", "IV") else []))
+    assert se.kodaira_verdict(69).witness.source == "caseIII"
+
+
+def test_every_claim_reaches_its_family_floor():
+    # the verdict skips a family whose floor lies above the N_l it holds;
+    # the floors are the least claims of every family at d <= 400
+    for case in se.CASES:
+        claim = se.FAMILIES[case][0]
+        least = min(n for d in range(1, 401) for ms in se.iter_case_tuples(case, d)
+                    if (n := claim(ms)) is not None)
+        assert least == se.FLOORS[case], case
+
+
+def test_a_claim_below_its_family_floor_stops_the_stream(monkeypatch):
+    # rule and oracle agree on 6 for family II's last claimed tuple at
+    # d = 100, so only the floor check can stop it
+    d = 100
+    claim, embed = se.FAMILIES["II"]
+    bad = _last_claimed_tuple("II", d)
+    bad_key = sorted(map(abs, embed(bad)))
+    oracle = e8.count_orth_roots_2x
+    monkeypatch.setitem(se.FAMILIES, "II", (lambda ms: 6 if ms == bad else claim(ms), embed))
+    monkeypatch.setattr(e8, "count_orth_roots_2x",
+                        lambda v: 6 if sorted(map(abs, v)) == bad_key else oracle(v))
+    with pytest.raises(RuntimeError, match=r"case II claims 6 orthogonal roots for "
+                                           r"\(.*\), below the family floor 10"):
+        list(se._family_stream("II", d))
+    with pytest.raises(RuntimeError, match="below the family floor"):
+        se.kodaira_verdict(d)
+
+
+@pytest.mark.parametrize("d, read", [(62, ["I", "IV", "II", "III"]),
+                                     (151, ["I", "IV"]), (400, ["I", "IV"])])
+def test_the_verdict_skips_the_families_above_the_held_witness(monkeypatch, d, read):
+    stream = se._family_stream
+    seen = []
+
+    def recorded(case, d):
+        seen.append(case)
+        return stream(case, d)
+
+    monkeypatch.setattr(se, "_family_stream", recorded)
+    assert se.kodaira_verdict(d).kind == se.GENERAL_TYPE
+    assert seen == read
+
+
+def test_families_ii_and_iii_hold_their_claims_from_62_to_400():
+    # the verdict skips II and III at most of these degrees, so their
+    # streams (norm, oracle count and floor of every claim) are drained here
+    drained = {case: sum(1 for d in range(62, 401) for _ in se._family_stream(case, d))
+               for case in ("II", "III")}
+    assert min(drained.values()) > 1000, drained
+
+
 @pytest.mark.parametrize("d", [43, 51, 55, 56])
 def test_a_family_n14_witness_beats_a_smaller_scan_key(d):
     # no family decides general type here, so the scan runs; its N_l = 14

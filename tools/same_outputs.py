@@ -8,6 +8,10 @@ finishes; a reader that closes early ends the script with exit code 1 and
 no traceback.  The groups are
 
 * `verdict`: `kodaira_verdict(d).to_dict()` for every d in --degrees;
+* `verdict-62-400`: `kodaira_verdict(d).to_dict()` for every d in
+  HIGH_VERDICT_DEGREES, 62..400, where every verdict is general type and
+  the verdict skips the families whose floor lies above its witness; this
+  group does not depend on --degrees, so the pinned digests cover it;
 * `search-<case>`: `structured_search(d, case, range(2, 15))`, every hit's
   `to_dict()`, for every d in --degrees and each family;
 * `tuples`: `list(iter_case_tuples(case, d))`, in order, for each family
@@ -102,6 +106,8 @@ from exact_references import theta_d6_eis  # noqa: E402
 ORBIT_SCAN_MAX_D = 150
 # d = 1..60 takes a few seconds
 LATTICE_REFLECT_MAX_D = 60
+# the verdicts above the pinned --degrees 1-61, about 1 s
+HIGH_VERDICT_DEGREES = range(62, 401)
 # the degrees that acceptance criterion 12 samples 10^4 times with seed 0
 CRITERION_12_DEGREES = (1, 2, 5, 6)
 COUNTS_LATTICES = ("E6", "E7", "E8", "D(5)", "D(8)", "A(2)+A(4)", "E8(-1)")
@@ -224,6 +230,12 @@ def signed_permutation(expr, seed):
     sign = [rng.choice((1, -1)) for _ in range(n)]
     return lattice.IntLattice([[sign[i] * sign[j] * base[perm[i]][perm[j]] for j in range(n)]
                                for i in range(n)])
+
+
+def high_verdicts():
+    """The verdicts at HIGH_VERDICT_DEGREES, as JSON."""
+    for d in HIGH_VERDICT_DEGREES:
+        yield search.kodaira_verdict(d).to_dict()
 
 
 def counts():
@@ -360,6 +372,7 @@ def rst_outputs():
 def groups(degrees):
     """(group name, digest) pairs in a fixed order."""
     yield "verdict", digest(search.kodaira_verdict(d).to_dict() for d in degrees)
+    yield "verdict-62-400", digest(high_verdicts())
     for case in search.CASES:
         yield f"search-{case}", digest(
             [h.to_dict() for h in search.structured_search(d, case, range(2, 15))]
