@@ -328,7 +328,6 @@ def _cmd_reflect(args):
 
 
 def _cmd_disc(args):
-    from . import reflective as rf
     lat = lt.parse_lattice_expr(args.expr)
     disc = lt.disc_group(lat)
     payload = {
@@ -338,8 +337,8 @@ def _cmd_disc(args):
         "exponent": disc.exponent,
         "q_values": None if disc.q_values is None else [str(q) for q in disc.q_values],
         "generator_lifts": [[str(c) for c in w.coords] for w in disc.generator_lifts],
-        "two_elementary": rf.is_two_elementary(disc),
-        "parity_delta": rf.parity_delta(disc) if disc.q_values is not None else None,
+        "two_elementary": disc.two_elementary,
+        "parity_delta": disc.parity_delta,
     }
     return payload, [
         f"A_L = {' x '.join(f'Z/{f}' for f in disc.invariant_factors) or 'trivial'}",

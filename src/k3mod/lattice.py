@@ -347,19 +347,22 @@ class DualVec:
 
 
 class DiscGroup:
-    """The finite group A_L = L^vee / L as cyclic invariant factors.
+    """The finite group A_L = L^vee / L as cyclic invariant factors, with its
+    discriminant form.
 
     `generator_lifts[i]` is a `DualVec` whose class generates the i-th
     cyclic factor; the rest is computed from the lifts.  The invariant
     factors are their denominators, and `q_values` are the discriminant-form
     values (g, g) of the lifts as Fractions, reduced into [0, 2), or None
-    when the lattice is odd.
+    when the lattice is odd.  The lattice is read only for its parity.
+    `two_elementary` and `parity_delta` are Nikulin's invariants of the form
+    (*Integral symmetric bilinear forms and some of their applications*,
+    Math. USSR Izv. 14, 1980), computed on read.
     """
 
-    __slots__ = ("lattice", "invariant_factors", "generator_lifts", "q_values")
+    __slots__ = ("invariant_factors", "generator_lifts", "q_values")
 
     def __init__(self, lattice, generator_lifts):
-        self.lattice = lattice
         self.generator_lifts = lifts = tuple(generator_lifts)
         self.invariant_factors = tuple(lift.den for lift in lifts)
         self.q_values = tuple(lift.norm() % 2 for lift in lifts) if lattice.is_even() else None
@@ -374,6 +377,26 @@ class DiscGroup:
 
     def is_cyclic(self):
         return len(self.invariant_factors) <= 1
+
+    @property
+    def two_elementary(self):
+        """Every invariant factor is 2 (True for the trivial group)."""
+        return all(f == 2 for f in self.invariant_factors)
+
+    @property
+    def parity_delta(self):
+        """0 when the discriminant form takes only integral values, else 1;
+        None when the lattice is odd, as `q_values` is.
+
+        The value at the sum of some generators is the sum of their q-values
+        plus 2 (g_i, g_j) over each pair, so the form is integral exactly when
+        every q-value and every doubled pairing of two lifts is an integer."""
+        if self.q_values is None:
+            return None
+        lifts = self.generator_lifts
+        return int(any(q.denominator != 1 for q in self.q_values)
+                   or any((2 * a.pair(b)).denominator != 1
+                          for i, a in enumerate(lifts) for b in lifts[i + 1:]))
 
     def __repr__(self):
         return f"DiscGroup{self.invariant_factors}"
@@ -463,14 +486,6 @@ def pairing_vector(lat, coords):
     The kernel under the vector entry points: `coords` is taken as given, so
     callers pass what `coords_of` returns."""
     return [sum(map(mul, row, coords)) for row in lat.gram]
-
-
-def divisor(lat, x):
-    """Positive generator of the pairing ideal (x, L); x/div(x) is primitive in the dual."""
-    coords = coords_of(lat, x)
-    if not any(coords):
-        raise LatticeError("divisor of the zero vector")
-    return gcd(*pairing_vector(lat, coords))
 
 
 def is_primitive(lat, x):

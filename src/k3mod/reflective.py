@@ -16,6 +16,11 @@ and the necessary conditions for the minus-identity action); the sufficient
 conditions for the minus-identity action, and the two-sided odd-order test,
 need a cyclic A_L such as A_{L_2d} = Z/2d.  `classify_reflection` runs each
 cross-check only where its hypothesis holds.
+
+The module reads A_L through `lattice.disc_group`: its exponent, its
+cyclicity and the generator lifts an isometry acts on.  The invariants of
+the discriminant form itself (2-elementary, the parity delta) are the
+`DiscGroup`'s own.
 """
 
 from __future__ import annotations
@@ -187,27 +192,6 @@ def classify_reflection(lat, r):
     if minus:
         return MINUS_IN_TILDE_O
     return NEITHER
-
-
-def is_two_elementary(disc):
-    """Every invariant factor equals 2."""
-    return all(f == 2 for f in disc.invariant_factors)
-
-
-def parity_delta(disc):
-    """0 when the discriminant form only takes integral values, else 1."""
-    if disc.q_values is None:
-        raise LatticeError("parity is defined for even lattices")
-    lifts = disc.generator_lifts
-    for q in disc.q_values:
-        if q.denominator != 1:
-            return 1
-    for i in range(len(lifts)):
-        for j in range(i + 1, len(lifts)):
-            cross = 2 * lifts[i].pair(lifts[j])
-            if (disc.q_values[i] + disc.q_values[j] + cross).denominator != 1:
-                return 1
-    return 0
 
 
 def orth_det_check(lat, r):

@@ -10,7 +10,7 @@ acceptance errors from rounding).  The integer square completion
 this module.  The walk serves the vectors of one norm and their number
 (`enumerate_norm_vectors`, the roots), the norm histogram (`norm_counts`)
 and the nonnegative cone of one norm (`enumerate_cone`, where every level
-walks x_i >= 0: the dominant-orbit scan of `search`).
+walks x_i >= 0: the dominant-orbit scan of `e8.dominant_2x`).
 
 Four things keep the recursion cheap:
 
@@ -26,7 +26,8 @@ Four things keep the recursion cheap:
 * Empty levels return at once.  A level whose range is empty (hi < lo)
   returns before it computes the next level's centre.  Its coordinate is 0
   already, since every level resets its coordinate when it finishes.  In
-  the cone walk of `search`'s orbit scan two thirds of the levels are empty.
+  the cone walk of the orbit scan (`e8.dominant_2x`) two thirds of the
+  levels are empty.
 * Histograms two levels at a time.  The walk of `norm_counts` counts the
   norms up to a bound `top` and stops at level 2.  Fix
   z = (x_2, ..., x_{n-1}).  With G2 the Gram block of b_0 and b_1,
@@ -82,7 +83,8 @@ class IndefiniteError(LatticeError):
 
 
 class RootSystemData:
-    """All norm-2 vectors of a definite lattice, closed under negation."""
+    """All vectors of sign-normalised norm 2 of a definite lattice (norm -2
+    on a negative definite one), closed under negation."""
 
     __slots__ = ("lattice", "coords")
 
@@ -394,11 +396,14 @@ def norm_counts(lat, max_norm):
 
 
 def enumerate_norm_vectors(lat, norm, visitor=None):
-    """Visit every x in L with (x, x) = norm exactly once; returns the count.
+    """Visit every x in L of sign-normalised norm `norm` exactly once;
+    returns the count.
 
-    `visitor(coords, norm)` is called for x and then for -x.  The count
-    equals the theta-series coefficient of the (sign-normalised) lattice.
-    An odd `norm` on an even lattice simply yields 0.
+    The form is the Gram form times the sign of g_00, so `norm` is positive,
+    and on a negative definite lattice the vectors have (x, x) = -norm
+    (`<-2>` at norm 2 gives +-1).  `visitor(coords, norm)` is called for x
+    and then for -x.  The count equals the theta-series coefficient of the
+    sign-normalised lattice.  An odd `norm` on an even lattice yields 0.
     """
     norm = index(norm)
     if norm < 1:
@@ -413,8 +418,8 @@ def enumerate_norm_vectors(lat, norm, visitor=None):
 
 
 def enumerate_cone(lat, norm):
-    """The vectors x with every x_i >= 0 and (x, x) = norm, as a sorted list
-    of coordinate tuples."""
+    """The vectors x with every x_i >= 0 and sign-normalised norm `norm` (as
+    in `enumerate_norm_vectors`), as a sorted list of coordinate tuples."""
     norm = index(norm)
     if norm < 1:
         raise LatticeError("norm must be positive")
@@ -448,33 +453,3 @@ def count_orth_roots(lat, x):
             cnt += 1
     return cnt
 
-
-def bouquet_decomposition(lat, a):
-    """Split the roots meeting a fixed root `a` into A2 subsystems.
-
-    Returns (x, triples) where x is the list of roots c with (a, c) != 0 and
-    each triple is the root set {+-a, +-c, +-(a+c)} of one A2; the triples
-    pairwise intersect exactly in {+-a}.
-    """
-    acoords = coords_of(lat, a)
-    pair = pairing_vector(lat, acoords)
-    data = enumerate_roots(lat)
-    n = lat.rank
-    x = [r for r in data.coords if sum(r[i] * pair[i] for i in range(n)) != 0]
-    neg_a = tuple(-c for c in acoords)
-    triples = []
-    seen = set()
-    for r in x:
-        if r == acoords or r == neg_a:
-            continue
-        prod = sum(r[i] * pair[i] for i in range(n))
-        c = r if prod == -1 else tuple(-v for v in r)
-        if c in seen:
-            continue
-        s = tuple(ai + ci for ai, ci in zip(acoords, c))
-        group = {acoords, neg_a, c, tuple(-v for v in c), s, tuple(-v for v in s)}
-        if len(group) != 6:
-            raise LatticeError("degenerate A2 grouping")
-        seen.update({c, tuple(-v for v in c), s, tuple(-v for v in s)})
-        triples.append(frozenset(group))
-    return x, triples

@@ -18,15 +18,11 @@ by all degrees up to K = 12d (`lattice._grown`), is indexed by K and by
 x mod 3 and lists x descending: a triple reads only the x = 2s (mod 3) that
 an integral m6 + m7 needs, and stops at the first x that makes
 m8 = (x + s) / 3 negative or leaves no m6 >= m5.  The exhaustive search
-enumerates one dominant representative per Weyl orbit (the orthogonal-root
+reads one dominant representative per Weyl orbit (the orthogonal-root
 count is Weyl invariant), which turns the 10^8-vector streams of the naive
-scan into a handful of cone vectors; `roots.enumerate_cone` walks them on
-the weight form in integers, so no rational arithmetic.  The walk takes the
-fundamental weights in reverse Coxeter order, w1 outermost and w8 (norm 2,
-the widest range) solved at the leaf, so it makes one leaf call per choice
-of the seven narrower coordinates; a level with an empty range returns
-before it computes the next level's centre (`_enumerate_dominant` has the
-reasons).
+scan into a handful of cone vectors.  It walks nothing itself: the
+dominant chamber, its walk and the choice of walk order belong to `e8`
+(`e8.dominant_2x`).
 
 Hit counts feed the per-degree verdict through one map, `_KIND`, from N_l
 to the kind it decides (general type or a nonnegative Kodaira dimension).
@@ -45,8 +41,7 @@ from operator import index, mul
 
 from . import e8
 from . import qseries as qs
-from . import roots as rt
-from .lattice import IntLattice, LatticeError, _grown
+from .lattice import LatticeError, _grown
 
 
 # ---------------------------------------------------------------------------
@@ -479,53 +474,16 @@ def structured_search_all(d, targets):
 
 # -- exhaustive search -------------------------------------------------------
 
-# E8 on the fundamental weights w8, ..., w1, the reverse Coxeter order of
-# `_enumerate_dominant` (it carries the memoised scaled form); the
-# e-coordinate t of x_0 w8 + ... + x_7 w1 is the pairing of x with column t
-_WEIGHT_LATTICE = IntLattice(tuple(row[::-1] for row in e8.weight_gram()[::-1]))
-_WEIGHT_COLUMNS = tuple(zip(*e8.WEIGHTS_2X[::-1]))
-
-
-def _enumerate_dominant(norm):
-    """Dominant-chamber vectors of the given norm, as sorted doubled
-    e-coordinates.
-
-    Every Weyl orbit contains exactly one vector with all simple-root
-    pairings nonnegative, i.e. nonnegative coordinates x_i on the fundamental
-    weights; the weight Gram matrix is the inverse Cartan matrix.  So the
-    vectors are the nonnegative cone of that form at this norm
-    (`roots.enumerate_cone`), mapped to e-coordinates.
-
-    The walk takes the weights in reverse Coxeter order: w1 at its outermost
-    level, w8 solved from the square root at the leaf.  The walk makes one
-    leaf call per choice of the other seven coordinates, and w8 has norm 2,
-    the least of the eight, so its coordinate has the widest range and is
-    the one best solved rather than walked.  Of the orders measured
-    (Coxeter, reversed, ascending norm, 60 random ones) this was the fastest
-    at d <= 61, 62..150 and 200..300; orders that solve w4 (norm 30, the
-    narrowest range) at the leaf were over 100 times slower.
-
-    Most levels of the walk (`roots._walk`) have an empty range.  They
-    return before computing the next level's centre, so the walk pays for
-    a centre product only where a coordinate has a value to take.
-    """
-    out = [tuple(sum(map(mul, col, x)) for col in _WEIGHT_COLUMNS)
-           for x in rt.enumerate_cone(_WEIGHT_LATTICE, norm)]
-    out.sort()
-    return out
-
-
 def exhaustive_search(d):
     """Scan all l in E8 with l^2 = 2d; return the hit with the least
     (N_l, coords2x) whose N_l decides a verdict (`_KIND`), or None.
 
     Visits one dominant representative per Weyl orbit (the count N_l is
-    constant on orbits), found by an integer walk of the weight
-    coordinates; runs at any d >= 1.
+    constant on orbits), from `e8.dominant_2x`; runs at any d >= 1.
     """
     d = _check_degree(d)
     count = e8.count_orth_roots_2x
-    best = min(((n_l, vec) for vec in _enumerate_dominant(2 * d)
+    best = min(((n_l, vec) for vec in e8.dominant_2x(2 * d)
                 if (n_l := count(vec)) in _KIND), default=None)
     return None if best is None else SearchHit(d, best[1], best[0], "exhaustive")
 

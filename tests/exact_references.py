@@ -1,4 +1,5 @@
-"""Reference kernels the library replaced, each by a different route.
+"""Reference kernels the library replaced, each by a different route, and
+code that only tests need.
 
 Tests compare the library against them.
 
@@ -20,16 +21,22 @@ Tests compare the library against them.
   from the cyclotomic factors: `matrix_order_by_powers` multiplies by g
   until the identity comes up, or raises past a cap.
 * Two chart conversions only tests need: `to_2x` (simple-root to doubled
-  e-coordinates of E8) and `dual_vector` (a `DualVec` from rational
-  coordinates).
+  e-coordinates of E8, by the table `SIMPLE_ROOTS_2X`) and `dual_vector` (a
+  `DualVec` from rational coordinates).
+* `divisor`, the generator of the pairing ideal (x, L) on its own: the
+  reference for the div(r) that `reflective._pairings` computes beside r^2.
+* `bouquet_decomposition`, the A2 subsystems through one root of a
+  definite lattice, from `roots.enumerate_roots`.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from k3mod.e8 import SIMPLE_ROOTS_2X
-from k3mod.lattice import DualVec, identity_matrix, mat_mul
+from k3mod.lattice import (
+    DualVec, LatticeError, coords_of, identity_matrix, mat_mul, pairing_vector,
+)
 from k3mod.qseries import QSeries, _eisenstein_series
+from k3mod.roots import enumerate_roots
 
 
 def det_bareiss(mat):
@@ -189,6 +196,20 @@ def matrix_order_by_powers(g, cap):
     raise ValueError(f"matrix order exceeds the cap {cap}")
 
 
+# rows: doubled e-coordinates of the simple roots a1..a8 of E8 (the charts
+# of `k3mod.e8`)
+SIMPLE_ROOTS_2X = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+)
+
+
 def to_2x(alpha_coords):
     """Doubled e-coordinates of a vector given in simple-root coordinates."""
     out = [0] * 8
@@ -204,6 +225,45 @@ def dual_vector(lat, coords):
     coords = [Fraction(c) for c in coords]
     den = lcm(*(c.denominator for c in coords))
     return DualVec(lat, [c.numerator * (den // c.denominator) for c in coords], den)
+
+
+def divisor(lat, x):
+    """Positive generator of the pairing ideal (x, L); x/div(x) is primitive in the dual."""
+    coords = coords_of(lat, x)
+    if not any(coords):
+        raise LatticeError("divisor of the zero vector")
+    return gcd(*pairing_vector(lat, coords))
+
+
+def bouquet_decomposition(lat, a):
+    """Split the roots meeting a fixed root `a` into A2 subsystems.
+
+    Returns (x, triples) where x is the list of roots c with (a, c) != 0 and
+    each triple is the root set {+-a, +-c, +-(a+c)} of one A2; the triples
+    pairwise intersect exactly in {+-a}.
+    """
+    acoords = coords_of(lat, a)
+    pair = pairing_vector(lat, acoords)
+    data = enumerate_roots(lat)
+    n = lat.rank
+    x = [r for r in data.coords if sum(r[i] * pair[i] for i in range(n)) != 0]
+    neg_a = tuple(-c for c in acoords)
+    triples = []
+    seen = set()
+    for r in x:
+        if r == acoords or r == neg_a:
+            continue
+        prod = sum(r[i] * pair[i] for i in range(n))
+        c = r if prod == -1 else tuple(-v for v in r)
+        if c in seen:
+            continue
+        s = tuple(ai + ci for ai, ci in zip(acoords, c))
+        group = {acoords, neg_a, c, tuple(-v for v in c), s, tuple(-v for v in s)}
+        if len(group) != 6:
+            raise LatticeError("degenerate A2 grouping")
+        seen.update({c, tuple(-v for v in c), s, tuple(-v for v in s)})
+        triples.append(frozenset(group))
+    return x, triples
 
 
 def _divisors(m):

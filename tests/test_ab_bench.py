@@ -71,15 +71,18 @@ def test_run_once_compiles_every_module_from_source(monkeypatch, tmp_path):
 
 
 def _summary(monkeypatch, capsys, tmp_path, sides):
-    """The summary lines of main() over one seed, each side's run given as
-    (peak_rss_mb, attempted)."""
-    def fake_run_once(tree, _workload, _seed, _seconds):
-        mb, ops = sides["change" if tree == ab_bench.HERE else "parent"]
+    """The summary lines of main(), each side's runs given as a list of
+    (peak_rss_mb, attempted), one per seed, or as one such pair for one seed."""
+    runs = {side: run if isinstance(run, list) else [run] for side, run in sides.items()}
+
+    def fake_run_once(tree, _workload, seed, _seconds):
+        mb, ops = runs["change" if tree == ab_bench.HERE else "parent"][seed - 1]
         return {name: 1.0 for name in BOUNDS} | {"peak_rss_mb": mb}, True, ops
 
     monkeypatch.setattr(ab_bench, "run_once", fake_run_once)
-    monkeypatch.setattr(ab_bench.sys, "argv", ["ab_bench.py", "--parent", str(tmp_path),
-                                               "--workload", "verdict-low", "--seeds", "1"])
+    monkeypatch.setattr(ab_bench.sys, "argv", [
+        "ab_bench.py", "--parent", str(tmp_path), "--workload", "verdict-low",
+        "--seeds", f"1-{len(runs['parent'])}"])
     assert ab_bench.main() == 0
     lines = capsys.readouterr().out.splitlines()
     return lines[lines.index("") + 2:]
@@ -100,8 +103,13 @@ def test_the_memory_line_gives_the_cost_per_extra_op(monkeypatch, capsys, tmp_pa
     ((28.27, 2196), (28.0, 3233)),  # memory fell
     ((28.27, 2196), (28.27, 3233)),  # memory flat
     ((28.27, 2196), (29.76, 1500)),  # fewer ops, more memory
+    # 3,446.5 -> 3,477 ops and +0.09 MB in the medians, 3.02 KB per extra op,
+    # but the change's 28.15 MB lies inside the parent's [27.975, 28.19]
+    ([(27.90, 3440), (28.00, 3445), (28.12, 3448), (28.40, 3450)],
+     [(28.10, 3470), (28.14, 3475), (28.16, 3479), (28.20, 3480)]),
 ])
 def test_the_memory_line_reads_n_a_without_a_rise_in_both(monkeypatch, capsys, tmp_path,
                                                           parent, change):
     lines = _summary(monkeypatch, capsys, tmp_path, {"parent": parent, "change": change})
     assert lines[1] == "memory       n/a"
+

@@ -20,7 +20,7 @@ from k3mod import roots
 from k3mod import rst
 from k3mod import search as se
 
-from exact_references import theta_d6_eis
+from exact_references import bouquet_decomposition, theta_d6_eis
 
 
 @contextmanager
@@ -49,7 +49,7 @@ def test_criterion_02_bouquet_decomposition():
         all_roots = list(roots.enumerate_roots(lat).coords)
         rng = random.Random(0)
         for a in rng.sample(all_roots, 10):
-            x, triples = roots.bouquet_decomposition(lat, a)
+            x, triples = bouquet_decomposition(lat, a)
             assert len(x) == 114
             assert len(triples) == 28
             pm_a = {tuple(a), tuple(-c for c in a)}
@@ -175,8 +175,8 @@ def test_criterion_13_discriminant_plumbing():
             disc = lt.disc_group(lt.make_l2d(d))
             assert disc.invariant_factors == (2 * d,)
             assert disc.q_values[0] == Fraction(-1, 2 * d) % 2
-        assert rf.parity_delta(lt.disc_group(lt.parse_lattice_expr("U(2)"))) == 0
-        assert rf.parity_delta(lt.disc_group(lt.parse_lattice_expr("<2>+<-2>"))) == 1
+        assert lt.disc_group(lt.parse_lattice_expr("U(2)")).parity_delta == 0
+        assert lt.disc_group(lt.parse_lattice_expr("<2>+<-2>")).parity_delta == 1
 
 
 def test_no_check_in_the_library_is_a_plain_assert():
@@ -205,6 +205,7 @@ _NON_INTEGER_CALLS = {
     "bigphi_verify": lambda: rst.bigphi_verify(2.5),
     "cyclotomic_poly": lambda: rst.cyclotomic_poly(4.0),
     "sigma_prime": lambda: rst.sigma_prime(rst.EigenExponents(8, [2, 2, 1]), 2.0),
+    "dominant_2x": lambda: e8.dominant_2x(2.0),
     "count_orth_roots_2x": lambda: e8.count_orth_roots_2x((0,) * 6 + (2, 2.5)),
     "dot2x": lambda: e8.dot2x((2.0,) + (0,) * 7, (2.0,) + (0,) * 7),
     "in_e8_2x": lambda: e8.in_e8_2x((2.0,) * 8),
@@ -323,19 +324,20 @@ def test_every_cache_in_the_library_follows_the_cache_policy():
     assert paths and found == ["lattice.py _grown_tables"]
 
 
-def test_every_private_module_name_in_the_library_is_read():
-    # a module-level private function, class or assignment that nothing in
-    # the package reads, outside its own definition, is dead code
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(Path(lt.__file__).parent.rglob("*.py"))}
+def _reads(node):
+    """How often each name is read under `node`: an ast Name or Attribute load."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
 
-    def reads(node):
-        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                       if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
 
-    total = sum((reads(tree) for tree in trees.values()), Counter())
-    dead = []
-    for module, tree in trees.items():
+def _unread_names(library, readers, public):
+    """The "file name" of each module-level function, class or assignment
+    of the `library` trees (file name -> ast), public or private as `public`
+    says, that neither the library nor the `readers` trees read outside its
+    own definition."""
+    total = sum((_reads(tree) for tree in [*library.values(), *readers]), Counter())
+    unread = []
+    for module, tree in library.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -344,9 +346,33 @@ def test_every_private_module_name_in_the_library_is_read():
                          if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
             else:
                 continue
-            own = reads(node)
-            dead += [f"{module} {name}" for name in names
-                     if name.startswith("_") and not name.startswith("__")
-                     and total[name] <= own[name]]
-    assert trees
-    assert dead == []
+            own = _reads(node)
+            unread += [f"{module} {name}" for name in names
+                       if not name.startswith("__") and name.startswith("_") != public
+                       and total[name] <= own[name]]
+    return unread
+
+
+def _library():
+    """The package's modules, file name -> ast."""
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(Path(lt.__file__).parent.rglob("*.py"))}
+
+
+def test_every_private_module_name_in_the_library_is_read():
+    # a module-level private function, class or assignment that nothing in
+    # the package reads, outside its own definition, is dead code
+    library = _library()
+    assert library
+    assert _unread_names(library, [], public=False) == []
+
+
+def test_every_public_module_name_in_the_library_is_read_outside_the_tests():
+    # a module-level public function, class or assignment that only the
+    # tests read is test code, and lives in tests/exact_references.py
+    root = Path(__file__).resolve().parent.parent
+    library = _library()
+    readers = [ast.parse(path.read_text()) for where in ("tools", "perfbench")
+               for path in sorted((root / where).rglob("*.py"))]
+    assert library and readers
+    assert _unread_names(library, readers, public=True) == []

@@ -251,7 +251,7 @@ _LAYERS = {
     ("cmin", "5"): {"cli", "lattice", "rst"},
     ("bigphi", "10"): {"cli", "lattice", "rst"},
     ("rst", "--exponents", "4:2,2,1"): {"cli", "lattice", "rst"},
-    ("disc", "U(2)"): {"cli", "lattice", "reflective"},
+    ("disc", "U(2)"): {"cli", "lattice"},
     ("reflect", "A(2)+A(2)", "--vector", "0,0,1,-1"): {"cli", "lattice", "reflective"},
     ("roots", "A(2)"): {"cli", "lattice", "roots"},
     ("enum", "A(2)", "2", "--count"): {"cli", "lattice", "roots"},

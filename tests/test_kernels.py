@@ -20,7 +20,9 @@ from k3mod import lattice as lt
 from k3mod import reflective as rf
 from k3mod import rst
 
-from exact_references import det_bareiss, dual_vector, snf_pivot_full_scan, to_2x
+from exact_references import (
+    SIMPLE_ROOTS_2X, det_bareiss, dual_vector, snf_pivot_full_scan, to_2x,
+)
 
 
 def solve_rational(a, rhs_cols):
@@ -380,7 +382,7 @@ def test_isometry_rejects_every_single_entry_perturbation(expr, r):
 
 def test_alpha_from_2x_matches_the_inverse_path():
     # columns of m are the simple roots in e-coordinates; alpha = m^-1 e
-    m = [[Fraction(e8.SIMPLE_ROOTS_2X[j][i], 2) for j in range(8)] for i in range(8)]
+    m = [[Fraction(SIMPLE_ROOTS_2X[j][i], 2) for j in range(8)] for i in range(8)]
     inv = solve_rational(m, [[int(i == j) for i in range(8)] for j in range(8)])
     rng = random.Random(41)
     for _ in range(2000):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,11 +8,11 @@ from k3mod import lattice as lt
 from k3mod import reflective as rf
 from k3mod import roots
 from k3mod.lattice import (
-    LatticeError, ParseError, disc_group, divisor, inner,
+    LatticeError, ParseError, disc_group, inner,
     make_l2d, orth_complement, parse_lattice_expr, smith_normal_form,
 )
 
-from exact_references import det_bareiss, dual_vector, signature_of
+from exact_references import det_bareiss, divisor, dual_vector, signature_of
 
 
 def test_named_constructors():
@@ -45,11 +46,9 @@ def test_inner_products():
 # (1, 0) of A(2): a vector is its coordinates beside the lattice
 VECTOR_ENTRY_POINTS = {
     "inner": lambda lat, v: inner(lat, v, v),
-    "divisor": divisor,
     "is_primitive": lt.is_primitive,
     "orth_complement": lambda lat, v: orth_complement(lat, [v]),
     "count_orth_roots": roots.count_orth_roots,
-    "bouquet_decomposition": roots.bouquet_decomposition,
     "reflection": rf.reflection,
     "reflection_coefficients": rf.reflection_coefficients,
     "classify_reflection": rf.classify_reflection,
@@ -244,6 +243,31 @@ def test_disc_group_computes_its_factors_and_q_values():
         again = lt.DiscGroup(lat, disc.generator_lifts)
         assert (again.invariant_factors, again.q_values) == (disc.invariant_factors, want)
     assert disc_group(parse_lattice_expr("<3>+<5>")).q_values is None
+
+
+# (two_elementary, parity_delta) as `k3mod disc --format json` prints them
+_FORM_INVARIANTS = {
+    "<1>": (True, None), "<3>": (False, None), "U(2)": (True, 0),
+    "<2>+<-2>": (True, 1), "A(2)": (False, 1), "E8(2)": (True, 0),
+}
+
+
+@pytest.mark.parametrize("expr", sorted(_FORM_INVARIANTS))
+def test_disc_group_states_the_invariants_of_its_form(expr):
+    disc = disc_group(parse_lattice_expr(expr))
+    assert (disc.two_elementary, disc.parity_delta) == _FORM_INVARIANTS[expr]
+
+
+@pytest.mark.parametrize("expr", ["U(2)", "<2>+<-2>", "E8(2)", "D(4)+U(2)", "A(2)+<-4>",
+                                  "U(2)+<6>"])
+def test_parity_delta_is_the_integrality_of_the_form_on_every_class(expr):
+    # the form at sum c_i g_i is sum c_i c_j (g_i, g_j), over every class of A_L
+    disc = disc_group(parse_lattice_expr(expr))
+    lifts = disc.generator_lifts
+    pairs = [[a.pair(b) for b in lifts] for a in lifts]
+    values = [sum(ci * cj * pairs[i][j] for i, ci in enumerate(c) for j, cj in enumerate(c))
+              for c in itertools.product(*(range(f) for f in disc.invariant_factors))]
+    assert disc.parity_delta == int(any(v.denominator != 1 for v in values))
 
 
 def test_smith_normal_form_transforms():

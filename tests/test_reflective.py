@@ -13,7 +13,7 @@ from k3mod.lattice import (
     orth_complement, parse_lattice_expr,
 )
 
-from exact_references import det_bareiss
+from exact_references import det_bareiss, divisor
 
 
 def test_root_reflection_in_e8():
@@ -147,7 +147,7 @@ def test_odd_determinant_biconditionals():
         for coords in vectors:
             norm = lt.inner(lat, coords, coords)
             sigma = rf.reflection(lat, coords)
-            div = lt.divisor(lat, coords)
+            div = divisor(lat, coords)
             plus, minus = rf._disc_signs(lat, sigma)
             assert plus == (abs(norm) == 2)
             assert minus == (abs(norm) == 2 * dd and div == dd)
@@ -161,7 +161,7 @@ def test_odd_determinant_biconditionals():
     assert disc.order % 2 == 1 and not disc.is_cyclic()
     dd = disc.exponent
     for coords in ((0, 0, 1, -1), (1, -1, 0, 0)):
-        assert lt.inner(lat, coords, coords) == 2 * dd and lt.divisor(lat, coords) == dd
+        assert lt.inner(lat, coords, coords) == 2 * dd and divisor(lat, coords) == dd
         assert not rf._disc_signs(lat, rf.reflection(lat, coords))[1]
         assert rf.classify_reflection(lat, coords) == rf.NEITHER
 
@@ -191,16 +191,16 @@ def test_two_elementary_lemma():
     # discriminant groups: reflections realise this for T = r-perp
     e8lat = parse_lattice_expr("E8")
     comp, _ = orth_complement(e8lat, [(0, 1, 0, 0, 0, 0, 0, 0)])
-    assert rf.is_two_elementary(disc_group(comp))
+    assert disc_group(comp).two_elementary
     uu = parse_lattice_expr("2U")
     comp, _ = orth_complement(uu, [(1, -1, 0, 0)])
-    assert rf.is_two_elementary(disc_group(comp))
+    assert disc_group(comp).two_elementary
 
 
 def test_parity_delta():
-    assert rf.parity_delta(disc_group(parse_lattice_expr("U(2)"))) == 0
-    assert rf.parity_delta(disc_group(parse_lattice_expr("<2>+<-2>"))) == 1
-    assert not rf.is_two_elementary(disc_group(parse_lattice_expr("A(2)")))
+    assert disc_group(parse_lattice_expr("U(2)")).parity_delta == 0
+    assert disc_group(parse_lattice_expr("<2>+<-2>")).parity_delta == 1
+    assert not disc_group(parse_lattice_expr("A(2)")).two_elementary
 
 
 def test_orth_det_check():
@@ -231,8 +231,8 @@ def test_complement_genus_invariants_for_div_d():
         comp, _ = orth_complement(lat, [uh])
         disc = disc_group(comp)
         assert abs(comp.det) == 4
-        assert rf.is_two_elementary(disc)
-        assert rf.parity_delta(disc) in (0, 1)
+        assert disc.two_elementary
+        assert disc.parity_delta in (0, 1)
         assert comp.signature == (2, 18)
 
 

@@ -5,11 +5,11 @@ import pytest
 from k3mod import e8
 from k3mod.lattice import LatticeError, inner, parse_lattice_expr
 from k3mod.roots import (
-    IndefiniteError, bouquet_decomposition, count_orth_roots,
+    IndefiniteError, count_orth_roots,
     enumerate_norm_vectors, enumerate_roots, norm_counts,
 )
 
-from exact_references import to_2x
+from exact_references import SIMPLE_ROOTS_2X, bouquet_decomposition, to_2x
 
 
 ROOT_COUNTS = {
@@ -117,7 +117,7 @@ def test_e_chart_conversions_roundtrip():
 
 def test_weights_are_dual_to_simple_roots():
     for i, w in enumerate(e8.WEIGHTS_2X):
-        for j, a in enumerate(e8.SIMPLE_ROOTS_2X):
+        for j, a in enumerate(SIMPLE_ROOTS_2X):
             assert e8.dot2x(w, a) == (1 if i == j else 0)
 
 

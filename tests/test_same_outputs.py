@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from k3mod import e8
 from k3mod import lattice as lt
 from k3mod import qseries as qs
 from k3mod import reflective as rf
@@ -80,7 +81,7 @@ def test_one_digest_per_group(capsys, monkeypatch, computed_once):
         [case, d, [list(ms) for ms in se.iter_case_tuples(case, d)]]
         for case in se.CASES for d in (40, 41))
     assert digests["orbit-scan"] == same_outputs.digest(
-        se._enumerate_dominant(2 * d) for d in (40, 41))
+        e8.dominant_2x(2 * d) for d in (40, 41))
     assert digests["lattice-reflect"] == same_outputs.digest(
         same_outputs.lattice_reflect(d) for d in (40, 41))
     assert digests["counts"] == same_outputs.digest(same_outputs.counts())

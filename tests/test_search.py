@@ -14,7 +14,7 @@ from k3mod import qseries as qs
 from k3mod import search as se
 from k3mod.lattice import LatticeError
 
-from exact_references import cholesky, to_2x
+from exact_references import SIMPLE_ROOTS_2X, cholesky, to_2x
 
 
 def test_embeddings_and_norms():
@@ -228,7 +228,7 @@ def _dynkin_type(nodes, edges):
 
 def _stabiliser(weight_coords):
     """|W_S| and the root count of S, the sub-diagram on the zero coordinates."""
-    simple = e8.SIMPLE_ROOTS_2X
+    simple = SIMPLE_ROOTS_2X
     zero = [i for i, c in enumerate(weight_coords) if c == 0]
     edges = [{i, j} for i, j in itertools.combinations(zero, 2)
              if e8.dot2x(simple[i], simple[j]) == -1]
@@ -284,7 +284,7 @@ def _dominant_by_fractions(norm):
 
 def test_integer_orbit_scan_matches_the_fraction_walk():
     for d in range(1, 26):
-        assert se._enumerate_dominant(2 * d) == _dominant_by_fractions(2 * d), d
+        assert e8.dominant_2x(2 * d) == _dominant_by_fractions(2 * d), d
 
 
 def _check_orbit_sum(d):
@@ -292,11 +292,11 @@ def _check_orbit_sum(d):
     # (Conway-Sloane, SPLAG ch. 4); the stabiliser of a dominant x is the
     # parabolic subgroup on its zero weight coordinates
     w_e8 = 696729600
-    vectors = se._enumerate_dominant(2 * d)
+    vectors = e8.dominant_2x(2 * d)
     assert len(vectors) == len(set(vectors)), d
     orbit_sum = 0
     for vec in vectors:
-        x = [e8.dot2x(vec, a) for a in e8.SIMPLE_ROOTS_2X]
+        x = [e8.dot2x(vec, a) for a in SIMPLE_ROOTS_2X]
         assert min(x) >= 0 and e8.dot2x(vec, vec) == 2 * d, vec
         order, n_roots = _stabiliser(x)
         assert e8.count_orth_roots_2x(vec) == n_roots, vec
@@ -332,7 +332,7 @@ def test_orbit_scan_solves_the_widest_weight_at_the_leaf(monkeypatch):
 
     monkeypatch.setattr(roots, "_walk", counted_walk)
     for d in range(1, 62):
-        se._enumerate_dominant(2 * d)
+        e8.dominant_2x(2 * d)
     assert 0 < calls <= 113618 // 3
 
 
@@ -349,7 +349,7 @@ def test_cone_walk_does_no_centre_work_on_an_empty_level(monkeypatch):
 
     monkeypatch.setattr(roots, "mul", counted_mul)
     for d in range(1, 62):
-        se._enumerate_dominant(2 * d)
+        e8.dominant_2x(2 * d)
     assert 0 < products <= 856864 // 3
 
 

@@ -21,8 +21,10 @@ count in the summary: the harness keeps a record per op, so a memory figure
 is read against the op count.  The line after the counts turns the two
 sides' medians into the KB of `peak_rss_mb` per extra attempted op, and
 into the ratio of op counts, change over parent, at which memory growing at
-that rate would reach the `peak_rss_mb` bound (n/a unless both the op count
-and the memory rose).  It prints, per end-to-end metric, each
+that rate would reach the `peak_rss_mb` bound.  It reads n/a unless the op
+count rose and the working tree's median memory lies above the parent's
+interquartile range: a rise within the parent's own spread is noise, not a
+cost per op.  It prints, per end-to-end metric, each
 side's median and quartiles and the number of seeds on which the working
 tree was better, in the direction BENCHMARK.json gives for that metric,
 and applies the acceptance rule with that metric's `bound` from
@@ -97,10 +99,12 @@ def verdict(old, new, direction, bound):
 
 def memory_per_op(old_mb, new_mb, old_ops, new_ops, bound):
     """(KB of peak memory per extra op, op-count ratio at which memory
-    reaches `bound`) from the two sides' medians, or None unless both the op
-    count and the memory rose.  peak_rss_mb is ru_maxrss / 1024, so 1 MB is
-    1024 KB."""
-    if new_ops <= old_ops or new_mb <= old_mb:
+    reaches `bound`) from the two sides' peak_rss_mb runs and median op
+    counts, or None unless the op count rose and the median of `new_mb` lies
+    above the upper quartile of `old_mb`.  peak_rss_mb is ru_maxrss / 1024,
+    so 1 MB is 1024 KB."""
+    (_p1, old_mb, p3), new_mb = quartiles(old_mb), statistics.median(new_mb)
+    if new_ops <= old_ops or new_mb <= p3:
         return None
     mb_per_op = (new_mb - old_mb) / (new_ops - old_ops)
     return 1024 * mb_per_op, 1 + bound * old_mb / mb_per_op / old_ops
@@ -137,8 +141,7 @@ def main():
           "acceptance")
     old_ops, new_ops = (statistics.median(attempted[side]) for side in ("parent", "change"))
     print(f"{'attempted':12s} {old_ops:10g} -> {new_ops:10g} ops per run (median)")
-    old_mb, new_mb = (statistics.median(r["peak_rss_mb"] for r in runs[side])
-                      for side in ("parent", "change"))
+    old_mb, new_mb = ([r["peak_rss_mb"] for r in runs[side]] for side in ("parent", "change"))
     per_op = memory_per_op(old_mb, new_mb, old_ops, new_ops, rss_bound)
     print(f"{'memory':12s} " + ("n/a" if per_op is None else
           f"{per_op[0]:.3g} KB of peak_rss_mb per extra op; at that rate the "

@@ -16,7 +16,7 @@ no traceback.  The groups are
   `to_dict()`, for every d in --degrees and each family;
 * `tuples`: `list(iter_case_tuples(case, d))`, in order, for each family
   and every d in --degrees;
-* `orbit-scan`: the dominant vectors `_enumerate_dominant(2d)` of the
+* `orbit-scan`: the dominant vectors `e8.dominant_2x(2d)` of the
   exhaustive search, for every d in --degrees up to ORBIT_SCAN_MAX_D;
 * `lattice-reflect`: for every d in --degrees up to LATTICE_REFLECT_MAX_D,
   on L_2d: `reflk3_sample_check(d, 300, seed=d)`, `disc_group` (invariant
@@ -97,7 +97,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from k3mod import cli, search  # noqa: E402
-from k3mod import lattice, qseries, reflective, roots, rst  # noqa: E402
+from k3mod import e8, lattice, qseries, reflective, roots, rst  # noqa: E402
 from exact_references import theta_d6_eis  # noqa: E402
 
 # the orbit scan's cost rises steeply with d: d = 1..150 takes about 2 s,
@@ -379,7 +379,7 @@ def groups(degrees):
             for d in degrees)
     yield "tuples", digest([case, d, list(search.iter_case_tuples(case, d))]
                            for case in search.CASES for d in degrees)
-    yield "orbit-scan", digest(search._enumerate_dominant(2 * d)
+    yield "orbit-scan", digest(e8.dominant_2x(2 * d)
                                for d in degrees if d <= ORBIT_SCAN_MAX_D)
     yield "lattice-reflect", digest(lattice_reflect(d)
                                     for d in degrees if d <= LATTICE_REFLECT_MAX_D)
