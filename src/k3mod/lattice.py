@@ -2,16 +2,16 @@
 
 Everything here works over Z with arbitrary-precision integers.  One
 fraction-free elimination, `symmetric_bareiss`, reduces every Gram matrix:
-the determinant and the signature of a lattice and the walker's square
-completion in `roots` all come from its pivot rows.  A lattice expression
-(`parse_lattice_expr`, `make_l2d`) is parsed into integer Gram blocks, one
-per atom, whose orthogonal sum becomes one `IntLattice`: each expression is
-eliminated once.  A dual vector is integer numerators over one positive
-denominator, so dual membership, pairings and the action of an isometry on
-A_L are integer sums and congruences; Fractions appear only in outputs (dual
-coordinates, pairings, discriminant-form values).  No floating point:
-discriminant groups, divisors and elementary divisors are integrality
-statements and are computed as such.
+the determinant and the signature of a lattice, taken per orthogonal summand
+(`_summands`), and the walker's square completion in `roots` all come from
+its pivot rows.  A lattice expression (`parse_lattice_expr`, `make_l2d`) is
+parsed into integer Gram blocks, one per atom, whose orthogonal sum becomes
+one `IntLattice`: each basis vector is eliminated once.  A dual vector is
+integer numerators over one positive denominator, so dual membership,
+pairings and the action of an isometry on A_L are integer sums and
+congruences; Fractions appear only in outputs (dual coordinates, pairings,
+discriminant-form values).  No floating point: discriminant groups, divisors
+and elementary divisors are integrality statements and are computed as such.
 
 A vector is its coordinates: every vector argument is a sequence of
 integers, one per basis vector, passed beside its lattice and read by
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import gcd, prod
 from operator import index, mul
 
@@ -53,20 +54,20 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
+    """The product a b of integer matrices given as lists of rows, or
+    `LatticeError` when the shapes do not match.  Zeros cost nothing: each
+    row of b is read as its nonzero (j, b_kj), and a_ik = 0 skips row k."""
     rows, inner = len(a), len(b)
     cols = len(b[0]) if b else 0
     if any(len(row) != inner for row in a) or any(len(row) != cols for row in b):
         raise LatticeError("matrix shapes do not match for a product")
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            s = ai[k]
+    for ai, oi in zip(a, out):
+        for s, bk in zip(ai, nonzero):
             if s:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += s * bk[j]
+                for j, x in bk:
+                    oi[j] += s * x
     return out
 
 
@@ -164,6 +165,8 @@ def smith_normal_form(mat):
             r[i] -= q * r[j]
 
     def swap_cols(i, j):
+        if i == j:
+            return
         for r in a:
             r[i], r[j] = r[j], r[i]
 
@@ -248,6 +251,24 @@ def _grown(key, bound, build):
 # domain types
 # ---------------------------------------------------------------------------
 
+def _summands(g):
+    """The orthogonal summands of g, least index first: the components of
+    its nonzero pattern, as ascending indices that may interleave."""
+    idx = range(len(g))
+    seen = set()
+    blocks = []
+    for start in idx:
+        if start not in seen:
+            seen.add(start)
+            block = [start]
+            for i in block:  # the loop reaches what it appends: a breadth-first search
+                new = set(compress(idx, g[i])) - seen
+                seen |= new
+                block += new
+            blocks.append(sorted(block))
+    return blocks
+
+
 class IntLattice:
     """An integral lattice presented by a symmetric Gram matrix.
 
@@ -256,10 +277,11 @@ class IntLattice:
     reads them through `coords_of`, so a coordinate tuple of the wrong length
     raises `LatticeError`.  The Gram entries follow the same rule as vector
     entries: one that is not an integer is a `TypeError`, never truncated.
-    The det and the signature come from one
-    `symmetric_bareiss` pass.  Data derived from the Gram matrix
-    (`disc_group`, the root data) is memoised on the instance (`memoised`),
-    so it lives exactly as long as the lattice.
+    The det and the signature are the product and the sum of those of the
+    orthogonal summands (`_summands`), each from one `symmetric_bareiss`
+    pass; an empty Gram or a singular summand is a `LatticeError`.  Data
+    derived from the Gram matrix (`disc_group`, the root data) is memoised
+    on the instance (`memoised`), so it lives exactly as long as the lattice.
     """
 
     __slots__ = ("gram", "rank", "name", "_det", "_signature", "_memo")
@@ -267,16 +289,20 @@ class IntLattice:
     def __init__(self, gram, name=None):
         g = tuple(tuple(map(index, row)) for row in gram)
         n = len(g)
-        if any(len(row) != n for row in g):
-            raise LatticeError("Gram matrix must be square")
-        if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
+        if not n or any(len(row) != n for row in g):
+            raise LatticeError("Gram matrix is empty or not square")
+        if g != tuple(zip(*g)):
             raise LatticeError("Gram matrix must be symmetric")
-        minors = [1] + [row[k] for k, row in enumerate(symmetric_bareiss(g))]
-        neg = sum((p < 0) != (q < 0) for p, q in zip(minors, minors[1:]))
+        det, neg = 1, 0
+        for block in _summands(g):
+            pivots = symmetric_bareiss([[g[i][j] for j in block] for i in block])
+            minors = [1] + [row[k] for k, row in enumerate(pivots)]
+            det *= minors[-1]
+            neg += sum((p < 0) != (q < 0) for p, q in zip(minors, minors[1:]))
         self.gram = g
         self.rank = n
         self.name = name
-        self._det = minors[-1]
+        self._det = det
         self._signature = (n - neg, neg)
         self._memo = {}
 
@@ -502,7 +528,7 @@ def disc_group(lat):
     each is stored as it comes, numerators v[:, i] over the denominator d_i.
     The transforms are checked in integers first: u (G v) = D, with the
     sparse G as the left factor of the first product (`mat_mul` skips the
-    zero entries of its left factor), and |d_1 ... d_n| = |det G|.  Given
+    zero entries of both factors), and |d_1 ... d_n| = |det G|.  Given
     the first, det u * det G * det v = det D with det u and det v integers
     and det G != 0, so the second holds exactly when |det u| = |det v| = 1:
     it proves u and v unimodular without eliminating them.  `LatticeError`

@@ -75,10 +75,9 @@ class IsometryMatrix:
         """The image M x of the vector with coordinates `coords`; its entries
         may be any numbers (the numerators of dual vectors, say), but there
         must be one per basis vector."""
-        n = self.lattice.rank
-        if len(coords) != n:
+        if len(coords) != self.lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")
-        return tuple(sum(self.matrix[i][j] * coords[j] for j in range(n)) for i in range(n))
+        return tuple(sum(map(mul, row, coords)) for row in self.matrix)
 
     def __repr__(self):
         return f"IsometryMatrix(rank={self.lattice.rank})"

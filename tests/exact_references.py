@@ -7,6 +7,8 @@ Tests compare the library against them.
   (row-pivoted Bareiss on any square integer matrix), `signature_of`
   (symmetric elimination over Q) and `cholesky` with `scaled_form` (the
   Fraction LDL^T of a definite form and its integerisation by an LCM pass).
+* The dense product behind `lattice.mat_mul`: `mat_mul_triple_loop`, the
+  schoolbook sum over every (i, k, j), zeros included.
 * The dense q-series kernels behind `QSeries.__mul__` and `__pow__`:
   `schoolbook_mul` (every pair of coefficients) and `pow_by_squaring`
   (repeated squaring over it).
@@ -140,6 +142,13 @@ def scaled_form(gram):
         scale = scale * block // gcd(scale, block)
     a = [q[i].numerator * (scale // (q[i].denominator * uden[i] * uden[i])) for i in range(n)]
     return (scale, a, unum, uden)
+
+
+def mat_mul_triple_loop(a, b):
+    """a b for matrices given as lists of rows, one product per (i, k, j)."""
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for i in range(len(a))]
 
 
 def schoolbook_mul(a, b):

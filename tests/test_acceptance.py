@@ -188,6 +188,60 @@ def test_no_check_in_the_library_is_a_plain_assert():
     assert paths and found == []
 
 
+# the `math` names that map integers to integers; every other one is inexact
+_INTEGER_MATH = {"isqrt", "gcd", "lcm", "comb", "factorial", "prod"}
+_INEXACT_CALLS = {"float", "round", "complex"}
+
+
+def _inexact(node):
+    """Why the AST node may leave exact arithmetic, or None."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        try:
+            exp = ast.literal_eval(node.right)
+        except ValueError:  # not a constant
+            return None
+        # a negative exponent turns an int into a float too
+        return None if type(exp) is int and exp >= 0 else f"** {exp!r}"
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"constant {node.value!r}"
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _INEXACT_CALLS:
+        return f"call of {node.func.id}"
+    if isinstance(node, ast.ImportFrom) and node.module == "math":
+        names = sorted({alias.name for alias in node.names} - _INTEGER_MATH)
+        return f"math.{names}" if names else None
+    if isinstance(node, ast.Import) and any(a.name == "math" and a.asname for a in node.names):
+        return "math under another name"
+    if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math"
+            and node.attr not in _INTEGER_MATH):
+        return f"math.{node.attr}"
+    return None
+
+
+@pytest.mark.parametrize("source, inexact", [
+    ("x / 2", True), ("x /= 2", True), ("x ** 0.5", True), ("x ** -1", True),
+    ("1.5", True), ("2j", True), ("float(x)", True), ("round(x)", True),
+    ("math.sqrt(x)", True), ("from math import gcd, log", True), ("import math as m", True),
+    ("x // 2", False), ("x ** 2", False), ("x ** n", False), ("math.isqrt(x)", False),
+    ("from math import gcd, prod", False), ("Fraction(1, 2)", False),
+])
+def test_the_exactness_scan_flags_what_leaves_the_integers(source, inexact):
+    flagged = [why for node in ast.walk(ast.parse(source)) if (why := _inexact(node))]
+    assert bool(flagged) == inexact, flagged
+
+
+def test_the_library_stays_in_exact_arithmetic():
+    # no true division, float or complex constant, float or round call,
+    # non-integer power or inexact `math` name anywhere in the library
+    paths = sorted(Path(lt.__file__).parent.rglob("*.py"))
+    found = [f"{path.name}:{node.lineno}: {why}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (why := _inexact(node))]
+    assert paths
+    assert found == []
+
+
 _NON_INTEGER_CALLS = {
     "check_mineq": lambda: se.check_mineq(2.5),
     "check_mineqd": lambda: se.check_mineqd(2.5),

@@ -405,6 +405,8 @@ def test_mat_mul_rejects_mismatched_shapes():
     ("mat_mul", ([[1, 1]], [[1, 2], [1]])),
     ("symmetric_bareiss", ([[]],)),
     ("symmetric_bareiss", ([[2, 1], [1]],)),
+    ("IntLattice", ([],)),
+    ("IntLattice", ([[2, 1], [1]],)),
 ])
 def test_matrix_kernels_reject_empty_and_ragged_arguments(call, args):
     # a malformed matrix is a LatticeError, never a bare IndexError
@@ -412,12 +414,15 @@ def test_matrix_kernels_reject_empty_and_ragged_arguments(call, args):
         getattr(lt, call)(*args)
 
 
-@pytest.mark.parametrize("build", [lambda: make_l2d(5),
-                                   lambda: parse_lattice_expr("A(2)+A(4)+E6"),
-                                   lambda: parse_lattice_expr("E8")],
-                         ids=["make_l2d(5)", "A(2)+A(4)+E6", "E8"])
-def test_each_expression_is_eliminated_once(monkeypatch, build):
-    # the atoms are Gram blocks, so only the one IntLattice of the sum is reduced
+@pytest.mark.parametrize("build, sizes", [
+    (lambda: make_l2d(5), [2, 2, 8, 8, 1]),
+    (lambda: parse_lattice_expr("A(2)+A(4)+E6"), [2, 4, 6]),
+    (lambda: parse_lattice_expr("E8"), [8]),
+], ids=["make_l2d(5)", "A(2)+A(4)+E6", "E8"])
+def test_each_expression_is_eliminated_once(monkeypatch, build, sizes):
+    # the atoms are Gram blocks and the one IntLattice of the sum reduces each
+    # orthogonal summand once: the calls are the summand sizes, and they sum
+    # to the rank, so no basis vector is reduced twice
     calls = []
     bareiss = lt.symmetric_bareiss
 
@@ -427,7 +432,7 @@ def test_each_expression_is_eliminated_once(monkeypatch, build):
 
     monkeypatch.setattr(lt, "symmetric_bareiss", counting)
     lat = build()
-    assert calls == [lat.rank]
+    assert calls == sizes and sum(calls) == lat.rank
 
 
 def test_dynkin_grams_match_the_root_lattices():

@@ -4,6 +4,9 @@ Generation is derandomised, so every run draws the same examples and the
 suite stays deterministic.
 """
 
+from itertools import combinations
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +15,9 @@ from k3mod import lattice as lt
 from k3mod import qseries as qs
 from k3mod import search as se
 
-from exact_references import det_bareiss, scaled_form, signature_of, to_2x
+from exact_references import (
+    det_bareiss, mat_mul_triple_loop, scaled_form, signature_of, to_2x,
+)
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -66,6 +71,61 @@ def test_det_and_signature_of_zero_diagonal_grams_match_the_references(g):
     lat = lt.IntLattice(g)
     assert lat.det == det_bareiss(g)
     assert lat.signature == signature_of(g)
+
+
+@st.composite
+def _permuted_block_sums(draw):
+    """A symmetric permutation of the block-diagonal sum of 1 to 4 small
+    symmetric blocks, some with a zero diagonal: its summands interleave."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(_symmetric(max_rank=3, bound=3))
+        if draw(st.booleans()):
+            b = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(b)]
+        blocks.append(b)
+    g = lt._block_gram(blocks)
+    perm = draw(st.permutations(range(len(g))))
+    return [[g[i][j] for j in perm] for i in perm]
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(_permuted_block_sums())
+def test_det_and_signature_per_summand_match_the_references(g):
+    # the summands partition the basis and meet only in zero entries, and
+    # their dets and signatures combine to the whole matrix's
+    blocks = lt._summands(g)
+    assert sorted(i for b in blocks for i in b) == list(range(len(g)))
+    assert all(g[i][j] == 0 for b, c in combinations(blocks, 2) for i in b for j in c)
+    if det_bareiss(g) == 0:
+        with pytest.raises(lt.LatticeError, match="singular"):
+            lt.IntLattice(g)
+        return
+    lat = lt.IntLattice(g)
+    assert lat.det == det_bareiss(g)
+    assert lat.signature == signature_of(g)
+
+
+@st.composite
+def _sparse_product(draw):
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -7))
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return a, b
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(_sparse_product())
+def test_mat_mul_matches_the_triple_loop(ab):
+    a, b = ab
+    assert lt.mat_mul(a, b) == mat_mul_triple_loop(a, b)
+
+
+def test_mat_mul_on_a_zero_row_a_zero_column_and_empty_factors():
+    a = [[0, 0, 0], [1, 0, 2]]
+    b = [[0, 3], [0, 0], [0, -1]]
+    assert lt.mat_mul(a, b) == mat_mul_triple_loop(a, b) == [[0, 0], [0, 1]]
+    assert lt.mat_mul([], []) == mat_mul_triple_loop([], []) == []
 
 
 @_SETTINGS

@@ -509,6 +509,16 @@ def test_families_ii_and_iii_hold_their_claims_from_62_to_400():
     assert min(drained.values()) > 1000, drained
 
 
+@pytest.mark.parametrize("case, top", [("I", 400), ("II", 400), ("III", 400), ("IV", 200)])
+def test_each_family_stream_ascends_in_coords2x(case, top):
+    # every generator yields its tuples in lexicographic order, and each
+    # embedding keeps that order on the doubled coordinates; an early exit
+    # from a stream at the first vector past a bound rests on this
+    for d in range(1, top + 1):
+        vecs = [vec for _, vec in se._family_stream(case, d)]
+        assert all(a < b for a, b in zip(vecs, vecs[1:])), (case, d)
+
+
 @pytest.mark.parametrize("d", [43, 51, 55, 56])
 def test_a_family_n14_witness_beats_a_smaller_scan_key(d):
     # no family decides general type here, so the scan runs; its N_l = 14
