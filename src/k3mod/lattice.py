@@ -4,7 +4,10 @@ Everything here works over Z with arbitrary-precision integers.  One
 fraction-free elimination, `symmetric_bareiss`, reduces every Gram matrix:
 the determinant and the signature of a lattice, taken per orthogonal summand
 (`_summands`), and the walker's square completion in `roots` all come from
-its pivot rows.  A lattice expression (`parse_lattice_expr`, `make_l2d`) is
+its pivot rows.  One kernel, `mat_mul`, forms every matrix product in the
+package: the SNF check of `disc_group`, the complement Gram of
+`orth_complement`, the form check of `reflective.IsometryMatrix` and the
+powers in `rst`.  A lattice expression (`parse_lattice_expr`, `make_l2d`) is
 parsed into integer Gram blocks, one per atom, whose orthogonal sum becomes
 one `IntLattice`: each basis vector is eliminated once.  A dual vector is
 integer numerators over one positive denominator, so dual membership,
@@ -564,15 +567,9 @@ def orth_complement(lat, vectors):
         raise LatticeError("vectors are not linearly independent")
     if not basis:
         raise LatticeError("the vectors span the whole lattice")
-    # Gram B^t (G B) from the pairing vectors G b: O(k n^2), each entry of
-    # the upper triangle computed once and mirrored
-    gb = [pairing_vector(lat, b) for b in basis]
-    k = len(basis)
-    sub = [[0] * k for _ in range(k)]
-    for i, a in enumerate(basis):
-        for j in range(i, k):
-            sub[i][j] = sub[j][i] = sum(map(mul, a, gb[j]))
-    return IntLattice(sub), basis
+    # Gram B^t (G B), with the basis vectors as the rows of B^t and the
+    # sparse G as the left factor of the inner product, as in `disc_group`
+    return IntLattice(mat_mul(basis, mat_mul(lat.gram, list(zip(*basis))))), basis
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,9 @@ NOT_INTEGRAL = "not_integral"
 class IsometryMatrix:
     """Integer matrix over the lattice basis with M^t G M = G (checked).
 
-    The check forms GM = G M once (O(n^3)), then compares every entry
-    (M^t G M)_ij = sum_a M_ai GM_aj with G_ij for i <= j (n(n+1)/2 dot
-    products of length n, O(n^3)); both triangles are covered because
-    M^t G M and G are symmetric.  `LatticeError` on the first mismatch.
-    An entry that is not an integer is a `TypeError`, never truncated.
+    The check compares every entry of M^t (G M), two `lattice.mat_mul`
+    products, with G; `LatticeError` if any differs.  An entry that is not
+    an integer is a `TypeError`, never truncated.
     """
 
     __slots__ = ("lattice", "matrix")
@@ -62,12 +60,8 @@ class IsometryMatrix:
         n = lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise LatticeError("matrix size does not match the lattice rank")
-        cols = tuple(zip(*m))
-        gm_cols = tuple(zip(*lt.mat_mul(g, m)))
-        for i in range(n):
-            for j in range(i, n):
-                if sum(map(mul, cols[i], gm_cols[j])) != g[i][j]:
-                    raise LatticeError("matrix does not preserve the form")
+        if lt.mat_mul(tuple(zip(*m)), lt.mat_mul(g, m)) != [list(row) for row in g]:
+            raise LatticeError("matrix does not preserve the form")
         self.lattice = lattice
         self.matrix = m
 
@@ -89,31 +83,17 @@ def _pairings(lat, coords):
     return pair, sum(p * c for p, c in zip(pair, coords)), gcd(*pair)
 
 
-def reflection_coefficients(lat, r):
-    """The integers 2 (b_j, r) / (r, r) if they exist, else None."""
-    pair, norm, _div = _pairings(lat, coords_of(lat, r))
+def reflection(lat, r):
+    """The reflection sigma_r as an IsometryMatrix, x -> x - 2 (x, r)/(r, r) r.
+    `LatticeError` if r is isotropic, and `NotIntegralError` (a
+    `LatticeError`) if some 2 (b_j, r)/(r, r) is not an integer."""
+    coords = coords_of(lat, r)
+    pair, norm, _div = _pairings(lat, coords)
     if norm == 0:
         raise LatticeError("cannot reflect in an isotropic vector")
-    return _coefficients(pair, norm)
-
-
-def _coefficients(pair, norm):
-    """2 p / norm for each pairing p if all are integers, else None; norm != 0."""
-    cs = []
-    for p in pair:
-        num = 2 * p
-        if num % norm:
-            return None
-        cs.append(num // norm)
-    return cs
-
-
-def reflection(lat, r):
-    """The reflection sigma_r as an IsometryMatrix, if it preserves the lattice."""
-    coords = coords_of(lat, r)
-    cs = reflection_coefficients(lat, coords)
-    if cs is None:
+    if any(2 * p % norm for p in pair):
         raise NotIntegralError("sigma_r does not preserve the lattice")
+    cs = [2 * p // norm for p in pair]
     n = lat.rank
     m = [[(1 if i == j else 0) - cs[j] * coords[i] for j in range(n)] for i in range(n)]
     return IsometryMatrix(lat, m)

@@ -21,7 +21,7 @@ from k3mod import reflective as rf
 from k3mod import rst
 
 from exact_references import (
-    SIMPLE_ROOTS_2X, det_bareiss, dual_vector, snf_pivot_full_scan, to_2x,
+    SIMPLE_ROOTS_2X, det_bareiss, dual_vector, mat_mul_triple_loop, snf_pivot_full_scan, to_2x,
 )
 
 
@@ -106,9 +106,10 @@ def _reference_is_isometry(lat, m):
 
 
 def _preserves_form(lat, m):
-    """M^t G M == G as whole matrix products."""
+    """M^t G M == G as whole matrix products, by the dense reference product."""
     mt = [list(col) for col in zip(*m)]
-    return lt.mat_mul(lt.mat_mul(mt, lat.gram), m) == [list(row) for row in lat.gram]
+    return mat_mul_triple_loop(mat_mul_triple_loop(mt, lat.gram), m) == \
+        [list(row) for row in lat.gram]
 
 
 def _reference_bigphi(r_max):
@@ -236,10 +237,12 @@ def test_disc_signs_match_the_fraction_images():
         coords_of = [w.coords for w in lifts]
         for _ in range(150):
             coords = [rng.randint(-1, 1) if i < 6 or i == n - 1 else 0 for i in range(n)]
-            if not any(coords) or not rf._pairings(lat, coords)[1] \
-                    or rf.reflection_coefficients(lat, coords) is None:
+            if not any(coords) or not rf._pairings(lat, coords)[1]:
                 continue
-            sigma = rf.reflection(lat, coords)
+            try:
+                sigma = rf.reflection(lat, coords)
+            except rf.NotIntegralError:
+                continue
             signs = rf._disc_signs(lat, sigma)
             assert signs == _reference_disc_signs(lat, sigma.matrix, coords_of), (lat, coords)
             images = [lt.DualVec(lat, sigma.apply_coords(w.num), w.den).coords for w in lifts]
@@ -292,7 +295,8 @@ def test_orth_complement_matches_the_quadruple_sum():
 
 
 def test_orth_complement_gram_is_the_full_product_on_l2d():
-    # B^t G B as two whole matrix products, B the complement basis as columns
+    # B^t G B as two whole dense products, B the complement basis as columns,
+    # for the complement of one vector and of two
     rng = random.Random(43)
     for d in range(1, 61):
         lat = lt.make_l2d(d)
@@ -301,10 +305,14 @@ def test_orth_complement_gram_is_the_full_product_on_l2d():
         a, c = rng.choice(((1, 0), (2, -1), (-3, 5), (1, 1)))
         k = rng.choice((1, 2))
         r[0], r[2], r[20] = k * d * a, k * d * c, 1
-        for vec in [r] + rf._interesting_vectors(d, lat):
-            comp, basis = lt.orth_complement(lat, [vec])
-            full = lt.mat_mul(lt.mat_mul(basis, lat.gram), [list(col) for col in zip(*basis)])
-            assert [list(row) for row in comp.gram] == full, (d, vec)
+        second = [rng.randint(-3, 3) for _ in range(21)]
+        spans = [[vec] for vec in [r] + rf._interesting_vectors(d, lat)] + [[r, second]]
+        for vectors in spans:
+            comp, basis = lt.orth_complement(lat, vectors)
+            assert len(basis) == 21 - len(vectors)
+            full = mat_mul_triple_loop(mat_mul_triple_loop(basis, lat.gram),
+                                       [list(col) for col in zip(*basis)])
+            assert [list(row) for row in comp.gram] == full, (d, vectors)
 
 
 def test_isometry_accepts_every_sampled_reflection():
@@ -317,10 +325,12 @@ def test_isometry_accepts_every_sampled_reflection():
         n = lat.rank
         for _ in range(150):
             coords = [rng.randint(-1, 1) if i < 6 or i == n - 1 else 0 for i in range(n)]
-            if not any(coords) or not rf._pairings(lat, coords)[1] \
-                    or rf.reflection_coefficients(lat, coords) is None:
+            if not any(coords) or not rf._pairings(lat, coords)[1]:
                 continue
-            sigma = rf.reflection(lat, coords)
+            try:
+                sigma = rf.reflection(lat, coords)
+            except rf.NotIntegralError:
+                continue
             assert _preserves_form(lat, sigma.matrix)
             if n < 8:
                 assert _reference_is_isometry(lat, sigma.matrix)

@@ -56,15 +56,52 @@ def test_reflections_are_involutions():
         coords = tuple(rng.randint(-4, 4) for _ in range(lat.rank))
         if not any(coords) or lt.inner(lat, coords, coords) == 0:
             continue
-        if rf.reflection_coefficients(lat, coords) is None:
+        try:
+            sigma = rf.reflection(lat, coords)
+        except rf.NotIntegralError:
             continue
-        sigma = rf.reflection(lat, coords)
         n = lat.rank
         sq = [[sum(sigma.matrix[i][k] * sigma.matrix[k][j] for k in range(n))
                for j in range(n)] for i in range(n)]
         assert sq == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         found += 1
     assert found > 100
+
+
+@pytest.mark.parametrize("lat", [parse_lattice_expr("U+<-4>+<-2>"),
+                                 parse_lattice_expr("A(2)+A(2)"), make_l2d(3)],
+                         ids=["U+<-4>+<-2>", "A(2)+A(2)", "L_6"])
+def test_reflection_is_the_fraction_formula_or_raises(lat):
+    # sigma_r b_j = b_j - 2 (b_j, r)/(r, r) r in Fractions: a matrix when every
+    # coefficient is an integer, `NotIntegralError` when one is not, and a
+    # plain `LatticeError` for an isotropic r
+    rng = random.Random(11)
+    g, n = lat.gram, lat.rank
+    outcomes = {"integral": 0, "not_integral": 0, "isotropic": 0}
+    for _ in range(400):
+        coords = [rng.randint(-2, 2) if i < 6 or i == n - 1 else 0 for i in range(n)]
+        if not any(coords):
+            continue
+        pair = [sum(g[j][i] * coords[i] for i in range(n)) for j in range(n)]
+        norm = sum(p * c for p, c in zip(pair, coords))
+        if norm == 0:
+            with pytest.raises(LatticeError, match="isotropic") as err:
+                rf.reflection(lat, coords)
+            assert not isinstance(err.value, rf.NotIntegralError)
+            outcomes["isotropic"] += 1
+            continue
+        coeffs = [Fraction(2 * p, norm) for p in pair]
+        if any(c.denominator != 1 for c in coeffs):
+            with pytest.raises(rf.NotIntegralError):
+                rf.reflection(lat, coords)
+            outcomes["not_integral"] += 1
+            continue
+        want = tuple(tuple((i == j) - coeffs[j] * coords[i] for j in range(n)) for i in range(n))
+        assert rf.reflection(lat, coords).matrix == want, coords
+        outcomes["integral"] += 1
+    assert outcomes["integral"] and outcomes["not_integral"], outcomes
+    if lat.signature[1]:
+        assert outcomes["isotropic"], outcomes
 
 
 def test_isometry_validation():
@@ -126,7 +163,11 @@ def _sampled_reflective(lat, rng, draws, box):
         for c in coords:
             g = gcd(g, c)
         coords = tuple(c // g for c in coords)
-        if lt.inner(lat, coords, coords) == 0 or rf.reflection_coefficients(lat, coords) is None:
+        if lt.inner(lat, coords, coords) == 0:
+            continue
+        try:
+            rf.reflection(lat, coords)
+        except rf.NotIntegralError:
             continue
         out.append(coords)
     return out
