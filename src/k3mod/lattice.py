@@ -4,7 +4,9 @@ Everything here works over Z with arbitrary-precision integers.  One
 fraction-free elimination, `symmetric_bareiss`, reduces every Gram matrix:
 the determinant and the signature of a lattice, taken per orthogonal summand
 (`_summands`), and the walker's square completion in `roots` all come from
-its pivot rows.  One kernel, `mat_mul`, forms every matrix product in the
+its pivot rows.  The discriminant group A_L = L^vee/L is read on the
+non-unimodular summands alone (`disc_group`), since a unimodular summand
+adds nothing to it.  One kernel, `mat_mul`, forms every matrix product in the
 package: the SNF check of `disc_group`, the complement Gram of
 `orth_complement`, the form check of `reflective.IsometryMatrix` and the
 powers in `rst`.  A lattice expression (`parse_lattice_expr`, `make_l2d`) is
@@ -282,12 +284,14 @@ class IntLattice:
     entries: one that is not an integer is a `TypeError`, never truncated.
     The det and the signature are the product and the sum of those of the
     orthogonal summands (`_summands`), each from one `symmetric_bareiss`
-    pass; an empty Gram or a singular summand is a `LatticeError`.  Data
+    pass; an empty Gram or a singular summand is a `LatticeError`.  The
+    same pass keeps the basis indices outside the unimodular summands
+    (|det| = 1), the only ones `disc_group` reads.  Data
     derived from the Gram matrix (`disc_group`, the root data) is memoised
     on the instance (`memoised`), so it lives exactly as long as the lattice.
     """
 
-    __slots__ = ("gram", "rank", "name", "_det", "_signature", "_memo")
+    __slots__ = ("gram", "rank", "name", "_det", "_signature", "_nonunimodular", "_memo")
 
     def __init__(self, gram, name=None):
         g = tuple(tuple(map(index, row)) for row in gram)
@@ -296,17 +300,20 @@ class IntLattice:
             raise LatticeError("Gram matrix is empty or not square")
         if g != tuple(zip(*g)):
             raise LatticeError("Gram matrix must be symmetric")
-        det, neg = 1, 0
+        det, neg, keep = 1, 0, []
         for block in _summands(g):
             pivots = symmetric_bareiss([[g[i][j] for j in block] for i in block])
             minors = [1] + [row[k] for k, row in enumerate(pivots)]
             det *= minors[-1]
             neg += sum((p < 0) != (q < 0) for p, q in zip(minors, minors[1:]))
+            if abs(minors[-1]) != 1:
+                keep += block
         self.gram = g
         self.rank = n
         self.name = name
         self._det = det
         self._signature = (n - neg, neg)
+        self._nonunimodular = tuple(sorted(keep))
         self._memo = {}
 
     def memoised(self, key, build):
@@ -522,8 +529,14 @@ def is_primitive(lat, x):
 
 
 def disc_group(lat):
-    """Discriminant group via Smith normal form of the Gram matrix, memoised
-    on the lattice (`IntLattice.memoised`): every caller shares one DiscGroup.
+    """Discriminant group via Smith normal form, memoised on the lattice
+    (`IntLattice.memoised`): every caller shares one DiscGroup.
+
+    A unimodular summand adds nothing to A_L (A_{L+M} = A_L + A_M; Nikulin
+    1980), so G below is the Gram restricted to the basis vectors outside
+    the unimodular summands, which `IntLattice` keeps, and each lift is
+    padded with zeros: L_2d needs a 1 x 1 SNF, E8 none, and X + V with V
+    unimodular has X's lifts, padded.
 
     With u G v = D (u, v unimodular, D diagonal), G^-1 = v D^-1 u, so the
     dual vector G^-1 u^-1 e_i that realises the i-th cyclic factor is
@@ -531,24 +544,28 @@ def disc_group(lat):
     each is stored as it comes, numerators v[:, i] over the denominator d_i.
     The transforms are checked in integers first: u (G v) = D, with the
     sparse G as the left factor of the first product (`mat_mul` skips the
-    zero entries of both factors), and |d_1 ... d_n| = |det G|.  Given
-    the first, det u * det G * det v = det D with det u and det v integers
-    and det G != 0, so the second holds exactly when |det u| = |det v| = 1:
-    it proves u and v unimodular without eliminating them.  `LatticeError`
-    if either check fails.  The lifts are reproducible thanks to the
+    zero entries of both factors), and |d_1 ... d_n| = |det G| = |det L|.
+    Given the first, det u * det G * det v = det D with det u and det v
+    integers and det G != 0, so the second holds exactly when |det u| =
+    |det v| = 1: it proves u and v unimodular without eliminating them.
+    `LatticeError` if either check fails.  The lifts are reproducible thanks to the
     deterministic SNF pivoting.
     """
     return lat.memoised("disc_group", _disc_group)
 
 
 def _disc_group(lat):
-    g = lat.gram
+    keep = lat._nonunimodular
+    if not keep:
+        return DiscGroup(lat, [])
+    g = [[lat.gram[i][j] for j in keep] for i in keep]
     d, u, v = smith_normal_form(g)
-    n = lat.rank
-    if mat_mul(u, mat_mul(g, v)) != d or abs(prod(d[i][i] for i in range(n))) != abs(lat.det):
+    m = len(keep)
+    if mat_mul(u, mat_mul(g, v)) != d or abs(prod(d[i][i] for i in range(m))) != abs(lat.det):
         raise LatticeError("Smith normal form transforms do not check")
-    return DiscGroup(lat, [DualVec(lat, [row[i] for row in v], d[i][i])
-                           for i in range(n) if d[i][i] > 1])
+    rows = dict(zip(keep, v))  # basis index -> its row of v
+    return DiscGroup(lat, [DualVec(lat, [rows[k][i] if k in rows else 0 for k in range(lat.rank)],
+                                   d[i][i]) for i in range(m) if d[i][i] > 1])
 
 
 def orth_complement(lat, vectors):

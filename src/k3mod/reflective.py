@@ -85,10 +85,20 @@ def _pairings(lat, coords):
 
 def reflection(lat, r):
     """The reflection sigma_r as an IsometryMatrix, x -> x - 2 (x, r)/(r, r) r.
-    `LatticeError` if r is isotropic, and `NotIntegralError` (a
-    `LatticeError`) if some 2 (b_j, r)/(r, r) is not an integer."""
+    sigma_r depends only on the line of r, so it is built from the primitive
+    multiple r/gcd(r).  `LatticeError` if r is isotropic, and
+    `NotIntegralError` (a `LatticeError`) if sigma_r does not preserve the
+    lattice: some 2 (b_j, r)/(r, r) of that multiple is not an integer."""
     coords = coords_of(lat, r)
+    g = gcd(*coords)
+    if g > 1:
+        coords = tuple(c // g for c in coords)
     pair, norm, _div = _pairings(lat, coords)
+    return _reflection(lat, coords, pair, norm)
+
+
+def _reflection(lat, coords, pair, norm):
+    """`reflection` of r given by coords, from r's pairings and r^2."""
     if norm == 0:
         raise LatticeError("cannot reflect in an isotropic vector")
     if any(2 * p % norm for p in pair):
@@ -139,17 +149,21 @@ def classify_reflection(lat, r):
     one Z/3 and as id on the other, so its class is `neither`.
     """
     coords = coords_of(lat, r)
+    return _classify(lat, coords, *_pairings(lat, coords))
+
+
+def _classify(lat, coords, pair, norm, div):
+    """`classify_reflection` of r given by coords, from `_pairings`."""
     if not is_primitive(lat, coords):
         raise LatticeError("reflection classification needs a primitive vector")
     if not lat.is_even():
         raise LatticeError("classification is stated for even lattices")
     try:
-        sigma = reflection(lat, coords)
+        sigma = _reflection(lat, coords, pair, norm)
     except NotIntegralError:
         return NOT_INTEGRAL
     disc = disc_group(lat)
     plus, minus = _disc_signs(lat, sigma)
-    _pair, norm, div = _pairings(lat, coords)
     dd = disc.exponent
     if plus != (abs(norm) == 2):
         raise AssertionError(f"identity action and r^2 = {norm} disagree")
@@ -298,8 +312,8 @@ def reflk3_sample_check(d, samples=10**4, seed=0):
 def reflection_report(lat, r):
     """JSON-ready classification of one vector: {r, rSquared, div, discAction, class}."""
     coords = coords_of(lat, r)
-    _pair, norm, div = _pairings(lat, coords)
-    tag = classify_reflection(lat, coords)
+    pair, norm, div = _pairings(lat, coords)
+    tag = _classify(lat, coords, pair, norm, div)
     action = {IN_TILDE_O: "id", MINUS_IN_TILDE_O: "-id",
               NEITHER: "neither", NOT_INTEGRAL: "undefined"}[tag]
     return {"r": list(coords), "rSquared": norm, "div": div,

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 from fractions import Fraction
@@ -157,7 +158,9 @@ def test_divisor():
 
 
 def test_divisor_divides_norm_for_reflective_vectors():
-    # div(r) | r^2 | 2 div(r) whenever the reflection preserves the lattice
+    # div(r) | r^2 | 2 div(r) for a primitive r whose reflection preserves the
+    # lattice; sigma_r depends only on the line of r, so each draw is read as
+    # its primitive multiple
     lat = parse_lattice_expr("U+<-4>")
     rng = random.Random(7)
     seen = 0
@@ -165,6 +168,8 @@ def test_divisor_divides_norm_for_reflective_vectors():
         coords = tuple(rng.randint(-6, 6) for _ in range(lat.rank))
         if not any(coords):
             continue
+        g = gcd(*coords)
+        coords = tuple(c // g for c in coords)
         norm = inner(lat, coords, coords)
         if norm == 0:
             continue
@@ -371,6 +376,53 @@ def test_disc_of_direct_sum_matches_block_snf():
     d, _u, _v = smith_normal_form([list(r) for r in s.gram])
     snf_factors = tuple(d[i][i] for i in range(s.rank) if abs(d[i][i]) > 1)
     assert tuple(disc.invariant_factors) == snf_factors
+
+
+_NON_UNIMODULAR = ("U(2)", "A(2)+A(4)", "E8(2)", "D(4)+<6>", "<2>+<3>", "A(1)")
+_UNIMODULAR = ("U", "E8(-1)", "<1>", "<-1>")
+
+
+@pytest.mark.parametrize("x", _NON_UNIMODULAR)
+@pytest.mark.parametrize("v", _UNIMODULAR)
+def test_a_unimodular_summand_changes_nothing_in_the_disc_group(x, v):
+    # A_{X+V} = A_X for unimodular V: the same factors and q-values (none when
+    # V makes the sum odd), and X's lifts with zeros on V's coordinates
+    alone = disc_group(parse_lattice_expr(x))
+    pad = (0,) * parse_lattice_expr(v).rank
+    for expr, padded in ((f"{x}+{v}", lambda num: num + pad),
+                         (f"{v}+{x}", lambda num: pad + num)):
+        lat = parse_lattice_expr(expr)
+        disc = disc_group(lat)
+        assert disc.invariant_factors == alone.invariant_factors, expr
+        assert disc.q_values == (alone.q_values if lat.is_even() else None), expr
+        assert [(w.num, w.den) for w in disc.generator_lifts] == [
+            (padded(w.num), w.den) for w in alone.generator_lifts], expr
+
+
+@pytest.mark.parametrize("expr", ["E8", "2U+2E8(-1)", "U+<1>"])
+def test_a_unimodular_lattice_needs_no_smith_normal_form(monkeypatch, expr):
+    def refuse(mat):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(lt, "smith_normal_form", refuse)
+    disc = disc_group(parse_lattice_expr(expr))
+    assert disc.invariant_factors == () and disc.generator_lifts == () and disc.order == 1
+
+
+def test_l2d_reads_its_disc_group_on_the_one_by_one_summand(monkeypatch):
+    shapes = []
+    snf = lt.smith_normal_form
+
+    def spy(mat):
+        shapes.append((len(mat), len(mat[0])))
+        return snf(mat)
+
+    monkeypatch.setattr(lt, "smith_normal_form", spy)
+    for d in range(1, 61):
+        disc = disc_group(make_l2d(d))
+        assert disc.invariant_factors == (2 * d,)
+        assert [w.num for w in disc.generator_lifts] == [(0,) * 20 + (1,)]
+    assert shapes == [(1, 1)] * 60
 
 
 def test_dual_vec_membership():

@@ -5,6 +5,7 @@ suite stays deterministic.
 """
 
 from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,7 @@ from k3mod import search as se
 from exact_references import (
     det_bareiss, mat_mul_triple_loop, scaled_form, signature_of, to_2x,
 )
+from test_kernels import _reference_pairing
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -103,6 +105,53 @@ def test_det_and_signature_per_summand_match_the_references(g):
     lat = lt.IntLattice(g)
     assert lat.det == det_bareiss(g)
     assert lat.signature == signature_of(g)
+
+
+# unimodular blocks: U, <1>, <-1>, and the odd and even forms of det -1 and 1
+_UNIMODULAR_BLOCKS = ([[0, 1], [1, 0]], [[1]], [[-1]], [[0, 1], [1, 1]], [[2, 1], [1, 1]])
+
+
+@st.composite
+def _sums_with_unimodular_blocks(draw):
+    """A symmetric permutation of a block sum of 1 to 3 small nonsingular
+    blocks and 1 to 3 unimodular ones, each unimodular block conjugated by a
+    shear b_i -> b_i + k b_j so that its nonzero pattern varies."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(_symmetric(max_rank=3, bound=3))
+        assume(det_bareiss(b) != 0)
+        blocks.append(b)
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(st.sampled_from(_UNIMODULAR_BLOCKS))
+        n = len(b)
+        u = [[int(r == c) for c in range(n)] for r in range(n)]
+        if n > 1:
+            i = draw(st.integers(0, 1))
+            u[i][1 - i] = draw(st.integers(-2, 2))
+        blocks.append(lt.mat_mul(lt.mat_mul(u, b), [list(col) for col in zip(*u)]))
+    blocks = draw(st.permutations(blocks))
+    g = lt._block_gram(blocks)
+    perm = draw(st.permutations(range(len(g))))
+    return [[g[i][j] for j in perm] for i in perm]
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(_sums_with_unimodular_blocks())
+def test_disc_group_with_unimodular_summands_matches_the_references(g):
+    # each lift w = num/den pairs integrally with the basis, the orders of the
+    # lifts in A_L multiply to |det|, and the q-values are the Fraction norms
+    lat = lt.IntLattice(g)
+    disc = lt.disc_group(lat)
+    orders = []
+    for w in disc.generator_lifts:
+        assert all(sum(x * c for x, c in zip(row, w.num)) % w.den == 0 for row in g)
+        orders.append(w.den // gcd(w.den, *w.num))
+    assert prod(orders) == abs(lat.det) == disc.order
+    if lat.is_even():
+        assert disc.q_values == tuple(_reference_pairing(lat, w.coords, w.coords) % 2
+                                      for w in disc.generator_lifts)
+    else:
+        assert disc.q_values is None
 
 
 @st.composite

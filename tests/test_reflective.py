@@ -36,6 +36,8 @@ def test_reflection_examples():
     assert sigma.apply_coords((1, 1)) == (-1, -1)
     with pytest.raises(rf.NotIntegralError):
         rf.reflection(u, (2, 1))  # r^2 = 4 does not divide twice every pairing
+    # sigma_r depends only on the line of r: (2, 2) reflects as (1, 1) does
+    assert rf.reflection(u, (2, 2)).matrix == rf.reflection(u, (1, 1)).matrix == ((0, -1), (-1, 0))
     with pytest.raises(LatticeError):
         rf.reflection(u, (1, 0))  # isotropic
 
@@ -72,9 +74,10 @@ def test_reflections_are_involutions():
                                  parse_lattice_expr("A(2)+A(2)"), make_l2d(3)],
                          ids=["U+<-4>+<-2>", "A(2)+A(2)", "L_6"])
 def test_reflection_is_the_fraction_formula_or_raises(lat):
-    # sigma_r b_j = b_j - 2 (b_j, r)/(r, r) r in Fractions: a matrix when every
-    # coefficient is an integer, `NotIntegralError` when one is not, and a
-    # plain `LatticeError` for an isotropic r
+    # sigma_r b_j = b_j - 2 (b_j, r)/(r, r) r in Fractions: the matrix when every
+    # entry is an integer, `NotIntegralError` when one is not, and a plain
+    # `LatticeError` for an isotropic r; the draws include imprimitive r, whose
+    # sigma_r is that of r/gcd(r)
     rng = random.Random(11)
     g, n = lat.gram, lat.rank
     outcomes = {"integral": 0, "not_integral": 0, "isotropic": 0}
@@ -91,12 +94,12 @@ def test_reflection_is_the_fraction_formula_or_raises(lat):
             outcomes["isotropic"] += 1
             continue
         coeffs = [Fraction(2 * p, norm) for p in pair]
-        if any(c.denominator != 1 for c in coeffs):
+        want = tuple(tuple((i == j) - coeffs[j] * coords[i] for j in range(n)) for i in range(n))
+        if any(x.denominator != 1 for row in want for x in row):
             with pytest.raises(rf.NotIntegralError):
                 rf.reflection(lat, coords)
             outcomes["not_integral"] += 1
             continue
-        want = tuple(tuple((i == j) - coeffs[j] * coords[i] for j in range(n)) for i in range(n))
         assert rf.reflection(lat, coords).matrix == want, coords
         outcomes["integral"] += 1
     assert outcomes["integral"] and outcomes["not_integral"], outcomes

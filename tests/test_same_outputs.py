@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,8 @@ _spec.loader.exec_module(same_outputs)
 GOLDEN = json.loads((ROOT / "tests" / "golden_digests.json").read_text())
 REGENERATE = f"python tools/same_outputs.py --degrees {GOLDEN['degrees']}"
 # the generators of the groups that do not depend on --degrees
-DEGREE_FREE = ("high_verdicts", "counts", "histograms", "forms", "expressions", "series",
-               "rst_outputs")
+DEGREE_FREE = ("high_verdicts", "counts", "histograms", "forms", "expressions", "discriminants",
+               "series", "rst_outputs")
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,8 @@ def test_one_digest_per_group(capsys, monkeypatch, computed_once):
     names = [line.split()[0] for line in lines]
     assert names == (["verdict", "verdict-62-400"] + [f"search-{c}" for c in se.CASES]
                      + ["tuples", "orbit-scan", "lattice-reflect", "counts", "histograms", "forms",
-                        "expressions", "series", "rst", "cli-tables", "cli-csv", "cli-usage"]
+                        "expressions", "discriminants", "series", "rst", "cli-tables", "cli-csv",
+                        "cli-usage"]
                      + [f"cli-{w}" for w in golden])
     digests = dict(line.split() for line in lines)
     want = hashlib.sha256()
@@ -88,6 +90,7 @@ def test_one_digest_per_group(capsys, monkeypatch, computed_once):
     assert digests["histograms"] == same_outputs.digest(same_outputs.histograms())
     assert digests["forms"] == same_outputs.digest(same_outputs.forms())
     assert digests["expressions"] == same_outputs.digest(same_outputs.expressions())
+    assert digests["discriminants"] == same_outputs.digest(same_outputs.discriminants())
     assert digests["series"] == same_outputs.digest(same_outputs.series())
     assert digests["rst"] == same_outputs.digest(same_outputs.rst_outputs())
     assert digests["cli-csv"] == same_outputs.digest(
@@ -245,6 +248,33 @@ def test_expressions_read_lattices_and_parse_errors(monkeypatch, computed_once):
     assert all(item[1] in ("ParseError", "LatticeError") for item in bad)
     assert ["", "ParseError", "expected a lattice atom (at position 0)", 0] in bad
     assert ["U(0)", "ParseError", "scale must be nonzero (at position 4)", 4] in bad
+
+
+def test_discriminants_read_the_summand_rule_lattices_and_l2d(monkeypatch, computed_once):
+    computed_once(monkeypatch)
+    items = list(same_outputs.discriminants())
+    per_x = 1 + 2 * len(same_outputs.DISC_UNIMODULAR)
+    assert len(items) == (len(same_outputs.DISC_SUMMANDS) * per_x
+                          + len(same_outputs.DISC_L2D_DEGREES))
+    # X+V and V+X have X's factors, q-values (none when odd) and padded lifts
+    for k, x in enumerate(same_outputs.DISC_SUMMANDS):
+        (name, factors, q, lifts, classes), *sums = items[k * per_x:(k + 1) * per_x]
+        assert name == x
+        for (sum_name, sum_factors, sum_q, sum_lifts, sum_classes), v in zip(
+                sums, [v for v in same_outputs.DISC_UNIMODULAR for _ in (0, 1)]):
+            pad = (0,) * lt.parse_lattice_expr(v).rank
+            ahead = sum_name == f"{x}+{v}"
+            assert ahead or sum_name == f"{v}+{x}"
+            assert sum_factors == factors
+            # the classes are None exactly on an odd lattice
+            assert sum_q == (q if sum_classes is not None else [])
+            assert sum_lifts == [[num + pad if ahead else pad + num, den] for num, den in lifts]
+    l2d = items[-len(same_outputs.DISC_L2D_DEGREES):]
+    for d, (name, factors, q, lifts, classes) in zip(same_outputs.DISC_L2D_DEGREES, l2d):
+        assert (name, factors, q) == (f"L_{2 * d}", (2 * d,), [str(Fraction(-1, 2 * d) % 2)])
+        assert lifts == [[(0,) * 20 + (1,), 2 * d]]
+        # the <-2d> generator acts as -id on A_L (as id too when d = 1); roots as id
+        assert classes == ["in_tilde_O"] * 16 + ["in_tilde_O" if d == 1 else "minus_in_tilde_O"]
 
 
 def test_rst_reads_decompositions_sums_and_c_min(monkeypatch, computed_once):

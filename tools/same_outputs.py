@@ -44,6 +44,13 @@ no traceback.  The groups are
   `root_lattice_d(n)`, `root_lattice_e(n)`, then (exception type, message,
   position) of each of BAD_EXPRESSIONS and of the constructors' bad
   arguments; this group does not depend on --degrees either;
+* `discriminants`: `disc_group` (invariant factors, q-values, generator
+  lift numerators and denominators) of each of DISC_SUMMANDS, X, alone and
+  beside each unimodular V of DISC_UNIMODULAR, as X+V and V+X, and of
+  `make_l2d(d)` for d in DISC_L2D_DEGREES; on an even lattice also the
+  `classify_reflection` class of each basis vector of nonzero norm, whose
+  action on A_L is read through those lifts; this group does not depend on
+  --degrees either;
 * `series`: the closed-form theta series `theta_e7`, `theta_dn(n)` for n in
   SERIES_DN, `named_theta("E6")` and the tests' D6 reference `theta_d6_eis`
   (tests/exact_references.py) at precision SERIES_PREC, then
@@ -132,6 +139,11 @@ EXPRESSIONS = ([f"A({n})" for n in range(1, 9)] + [f"D({n})" for n in range(2, 9
 EXPRESSIONS_MAX_D = 10
 BAD_EXPRESSIONS = ("", "E5", "E9", "U+", "+U", "<0>", "2", "0U", "A(0)", "A(-1)", "D(1)",
                    "A(2", "D(x)", "U)troll", "<x>", "<3", "U(0)", "E8(0)", "E8(1", "Q")
+# the lattices of the `discriminants` group: X, X+V and V+X for each X and
+# unimodular V, and L_2d at a few d
+DISC_SUMMANDS = ("U(2)", "A(2)+A(4)", "E8(2)", "D(4)+<6>", "<2>+<3>", "A(1)")
+DISC_UNIMODULAR = ("U", "E8(-1)", "<1>", "<-1>")
+DISC_L2D_DEGREES = (1, 2, 6, 37, 100)
 # the theta series and the inequality sweep of the `series` group
 SERIES_PREC = 1200
 SERIES_DN = (5, 6, 8)
@@ -291,6 +303,19 @@ def expressions():
             yield [arg, "accepted"]
 
 
+def discriminants():
+    """The discriminant groups and basis reflection classes, as JSON."""
+    lattices = [lattice.parse_lattice_expr(text) for x in DISC_SUMMANDS
+                for text in [x] + [e for v in DISC_UNIMODULAR for e in (f"{x}+{v}", f"{v}+{x}")]]
+    for lat in lattices + [lattice.make_l2d(d) for d in DISC_L2D_DEGREES]:
+        disc = lattice.disc_group(lat)
+        n = lat.rank
+        classes = [reflective.classify_reflection(lat, [int(i == j) for j in range(n)])
+                   for i in range(n) if lat.gram[i][i]] if lat.is_even() else None
+        yield [lat.name, disc.invariant_factors, [str(q) for q in disc.q_values or ()],
+               [[w.num, w.den] for w in disc.generator_lifts], classes]
+
+
 def series():
     """The closed-form theta series, representation numbers and inequalities, as JSON."""
     yield ["E7", qseries.theta_e7(SERIES_PREC).coeffs]
@@ -387,6 +412,7 @@ def groups(degrees):
     yield "histograms", digest(histograms())
     yield "forms", digest(forms())
     yield "expressions", digest(expressions())
+    yield "discriminants", digest(discriminants())
     yield "series", digest(series())
     yield "rst", digest(rst_outputs())
     yield "cli-tables", digest(cli_stdout(["tables", "--format", fmt])
