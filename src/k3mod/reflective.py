@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from math import gcd
-from operator import index, mul
+from operator import index
 
 from . import lattice as lt
 from .lattice import LatticeError, coords_of, disc_group, is_primitive, make_l2d, \
@@ -68,10 +68,11 @@ class IsometryMatrix:
     def apply_coords(self, coords):
         """The image M x of the vector with coordinates `coords`; its entries
         may be any numbers (the numerators of dual vectors, say), but there
-        must be one per basis vector."""
+        must be one per basis vector.  A sparse x costs rank x |support|
+        products (`lattice._mat_vec`)."""
         if len(coords) != self.lattice.rank:
             raise LatticeError("coordinate length does not match lattice rank")
-        return tuple(sum(map(mul, row, coords)) for row in self.matrix)
+        return tuple(lt._mat_vec(self.matrix, coords))
 
     def __repr__(self):
         return f"IsometryMatrix(rank={self.lattice.rank})"
@@ -98,14 +99,20 @@ def reflection(lat, r):
 
 
 def _reflection(lat, coords, pair, norm):
-    """`reflection` of r given by coords, from r's pairings and r^2."""
+    """`reflection` of r given by coords, from r's pairings and r^2.  As
+    sigma_r b_j = b_j - c_j r with c_j = 2 (b_j, r)/r^2, row i is e_i - r_i c:
+    off the support of r a unit row, so only the rows on it are computed."""
     if norm == 0:
         raise LatticeError("cannot reflect in an isotropic vector")
     if any(2 * p % norm for p in pair):
         raise NotIntegralError("sigma_r does not preserve the lattice")
     cs = [2 * p // norm for p in pair]
     n = lat.rank
-    m = [[(1 if i == j else 0) - cs[j] * coords[i] for j in range(n)] for i in range(n)]
+    m = []
+    for i, c in enumerate(coords):
+        row = [-c * cj for cj in cs] if c else [0] * n
+        row[i] += 1
+        m.append(row)
     return IsometryMatrix(lat, m)
 
 

@@ -9,6 +9,8 @@ Tests compare the library against them.
   Fraction LDL^T of a definite form and its integerisation by an LCM pass).
 * The dense product behind `lattice.mat_mul`: `mat_mul_triple_loop`, the
   schoolbook sum over every (i, k, j), zeros included.
+* The dense matrix-vector product behind `lattice._mat_vec`:
+  `mat_vec_dense`, one sum per row over every coordinate, zeros included.
 * The dense q-series kernels behind `QSeries.__mul__` and `__pow__`:
   `schoolbook_mul` (every pair of coefficients) and `pow_by_squaring`
   (repeated squaring over it).
@@ -149,6 +151,11 @@ def mat_mul_triple_loop(a, b):
     cols = len(b[0]) if b else 0
     return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
             for i in range(len(a))]
+
+
+def mat_vec_dense(rows, coords):
+    """M x for M given as rows, one sum per row over every coordinate."""
+    return [sum(m * x for m, x in zip(row, coords)) for row in rows]
 
 
 def schoolbook_mul(a, b):

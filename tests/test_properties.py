@@ -4,6 +4,7 @@ Generation is derandomised, so every run draws the same examples and the
 suite stays deterministic.
 """
 
+import random
 from itertools import combinations
 from math import gcd, prod
 
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from k3mod import e8, roots
 from k3mod import lattice as lt
 from k3mod import qseries as qs
+from k3mod import reflective as rf
 from k3mod import search as se
 
 from exact_references import (
-    det_bareiss, mat_mul_triple_loop, scaled_form, signature_of, to_2x,
+    det_bareiss, mat_mul_triple_loop, mat_vec_dense, scaled_form, signature_of, to_2x,
 )
 from test_kernels import _reference_pairing
+from test_reflective import _reflective_with_support
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -175,6 +178,36 @@ def test_mat_mul_on_a_zero_row_a_zero_column_and_empty_factors():
     b = [[0, 3], [0, 0], [0, -1]]
     assert lt.mat_mul(a, b) == mat_mul_triple_loop(a, b) == [[0, 0], [0, 1]]
     assert lt.mat_mul([], []) == mat_mul_triple_loop([], []) == []
+
+
+@st.composite
+def _sparse_vector(draw, n):
+    """n integers of which none, one, a few or all are nonzero."""
+    size = draw(st.sampled_from((0, 1, min(3, n), n)))
+    x = [0] * n
+    for j in draw(st.permutations(range(n)))[:size]:
+        x[j] = draw(st.integers(-9, 9).filter(bool))
+    return x
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(st.data())
+def test_mat_vec_matches_the_dense_reference(data):
+    # the kernel alone, then under pairing_vector on a Gram matrix and under
+    # apply_coords on a reflection of L_2d, each with a vector of any support
+    m = data.draw(_matrices(max_size=8))
+    x = data.draw(_sparse_vector(len(m[0])))
+    assert lt._mat_vec(m, x) == mat_vec_dense(m, x)
+    g = data.draw(_symmetric(max_rank=8, bound=9))
+    assume(det_bareiss(g) != 0)
+    x = data.draw(_sparse_vector(len(g)))
+    assert lt.pairing_vector(lt.IntLattice(g), x) == mat_vec_dense(g, x)
+    lat = lt.make_l2d(data.draw(st.integers(1, 30)))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    r = _reflective_with_support(lat, rng, data.draw(st.sampled_from((1, 2, 4, lat.rank))))
+    sigma = rf.reflection(lat, r)
+    x = data.draw(_sparse_vector(lat.rank))
+    assert sigma.apply_coords(x) == tuple(mat_vec_dense(sigma.matrix, x))
 
 
 @_SETTINGS

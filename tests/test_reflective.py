@@ -93,8 +93,7 @@ def test_reflection_is_the_fraction_formula_or_raises(lat):
             assert not isinstance(err.value, rf.NotIntegralError)
             outcomes["isotropic"] += 1
             continue
-        coeffs = [Fraction(2 * p, norm) for p in pair]
-        want = tuple(tuple((i == j) - coeffs[j] * coords[i] for j in range(n)) for i in range(n))
+        want = _fraction_reflection(lat, coords)
         if any(x.denominator != 1 for row in want for x in row):
             with pytest.raises(rf.NotIntegralError):
                 rf.reflection(lat, coords)
@@ -105,6 +104,69 @@ def test_reflection_is_the_fraction_formula_or_raises(lat):
     assert outcomes["integral"] and outcomes["not_integral"], outcomes
     if lat.signature[1]:
         assert outcomes["isotropic"], outcomes
+
+
+def _fraction_reflection(lat, coords):
+    """The matrix of x -> x - 2 (x, r)/(r, r) r in Fractions, r non-isotropic."""
+    g, n = lat.gram, lat.rank
+    pair = [sum(g[j][i] * coords[i] for i in range(n)) for j in range(n)]
+    norm = sum(p * c for p, c in zip(pair, coords))
+    coeffs = [Fraction(2 * p, norm) for p in pair]
+    return tuple(tuple((i == j) - coeffs[j] * coords[i] for j in range(n)) for i in range(n))
+
+
+def _reflective_with_support(lat, rng, size):
+    """A primitive vector of L_2d = `lat` with `size` nonzero coordinates whose
+    reflection preserves the lattice.  A smaller support is drawn until one
+    is reflective; the full one is built as (1, b, z) with r^2 = -2, or as
+    d (1, b, z, 0) + h with (1, b, z, 0) isotropic, so r^2 = -2d and div = d
+    or 2d: the first two coordinates span U, and b solves for the norm."""
+    n = lat.rank
+    if size == n:
+        d = -lat.gram[-1][-1] // 2
+        while True:
+            z = [0, 0] + [rng.choice((-2, -1, 1, 2)) for _ in range(n - 2)]
+            if rng.random() < 0.5:
+                b = (-2 - lt.inner(lat, z, z)) // 2
+                coords = (1, b, *z[2:])
+            else:
+                z[-1] = 0
+                b = -lt.inner(lat, z, z) // 2
+                coords = (d, d * b, *(d * c for c in z[2:-1]), 1)
+            if b:
+                rf.reflection(lat, coords)
+                return coords
+    while True:
+        coords = [0] * n
+        for i in rng.sample(range(n), size):
+            coords[i] = rng.choice((-2, -1, 1, 2))
+        g = gcd(*coords)
+        coords = tuple(c // g for c in coords)
+        if lt.inner(lat, coords, coords) == 0:
+            continue
+        try:
+            rf.reflection(lat, coords)
+        except rf.NotIntegralError:
+            continue
+        return coords
+
+
+@pytest.mark.parametrize("d", range(1, 31))
+def test_reflection_moves_only_the_support_of_r(d):
+    # sigma_r b_j = b_j - c_j r changes only the coordinates i with r_i != 0,
+    # so every other row of sigma_r is the unit row e_i
+    lat = make_l2d(d)
+    n = lat.rank
+    rng = random.Random(d)
+    for size in (1, 2, 4, n):
+        for _ in range(2):
+            coords = _reflective_with_support(lat, rng, size)
+            assert sum(c != 0 for c in coords) == size, coords
+            m = rf.reflection(lat, coords).matrix
+            for i, c in enumerate(coords):
+                if not c:
+                    assert m[i] == tuple(int(i == j) for j in range(n)), (coords, i)
+            assert m == _fraction_reflection(lat, coords), coords
 
 
 def test_isometry_validation():
